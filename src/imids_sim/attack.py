@@ -35,6 +35,12 @@ class AttackConfig:
             raise ValueError("fake_msg_bits must be positive")
         if self.start_round < 0:
             raise ValueError("start_round must be non-negative")
+        ids = self.attacker_ids
+        if ids is not None and (
+            not isinstance(ids, (list, tuple))
+            or not all(isinstance(i, int) and not isinstance(i, bool) for i in ids)
+        ):
+            raise ValueError("attacker_ids must be a list of integer node ids")
 
 
 def choose_attackers(config: AttackConfig, node_ids, sink_id: int, rng: random.Random) -> set:

@@ -15,6 +15,7 @@ from .attack import AttackConfig
 from .energy import EnergyParams
 from .ids import DetectionConfig
 from .itids import ItidsConfig
+from .topology import SINK_ID
 
 MODES = ("imids", "itids", "imids-no-sectors")
 
@@ -104,6 +105,13 @@ class ScenarioConfig:
             self.itids.validate()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if self.attack.attacker_ids is not None:
+            chosen = set(self.attack.attacker_ids)
+            unknown = chosen - set(range(self.deployment.node_count))
+            if unknown:
+                raise ConfigError(f"unknown attacker ids: {sorted(unknown)}")
+            if SINK_ID in chosen:
+                raise ConfigError("the sink cannot be an attacker")
 
 
 _SECTION_TYPES = {

@@ -113,7 +113,6 @@ class DutySchedule:
     """Per-round duty plan: one owned transmit slot, the rest duty-cycled."""
 
     tdma_slot: int
-    wake_slots: set = field(default_factory=set)
     sleep_probability: float = 0.5
 
 

@@ -16,6 +16,11 @@ Everything random is drawn from substreams derived from the scenario
 seed and keyed by concern, round, and node id, so a (config, seed) pair
 always produces the identical trace and the sleep masks and attack
 traffic line up exactly across modes.
+
+The cluster/sector structure changes only through `_build_structures`,
+which also rebuilds the lookup indices the round loop relies on (who
+belongs to which cluster, who watches whom, who sends in which slot).
+Code that edits the structure must end in a call to it.
 """
 
 from __future__ import annotations
@@ -129,7 +134,8 @@ class Simulation:
         for node_id in self.attackers:
             self.by_id[node_id].malicious = True
 
-        self.graph = topo.build_graph(self.nodes, cfg.deployment.transmission_range)
+        self._graph_alive = None
+        self._refresh_graph()
         self._census()
         topo.classify_nodes(self.nodes, cfg.deployment.leader_energy_threshold)
 
@@ -173,13 +179,22 @@ class Simulation:
             self._charge_tx(node, bits, node.distance_to(self.sink))
             self._charge_rx(self.sink, bits)
 
+    def _refresh_graph(self):
+        """Rebuild the range graph when the alive set changed. Nodes only
+        ever die, so an unchanged alive count means an unchanged set."""
+        alive = sum(1 for n in self.nodes if is_alive(n))
+        if alive != self._graph_alive:
+            self.graph = topo.build_graph(self.nodes, self.config.deployment.transmission_range)
+            self._graph_alive = alive
+
     def _build_structures(self, rebuild=None, initial=False):
-        """(Re)derive sectors, monitors, roles, budgets, and schedules.
+        """(Re)derive sectors, monitors, roles, budgets, schedules, and the
+        lookup indices.
 
         `rebuild` limits sector re-formation to the named clusters so an
         untouched cluster keeps its coordinators and their running
-        detection budgets; roles, schedules, and duty sets are pure
-        functions of the structure and are recomputed globally.
+        detection budgets; roles, schedules, duty sets, and indices are
+        pure functions of the structure and are recomputed globally.
         """
         cfg = self.config
         quarantined = self._quarantined_set()
@@ -187,6 +202,14 @@ class Simulation:
         if cfg.mode == "imids":
             for cluster in targets:
                 cluster.sectors = topo.form_sectors(cluster, self.nodes, self.graph, quarantined)
+                if not cluster.sectors:
+                    continue
+                try:  # one forwarding head per cluster, shared by its sectors
+                    fsh = topo.select_fsh(
+                        cluster, cluster.sectors[0], self.nodes, self.graph, quarantined
+                    )
+                except topo.MonitorUnavailable:
+                    fsh = None
                 for sector in cluster.sectors:
                     try:
                         sector.monitors = topo.select_sector_monitor(
@@ -194,12 +217,7 @@ class Simulation:
                         )
                     except topo.MonitorUnavailable:
                         sector.monitors = ()
-                    try:
-                        sector.fsh = topo.select_fsh(
-                            cluster, sector, self.nodes, self.graph, quarantined
-                        )
-                    except topo.MonitorUnavailable:
-                        sector.fsh = None
+                    sector.fsh = fsh
         else:
             for cluster in targets:
                 cluster.sectors = []
@@ -213,6 +231,7 @@ class Simulation:
         self._assign_budgets(roles_before, initial)
         self._assign_schedules()
         self._refresh_duty_sets()
+        self._build_indices()
 
     def _assign_budgets(self, roles_before, initial):
         """A fresh appointment brings a fresh reserve; a node that keeps its
@@ -292,6 +311,35 @@ class Simulation:
             always_on.update(ids)
         self.always_on = always_on
         self.parent = parent
+
+    def _build_indices(self):
+        """Structure lookups for the round loop, so that no packet or slot
+        scans the clusters or the node list."""
+        cluster_of = {}
+        watcher_of = {}
+        for cluster in self.clusters:
+            for node_id in (cluster.coordinator, *cluster.members):
+                cluster_of.setdefault(node_id, cluster)
+            if self.config.mode == "imids":
+                for sector in cluster.sectors:
+                    for leaf in sector.leaves:
+                        watcher_of.setdefault(leaf, sector.coordinator)
+            else:
+                for member in cluster.members:
+                    watcher_of.setdefault(member, cluster.coordinator)
+        senders = [[] for _ in range(self.config.slots_per_round)]
+        for node in self.nodes:
+            # leaves transmit in their own slot; liveness is checked per packet
+            if (
+                node.node_class is NodeClass.FOLLOWER
+                and node.role is Role.LN
+                and node.schedule is not None
+            ):
+                senders[node.schedule.tdma_slot].append(node)
+        self._cluster_index = cluster_of
+        self._watcher_index = watcher_of
+        self._coordinators = {c.coordinator for c in self.clusters}
+        self._slot_senders = senders
 
     def _sector_uplink(self, sector, cc_id: int) -> int:
         """Aggregates ride through the forwarding head when it is reachable."""
@@ -420,7 +468,6 @@ class Simulation:
             ]
             if node.schedule is not None:
                 wake[node.schedule.tdma_slot] = True
-                node.schedule.wake_slots = {i for i, w in enumerate(wake) if w}
             masks[node.id] = wake
         return masks
 
@@ -460,7 +507,7 @@ class Simulation:
 
     def _run_slot(self, slot, masks, forced, slot_attack_packets):
         cfg = self.config
-        coordinators = {c.coordinator for c in self.clusters}
+        coordinators = self._coordinators
         # attack deliveries first: they can wake victims within this slot
         for pkt in slot_attack_packets:
             src = self.by_id[pkt.src]
@@ -486,12 +533,8 @@ class Simulation:
                 self._dropped += 1
 
         # regular sensing traffic in the owner's slot
-        for node in self.nodes:
-            if node.node_class is not NodeClass.FOLLOWER or not is_alive(node):
-                continue
-            if node.role is not Role.LN:
-                continue
-            if node.schedule is None or node.schedule.tdma_slot != slot:
+        for node in self._slot_senders[slot]:
+            if not is_alive(node):
                 continue
             if node.malicious and self.round >= cfg.attack.start_round:
                 continue  # active attackers replace sensing with their flood
@@ -553,16 +596,7 @@ class Simulation:
 
     def _watcher_of(self, node_id: int):
         """The detection node that promiscuously observes this node, if any."""
-        if self.config.mode == "imids":
-            for cluster in self.clusters:
-                for sector in cluster.sectors:
-                    if node_id in sector.leaves:
-                        return sector.coordinator
-            return None
-        for cluster in self.clusters:
-            if node_id in cluster.members:
-                return cluster.coordinator
-        return None
+        return self._watcher_index.get(node_id)
 
     def _watches(self, watcher_id, subject_id) -> bool:
         if self.config.mode == "itids":
@@ -614,10 +648,7 @@ class Simulation:
         return self._obs[key]
 
     def _cluster_of(self, node_id):
-        for cluster in self.clusters:
-            if node_id == cluster.coordinator or node_id in cluster.members:
-                return cluster
-        return None
+        return self._cluster_index.get(node_id)
 
     def _inject_false_strikes(self, r: int):
         """Scenario hook: a spurious strike charged against a benign node,
@@ -1030,13 +1061,15 @@ class Simulation:
 
     def _reconfiguration_sweep(self, events):
         cfg = self.config
-        if any(not is_alive(n) for n in self.nodes):
-            self.graph = topo.build_graph(self.nodes, cfg.deployment.transmission_range)
+        self._refresh_graph()
         quarantined = self._quarantined_set()
+        changed = False  # does the structure need re-deriving this round?
         for cluster in self.clusters:
-            cluster.members -= quarantined  # isolated nodes leave the roster
-            for sector in cluster.sectors:
-                sector.leaves -= quarantined
+            # isolated nodes leave the roster
+            for roster in (cluster.members, *(s.leaves for s in cluster.sectors)):
+                if not roster.isdisjoint(quarantined):
+                    roster.difference_update(quarantined)
+                    changed = True
         surviving = []
         rebuilt = []
         stranded = []
@@ -1061,6 +1094,7 @@ class Simulation:
                 if not eligible:
                     events.append(f"cluster {cluster.id}: dissolved, no leader left")
                     stranded.extend(sorted(pool))
+                    changed = True
                     continue
                 new_cc = min(
                     eligible,
@@ -1087,16 +1121,20 @@ class Simulation:
             rebuilt.append(cluster)
         self.clusters = surviving
         for node_id in sorted(set(stranded) | self.orphans):
-            self._try_adopt(node_id, events)
-        self._build_structures(rebuild=rebuilt)
+            if self._try_adopt(node_id, events):
+                changed = True
+        if changed or rebuilt:
+            self._build_structures(rebuild=rebuilt)
         if rebuilt:
             self._charge_formation(rebuilt)
 
-    def _try_adopt(self, node_id, events):
+    def _try_adopt(self, node_id, events) -> bool:
+        """Attach a stranded node to the nearest coordinator in range;
+        True if some cluster took it."""
         node = self.by_id.get(node_id)
         if node is None or not is_alive(node) or self.ledgers.is_quarantined(node_id):
             self.orphans.discard(node_id)
-            return
+            return False
         candidates = [
             c for c in self.clusters
             if is_alive(self.by_id[c.coordinator])
@@ -1104,7 +1142,7 @@ class Simulation:
         ]
         if not candidates:
             self.orphans.add(node_id)
-            return
+            return False
         best = min(
             candidates,
             key=lambda c: (node.distance_to(self.by_id[c.coordinator]), c.coordinator),
@@ -1115,6 +1153,7 @@ class Simulation:
         self._charge_tx(node, bits, node.distance_to(self.by_id[best.coordinator]))
         self._charge_rx(self.by_id[best.coordinator], bits)
         events.append(f"node {node_id} adopted by cluster {best.id}")
+        return True
 
     # ------------------------------------------------------------------
 

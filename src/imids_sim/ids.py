@@ -53,6 +53,14 @@ class DetectionConfig:
             raise ValueError("trust thresholds live on the 4-bit scale 0..15")
         if self.rate_threshold <= 1.0 or self.count_threshold <= 0:
             raise ValueError("rate_threshold must exceed 1.0, count_threshold 0")
+        strikes = self.injected_false_strikes
+        if not isinstance(strikes, (list, tuple)) or not all(
+            isinstance(item, (list, tuple))
+            and len(item) == 2
+            and all(isinstance(v, int) and not isinstance(v, bool) for v in item)
+            for item in strikes
+        ):
+            raise ValueError("injected_false_strikes must be [node_id, round] integer pairs")
 
 
 @dataclass(frozen=True)

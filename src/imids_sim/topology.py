@@ -354,7 +354,11 @@ def hop_distances(graph: TransmissionGraph, source: int) -> dict:
 
 def select_fsh(cluster, sector, nodes, graph, quarantined=frozenset()) -> int:
     """Pick the sector's forwarding head: the non-CC leader closest to the
-    CC in hops, then in meters, then by id."""
+    CC in hops, then in meters, then by id.
+
+    The choice is per cluster: `sector` is not consulted, so every sector
+    of a cluster gets the same head and one call serves them all.
+    """
     candidates = _monitor_candidates(cluster, nodes, quarantined)
     if not candidates:
         raise MonitorUnavailable(f"cluster {cluster.id} has no spare leader")

@@ -160,6 +160,23 @@ def test_override_without_equals_is_a_config_error(tmp_path):
     assert cli.main(["run", cfg, "--override", "rounds"]) == 2
 
 
+FALSE_ALARM = os.path.join(os.path.dirname(__file__), "..", "configs", "false_alarm.json")
+
+
+def test_unknown_attacker_id_is_a_config_error(tmp_path, capsys):
+    code = cli.main(["run", FALSE_ALARM, "--out", str(tmp_path / "o"),
+                     "--override", "attack.attacker_ids=[999]"])
+    assert code == 2
+    assert "unknown attacker ids: [999]" in capsys.readouterr().err
+
+
+def test_malformed_injected_strike_is_a_config_error(tmp_path, capsys):
+    code = cli.main(["run", FALSE_ALARM, "--out", str(tmp_path / "o"),
+                     "--override", "detection.injected_false_strikes=[[1]]"])
+    assert code == 2
+    assert "injected_false_strikes" in capsys.readouterr().err
+
+
 def test_bad_sweep_axis_and_values_are_config_errors(tmp_path):
     cfg = write_config(tmp_path)
     assert cli.main(["sweep", cfg, "--axis", "slots", "--values", "1"]) == 2

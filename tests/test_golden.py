@@ -1,0 +1,66 @@
+"""Golden artifacts: `run` output is pinned for every bundled config and mode.
+
+Each pin is sha256 over the bytes of `metrics.csv` followed by the bytes of
+`summary.json`, as written by `imids-sim run <config> --override mode=<mode>`.
+A change that alters simulated behaviour on purpose re-pins here and says
+why in CHANGES.md; every other change must leave these untouched.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from imids_sim import cli
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+GOLDEN = {
+    ("early_attack", "imids"):
+        "1048002ab2e55ce9b32b8cbcb0616027436a08a396fdaf92263463d85f18248b",
+    ("early_attack", "itids"):
+        "c64bb2823d0b0744dcbe38961d04bf86f10b09c7535f570dc0d95f977808fbed",
+    ("early_attack", "imids-no-sectors"):
+        "c8d78b2e1fcba26ba10d561dc4c716a2402a3ba12a8d9fdad99b54207ca2e472",
+    ("false_alarm", "imids"):
+        "72ea317825b67f72be71bd13d97320b9edde122acdefce908d3fd09ab6136dc9",
+    ("false_alarm", "itids"):
+        "e6bcdba2ab2ae701dd6b3c05cbf95a436c62c39b62ec48630f9116fc6b5776aa",
+    ("false_alarm", "imids-no-sectors"):
+        "55a39eb9f75d47d9eb179b54c911066a820c6bef146caf59d1e77e09863904c7",
+    ("stock_comparison", "imids"):
+        "b28ec1a0db4c76424bd0ff8f6ac2df6f02c53764bd1143ba39139403a15dc50c",
+    ("stock_comparison", "itids"):
+        "c6455eccf21b5754a2279027f799e01b08d1ac55e6f5bbb04f8aad5113f8ba7c",
+    ("stock_comparison", "imids-no-sectors"):
+        "eacd4f7cf3671ada555983e58b170d037fdd3438aa50d2da622c93fe75bdf953",
+    ("sweep_base", "imids"):
+        "866d444ec7f21a8dea11329f59e9c2344db2948294577c9edc6c3d139920202f",
+    ("sweep_base", "itids"):
+        "8fb6d39227f1e3d29c24d9ab62ded03242c54057a08e5db9a986c5909284a992",
+    ("sweep_base", "imids-no-sectors"):
+        "fd7df245e3f3cd0f9dbcbd528d08a8cc8047e3e9d6d5e009ba1e3791afc30376",
+}
+
+
+def artifact_digest(config: str, mode: str, out: Path) -> str:
+    code = cli.main(
+        ["run", str(CONFIG_DIR / f"{config}.json"), "--out", str(out),
+         "--override", f"mode={mode}"]
+    )
+    assert code == 0
+    h = hashlib.sha256()
+    for name in ("metrics.csv", "summary.json"):
+        h.update((out / name).read_bytes())
+    return h.hexdigest()
+
+
+def test_every_bundled_config_is_pinned():
+    assert {c for c, _ in GOLDEN} == {p.stem for p in CONFIG_DIR.glob("*.json")}
+
+
+@pytest.mark.parametrize("config,mode", sorted(GOLDEN))
+def test_run_artifacts_match_golden_digest(config, mode, tmp_path, capsys):
+    found = artifact_digest(config, mode, tmp_path)
+    capsys.readouterr()  # `run` prints the artifact paths
+    assert found == GOLDEN[(config, mode)]

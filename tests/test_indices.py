@@ -1,0 +1,205 @@
+"""The engine's structure indices against brute-force scans of the structure.
+
+`_build_structures` derives node->cluster, node->watcher, the coordinator
+set, and slot->senders once per structure change, and the reconfiguration
+sweep skips the global re-derivation when nothing changed. After every
+round the indices must equal a scan of `clusters`/`sectors`/`nodes`, and
+forcing the skipped re-derivation must change nothing. The range graph,
+rebuilt only when the alive count moved, must equal a fresh build over
+the alive nodes whenever the sweep has refreshed it.
+"""
+
+import pytest
+
+from imids_sim import engine
+from imids_sim import topology as topo
+from imids_sim.config import parse_config
+from imids_sim.core import NodeClass, Role, is_alive
+
+MODES = ("imids", "imids-no-sectors", "itids")
+
+
+def arena(seed, mode):
+    # frail batteries and early flooders: deaths and quarantines within a
+    # few rounds, and a reconfiguration sweep in almost every round
+    raw = {
+        "seed": seed,
+        "rounds": 40,
+        "mode": mode,
+        "deployment": {
+            "node_count": 24,
+            "area_width": 50.0,
+            "area_height": 50.0,
+            "leader_fraction": 0.3,
+            "leader_initial_energy": 0.02,
+            "follower_initial_energy": 0.004,
+            "leader_energy_threshold": 0.01,
+        },
+        "attack": {
+            "attacker_count": 2,
+            "fake_msgs_per_round": 3,
+            "flood_packets_per_slot": 2,
+            "start_round": 0,
+        },
+    }
+    return parse_config(raw)
+
+
+def scan_cluster_of(sim, node_id):
+    for cluster in sim.clusters:
+        if node_id == cluster.coordinator or node_id in cluster.members:
+            return cluster
+    return None
+
+
+def scan_watcher_of(sim, node_id):
+    if sim.config.mode == "imids":
+        for cluster in sim.clusters:
+            for sector in cluster.sectors:
+                if node_id in sector.leaves:
+                    return sector.coordinator
+        return None
+    for cluster in sim.clusters:
+        if node_id in cluster.members:
+            return cluster.coordinator
+    return None
+
+
+def scan_senders(sim, slot):
+    return [
+        n.id for n in sim.nodes
+        if n.node_class is NodeClass.FOLLOWER
+        and n.role is Role.LN
+        and n.schedule is not None
+        and n.schedule.tdma_slot == slot
+    ]
+
+
+def check_indices(sim):
+    for node in sim.nodes:
+        assert sim._cluster_of(node.id) is scan_cluster_of(sim, node.id)
+        assert sim._watcher_of(node.id) == scan_watcher_of(sim, node.id)
+    assert sim._coordinators == {c.coordinator for c in sim.clusters}
+    for slot in range(sim.config.slots_per_round):
+        assert [n.id for n in sim._slot_senders[slot]] == scan_senders(sim, slot)
+
+
+def check_graph(sim):
+    fresh = topo.build_graph(sim.nodes, sim.config.deployment.transmission_range)
+    assert sim.graph.adjacency == fresh.adjacency
+
+
+def derived_state(sim):
+    return (
+        {n.id: n.role for n in sim.nodes},
+        {n.id: n.schedule for n in sim.nodes},
+        dict(sim.parent),
+        set(sim.always_on),
+    )
+
+
+def check_rederivation_is_a_fixed_point(sim):
+    before = derived_state(sim)
+    sim._build_structures(rebuild=[])
+    assert derived_state(sim) == before
+
+
+def run_instrumented_round(sim):
+    """One round with two engine steps shadowed on this instance: count
+    the re-derivations, and check the graph each time the sweep refreshes
+    it. Returns the report and the re-derivation calls."""
+    calls = []
+    build_structures = sim._build_structures
+    refresh_graph = sim._refresh_graph
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return build_structures(*args, **kwargs)
+
+    def checked():
+        refresh_graph()
+        check_graph(sim)
+
+    sim._build_structures = counted
+    sim._refresh_graph = checked
+    try:
+        report = sim.run_round()
+    finally:
+        del sim._build_structures, sim._refresh_graph
+    return report, calls
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_indices_match_scans_through_deaths_and_quarantines(mode):
+    deaths = quarantines = skipped = 0
+    for seed in range(6):
+        sim = engine.initialize(arena(seed, mode))
+        check_indices(sim)
+        check_graph(sim)
+        alive_start = sim.alive_non_sink()
+        for _ in range(sim.config.rounds):
+            if sim.alive_non_sink() == 0:
+                break
+            _, calls = run_instrumented_round(sim)
+            if mode != "itids" and not calls:
+                skipped += 1
+            check_indices(sim)
+            check_rederivation_is_a_fixed_point(sim)
+            check_indices(sim)
+        deaths += alive_start - sim.alive_non_sink()
+        quarantines += len(sim.ledgers.quarantined)
+    assert deaths > 0
+    if mode != "itids":  # the baseline never sweeps
+        assert quarantines > 0
+        assert skipped > 0  # the skip path itself was exercised
+
+
+@pytest.mark.parametrize("mode", ("imids", "imids-no-sectors"))
+def test_dissolved_cluster_strands_a_node_nobody_adopts(mode):
+    # two groups 200 m apart with a 40 m radio range: no coordinator of the
+    # near group can ever adopt a node of the far one
+    near = [[0, 0], [10, 0], [0, 10], [10, 10], [15, 5], [5, 15]]
+    far = [[200, 0], [210, 0], [200, 10], [210, 10], [205, 5]]
+    config = parse_config({
+        "seed": 0,
+        "rounds": 8,
+        "mode": mode,
+        "deployment": {
+            "node_count": len(near) + len(far),
+            "positions": near + far,
+            "transmission_range": 40.0,
+            "leader_fraction": 0.3,
+        },
+        "attack": {"attacker_count": 0},
+    })
+    sim = engine.initialize(config)
+    (far_cluster,) = [c for c in sim.clusters if c.coordinator >= len(near)]
+    leaders = [
+        m for m in far_cluster.node_ids()
+        if sim.by_id[m].node_class is NodeClass.LEADER
+    ]
+    followers = sorted(far_cluster.node_ids() - set(leaders))
+    assert followers
+    sim.run_round()
+    check_indices(sim)
+
+    for leader in leaders:
+        sim.by_id[leader].energy.residual_energy = 0.0
+    report, _ = run_instrumented_round(sim)
+    assert any("dissolved" in event for event in report.reconfigurations)
+    assert far_cluster not in sim.clusters
+    assert sim.orphans == set(followers)
+    for node_id in followers:
+        assert sim._cluster_of(node_id) is None
+        assert sim._watcher_of(node_id) is None
+    check_indices(sim)
+    check_rederivation_is_a_fixed_point(sim)
+
+    for _ in range(3):
+        report, calls = run_instrumented_round(sim)
+        assert not any("adopted" in event for event in report.reconfigurations)
+        assert sim.orphans == {f for f in followers if is_alive(sim.by_id[f])}
+        if not report.reconfigurations:
+            assert not calls  # still stranded, nothing changed: no re-derivation
+        check_indices(sim)
+        check_rederivation_is_a_fixed_point(sim)
