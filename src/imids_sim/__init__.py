@@ -58,7 +58,6 @@ from .topology import (
     CoverageFailure,
     MonitorUnavailable,
     Sector,
-    Topology,
     UnreachableNode,
     deploy,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "SimulationTrace",
     "SINK_ID",
     "SuspectedEntry",
-    "Topology",
     "TrustState",
     "TRUST_MAX",
     "UnreachableNode",

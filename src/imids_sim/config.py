@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import typing
 from dataclasses import dataclass, field
 
 from .attack import AttackConfig
@@ -22,6 +24,20 @@ MODES = ("imids", "itids", "imids-no-sectors")
 
 class ConfigError(Exception):
     pass
+
+
+def _finite(value) -> bool:
+    """A JSON number within float range: no bool, NaN or infinity."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def _is_point(value) -> bool:
+    return isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_finite, value))
 
 
 @dataclass
@@ -51,8 +67,13 @@ class DeploymentConfig:
                      "sink_initial_energy", "leader_energy_threshold"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        if self.positions is not None and len(self.positions) != self.node_count:
-            raise ConfigError("positions list must have node_count entries")
+        points = [] if self.sink_position is None else [self.sink_position]
+        if self.positions is not None:
+            if not isinstance(self.positions, list) or len(self.positions) != self.node_count:
+                raise ConfigError("positions list must have node_count entries")
+            points += self.positions
+        if not all(map(_is_point, points)):
+            raise ConfigError("sink_position and positions take [x, y] pairs of finite numbers")
 
 
 @dataclass
@@ -126,11 +147,24 @@ _SECTION_TYPES = {
 _TUPLE_KEYS = {"sink_position", "injected_false_strikes"}
 
 
+def _check_numbers(cls, values: dict, prefix: str = "") -> None:
+    """Hold the int and float fields of `cls` to their annotations: an int
+    takes an integer (not a bool, not 1.5), a float any finite number."""
+    hints = typing.get_type_hints(cls)
+    for key, value in values.items():
+        hint = hints[key]
+        if hint is int and (isinstance(value, bool) or not isinstance(value, int)):
+            raise ConfigError(f"{prefix}{key} must be an integer, got {value!r}")
+        if hint is float and not _finite(value):
+            raise ConfigError(f"{prefix}{key} must be a finite number, got {value!r}")
+
+
 def _build_section(cls, raw: dict, path: str):
     known = {f.name for f in dataclasses.fields(cls)}
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"unknown key(s) under '{path}': {sorted(unknown)}")
+    _check_numbers(cls, raw, f"{path}.")
     values = {}
     for key, value in raw.items():
         if key in _TUPLE_KEYS and isinstance(value, list):
@@ -147,12 +181,11 @@ def parse_config(raw: dict) -> ScenarioConfig:
         raise ConfigError("scenario must be a JSON object")
     if "seed" not in raw:
         raise ConfigError("scenario must set an explicit integer seed")
-    if not isinstance(raw["seed"], int) or isinstance(raw["seed"], bool):
-        raise ConfigError("seed must be an integer")
     top_fields = {f.name for f in dataclasses.fields(ScenarioConfig)}
     unknown = set(raw) - top_fields
     if unknown:
         raise ConfigError(f"unknown top-level key(s): {sorted(unknown)}")
+    _check_numbers(ScenarioConfig, {k: v for k, v in raw.items() if k not in _SECTION_TYPES})
     kwargs = {}
     for key, value in raw.items():
         if key in _SECTION_TYPES:

@@ -45,8 +45,6 @@ class Role(Enum):
 class NodeState(Enum):
     SLEEP = "sleep"
     LISTEN = "listen"
-    TRANSMIT = "transmit"
-    RECEIVE = "receive"
     DEAD = "dead"
 
 

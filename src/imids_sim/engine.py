@@ -10,7 +10,10 @@ budget, or a coordinator falling behind its peers) closes the round.
 
 The baseline mode replaces all of that with static low-energy monitors
 and single-strike isolation; the no-sector mode keeps cluster
-coordinators as the only detection layer.
+coordinators as the only detection layer. A mode is decided once: at
+set-up `__init__` picks the round's stage tuple, and `_build_indices`
+derives the mode's watch relation (who screens whom) with the other
+indices. The round loop itself never asks which mode it runs.
 
 Everything random is drawn from substreams derived from the scenario
 seed and keyed by concern, round, and node id, so a (config, seed) pair
@@ -33,7 +36,6 @@ from . import itids as itids_mod
 from . import topology as topo
 from .config import ScenarioConfig, config_to_dict
 from .core import (
-    DETECTION_FRACTION,
     DutySchedule,
     NodeClass,
     Packet,
@@ -119,6 +121,16 @@ class Simulation:
         self._delivered = 0
         self._dropped = 0
         self._initialize()
+        if config.mode == "itids":  # no reconfiguration, ever
+            self._stages = (self._sids_stage, self._isolate_suspects, self._forward_received)
+        else:
+            self._stages = (
+                self._sids_stage,
+                self._forwarding_stage,
+                self._monitor_stage,
+                self._sink_stage,
+                self._reconfiguration_sweep,
+            )
 
     # ------------------------------------------------------------------
     # setup
@@ -222,7 +234,7 @@ class Simulation:
             for cluster in targets:
                 cluster.sectors = []
         roles_before = {n.id: n.role for n in self.nodes}
-        self.roles = topo.assign_roles(self.nodes, self.clusters)
+        topo.assign_roles(self.nodes, self.clusters)
         if cfg.mode == "itids" and initial:
             for cluster in self.clusters:
                 self.monitors[cluster.id] = itids_mod.select_monitors(
@@ -235,33 +247,14 @@ class Simulation:
 
     def _assign_budgets(self, roles_before, initial):
         """A fresh appointment brings a fresh reserve; a node that keeps its
-        role keeps whatever is left of its running budget."""
-        if self.config.mode == "itids":
-            if not initial:
-                return  # the baseline never reconfigures
-            monitor_ids = set()
-            for ids in self.monitors.values():
-                monitor_ids.update(ids)
-            for node in self.nodes:
-                if not is_alive(node):
-                    continue
-                if node.id in monitor_ids:
-                    # baseline monitors carry the screening-level reserve
-                    fraction = DETECTION_FRACTION["SC"]
-                    budget = min(
-                        fraction * node.energy.initial_energy, node.energy.residual_energy
-                    )
-                    node.energy.detection_budget = budget
-                    node.energy.detection_budget_initial = budget
-                    node.energy.detection_enabled = budget > 0.0
-                else:
-                    assign_detection_budget(node, node.role)
-            return
+        role keeps whatever is left of its running budget. Baseline monitors
+        carry the screening-level reserve."""
+        monitor_ids = set().union(*self.monitors.values())
         for node in self.nodes:
             if not is_alive(node):
                 continue
             if initial or node.role is not roles_before.get(node.id):
-                assign_detection_budget(node, node.role)
+                assign_detection_budget(node, Role.SC if node.id in monitor_ids else node.role)
 
     def _assign_schedules(self):
         slots = self.config.slots_per_round
@@ -314,19 +307,35 @@ class Simulation:
 
     def _build_indices(self):
         """Structure lookups for the round loop, so that no packet or slot
-        scans the clusters or the node list."""
+        scans the clusters or the node list.
+
+        The watch relation is where the defense modes differ. `_screens`
+        holds the (watcher, sorted subjects) screening passes in cluster-id
+        order: sector coordinator over its leaves, coordinator over its
+        members without sectors, and in the baseline every monitor over the
+        cluster nodes it can hear (its graph is never refreshed).
+        `_watchers` is the same relation keyed by subject."""
+        mode = self.config.mode
         cluster_of = {}
-        watcher_of = {}
-        for cluster in self.clusters:
+        screens = []
+        for cluster in sorted(self.clusters, key=lambda c: c.id):
             for node_id in (cluster.coordinator, *cluster.members):
                 cluster_of.setdefault(node_id, cluster)
-            if self.config.mode == "imids":
-                for sector in cluster.sectors:
-                    for leaf in sector.leaves:
-                        watcher_of.setdefault(leaf, sector.coordinator)
+            if mode == "imids":
+                screens.extend((s.coordinator, sorted(s.leaves)) for s in cluster.sectors)
+            elif mode == "imids-no-sectors":
+                screens.append((cluster.coordinator, sorted(cluster.members)))
             else:
-                for member in cluster.members:
-                    watcher_of.setdefault(member, cluster.coordinator)
+                for monitor_id in self.monitors.get(cluster.id, ()):
+                    heard = cluster.node_ids() - {monitor_id}
+                    screens.append((
+                        monitor_id,
+                        sorted(m for m in heard if self.graph.has_edge(monitor_id, m)),
+                    ))
+        watchers = {}
+        for watcher_id, subject_ids in screens:
+            for subject_id in subject_ids:
+                watchers[subject_id] = (*watchers.get(subject_id, ()), watcher_id)
         senders = [[] for _ in range(self.config.slots_per_round)]
         for node in self.nodes:
             # leaves transmit in their own slot; liveness is checked per packet
@@ -337,7 +346,8 @@ class Simulation:
             ):
                 senders[node.schedule.tdma_slot].append(node)
         self._cluster_index = cluster_of
-        self._watcher_index = watcher_of
+        self._screens = screens
+        self._watchers = watchers
         self._coordinators = {c.coordinator for c in self.clusters}
         self._slot_senders = senders
 
@@ -408,7 +418,6 @@ class Simulation:
         suspects_before = set(self.ledgers.suspected)
         quarantined_before = set(self.ledgers.quarantined)
         self._sent = self._delivered = self._dropped = 0
-        reconfig_events = []
 
         masks = self._draw_masks()
         forced = [set() for _ in range(cfg.slots_per_round)]
@@ -416,6 +425,7 @@ class Simulation:
         self._received_at = {}   # (receiver, src) -> packets received this round
         self._cc_inbox = {}      # coordinator id -> packets awaiting validation
         self._sc_valid = {}      # sector coordinator id -> leaf data this round
+        self._reconfigurations = []
 
         attack_packets = self._emit_attacks(r)
         for slot in range(cfg.slots_per_round):
@@ -423,9 +433,8 @@ class Simulation:
         self._charge_slot_costs(masks)
 
         self._inject_false_strikes(r)
-        self._detection_phase(r)
-        if cfg.mode != "itids":
-            self._reconfiguration_sweep(reconfig_events)
+        for stage in self._stages:
+            stage(r)
 
         alive_count = self.alive_non_sink()
         spent = {
@@ -444,7 +453,7 @@ class Simulation:
             packets_dropped=self._dropped,
             suspects_new=sorted(set(self.ledgers.suspected) - suspects_before),
             quarantines_new=sorted(set(self.ledgers.quarantined) - quarantined_before),
-            reconfigurations=reconfig_events,
+            reconfigurations=self._reconfigurations,
             tp=confusion.tp,
             fp=confusion.fp,
             tn=confusion.tn,
@@ -570,7 +579,7 @@ class Simulation:
         self._received_at[(receiver_id, src_id)] = (
             self._received_at.get((receiver_id, src_id), 0) + 1
         )
-        if self._watches(receiver_id, src_id):
+        if receiver_id in self._watchers.get(src_id, ()):
             self._observation(receiver_id, src_id).packets_to_watcher += 1
 
     def _charge_slot_costs(self, masks):
@@ -594,16 +603,6 @@ class Simulation:
     # ------------------------------------------------------------------
     # observations
 
-    def _watcher_of(self, node_id: int):
-        """The detection node that promiscuously observes this node, if any."""
-        return self._watcher_index.get(node_id)
-
-    def _watches(self, watcher_id, subject_id) -> bool:
-        if self.config.mode == "itids":
-            cluster = self._cluster_of(subject_id)
-            return cluster is not None and watcher_id in self.monitors.get(cluster.id, ())
-        return self._watcher_of(subject_id) == watcher_id
-
     def _observe_tx(self, pkt: Packet, slot: int):
         """Record a transmission with everyone watching the source.
 
@@ -613,33 +612,14 @@ class Simulation:
         while a coordinator watching traffic addressed to itself pays
         nothing extra."""
         src_id = pkt.src
-        if self.config.mode == "itids":
-            cluster = self._cluster_of(src_id)
-            if cluster is None:
-                return
-            for monitor_id in self.monitors.get(cluster.id, ()):
-                if monitor_id == src_id:
-                    continue
-                monitor = self.by_id[monitor_id]
-                if not is_alive(monitor) or self.ledgers.is_quarantined(monitor_id):
-                    continue
-                if self.graph.has_edge(monitor_id, src_id):
-                    self._observation(monitor_id, src_id).tx_events.append(
-                        (slot, pkt.token.valid)
-                    )
-                    if monitor_id != pkt.dst:
-                        consume(monitor, rx_cost(self.params, pkt.payload_size))
-            return
-        watcher_id = self._watcher_of(src_id)
-        if watcher_id is None:
-            return
-        watcher = self.by_id[watcher_id]
-        if not is_alive(watcher) or self.ledgers.is_quarantined(watcher_id):
-            return
-        if self.graph.has_edge(watcher_id, src_id):
-            self._observation(watcher_id, src_id).tx_events.append((slot, pkt.token.valid))
-            if watcher_id != pkt.dst:
-                consume(watcher, rx_cost(self.params, pkt.payload_size))
+        for watcher_id in self._watchers.get(src_id, ()):
+            watcher = self.by_id[watcher_id]
+            if not is_alive(watcher) or self.ledgers.is_quarantined(watcher_id):
+                continue
+            if self.graph.has_edge(watcher_id, src_id):
+                self._observation(watcher_id, src_id).tx_events.append((slot, pkt.token.valid))
+                if watcher_id != pkt.dst:
+                    consume(watcher, rx_cost(self.params, pkt.payload_size))
 
     def _observation(self, watcher_id, subject_id) -> Observation:
         key = (watcher_id, subject_id)
@@ -666,29 +646,10 @@ class Simulation:
     # ------------------------------------------------------------------
     # detection ladder
 
-    def _detection_phase(self, r):
-        if self.config.mode == "itids":
-            self._itids_detection(r)
-            return
-        self._sids_stage(r)
-        self._forwarding_stage(r)
-        self._monitor_stage(r)
-        self._sink_stage(r)
-
-    def _screening_pairs(self):
-        """(watcher, subjects) pairs for the screening stage, per mode."""
-        pairs = []
-        for cluster in sorted(self.clusters, key=lambda c: c.id):
-            if self.config.mode == "imids":
-                for sector in cluster.sectors:
-                    pairs.append((sector.coordinator, sorted(sector.leaves)))
-            else:
-                pairs.append((cluster.coordinator, sorted(cluster.members)))
-        return pairs
-
     def _sids_stage(self, r):
+        """Every watcher screens the subjects it watches."""
         cfg = self.config
-        for watcher_id, subject_ids in self._screening_pairs():
+        for watcher_id, subject_ids in self._screens:
             watcher = self.by_id[watcher_id]
             if not is_alive(watcher) or self.ledgers.is_quarantined(watcher_id):
                 continue
@@ -799,7 +760,7 @@ class Simulation:
         monitor of the cluster, then the coordinator. A suspect nobody local
         can judge (typically a coordinator gone bad) escalates to the sink."""
         cluster = self._cluster_of(suspect_id)
-        if cluster is not None and self.config.mode == "imids":
+        if cluster is not None:
             own_sector = []
             cluster_wide = []
             for sector in cluster.sectors:
@@ -926,42 +887,20 @@ class Simulation:
             else:
                 self._dropped += 1
 
-    def _itids_detection(self, r):
-        """Baseline ladder: every monitor screens the cluster members it can
-        hear, and one strike sends the subject straight to isolation."""
-        cfg = self.config
-        for cluster in sorted(self.clusters, key=lambda c: c.id):
-            for monitor_id in self.monitors.get(cluster.id, ()):
-                monitor = self.by_id[monitor_id]
-                if not is_alive(monitor) or self.ledgers.is_quarantined(monitor_id):
-                    continue
-                if monitor.malicious and r >= cfg.attack.start_round:
-                    continue
-                if not monitor.energy.detection_enabled:
-                    continue
-                subjects = {
-                    m: self.by_id[m]
-                    for m in sorted(cluster.node_ids())
-                    if m != monitor_id
-                    and is_alive(self.by_id[m])
-                    and self.graph.has_edge(monitor_id, m)
-                }
-                observations = {
-                    m: self._obs.get((monitor_id, m), Observation(subject=m))
-                    for m in subjects
-                }
-                ids_mod.sids_check(
-                    monitor, subjects, observations, self.profiles,
-                    cfg.detection, self.params, self.ledgers, r,
-                )
-        # single strike suffices; no window, no rehabilitation, ever
+    def _isolate_suspects(self, r):
+        """Baseline verdict: a single strike suffices; no window, no
+        rehabilitation, ever."""
         for suspect_id in sorted(self.ledgers.suspected):
             if self.ledgers.is_quarantined(suspect_id):
                 continue
             if ids_mod.quarantine(self.ledgers, suspect_id, r):
                 self.ledgers.decision_log.append((r, None, suspect_id, Decision.MALICIOUS))
                 self._broadcast_roster_update(suspect_id)
-        # the coordinator forwards whatever its non-isolated members sent
+
+    def _forward_received(self, r):
+        """Baseline uplink: each coordinator forwards whatever its
+        non-isolated members sent it."""
+        cfg = self.config
         for cluster in sorted(self.clusters, key=lambda c: c.id):
             cc = self.by_id[cluster.coordinator]
             if not is_alive(cc):
@@ -1059,8 +998,9 @@ class Simulation:
                     )
         return False, False, ""
 
-    def _reconfiguration_sweep(self, events):
+    def _reconfiguration_sweep(self, _round):
         cfg = self.config
+        events = self._reconfigurations
         self._refresh_graph()
         quarantined = self._quarantined_set()
         changed = False  # does the structure need re-deriving this round?
@@ -1121,14 +1061,14 @@ class Simulation:
             rebuilt.append(cluster)
         self.clusters = surviving
         for node_id in sorted(set(stranded) | self.orphans):
-            if self._try_adopt(node_id, events):
+            if self._try_adopt(node_id):
                 changed = True
         if changed or rebuilt:
             self._build_structures(rebuild=rebuilt)
         if rebuilt:
             self._charge_formation(rebuilt)
 
-    def _try_adopt(self, node_id, events) -> bool:
+    def _try_adopt(self, node_id) -> bool:
         """Attach a stranded node to the nearest coordinator in range;
         True if some cluster took it."""
         node = self.by_id.get(node_id)
@@ -1152,7 +1092,7 @@ class Simulation:
         bits = self.config.traffic.control_bits
         self._charge_tx(node, bits, node.distance_to(self.by_id[best.coordinator]))
         self._charge_rx(self.by_id[best.coordinator], bits)
-        events.append(f"node {node_id} adopted by cluster {best.id}")
+        self._reconfigurations.append(f"node {node_id} adopted by cluster {best.id}")
         return True
 
     # ------------------------------------------------------------------

@@ -81,13 +81,6 @@ class Observation:
     packets_to_watcher: int = 0
 
 
-@dataclass(frozen=True)
-class SidsVerdict:
-    node: int
-    suspected: bool
-    reasons: tuple = ()
-
-
 @dataclass
 class SuspectedEntry:
     node: int
@@ -154,7 +147,7 @@ def sids_check(
     params: EnergyParams,
     ledgers: Ledgers,
     current_round: int,
-) -> list:
+) -> None:
     """Screen every watched subject; record strikes and adjust trust.
 
     Charges one detection unit per subject. If the watcher's budget runs
@@ -163,7 +156,6 @@ def sids_check(
     """
     if not watcher.energy.detection_enabled:
         raise DisabledIds(f"node {watcher.id} cannot run checks")
-    verdicts = []
     for node_id in sorted(subjects):
         if ledgers.is_quarantined(node_id):
             continue
@@ -174,13 +166,10 @@ def sids_check(
         if reasons:
             subject.trust = trust_penalize(subject.trust)
             add_strikes(ledgers, node_id, reasons, current_round)
-            verdicts.append(SidsVerdict(node=node_id, suspected=True, reasons=reasons))
         else:
             subject.trust = trust_reward(subject.trust)
-            verdicts.append(SidsVerdict(node=node_id, suspected=False))
         if disabled:
             break
-    return verdicts
 
 
 def exids_decide(

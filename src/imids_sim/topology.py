@@ -75,16 +75,6 @@ class Cluster:
         return {self.coordinator} | set(self.members)
 
 
-@dataclass
-class Topology:
-    nodes: list
-    graph: TransmissionGraph
-    clusters: list
-    roles: dict
-    transmission_range: float
-    sink_id: int = SINK_ID
-
-
 def deploy(deployment, rng) -> list:
     """Place `node_count` nodes and hand out per-class initial energies.
 

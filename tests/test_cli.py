@@ -160,21 +160,27 @@ def test_override_without_equals_is_a_config_error(tmp_path):
     assert cli.main(["run", cfg, "--override", "rounds"]) == 2
 
 
-FALSE_ALARM = os.path.join(os.path.dirname(__file__), "..", "configs", "false_alarm.json")
+STOCK = os.path.join(os.path.dirname(__file__), "..", "configs", "stock_comparison.json")
 
 
-def test_unknown_attacker_id_is_a_config_error(tmp_path, capsys):
-    code = cli.main(["run", FALSE_ALARM, "--out", str(tmp_path / "o"),
-                     "--override", "attack.attacker_ids=[999]"])
+@pytest.mark.parametrize("override, message", [
+    pytest.param("attack.attacker_ids=[999]", "unknown attacker ids: [999]",
+                 id="unknown-attacker-id"),
+    pytest.param("detection.injected_false_strikes=[[1]]", "injected_false_strikes",
+                 id="malformed-injected-strike"),
+    pytest.param("rounds=1.5", "rounds must be an integer", id="fractional-int"),
+    pytest.param('traffic.data_bits="10"', "traffic.data_bits must be an integer",
+                 id="string-int"),
+    pytest.param("slots_per_round=true", "slots_per_round must be an integer",
+                 id="bool-int"),
+    pytest.param("energy.e_elec=NaN", "energy.e_elec must be a finite number",
+                 id="nan-float"),
+])
+def test_bad_override_is_a_config_error(tmp_path, capsys, override, message):
+    code = cli.main(["run", STOCK, "--out", str(tmp_path / "o"), "--override", override])
     assert code == 2
-    assert "unknown attacker ids: [999]" in capsys.readouterr().err
-
-
-def test_malformed_injected_strike_is_a_config_error(tmp_path, capsys):
-    code = cli.main(["run", FALSE_ALARM, "--out", str(tmp_path / "o"),
-                     "--override", "detection.injected_false_strikes=[[1]]"])
-    assert code == 2
-    assert "injected_false_strikes" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_bad_sweep_axis_and_values_are_config_errors(tmp_path):

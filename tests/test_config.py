@@ -27,6 +27,8 @@ def test_seed_is_mandatory_and_integral():
         parse_config({"seed": "forty-two"})
     with pytest.raises(ConfigError):
         parse_config({"seed": 1.5})
+    with pytest.raises(ConfigError):
+        parse_config({"seed": True})
 
 
 def test_unknown_keys_rejected():
@@ -52,6 +54,10 @@ def test_section_values_validated():
         parse_config({"seed": 1, "detection": {"rate_threshold": 0.5}})
     with pytest.raises(ConfigError):
         parse_config({"seed": 1, "energy": {"p_sleep": 1.0}})
+    with pytest.raises(ConfigError):
+        parse_config({"seed": 1, "deployment": {"sink_position": [1, "a"]}})
+    with pytest.raises(ConfigError):
+        parse_config({"seed": 1, "deployment": {"node_count": 3, "positions": [[0, 0]] * 2 + [5]}})
 
 
 def test_overrides_dotted_paths():

@@ -1,3 +1,6 @@
+import ast
+import inspect
+
 import pytest
 
 from imids_sim import engine
@@ -176,3 +179,24 @@ def test_sectored_mode_builds_sectors_and_monitors():
     trace = sim.snapshot_trace()
     assert trace.sector_count == len(sectors)
     assert trace.cluster_count == len(sim.clusters)
+
+
+# Set-up and structure code may branch on the defense mode; the round loop
+# runs whatever stage tuple and watch relation those left behind.
+MODE_READERS = {"__init__", "_initialize", "_build_structures", "_build_indices", "snapshot_trace"}
+
+
+def _mode_reads(node, scope="<module>"):
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        scope = node.name
+    if isinstance(node, ast.Attribute) and node.attr == "mode":
+        yield scope
+    for child in ast.iter_child_nodes(node):
+        yield from _mode_reads(child, scope)
+
+
+def test_only_set_up_and_structure_code_reads_the_mode():
+    readers = set(_mode_reads(ast.parse(inspect.getsource(engine))))
+    assert "__init__" in readers  # the scan does see the stage choice
+    assert readers <= MODE_READERS
+

@@ -104,10 +104,8 @@ def test_sids_strikes_and_trust_penalty():
     subject = _subject()
     ledgers = Ledgers()
     obs = {7: Observation(subject=7, packets_to_watcher=5)}
-    verdicts = sids_check(
-        watcher, {7: subject}, obs, {7: PROFILE}, CFG, P, ledgers, current_round=4
-    )
-    assert verdicts[0].suspected
+    sids_check(watcher, {7: subject}, obs, {7: PROFILE}, CFG, P, ledgers, current_round=4)
+    assert 7 in ledgers.suspected
     assert subject.trust.nibble == 14
     entry = ledgers.suspected[7]
     assert entry.strike_count == 1 and entry.last_strike_round == 4
@@ -129,8 +127,9 @@ def test_sids_skips_quarantined_and_charges_watcher():
     ledgers = Ledgers()
     quarantine(ledgers, 7, 0)
     before = watcher.energy.residual_energy
-    verdicts = sids_check(watcher, {7: subject}, {}, {7: PROFILE}, CFG, P, ledgers, 1)
-    assert verdicts == []
+    flood = {7: Observation(subject=7, packets_to_watcher=5)}  # would strike if checked
+    sids_check(watcher, {7: subject}, flood, {7: PROFILE}, CFG, P, ledgers, 1)
+    assert 7 not in ledgers.suspected
     assert watcher.energy.residual_energy == before  # nothing checked
 
 

@@ -1,10 +1,12 @@
 """The engine's structure indices against brute-force scans of the structure.
 
-`_build_structures` derives node->cluster, node->watcher, the coordinator
-set, and slot->senders once per structure change, and the reconfiguration
-sweep skips the global re-derivation when nothing changed. After every
-round the indices must equal a scan of `clusters`/`sectors`/`nodes`, and
-forcing the skipped re-derivation must change nothing. The range graph,
+`_build_structures` derives node->cluster, the watch relation (screening
+passes and subject->watchers), the coordinator set, and slot->senders once
+per structure change, and the reconfiguration sweep skips the global
+re-derivation when nothing changed. After every round the indices must
+equal a scan of `clusters`/`sectors`/`monitors`/`nodes` made the way each
+mode defines who watches whom, and forcing the skipped re-derivation must
+change nothing. The range graph,
 rebuilt only when the alive count moved, must equal a fresh build over
 the alive nodes whenever the sweep has refreshed it.
 """
@@ -52,17 +54,38 @@ def scan_cluster_of(sim, node_id):
     return None
 
 
-def scan_watcher_of(sim, node_id):
-    if sim.config.mode == "imids":
-        for cluster in sim.clusters:
-            for sector in cluster.sectors:
-                if node_id in sector.leaves:
-                    return sector.coordinator
-        return None
-    for cluster in sim.clusters:
-        if node_id in cluster.members:
-            return cluster.coordinator
-    return None
+def scan_watchers(sim, node_id):
+    """Who watches the node, in cluster-id order: its sector coordinator
+    (imids), its cluster coordinator (no sectors), or every monitor of its
+    cluster with a radio link to it (itids)."""
+    found = []
+    for cluster in sorted(sim.clusters, key=lambda c: c.id):
+        if sim.config.mode == "imids":
+            found += [s.coordinator for s in cluster.sectors if node_id in s.leaves]
+        elif sim.config.mode == "imids-no-sectors":
+            if node_id in cluster.members:
+                found.append(cluster.coordinator)
+        elif node_id in cluster.node_ids():
+            found += [
+                m for m in sim.monitors.get(cluster.id, ())
+                if m != node_id and sim.graph.has_edge(m, node_id)
+            ]
+    return tuple(found)
+
+
+def scan_screens(sim):
+    """Every watcher's screening pass, watchers in cluster-id order."""
+    watchers = []
+    for cluster in sorted(sim.clusters, key=lambda c: c.id):
+        if sim.config.mode == "imids":
+            watchers += [s.coordinator for s in cluster.sectors]
+        elif sim.config.mode == "imids-no-sectors":
+            watchers.append(cluster.coordinator)
+        else:
+            watchers += sim.monitors.get(cluster.id, ())
+    return [
+        (w, [n.id for n in sim.nodes if w in scan_watchers(sim, n.id)]) for w in watchers
+    ]
 
 
 def scan_senders(sim, slot):
@@ -78,7 +101,10 @@ def scan_senders(sim, slot):
 def check_indices(sim):
     for node in sim.nodes:
         assert sim._cluster_of(node.id) is scan_cluster_of(sim, node.id)
-        assert sim._watcher_of(node.id) == scan_watcher_of(sim, node.id)
+        assert sim._watchers.get(node.id, ()) == scan_watchers(sim, node.id)
+    assert sim._screens == scan_screens(sim)
+    if sim.config.mode != "itids":  # one watcher per subject in the layered modes
+        assert all(len(w) == 1 for w in sim._watchers.values())
     assert sim._coordinators == {c.coordinator for c in sim.clusters}
     for slot in range(sim.config.slots_per_round):
         assert [n.id for n in sim._slot_senders[slot]] == scan_senders(sim, slot)
@@ -191,7 +217,7 @@ def test_dissolved_cluster_strands_a_node_nobody_adopts(mode):
     assert sim.orphans == set(followers)
     for node_id in followers:
         assert sim._cluster_of(node_id) is None
-        assert sim._watcher_of(node_id) is None
+        assert node_id not in sim._watchers
     check_indices(sim)
     check_rederivation_is_a_fixed_point(sim)
 

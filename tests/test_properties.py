@@ -4,14 +4,18 @@ Each suite declares its example budget in EXAMPLES so the total volume
 is visible (and checkable) in one place.
 """
 
+import json
+import os
 import random
+import tempfile
+import typing
 
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from imids_sim import engine
+from imids_sim import cli, engine
 from imids_sim import topology as topo
-from imids_sim.config import parse_config
+from imids_sim.config import _SECTION_TYPES, MODES, ConfigError, ScenarioConfig, parse_config
 from imids_sim.core import (
     NodeClass,
     Role,
@@ -29,6 +33,7 @@ EXAMPLES = {
     "cluster_coverage": 250,
     "structure_roles": 150,
     "alive_monotone": 100,
+    "config_contract": 200,
 }
 
 RELAXED = settings(
@@ -180,7 +185,6 @@ def check_role_class_consistency(sim):
             assert node.node_class is NodeClass.LEADER
         elif node.role is Role.SC:
             assert node.node_class is NodeClass.FOLLOWER
-        assert sim.roles[node.id] is node.role
     for cluster in sim.clusters:
         assert sim.by_id[cluster.coordinator].role is Role.CC
         for sector in cluster.sectors:
@@ -218,6 +222,54 @@ def test_alive_count_is_monotone_and_energy_only_drains(node_count, seed, attack
     for node_id, initial in trace.initial_energy.items():
         assert trace.final_energy[node_id] <= initial + 1e-12
         assert trace.final_energy[node_id] >= 0.0
+
+
+# --- configuration contract ---------------------------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 12) | st.floats() | st.text(max_size=3)
+    | st.sampled_from(MODES),
+    lambda inner: st.lists(inner, max_size=4),
+    max_leaves=8,
+)
+
+
+def field_values(hint):
+    """Mostly a value of the annotated kind, sometimes any JSON value."""
+    if hint is int:
+        typed = st.integers(-1, 12)  # small enough that a valid run stays cheap
+    elif hint is float:
+        typed = st.floats(0.001, 100) | st.floats()
+    else:
+        typed = JSON_VALUES
+    return st.one_of(typed, typed, JSON_VALUES)
+
+
+def fields_of(cls):
+    return {key: field_values(hint) for key, hint in typing.get_type_hints(cls).items()}
+
+
+def scenario_objects():
+    optional = fields_of(ScenarioConfig)
+    del optional["rounds"]  # always present, or the default 500 rounds would run
+    for name, cls in _SECTION_TYPES.items():
+        optional[name] = st.fixed_dictionaries({}, optional=fields_of(cls)) | JSON_VALUES
+    return st.fixed_dictionaries({"rounds": field_values(int)}, optional=optional)
+
+
+@settings(RELAXED, max_examples=EXAMPLES["config_contract"])
+@given(raw=scenario_objects())
+def test_any_json_object_parses_or_is_a_config_error(raw):
+    try:
+        parse_config(json.loads(json.dumps(raw)))
+        allowed = (cli.EXIT_OK, cli.EXIT_RUNTIME)
+    except ConfigError:
+        allowed = (cli.EXIT_CONFIG,)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scenario.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(raw, handle)
+        assert cli.main(["run", path, "--out", os.path.join(tmp, "out")]) in allowed
 
 
 def test_declared_example_volume():
