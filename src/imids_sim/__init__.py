@@ -30,7 +30,6 @@ from .core import (
     DETECTION_FRACTION,
     TRUST_MAX,
     NodeClass,
-    NodeState,
     Packet,
     PacketKind,
     Position,
@@ -39,7 +38,7 @@ from .core import (
     TrustState,
     is_alive,
 )
-from .energy import EnergyParams, rx_cost, slot_cost, tx_cost
+from .energy import EnergyParams, rx_cost, tx_cost
 from .engine import RoundReport, Simulation, SimulationTrace, initialize, run_round, run_simulation
 from .ids import (
     Confusion,
@@ -78,7 +77,6 @@ __all__ = [
     "MODES",
     "MonitorUnavailable",
     "NodeClass",
-    "NodeState",
     "NormalProfile",
     "Packet",
     "PacketKind",
@@ -113,6 +111,5 @@ __all__ = [
     "run_round",
     "run_simulation",
     "rx_cost",
-    "slot_cost",
     "tx_cost",
 ]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .core import NodeState, Packet, PacketKind, SensorNode, WakeupToken, is_alive
+from .core import Packet, PacketKind, SensorNode, WakeupToken, is_alive
 from .energy import EnergyParams, consume, rx_cost
 
 
@@ -138,7 +138,6 @@ def apply_deprivation(
         return result
     if not awake:
         consume(victim, params.p_listen - params.p_sleep)
-        victim.state = NodeState.LISTEN
         result.woken = True
         result.energy_charged += params.p_listen - params.p_sleep
     if is_alive(victim):

@@ -42,12 +42,6 @@ class Role(Enum):
     SN = "SN"    # sink
 
 
-class NodeState(Enum):
-    SLEEP = "sleep"
-    LISTEN = "listen"
-    DEAD = "dead"
-
-
 class PacketKind(Enum):
     SENSOR_DATA = "sensor_data"
     JOIN = "join"
@@ -129,7 +123,6 @@ class SensorNode:
     position: Position
     node_class: NodeClass
     role: Role
-    state: NodeState
     energy: EnergyAccount
     trust: TrustState = field(default_factory=TrustState)
     schedule: DutySchedule | None = None

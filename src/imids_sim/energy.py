@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import DETECTION_FRACTION, NodeState, Role, SensorNode, is_alive
+from .core import DETECTION_FRACTION, Role, SensorNode, is_alive
 
 
 @dataclass(frozen=True)
@@ -46,14 +46,6 @@ def rx_cost(params: EnergyParams, bits: int) -> float:
     return params.e_elec * bits
 
 
-def slot_cost(params: EnergyParams, state: NodeState) -> float:
-    if state is NodeState.LISTEN:
-        return params.p_listen
-    if state is NodeState.SLEEP:
-        return params.p_sleep
-    raise ValueError(f"no per-slot cost defined for state {state}")
-
-
 def consume(node: SensorNode, joules: float) -> float:
     """Drain `joules` from the node, clamping at zero. Returns actual drain."""
     if joules < 0:
@@ -65,7 +57,6 @@ def consume(node: SensorNode, joules: float) -> float:
     account.residual_energy -= spent
     if account.residual_energy <= 0.0:
         account.residual_energy = 0.0
-        node.state = NodeState.DEAD
     return spent
 
 

@@ -52,6 +52,15 @@ from .rng import SeededRng
 AGGREGATE_SLOT = -1  # sentinel: aggregates move in the post-data phase
 
 
+def _add_up(values):
+    """Left-to-right float sum. From Python 3.12 on `sum()` compensates
+    rounding error, which would move every pinned trace."""
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 @dataclass
 class RoundReport:
     round: int
@@ -213,19 +222,19 @@ class Simulation:
         targets = self.clusters if rebuild is None else rebuild
         if cfg.mode == "imids":
             for cluster in targets:
-                cluster.sectors = topo.form_sectors(cluster, self.nodes, self.graph, quarantined)
+                cluster.sectors = topo.form_sectors(cluster, self.by_id, self.graph, quarantined)
                 if not cluster.sectors:
                     continue
                 try:  # one forwarding head per cluster, shared by its sectors
                     fsh = topo.select_fsh(
-                        cluster, cluster.sectors[0], self.nodes, self.graph, quarantined
+                        cluster, cluster.sectors[0], self.by_id, self.graph, quarantined
                     )
                 except topo.MonitorUnavailable:
                     fsh = None
                 for sector in cluster.sectors:
                     try:
                         sector.monitors = topo.select_sector_monitor(
-                            cluster, sector, self.nodes, self.graph, quarantined
+                            cluster, sector, self.by_id, self.graph, quarantined
                         )
                     except topo.MonitorUnavailable:
                         sector.monitors = ()
@@ -238,7 +247,7 @@ class Simulation:
         if cfg.mode == "itids" and initial:
             for cluster in self.clusters:
                 self.monitors[cluster.id] = itids_mod.select_monitors(
-                    cluster, self.nodes, cfg.itids.monitor_fraction
+                    cluster, self.by_id, cfg.itids.monitor_fraction
                 )
         self._assign_budgets(roles_before, initial)
         self._assign_schedules()
@@ -446,7 +455,7 @@ class Simulation:
         report = RoundReport(
             round=r,
             alive_count=alive_count,
-            energy_spent_total=sum(spent.values()),
+            energy_spent_total=_add_up(spent.values()),
             energy_spent=spent,
             packets_sent=self._sent,
             packets_delivered=self._delivered,
@@ -464,11 +473,16 @@ class Simulation:
 
     def _draw_masks(self):
         """Per-node wake masks for the round; the own TDMA slot is always
-        awake. Keyed by (round, node) so every mode sees the same draw."""
+        awake. Keyed by (round, node) so every mode sees the same draw.
+
+        Always-on nodes, the sink among them, get no mask: every reader
+        checks `always_on` first, and skipping a keyed stream moves no
+        other draw."""
         cfg = self.config
+        always_on = self.always_on
         masks = {}
         for node in self.nodes:
-            if node.node_class is NodeClass.SINK or not is_alive(node):
+            if node.id in always_on or not is_alive(node):
                 continue
             stream = self.rng.derive("sleep", self.round, node.id)
             wake = [
@@ -595,7 +609,7 @@ class Simulation:
             mask = masks.get(node.id)
             if mask is None:
                 continue
-            cost = sum(
+            cost = _add_up(
                 self.params.p_listen if awake else self.params.p_sleep for awake in mask
             )
             consume(node, cost)
@@ -660,9 +674,8 @@ class Simulation:
             subjects = {
                 s: self.by_id[s] for s in subject_ids if is_alive(self.by_id[s])
             }
-            observations = {
-                s: self._obs.get((watcher_id, s), Observation(subject=s))
-                for s in subjects
+            observations = {  # sids_check stands in an empty one for the rest
+                s: self._obs[(watcher_id, s)] for s in subjects if (watcher_id, s) in self._obs
             }
             ids_mod.sids_check(
                 watcher, subjects, observations, self.profiles,
@@ -901,14 +914,17 @@ class Simulation:
         """Baseline uplink: each coordinator forwards whatever its
         non-isolated members sent it."""
         cfg = self.config
+        senders_to = {}
+        for dst, src in self._received_at:
+            senders_to.setdefault(dst, []).append(src)
         for cluster in sorted(self.clusters, key=lambda c: c.id):
             cc = self.by_id[cluster.coordinator]
             if not is_alive(cc):
                 continue
             sources = sorted(
                 src
-                for (dst, src), count in self._received_at.items()
-                if dst == cc.id and count > 0 and not self.ledgers.is_quarantined(src)
+                for src in senders_to.get(cc.id, ())
+                if not self.ledgers.is_quarantined(src)
             )
             if not sources:
                 continue

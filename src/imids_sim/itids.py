@@ -23,14 +23,14 @@ class ItidsConfig:
             raise ValueError("monitor_fraction must lie in [0, 1]")
 
 
-def select_monitors(cluster, nodes, fraction: float) -> tuple:
+def select_monitors(cluster, by_id, fraction: float) -> tuple:
     """Pick the cluster's monitors from its lowest-energy members.
 
     Members are ranked by residual energy ascending (ids break ties) and
     the bottom `fraction` share takes monitoring duty. At least one member
-    monitors whenever the cluster has members at all.
+    monitors whenever the cluster has members at all. `by_id` maps node id
+    to node.
     """
-    by_id = {n.id: n for n in nodes}
     members = sorted(
         (m for m in cluster.members if is_alive(by_id[m])),
         key=lambda m: (by_id[m].energy.residual_energy, m),

@@ -10,12 +10,11 @@ tie-break ends in the node id so elections are reproducible.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, field
 
 from .core import (
+    DETECTION_FRACTION,
     NodeClass,
-    NodeState,
     Position,
     Role,
     SensorNode,
@@ -40,8 +39,15 @@ class MonitorUnavailable(Exception):
 
 @dataclass
 class TransmissionGraph:
+    """Sorted neighbour lists (BFS and attack-victim order depend on the
+    order) plus a neighbour set per node for constant-time edge tests.
+    The graph is immutable once built."""
+
     transmission_range: float
     adjacency: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self._neighbor_sets = {a: set(ids) for a, ids in self.adjacency.items()}
 
     def neighbors(self, node_id: int) -> list:
         return self.adjacency.get(node_id, [])
@@ -50,7 +56,7 @@ class TransmissionGraph:
         return len(self.adjacency.get(node_id, []))
 
     def has_edge(self, a: int, b: int) -> bool:
-        return b in self.adjacency.get(a, [])
+        return b in self._neighbor_sets.get(a, ())
 
 
 @dataclass
@@ -128,7 +134,6 @@ def deploy(deployment, rng) -> list:
                 position=positions[node_id],
                 node_class=node_class,
                 role=Role.SN if node_id == SINK_ID else Role.LN,
-                state=NodeState.LISTEN,
                 energy=make_energy_account(initial),
             )
         )
@@ -143,8 +148,9 @@ def build_graph(nodes, transmission_range: float) -> TransmissionGraph:
     alive = [n for n in nodes if is_alive(n)]
     adjacency = {n.id: [] for n in alive}
     for i, a in enumerate(alive):
+        position = a.position
         for b in alive[i + 1:]:
-            if a.distance_to(b) <= transmission_range:
+            if position.distance_to(b.position) <= transmission_range:
                 adjacency[a.id].append(b.id)
                 adjacency[b.id].append(a.id)
     for neighbor_list in adjacency.values():
@@ -248,7 +254,7 @@ def form_clusters(nodes, coordinator_ids, graph, rng: random.Random) -> list:
     return clusters
 
 
-def form_sectors(cluster: Cluster, nodes, graph, quarantined=frozenset()) -> list:
+def form_sectors(cluster: Cluster, by_id, graph, quarantined=frozenset()) -> list:
     """Partition the cluster's alive followers into disjoint sectors.
 
     Coordinators are seeded greedily: the unassigned follower with the
@@ -257,8 +263,8 @@ def form_sectors(cluster: Cluster, nodes, graph, quarantined=frozenset()) -> lis
     several small sectors rather than one big one. Every leaf then
     settles on its nearest coordinator, which keeps the data hops short.
     Quarantined followers never coordinate; they only ever join.
+    `by_id` maps node id to node.
     """
-    by_id = {n.id: n for n in nodes}
     followers = sorted(
         m for m in cluster.node_ids()
         if by_id[m].node_class is NodeClass.FOLLOWER and is_alive(by_id[m])
@@ -290,8 +296,7 @@ def form_sectors(cluster: Cluster, nodes, graph, quarantined=frozenset()) -> lis
     return [sectors[sc] for sc in coordinators]
 
 
-def _monitor_candidates(cluster, nodes, quarantined):
-    by_id = {n.id: n for n in nodes}
+def _monitor_candidates(cluster, by_id, quarantined):
     return [
         by_id[m] for m in sorted(cluster.node_ids())
         if m != cluster.coordinator
@@ -303,20 +308,18 @@ def _monitor_candidates(cluster, nodes, quarantined):
 
 def prospective_detection_budget(node: SensorNode) -> float:
     """Budget a leader would bring as sector monitor (largest reserve share)."""
-    from .core import DETECTION_FRACTION
-
     cap = DETECTION_FRACTION["SM"] * node.energy.initial_energy
     return min(cap, node.energy.residual_energy)
 
 
-def select_sector_monitor(cluster, sector, nodes, graph, quarantined=frozenset()) -> tuple:
+def select_sector_monitor(cluster, sector, by_id, graph, quarantined=frozenset()) -> tuple:
     """Pick the sector's monitors: non-CC leaders with maximal detection budget.
 
     Leaders adjacent to the sector are preferred; if none touch it, any
     non-CC leader of the cluster may monitor (scarce-leader fallback). All
     leaders tied at the maximum are selected.
     """
-    candidates = _monitor_candidates(cluster, nodes, quarantined)
+    candidates = _monitor_candidates(cluster, by_id, quarantined)
     if not candidates:
         raise MonitorUnavailable(f"cluster {cluster.id} has no spare leader")
     sector_ids = sector.node_ids()
@@ -324,37 +327,50 @@ def select_sector_monitor(cluster, sector, nodes, graph, quarantined=frozenset()
         c for c in candidates
         if any(graph.has_edge(c.id, s) for s in sector_ids)
     ]
-    pool = adjacent if adjacent else candidates
-    best = max(prospective_detection_budget(c) for c in pool)
-    return tuple(sorted(c.id for c in pool if prospective_detection_budget(c) == best))
+    budgets = {c.id: prospective_detection_budget(c) for c in adjacent or candidates}
+    best = max(budgets.values())
+    return tuple(sorted(m for m, budget in budgets.items() if budget == best))
 
 
-def hop_distances(graph: TransmissionGraph, source: int) -> dict:
-    """Breadth-first hop counts from `source` over the live graph."""
+def hop_distances(graph: TransmissionGraph, source: int, stop_at=None) -> dict:
+    """Breadth-first hop counts from `source` over the live graph.
+
+    With a `stop_at` set the search ends after the first complete level
+    that holds one of those nodes: every node up to that depth has its
+    count and nothing farther out is explored. If no such node is
+    reachable the result is the full search.
+    """
     dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        current = queue.popleft()
-        for nxt in graph.neighbors(current):
-            if nxt not in dist:
-                dist[nxt] = dist[current] + 1
-                queue.append(nxt)
+    level = [source]
+    depth = 0
+    while level:
+        if stop_at is not None and not stop_at.isdisjoint(level):
+            break
+        depth += 1
+        next_level = []
+        for current in level:
+            for nxt in graph.neighbors(current):
+                if nxt not in dist:
+                    dist[nxt] = depth
+                    next_level.append(nxt)
+        level = next_level
     return dist
 
 
-def select_fsh(cluster, sector, nodes, graph, quarantined=frozenset()) -> int:
+def select_fsh(cluster, sector, by_id, graph, quarantined=frozenset()) -> int:
     """Pick the sector's forwarding head: the non-CC leader closest to the
     CC in hops, then in meters, then by id.
 
     The choice is per cluster: `sector` is not consulted, so every sector
-    of a cluster gets the same head and one call serves them all.
+    of a cluster gets the same head and one call serves them all. The
+    search stops at the nearest candidate's level; candidates beyond it
+    could not win on hops anyway.
     """
-    candidates = _monitor_candidates(cluster, nodes, quarantined)
+    candidates = _monitor_candidates(cluster, by_id, quarantined)
     if not candidates:
         raise MonitorUnavailable(f"cluster {cluster.id} has no spare leader")
-    by_id = {n.id: n for n in nodes}
     cc = by_id[cluster.coordinator]
-    hops = hop_distances(graph, cc.id)
+    hops = hop_distances(graph, cc.id, stop_at={c.id for c in candidates})
     inf = float("inf")
     return min(
         candidates,

@@ -4,7 +4,6 @@ import pytest
 
 from imids_sim.core import (
     NodeClass,
-    NodeState,
     Position,
     Role,
     SensorNode,
@@ -26,7 +25,6 @@ def build_node(
         position=Position(float(x), float(y)),
         node_class=node_class,
         role=role,
-        state=NodeState.LISTEN,
         energy=make_energy_account(energy),
         malicious=malicious,
     )

@@ -5,7 +5,6 @@ import pytest
 from imids_sim.core import (
     DETECTION_FRACTION,
     TRUST_MAX,
-    NodeState,
     Position,
     TrustState,
     trust_penalize,
@@ -59,8 +58,7 @@ def test_detection_shares_per_role():
     assert DETECTION_FRACTION["SM"] == 0.8
 
 
-def test_node_distance_and_state():
+def test_node_distance():
     a = build_node(1, 0, 0)
     b = build_node(2, 6, 8)
     assert a.distance_to(b) == 10.0
-    assert a.state is NodeState.LISTEN

@@ -2,14 +2,13 @@ import math
 
 import pytest
 
-from imids_sim.core import NodeState, Role, is_alive
+from imids_sim.core import Role, is_alive
 from imids_sim.energy import (
     EnergyParams,
     assign_detection_budget,
     charge_detection,
     consume,
     rx_cost,
-    slot_cost,
     tx_cost,
 )
 
@@ -52,14 +51,6 @@ def test_cost_input_validation():
         rx_cost(P, -5)
 
 
-def test_slot_cost_listen_vs_sleep():
-    assert slot_cost(P, NodeState.LISTEN) == 10e-6
-    assert slot_cost(P, NodeState.SLEEP) == 0.1e-6
-    assert slot_cost(P, NodeState.LISTEN) > slot_cost(P, NodeState.SLEEP)
-    with pytest.raises(ValueError):
-        slot_cost(P, NodeState.DEAD)
-
-
 def test_params_validation():
     with pytest.raises(ValueError):
         EnergyParams(p_listen=1e-7, p_sleep=1e-6).validate()
@@ -73,7 +64,6 @@ def test_consume_clamps_and_kills():
     spent = consume(node, 2e-4)
     assert spent == 1e-4
     assert node.energy.residual_energy == 0.0
-    assert node.state is NodeState.DEAD
     assert not is_alive(node)
 
 

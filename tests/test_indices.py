@@ -229,3 +229,52 @@ def test_dissolved_cluster_strands_a_node_nobody_adopts(mode):
             assert not calls  # still stranded, nothing changed: no re-derivation
         check_indices(sim)
         check_rederivation_is_a_fixed_point(sim)
+
+
+def expected_mask(sim, node):
+    stream = sim.rng.derive("sleep", sim.round, node.id)
+    wake = [
+        stream.random() >= sim.config.sleep_probability
+        for _ in range(sim.config.slots_per_round)
+    ]
+    if node.schedule is not None:
+        wake[node.schedule.tdma_slot] = True
+    return wake
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_masks_are_drawn_for_exactly_the_duty_cycled_nodes(mode):
+    """Always-on nodes are awake whatever their mask says, so they get
+    none; every other alive non-sink node gets its own keyed draw."""
+    drawn = skipped = 0
+    for seed in range(3):
+        sim = engine.initialize(arena(seed, mode))
+        draw_masks = sim._draw_masks
+
+        def checked():
+            duty_cycled = {
+                n.id for n in sim.nodes
+                if n.node_class is not NodeClass.SINK
+                and is_alive(n)
+                and n.id not in sim.always_on
+            }
+            masks = draw_masks()
+            assert set(masks) == duty_cycled
+            for node_id, mask in masks.items():
+                assert mask == expected_mask(sim, sim.by_id[node_id])
+            nonlocal drawn, skipped
+            drawn += len(masks)
+            skipped += sum(
+                1 for n in sim.nodes
+                if n.node_class is not NodeClass.SINK
+                and is_alive(n)
+                and n.id in sim.always_on
+            )
+            return masks
+
+        sim._draw_masks = checked
+        for _ in range(sim.config.rounds):
+            if sim.alive_non_sink() == 0:
+                break
+            sim.run_round()
+    assert drawn > 0 and skipped > 0

@@ -88,7 +88,7 @@ def test_sectors_are_a_partition_with_clean_coordinators(instance):
     nodes, quarantined = instance
     cluster = topo.Cluster(id=0, coordinator=1, members={n.id for n in nodes[2:]})
     graph = topo.build_graph(nodes, 40.0)
-    sectors = topo.form_sectors(cluster, nodes, graph, quarantined)
+    sectors = topo.form_sectors(cluster, {n.id: n for n in nodes}, graph, quarantined)
 
     alive_followers = {n.id for n in nodes[2:] if is_alive(n)}
     seen = set()

@@ -15,6 +15,10 @@ def _graph(nodes, rng_range=40.0):
     return topo.build_graph(nodes, rng_range)
 
 
+def _by_id(nodes):
+    return {n.id: n for n in nodes}
+
+
 # --- deployment -------------------------------------------------------------
 
 
@@ -240,7 +244,7 @@ def _cluster_fixture():
 def test_sectors_partition_alive_followers():
     nodes, cluster = _cluster_fixture()
     g = _graph(nodes)
-    sectors = topo.form_sectors(cluster, nodes, g)
+    sectors = topo.form_sectors(cluster, _by_id(nodes), g)
     seen = set()
     for sector in sectors:
         ids = sector.node_ids()
@@ -252,14 +256,14 @@ def test_sectors_partition_alive_followers():
 def test_sector_coordinator_is_highest_residual_seed():
     nodes, cluster = _cluster_fixture()
     g = _graph(nodes)
-    sectors = topo.form_sectors(cluster, nodes, g)
+    sectors = topo.form_sectors(cluster, _by_id(nodes), g)
     assert sectors[0].coordinator == 2  # highest residual follower seeds first
 
 
 def test_leaves_join_nearest_coordinator():
     nodes, cluster = _cluster_fixture()
     g = _graph(nodes)
-    sectors = topo.form_sectors(cluster, nodes, g)
+    sectors = topo.form_sectors(cluster, _by_id(nodes), g)
     by_sc = {s.coordinator: s.leaves for s in sectors}
     # node 5 at x=62 sits far from seed 2 (x=40); it must end up with a
     # coordinator that is nearer than 2, never pulled into 2's sector
@@ -272,7 +276,7 @@ def test_leaves_join_nearest_coordinator():
 def test_quarantined_follower_never_coordinates():
     nodes, cluster = _cluster_fixture()
     g = _graph(nodes)
-    sectors = topo.form_sectors(cluster, nodes, g, quarantined={2})
+    sectors = topo.form_sectors(cluster, _by_id(nodes), g, quarantined={2})
     assert all(s.coordinator != 2 for s in sectors)
     assert any(2 in s.leaves for s in sectors)  # still joins as a leaf
 
@@ -280,7 +284,7 @@ def test_quarantined_follower_never_coordinates():
 def test_all_quarantined_yields_no_sectors():
     nodes, cluster = _cluster_fixture()
     g = _graph(nodes)
-    assert topo.form_sectors(cluster, nodes, g, quarantined={2, 3, 4, 5, 6}) == []
+    assert topo.form_sectors(cluster, _by_id(nodes), g, quarantined={2, 3, 4, 5, 6}) == []
 
 
 # --- monitors and forwarding heads ---------------------------------------------
@@ -297,14 +301,14 @@ def _leader_cluster():
     ]
     cluster = topo.Cluster(id=0, coordinator=1, members={2, 3, 4, 5})
     g = _graph(nodes)
-    sectors = topo.form_sectors(cluster, nodes, g)
+    sectors = topo.form_sectors(cluster, _by_id(nodes), g)
     cluster.sectors = sectors
     return nodes, cluster, g, sectors
 
 
 def test_monitor_excludes_coordinator_and_needs_leaders():
     nodes, cluster, g, sectors = _leader_cluster()
-    monitors = topo.select_sector_monitor(cluster, sectors[0], nodes, g)
+    monitors = topo.select_sector_monitor(cluster, sectors[0], _by_id(nodes), g)
     assert monitors
     assert cluster.coordinator not in monitors
     assert all(
@@ -321,37 +325,112 @@ def test_monitor_unavailable_without_spare_leaders():
     ]
     cluster = topo.Cluster(id=0, coordinator=1, members={2})
     g = _graph(nodes)
-    sectors = topo.form_sectors(cluster, nodes, g)
+    sectors = topo.form_sectors(cluster, _by_id(nodes), g)
     with pytest.raises(topo.MonitorUnavailable):
-        topo.select_sector_monitor(cluster, sectors[0], nodes, g)
+        topo.select_sector_monitor(cluster, sectors[0], _by_id(nodes), g)
 
 
 def test_fsh_minimizes_hops_to_coordinator():
     nodes, cluster, g, sectors = _leader_cluster()
-    fsh = topo.select_fsh(cluster, sectors[0], nodes, g)
+    fsh = topo.select_fsh(cluster, sectors[0], _by_id(nodes), g)
     assert fsh in {2, 3}  # a spare leader, one hop from the coordinator
+
+
+def _oracle_hops(g, source):
+    """Plain BFS, written separately."""
+    expected = {source: 0}
+    frontier = deque([source])
+    while frontier:
+        cur = frontier.popleft()
+        for nxt in g.neighbors(cur):
+            if nxt not in expected:
+                expected[nxt] = expected[cur] + 1
+                frontier.append(nxt)
+    return expected
+
+
+def _random_field(rng, leader_share=0.0):
+    nodes = [build_sink(rng.uniform(0, 60), rng.uniform(0, 60))]
+    for i in range(1, rng.randint(5, 14)):
+        leader = rng.random() < leader_share
+        nodes.append(
+            build_node(
+                i, rng.uniform(0, 60), rng.uniform(0, 60),
+                energy=rng.choice((1.0, 2.0)) if leader else 0.2,
+                node_class=NodeClass.LEADER if leader else NodeClass.FOLLOWER,
+            )
+        )
+    return nodes
 
 
 def test_hop_distances_match_bfs_oracle():
     rng = random.Random(99)
-    for _ in range(20):
-        nodes = [build_sink(rng.uniform(0, 60), rng.uniform(0, 60))]
-        for i in range(1, rng.randint(5, 14)):
-            nodes.append(
-                build_node(i, rng.uniform(0, 60), rng.uniform(0, 60), energy=0.2)
-            )
+    cut_short = 0
+    for _ in range(60):
+        nodes = _random_field(rng)
         g = _graph(nodes, rng_range=25.0)
-        got = topo.hop_distances(g, 0)
-        # plain BFS, written separately
-        expected = {0: 0}
-        frontier = deque([0])
-        while frontier:
-            cur = frontier.popleft()
-            for nxt in g.neighbors(cur):
-                if nxt not in expected:
-                    expected[nxt] = expected[cur] + 1
-                    frontier.append(nxt)
-        assert got == expected
+        full = _oracle_hops(g, 0)
+        assert topo.hop_distances(g, 0) == full
+        # with targets: the full search cut after the first level holding one
+        targets = set(rng.sample(range(1, len(nodes)), rng.randint(1, 3)))
+        reached = [full[t] for t in targets if t in full]
+        cut = min(reached) if reached else max(full.values())
+        expected = {n: d for n, d in full.items() if d <= cut}
+        assert topo.hop_distances(g, 0, stop_at=targets) == expected
+        cut_short += expected != full
+    assert cut_short > 0
+
+
+def test_fsh_matches_bruteforce_over_full_bfs():
+    rng = random.Random(7)
+    checked = 0
+    for _ in range(80):
+        nodes = _random_field(rng, leader_share=0.5)
+        by_id = _by_id(nodes)
+        leaders = [n.id for n in nodes if n.node_class is NodeClass.LEADER]
+        if len(leaders) < 2:
+            continue
+        cc = rng.choice(leaders)
+        cluster = topo.Cluster(
+            id=0, coordinator=cc, members={n.id for n in nodes[1:]} - {cc}
+        )
+        quarantined = set(rng.sample(sorted(cluster.members), 1))
+        for node in nodes[1:]:
+            if rng.random() < 0.1:
+                node.energy.residual_energy = 0.0
+        g = _graph(nodes, rng_range=25.0)
+        hops = _oracle_hops(g, cc)
+        candidates = [
+            m for m in cluster.members
+            if by_id[m].node_class is NodeClass.LEADER
+            and is_alive(by_id[m])
+            and m not in quarantined
+        ]
+        if not candidates:
+            with pytest.raises(topo.MonitorUnavailable):
+                topo.select_fsh(cluster, None, by_id, g, quarantined)
+            continue
+        want = min(
+            candidates,
+            key=lambda m: (
+                hops.get(m, float("inf")), by_id[m].distance_to(by_id[cc]), m
+            ),
+        )
+        assert topo.select_fsh(cluster, None, by_id, g, quarantined) == want
+        checked += 1
+    assert checked > 20
+
+
+def test_has_edge_agrees_with_adjacency_lists():
+    rng = random.Random(3)
+    for _ in range(20):
+        nodes = _random_field(rng)
+        nodes[-1].energy.residual_energy = 0.0  # dead: in no list
+        g = _graph(nodes, rng_range=25.0)
+        ids = range(len(nodes) + 1)  # one id that was never deployed
+        for a in ids:
+            for b in ids:
+                assert g.has_edge(a, b) == (b in g.neighbors(a))
 
 
 # --- roles ---------------------------------------------------------------------
@@ -359,8 +438,8 @@ def test_hop_distances_match_bfs_oracle():
 
 def test_assign_roles_precedence():
     nodes, cluster, g, sectors = _leader_cluster()
-    sectors[0].monitors = topo.select_sector_monitor(cluster, sectors[0], nodes, g)
-    sectors[0].fsh = topo.select_fsh(cluster, sectors[0], nodes, g)
+    sectors[0].monitors = topo.select_sector_monitor(cluster, sectors[0], _by_id(nodes), g)
+    sectors[0].fsh = topo.select_fsh(cluster, sectors[0], _by_id(nodes), g)
     roles = topo.assign_roles(nodes, [cluster])
     by_id = {n.id: n for n in nodes}
     assert by_id[0].role is Role.SN
