@@ -44,9 +44,6 @@ class Role(Enum):
 
 class PacketKind(Enum):
     SENSOR_DATA = "sensor_data"
-    JOIN = "join"
-    ADVERT = "advert"
-    QUERY = "query"
     FAKE_CONTROL = "fake_control"
 
 
@@ -101,14 +98,6 @@ class Packet:
 
 
 @dataclass
-class DutySchedule:
-    """Per-round duty plan: one owned transmit slot, the rest duty-cycled."""
-
-    tdma_slot: int
-    sleep_probability: float = 0.5
-
-
-@dataclass
 class EnergyAccount:
     initial_energy: float
     residual_energy: float
@@ -125,7 +114,7 @@ class SensorNode:
     role: Role
     energy: EnergyAccount
     trust: TrustState = field(default_factory=TrustState)
-    schedule: DutySchedule | None = None
+    slot: int | None = None  # owned TDMA transmit slot, handed out by the engine
     malicious: bool = False
 
     def distance_to(self, other: "SensorNode") -> float:

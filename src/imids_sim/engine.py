@@ -36,7 +36,6 @@ from . import itids as itids_mod
 from . import topology as topo
 from .config import ScenarioConfig, config_to_dict
 from .core import (
-    DutySchedule,
     NodeClass,
     Packet,
     PacketKind,
@@ -86,7 +85,6 @@ class SimulationTrace:
     seed: int
     attacker_ids: list
     positions: dict
-    roles_initial: dict
     cluster_count: int
     sector_count: int
     monitor_count: int
@@ -189,16 +187,9 @@ class Simulation:
 
     def _census(self):
         """Sink advertises and every node in range answers with its vitals."""
-        bits = self.config.traffic.control_bits
-        in_range = sorted(self.graph.neighbors(self.sink.id))
-        if not in_range:
-            return
-        self._charge_tx(self.sink, bits, self.graph.transmission_range)
-        for node_id in in_range:
-            node = self.by_id[node_id]
-            self._charge_rx(node, bits)
-            self._charge_tx(node, bits, node.distance_to(self.sink))
-            self._charge_rx(self.sink, bits)
+        in_range = self.graph.neighbors(self.sink.id)
+        if in_range:
+            self._handshake(self.sink, in_range)
 
     def _refresh_graph(self):
         """Rebuild the range graph when the alive set changed. Nodes only
@@ -209,13 +200,14 @@ class Simulation:
             self._graph_alive = alive
 
     def _build_structures(self, rebuild=None, initial=False):
-        """(Re)derive sectors, monitors, roles, budgets, schedules, and the
-        lookup indices.
+        """(Re)derive sectors, monitors, roles and budgets, then everything
+        the round loop reads in one walk (`_build_indices`): TDMA slots,
+        uplinks, the always-on set and the lookup indices.
 
         `rebuild` limits sector re-formation to the named clusters so an
         untouched cluster keeps its coordinators and their running
-        detection budgets; roles, schedules, duty sets, and indices are
-        pure functions of the structure and are recomputed globally.
+        detection budgets; roles and the walk's output are pure functions
+        of the structure and are recomputed globally.
         """
         cfg = self.config
         quarantined = self._quarantined_set()
@@ -250,8 +242,6 @@ class Simulation:
                     cluster, self.by_id, cfg.itids.monitor_fraction
                 )
         self._assign_budgets(roles_before, initial)
-        self._assign_schedules()
-        self._refresh_duty_sets()
         self._build_indices()
 
     def _assign_budgets(self, roles_before, initial):
@@ -265,58 +255,16 @@ class Simulation:
             if initial or node.role is not roles_before.get(node.id):
                 assign_detection_budget(node, Role.SC if node.id in monitor_ids else node.role)
 
-    def _assign_schedules(self):
-        slots = self.config.slots_per_round
-        p_sleep = self.config.sleep_probability
-        assigned = set()
-        for cluster in sorted(self.clusters, key=lambda c: c.id):
-            index = 0
-            for sector in cluster.sectors:
-                for node_id in sorted(sector.node_ids()):
-                    self.by_id[node_id].schedule = DutySchedule(
-                        tdma_slot=index % slots, sleep_probability=p_sleep
-                    )
-                    assigned.add(node_id)
-                    index += 1
-            for node_id in sorted(cluster.node_ids()):
-                if node_id not in assigned:
-                    self.by_id[node_id].schedule = DutySchedule(
-                        tdma_slot=index % slots, sleep_probability=p_sleep
-                    )
-                    assigned.add(node_id)
-                    index += 1
-        for node in self.nodes:
-            if node.id not in assigned and node.node_class is not NodeClass.SINK:
-                node.schedule = DutySchedule(
-                    tdma_slot=node.id % slots, sleep_probability=p_sleep
-                )
-
-    def _refresh_duty_sets(self):
-        """Who stays awake all round, and who forwards to whom."""
-        always_on = {self.sink.id}
-        parent = {}
-        for cluster in self.clusters:
-            cc = cluster.coordinator
-            always_on.add(cc)
-            parent[cc] = self.sink.id
-            for member in sorted(cluster.members):
-                parent.setdefault(member, cc)
-            for sector in cluster.sectors:
-                always_on.add(sector.coordinator)
-                always_on.update(sector.monitors)
-                if sector.fsh is not None:
-                    always_on.add(sector.fsh)
-                parent[sector.coordinator] = self._sector_uplink(sector, cc)
-                for leaf in sector.leaves:
-                    parent[leaf] = sector.coordinator
-        for ids in self.monitors.values():
-            always_on.update(ids)
-        self.always_on = always_on
-        self.parent = parent
-
     def _build_indices(self):
-        """Structure lookups for the round loop, so that no packet or slot
-        scans the clusters or the node list.
+        """Everything the round loop reads of the structure, in one walk over
+        the clusters (ascending id) and one over the nodes, so no packet or
+        slot scans the clusters or the node list.
+
+        A cluster numbers TDMA slots modulo `slots_per_round`: its sector
+        nodes first, sector by sector with ids ascending, then its other
+        nodes by id; a node outside every cluster owns `id % slots`. The
+        same walk fills `parent`, `always_on`, node->cluster and the watch
+        relation.
 
         The watch relation is where the defense modes differ. `_screens`
         holds the (watcher, sorted subjects) screening passes in cluster-id
@@ -325,17 +273,43 @@ class Simulation:
         cluster nodes it can hear (its graph is never refreshed).
         `_watchers` is the same relation keyed by subject."""
         mode = self.config.mode
+        slots = self.config.slots_per_round
+        slot_of = {}
+        parent = {}
+        always_on = {self.sink.id}
         cluster_of = {}
         screens = []
-        for cluster in sorted(self.clusters, key=lambda c: c.id):
-            for node_id in (cluster.coordinator, *cluster.members):
+        for cluster in self.clusters:
+            cc = cluster.coordinator
+            always_on.add(cc)
+            parent[cc] = self.sink.id
+            index = 0
+            for sector in cluster.sectors:
+                for node_id in sorted(sector.node_ids()):
+                    slot_of[node_id] = index % slots
+                    index += 1
+                always_on.add(sector.coordinator)
+                always_on.update(sector.monitors)
+                if sector.fsh is not None:
+                    always_on.add(sector.fsh)
+                parent[sector.coordinator] = self._sector_uplink(sector, cc)
+                for leaf in sector.leaves:
+                    parent[leaf] = sector.coordinator
+            # node->cluster follows the roster: a quarantined sector
+            # coordinator may still sit in its sector after leaving it
+            for node_id in sorted(cluster.node_ids()):
+                parent.setdefault(node_id, cc)
                 cluster_of.setdefault(node_id, cluster)
+                if node_id not in slot_of:
+                    slot_of[node_id] = index % slots
+                    index += 1
             if mode == "imids":
                 screens.extend((s.coordinator, sorted(s.leaves)) for s in cluster.sectors)
             elif mode == "imids-no-sectors":
-                screens.append((cluster.coordinator, sorted(cluster.members)))
+                screens.append((cc, sorted(cluster.members)))
             else:
                 for monitor_id in self.monitors.get(cluster.id, ()):
+                    always_on.add(monitor_id)
                     heard = cluster.node_ids() - {monitor_id}
                     screens.append((
                         monitor_id,
@@ -345,15 +319,16 @@ class Simulation:
         for watcher_id, subject_ids in screens:
             for subject_id in subject_ids:
                 watchers[subject_id] = (*watchers.get(subject_id, ()), watcher_id)
-        senders = [[] for _ in range(self.config.slots_per_round)]
+        # id order: it decides which packet is lost when a parent dies mid-slot
+        senders = [[] for _ in range(slots)]
         for node in self.nodes:
+            if node.node_class is not NodeClass.SINK:
+                node.slot = slot_of.get(node.id, node.id % slots)
             # leaves transmit in their own slot; liveness is checked per packet
-            if (
-                node.node_class is NodeClass.FOLLOWER
-                and node.role is Role.LN
-                and node.schedule is not None
-            ):
-                senders[node.schedule.tdma_slot].append(node)
+            if node.node_class is NodeClass.FOLLOWER and node.role is Role.LN:
+                senders[node.slot].append(node)
+        self.parent = parent
+        self.always_on = always_on
         self._cluster_index = cluster_of
         self._screens = screens
         self._watchers = watchers
@@ -372,41 +347,34 @@ class Simulation:
 
     def _charge_formation(self, clusters):
         """Control traffic of (re)building cluster and sector structure."""
-        bits = self.config.traffic.control_bits
-        for cluster in sorted(clusters, key=lambda c: c.id):
+        for cluster in clusters:
             cc = self.by_id[cluster.coordinator]
-            if not is_alive(cc):
-                continue
-            self._charge_tx(cc, bits, self.graph.transmission_range)
-            for member_id in sorted(cluster.members):
-                member = self.by_id[member_id]
-                if not is_alive(member):
-                    continue
+            if is_alive(cc):  # a dead coordinator's sectors stay silent too
+                self._handshake(cc, cluster.members)
+                for sector in cluster.sectors:
+                    self._handshake(self.by_id[sector.coordinator], sector.leaves)
+
+    def _handshake(self, head, member_ids):
+        """Control exchange: a live head transmits at full range, then each
+        live member in id order receives, replies, and the head receives."""
+        if not is_alive(head):
+            return
+        bits = self.config.traffic.control_bits
+        self._charge_tx(head, bits, self.graph.transmission_range)
+        for member_id in sorted(member_ids):
+            member = self.by_id[member_id]
+            if is_alive(member):
                 self._charge_rx(member, bits)
-                self._charge_tx(member, bits, member.distance_to(cc))
-                self._charge_rx(cc, bits)
-            for sector in cluster.sectors:
-                sc = self.by_id[sector.coordinator]
-                if not is_alive(sc):
-                    continue
-                self._charge_tx(sc, bits, self.graph.transmission_range)
-                for leaf_id in sorted(sector.leaves):
-                    leaf = self.by_id[leaf_id]
-                    if not is_alive(leaf):
-                        continue
-                    self._charge_rx(leaf, bits)
-                    self._charge_tx(leaf, bits, leaf.distance_to(sc))
-                    self._charge_rx(sc, bits)
+                self._charge_tx(member, bits, member.distance_to(head))
+                self._charge_rx(head, bits)
 
     # ------------------------------------------------------------------
     # low-level charging
 
     def _charge_tx(self, node, bits, distance):
-        if not is_alive(node):
-            return False
-        consume(node, tx_cost(self.params, bits, distance))
-        self._sent += 1
-        return True
+        if is_alive(node):
+            consume(node, tx_cost(self.params, bits, distance))
+            self._sent += 1
 
     def _charge_rx(self, node, bits):
         if not is_alive(node):
@@ -489,8 +457,7 @@ class Simulation:
                 stream.random() >= cfg.sleep_probability
                 for _ in range(cfg.slots_per_round)
             ]
-            if node.schedule is not None:
-                wake[node.schedule.tdma_slot] = True
+            wake[node.slot] = True
             masks[node.id] = wake
         return masks
 
@@ -686,7 +653,7 @@ class Simulation:
         """Sector coordinators aggregate their valid leaf traffic upward."""
         cfg = self.config
         bits = cfg.traffic.aggregate_bits
-        for cluster in sorted(self.clusters, key=lambda c: c.id):
+        for cluster in self.clusters:
             cc = self.by_id[cluster.coordinator]
             for sector in cluster.sectors:
                 sc = self.by_id[sector.coordinator]
@@ -803,13 +770,11 @@ class Simulation:
         if not inbox:
             return
         for pkt in sorted(inbox, key=lambda p: (p.src, p.slot)):
-            subject = self.by_id[pkt.src]
-            expected = subject.schedule.tdma_slot if subject.schedule else None
             try:
                 result = ids_mod.cc_validate(
                     self.sink,
                     pkt,
-                    expected,
+                    self.by_id[pkt.src].slot,
                     self._received_at.get((self.sink.id, pkt.src), 0),
                     1.0,
                     self.ledgers,
@@ -827,7 +792,7 @@ class Simulation:
         cfg = self.config
         self._validate_sink_inbox(r)
         sink_inbox = []
-        for cluster in sorted(self.clusters, key=lambda c: c.id):
+        for cluster in self.clusters:
             cc = self.by_id[cluster.coordinator]
             if not is_alive(cc):
                 continue
@@ -841,11 +806,7 @@ class Simulation:
                     accepted_sources.extend(pkt.sources or (pkt.src,))
                     continue
                 subject = self.by_id[pkt.src]
-                expected_slot = (
-                    AGGREGATE_SLOT
-                    if pkt.slot == AGGREGATE_SLOT
-                    else (subject.schedule.tdma_slot if subject.schedule else None)
-                )
+                expected_slot = AGGREGATE_SLOT if pkt.slot == AGGREGATE_SLOT else subject.slot
                 try:
                     result = ids_mod.cc_validate(
                         cc,
@@ -917,7 +878,7 @@ class Simulation:
         senders_to = {}
         for dst, src in self._received_at:
             senders_to.setdefault(dst, []).append(src)
-        for cluster in sorted(self.clusters, key=lambda c: c.id):
+        for cluster in self.clusters:
             cc = self.by_id[cluster.coordinator]
             if not is_alive(cc):
                 continue
@@ -1129,7 +1090,6 @@ class Simulation:
             seed=self.config.seed,
             attacker_ids=sorted(self.attackers),
             positions={n.id: (n.position.x, n.position.y) for n in self.nodes},
-            roles_initial={n.id: n.role.value for n in self.nodes},
             cluster_count=len(self.clusters),
             sector_count=sum(len(c.sectors) for c in self.clusters),
             monitor_count=monitor_count,
@@ -1151,11 +1111,14 @@ def run_round(sim: Simulation) -> RoundReport:
 def run_simulation(config: ScenarioConfig) -> SimulationTrace:
     sim = Simulation(config)
     trace = sim.snapshot_trace()
+    alive = sim.alive_non_sink()
     for _ in range(config.rounds):
-        if sim.alive_non_sink() == 0:
+        if alive == 0:
             trace.extinction_round = sim.round
             break
-        trace.reports.append(sim.run_round())
+        report = sim.run_round()
+        trace.reports.append(report)
+        alive = report.alive_count
     trace.final_energy = {n.id: n.energy.residual_energy for n in sim.nodes}
     trace.final_confusion = ids_mod.compute_confusion(
         sim.nodes, set(sim.ledgers.quarantined), sim.sink.id

@@ -128,8 +128,7 @@ def evaluate_rules(
     reasons = []
     if observation.energy_spent > config.rate_threshold * profile.expected_energy_rate:
         reasons.append(Reason.ENERGY_RATE)
-    own_slot = subject.schedule.tdma_slot if subject.schedule else None
-    if any(slot != own_slot for slot, _valid in observation.tx_events):
+    if any(slot != subject.slot for slot, _valid in observation.tx_events):
         reasons.append(Reason.SCHEDULE_VIOLATION)
     if any(not valid for _slot, valid in observation.tx_events):
         reasons.append(Reason.INVALID_TOKEN)

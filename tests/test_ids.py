@@ -1,7 +1,6 @@
 import pytest
 
 from imids_sim.core import (
-    DutySchedule,
     Packet,
     PacketKind,
     Role,
@@ -37,7 +36,7 @@ PROFILE = NormalProfile(expected_energy_rate=1e-3, expected_packets=1.0)
 
 def _subject(node_id=7, slot=2):
     node = build_node(node_id, energy=0.2)
-    node.schedule = DutySchedule(tdma_slot=slot)
+    node.slot = slot
     return node
 
 

@@ -1,14 +1,15 @@
-"""The engine's structure indices against brute-force scans of the structure.
+"""The engine's derived structure against brute-force scans of the structure.
 
-`_build_structures` derives node->cluster, the watch relation (screening
-passes and subject->watchers), the coordinator set, and slot->senders once
-per structure change, and the reconfiguration sweep skips the global
-re-derivation when nothing changed. After every round the indices must
-equal a scan of `clusters`/`sectors`/`monitors`/`nodes` made the way each
-mode defines who watches whom, and forcing the skipped re-derivation must
-change nothing. The range graph,
-rebuilt only when the alive count moved, must equal a fresh build over
-the alive nodes whenever the sweep has refreshed it.
+`_build_structures` derives, in one walk, each node's TDMA slot, the
+uplinks (`parent`), the always-on set, node->cluster, the watch relation
+(screening passes and subject->watchers), the coordinator set, and
+slot->senders once per structure change, and the reconfiguration sweep
+skips the global re-derivation when nothing changed. After every round all
+of it must equal a scan of `clusters`/`sectors`/`monitors`/`nodes` made
+pass by pass, the watch relation the way each mode defines who watches
+whom, and forcing the skipped re-derivation must change nothing. The range
+graph, rebuilt only when the alive count moved, must equal a fresh build
+over the alive nodes whenever the sweep has refreshed it.
 """
 
 import pytest
@@ -88,17 +89,81 @@ def scan_screens(sim):
     ]
 
 
+def scan_slots(sim):
+    """Each cluster, in id order, numbers its sector nodes sector by sector
+    (ids ascending within a sector), then its other nodes by id, modulo
+    the slot count; a node outside every cluster owns `id % slots`."""
+    slots = sim.config.slots_per_round
+    found = {}
+    for cluster in sorted(sim.clusters, key=lambda c: c.id):
+        order = [m for s in cluster.sectors for m in sorted(s.node_ids())]
+        order += [m for m in sorted(cluster.node_ids()) if m not in order and m not in found]
+        for index, node_id in enumerate(order):
+            found[node_id] = index % slots
+    for node in sim.nodes:
+        if node.id not in found and node.node_class is not NodeClass.SINK:
+            found[node.id] = node.id % slots
+    return found
+
+
+def scan_parent(sim):
+    """Coordinators report to the sink, sector coordinators through their
+    forwarding head when it is alive and in range, leaves to their sector
+    coordinator, and other members to their first cluster's coordinator."""
+    parent = {}
+    for cluster in sorted(sim.clusters, key=lambda c: c.id):
+        cc = cluster.coordinator
+        parent[cc] = topo.SINK_ID
+        for member in cluster.members:
+            parent.setdefault(member, cc)
+        for sector in cluster.sectors:
+            uplink = cc
+            if sector.fsh is not None:
+                fsh = sim.by_id[sector.fsh]
+                sc = sim.by_id[sector.coordinator]
+                if is_alive(fsh) and sc.distance_to(fsh) <= sim.graph.transmission_range:
+                    uplink = sector.fsh
+            parent[sector.coordinator] = uplink
+            for leaf in sector.leaves:
+                parent[leaf] = sector.coordinator
+    return parent
+
+
+def scan_always_on(sim):
+    """The sink, every coordinator, sector coordinator, sector monitor and
+    forwarding head, and every baseline monitor."""
+    found = {topo.SINK_ID}
+    for cluster in sim.clusters:
+        found.add(cluster.coordinator)
+        for sector in cluster.sectors:
+            found.update((sector.coordinator, *sector.monitors))
+            if sector.fsh is not None:
+                found.add(sector.fsh)
+    for monitor_ids in sim.monitors.values():
+        found.update(monitor_ids)
+    return found
+
+
 def scan_senders(sim, slot):
+    slots = scan_slots(sim)
     return [
         n.id for n in sim.nodes
         if n.node_class is NodeClass.FOLLOWER
         and n.role is Role.LN
-        and n.schedule is not None
-        and n.schedule.tdma_slot == slot
+        and slots.get(n.id) == slot
     ]
 
 
 def check_indices(sim):
+    ids = [c.id for c in sim.clusters]
+    assert ids == sorted(set(ids))  # strictly increasing: walks trust the order
+    rosters = [m for c in sim.clusters for m in c.node_ids()]
+    assert len(rosters) == len(set(rosters))  # no node in two clusters
+    slots = scan_slots(sim)
+    for node in sim.nodes:
+        assert node.slot == slots.get(node.id)
+    assert sim.parent == scan_parent(sim)
+    assert sim.always_on == scan_always_on(sim)
     for node in sim.nodes:
         assert sim._cluster_of(node.id) is scan_cluster_of(sim, node.id)
         assert sim._watchers.get(node.id, ()) == scan_watchers(sim, node.id)
@@ -118,7 +183,7 @@ def check_graph(sim):
 def derived_state(sim):
     return (
         {n.id: n.role for n in sim.nodes},
-        {n.id: n.schedule for n in sim.nodes},
+        {n.id: n.slot for n in sim.nodes},
         dict(sim.parent),
         set(sim.always_on),
     )
@@ -237,8 +302,7 @@ def expected_mask(sim, node):
         stream.random() >= sim.config.sleep_probability
         for _ in range(sim.config.slots_per_round)
     ]
-    if node.schedule is not None:
-        wake[node.schedule.tdma_slot] = True
+    wake[scan_slots(sim)[node.id]] = True
     return wake
 
 
