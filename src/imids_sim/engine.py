@@ -1,19 +1,23 @@
 """Round-driven simulation engine tying topology, attack, and detection together.
 
-One round is `slots_per_round` TDMA slots. Attack packets land in their
-slots and force sleeping victims awake; every leaf transmits once in its
-own slot; then the detection ladder fires bottom-up: sector coordinators
-screen their leaves, forwarding heads relay aggregates, sector monitors
-pass window verdicts, coordinators and finally the sink re-validate what
+A round is the tuple `Simulation._phases`: methods called in turn with
+the round number, handing results on through round-scoped attributes
+(`_masks`, `_attack_packets`, `_obs`, `_cc_inbox`, ...). Every mode opens
+with sleep masks, attack packets, the `slots_per_round` TDMA slots (attack
+packets land first and can force sleeping victims awake, then every leaf
+transmits in its own slot), the slots' duty cost and injected strikes.
+The detection ladder then fires bottom-up: sector coordinators screen
+their leaves, forwarding heads relay aggregates, sector monitors pass
+window verdicts, coordinators and finally the sink re-validate what
 reaches them. Reconfiguration (death, quarantine, exhausted detection
 budget, or a coordinator falling behind its peers) closes the round.
 
-The baseline mode replaces all of that with static low-energy monitors
-and single-strike isolation; the no-sector mode keeps cluster
+The baseline mode ends the round with static low-energy monitors and
+single-strike isolation instead; the no-sector mode keeps cluster
 coordinators as the only detection layer. A mode is decided once: at
-set-up `__init__` picks the round's stage tuple, and `_build_indices`
-derives the mode's watch relation (who screens whom) with the other
-indices. The round loop itself never asks which mode it runs.
+set-up `__init__` builds the phase tuple, and `_build_indices` derives
+the mode's watch relation (who screens whom) with the other indices.
+`run_round` itself never asks which mode it runs.
 
 Everything random is drawn from substreams derived from the scenario
 seed and keyed by concern, round, and node id, so a (config, seed) pair
@@ -66,9 +70,6 @@ class RoundReport:
     alive_count: int
     energy_spent_total: float
     energy_spent: dict
-    packets_sent: int
-    packets_delivered: int
-    packets_dropped: int
     suspects_new: list
     quarantines_new: list
     reconfigurations: list
@@ -124,20 +125,25 @@ class Simulation:
         self.rng = SeededRng(config.seed)
         self.ledgers = Ledgers()
         self.round = 0
-        self._sent = 0
-        self._delivered = 0
-        self._dropped = 0
         self._initialize()
         if config.mode == "itids":  # no reconfiguration, ever
-            self._stages = (self._sids_stage, self._isolate_suspects, self._forward_received)
+            ladder = (self._sids_stage, self._isolate_suspects, self._forward_received)
         else:
-            self._stages = (
+            ladder = (
                 self._sids_stage,
                 self._forwarding_stage,
                 self._monitor_stage,
                 self._sink_stage,
                 self._reconfiguration_sweep,
             )
+        self._phases = (
+            self._draw_masks,
+            self._emit_attacks,
+            self._run_slots,
+            self._charge_slot_costs,
+            self._inject_false_strikes,
+            *ladder,
+        )
 
     # ------------------------------------------------------------------
     # setup
@@ -175,11 +181,7 @@ class Simulation:
         allowance = tx_cost(
             self.params, cfg.traffic.data_bits, cfg.deployment.transmission_range
         ) + cfg.slots_per_round * self.params.p_listen
-        self.profiles = {
-            n.id: NormalProfile(expected_energy_rate=allowance)
-            for n in self.nodes
-            if n.node_class is not NodeClass.SINK
-        }
+        self.profile = NormalProfile(expected_energy_rate=allowance)
 
         self.init_energy_spent = {
             n.id: n.energy.initial_energy - n.energy.residual_energy for n in self.nodes
@@ -217,16 +219,15 @@ class Simulation:
                 cluster.sectors = topo.form_sectors(cluster, self.by_id, self.graph, quarantined)
                 if not cluster.sectors:
                     continue
+                candidates = topo.monitor_candidates(cluster, self.by_id, quarantined)
                 try:  # one forwarding head per cluster, shared by its sectors
-                    fsh = topo.select_fsh(
-                        cluster, cluster.sectors[0], self.by_id, self.graph, quarantined
-                    )
+                    fsh = topo.select_fsh(cluster, candidates, self.by_id, self.graph)
                 except topo.MonitorUnavailable:
                     fsh = None
                 for sector in cluster.sectors:
                     try:
                         sector.monitors = topo.select_sector_monitor(
-                            cluster, sector, self.by_id, self.graph, quarantined
+                            cluster, sector, candidates, self.graph
                         )
                     except topo.MonitorUnavailable:
                         sector.monitors = ()
@@ -374,13 +375,10 @@ class Simulation:
     def _charge_tx(self, node, bits, distance):
         if is_alive(node):
             consume(node, tx_cost(self.params, bits, distance))
-            self._sent += 1
 
     def _charge_rx(self, node, bits):
-        if not is_alive(node):
-            return False
-        consume(node, rx_cost(self.params, bits))
-        return True
+        if is_alive(node):
+            consume(node, rx_cost(self.params, bits))
 
     def _quarantined_set(self):
         return set(self.ledgers.quarantined)
@@ -389,29 +387,18 @@ class Simulation:
     # round loop
 
     def run_round(self) -> RoundReport:
-        cfg = self.config
         r = self.round
         residual_before = {n.id: n.energy.residual_energy for n in self.nodes}
         suspects_before = set(self.ledgers.suspected)
         quarantined_before = set(self.ledgers.quarantined)
-        self._sent = self._delivered = self._dropped = 0
-
-        masks = self._draw_masks()
-        forced = [set() for _ in range(cfg.slots_per_round)]
         self._obs = {}
         self._received_at = {}   # (receiver, src) -> packets received this round
         self._cc_inbox = {}      # coordinator id -> packets awaiting validation
         self._sc_valid = {}      # sector coordinator id -> leaf data this round
         self._reconfigurations = []
 
-        attack_packets = self._emit_attacks(r)
-        for slot in range(cfg.slots_per_round):
-            self._run_slot(slot, masks, forced, attack_packets.get(slot, []))
-        self._charge_slot_costs(masks)
-
-        self._inject_false_strikes(r)
-        for stage in self._stages:
-            stage(r)
+        for phase in self._phases:
+            phase(r)
 
         alive_count = self.alive_non_sink()
         spent = {
@@ -425,9 +412,6 @@ class Simulation:
             alive_count=alive_count,
             energy_spent_total=_add_up(spent.values()),
             energy_spent=spent,
-            packets_sent=self._sent,
-            packets_delivered=self._delivered,
-            packets_dropped=self._dropped,
             suspects_new=sorted(set(self.ledgers.suspected) - suspects_before),
             quarantines_new=sorted(set(self.ledgers.quarantined) - quarantined_before),
             reconfigurations=self._reconfigurations,
@@ -439,7 +423,7 @@ class Simulation:
         self.round += 1
         return report
 
-    def _draw_masks(self):
+    def _draw_masks(self, r: int):
         """Per-node wake masks for the round; the own TDMA slot is always
         awake. Keyed by (round, node) so every mode sees the same draw.
 
@@ -452,20 +436,22 @@ class Simulation:
         for node in self.nodes:
             if node.id in always_on or not is_alive(node):
                 continue
-            stream = self.rng.derive("sleep", self.round, node.id)
+            stream = self.rng.derive("sleep", r, node.id)
             wake = [
                 stream.random() >= cfg.sleep_probability
                 for _ in range(cfg.slots_per_round)
             ]
             wake[node.slot] = True
             masks[node.id] = wake
-        return masks
+        self._masks = masks
+        self._forced = [set() for _ in range(cfg.slots_per_round)]  # woken by attack
 
     def _emit_attacks(self, r: int):
+        """Each live attacker's packets for the round, by slot."""
         cfg = self.config
-        by_slot = {}
+        self._attack_packets = by_slot = {}
         if r < cfg.attack.start_round:
-            return by_slot
+            return
         for attacker_id in sorted(self.attackers):
             attacker = self.by_id[attacker_id]
             if not is_alive(attacker):
@@ -485,21 +471,24 @@ class Simulation:
             )
             for pkt in packets:
                 by_slot.setdefault(pkt.slot, []).append(pkt)
-        return by_slot
 
-    def _is_awake(self, node_id, slot, masks, forced) -> bool:
-        if node_id in self.always_on or node_id == self.sink.id:
+    def _is_awake(self, node_id, slot) -> bool:
+        if node_id in self.always_on:
             return True
-        mask = masks.get(node_id)
+        mask = self._masks.get(node_id)
         if mask is None:
             return False
-        return mask[slot] or node_id in forced[slot]
+        return mask[slot] or node_id in self._forced[slot]
 
-    def _run_slot(self, slot, masks, forced, slot_attack_packets):
+    def _run_slots(self, _round):
+        for slot in range(self.config.slots_per_round):
+            self._run_slot(slot)
+
+    def _run_slot(self, slot):
         cfg = self.config
         coordinators = self._coordinators
         # attack deliveries first: they can wake victims within this slot
-        for pkt in slot_attack_packets:
+        for pkt in self._attack_packets.get(slot, ()):
             src = self.by_id[pkt.src]
             if not is_alive(src):
                 continue
@@ -507,20 +496,16 @@ class Simulation:
             self._charge_tx(src, pkt.payload_size, src.distance_to(dst))
             self._observe_tx(pkt, slot)
             if not is_alive(dst) or src.distance_to(dst) > self.graph.transmission_range:
-                self._dropped += 1
                 continue
             filtered = self.ledgers.is_quarantined(pkt.src)
-            awake = self._is_awake(pkt.dst, slot, masks, forced)
+            awake = self._is_awake(pkt.dst, slot)
             result = attack_mod.apply_deprivation(dst, pkt, awake, self.params, filtered)
             if result.woken:
-                forced[slot].add(pkt.dst)
+                self._forced[slot].add(pkt.dst)
             if result.received:
-                self._delivered += 1
                 self._note_receipt(pkt.dst, pkt.src)
                 if pkt.dst in coordinators or pkt.dst == self.sink.id:
                     self._cc_inbox.setdefault(pkt.dst, []).append(pkt)
-            else:
-                self._dropped += 1
 
         # regular sensing traffic in the owner's slot
         for node in self._slot_senders[slot]:
@@ -543,13 +528,10 @@ class Simulation:
             self._charge_tx(node, pkt.payload_size, node.distance_to(parent))
             self._observe_tx(pkt, slot)
             if not is_alive(parent) or node.distance_to(parent) > self.graph.transmission_range:
-                self._dropped += 1
                 continue
             if self.ledgers.is_quarantined(node.id):
-                self._dropped += 1  # roster is known; junk is not picked up
-                continue
+                continue  # roster is known; junk is not picked up
             self._charge_rx(parent, pkt.payload_size)
-            self._delivered += 1
             self._note_receipt(parent_id, node.id)
             if parent.role is Role.SC:
                 self._sc_valid.setdefault(parent_id, []).append(pkt)
@@ -563,17 +545,17 @@ class Simulation:
         if receiver_id in self._watchers.get(src_id, ()):
             self._observation(receiver_id, src_id).packets_to_watcher += 1
 
-    def _charge_slot_costs(self, masks):
+    def _charge_slot_costs(self, _round):
         """Baseline duty cost by the scheduled state: a forced wake already
         paid the listen/sleep difference at delivery time."""
         cfg = self.config
         for node in self.nodes:
             if not is_alive(node):
                 continue
-            if node.id == self.sink.id or node.id in self.always_on:
+            if node.id in self.always_on:
                 consume(node, self.params.p_listen * cfg.slots_per_round)
                 continue
-            mask = masks.get(node.id)
+            mask = self._masks.get(node.id)
             if mask is None:
                 continue
             cost = _add_up(
@@ -645,7 +627,7 @@ class Simulation:
                 s: self._obs[(watcher_id, s)] for s in subjects if (watcher_id, s) in self._obs
             }
             ids_mod.sids_check(
-                watcher, subjects, observations, self.profiles,
+                watcher, subjects, observations, self.profile,
                 cfg.detection, self.params, self.ledgers, r,
             )
 
@@ -679,22 +661,17 @@ class Simulation:
                 hop = self.by_id[agg.dst]
                 self._charge_tx(sc, bits, sc.distance_to(hop))
                 if not is_alive(hop) or self.ledgers.is_quarantined(sc.id):
-                    self._dropped += 1
                     continue
                 self._charge_rx(hop, bits)
-                self._delivered += 1
                 if hop.id != cluster.coordinator:
                     # forwarding head relays to the coordinator
                     self.ledgers.forwarding_log.append((r, hop.id, sc.id))
                     if not is_alive(cc):
-                        self._dropped += 1
                         continue
                     self._charge_tx(hop, bits, hop.distance_to(cc))
                     if self.ledgers.is_quarantined(hop.id):
-                        self._dropped += 1
                         continue
                     self._charge_rx(cc, bits)
-                    self._delivered += 1
                 self._cc_inbox.setdefault(cluster.coordinator, []).append(agg)
                 self._note_receipt(cluster.coordinator, sc.id)
 
@@ -770,13 +747,12 @@ class Simulation:
         if not inbox:
             return
         for pkt in sorted(inbox, key=lambda p: (p.src, p.slot)):
-            try:
-                result = ids_mod.cc_validate(
+            try:  # the verdict matters only for the strikes it records
+                ids_mod.cc_validate(
                     self.sink,
                     pkt,
                     self.by_id[pkt.src].slot,
                     self._received_at.get((self.sink.id, pkt.src), 0),
-                    1.0,
                     self.ledgers,
                     self.config.detection,
                     self.params,
@@ -784,8 +760,6 @@ class Simulation:
                 )
             except ids_mod.DisabledIds:
                 return
-            if not result.accepted:
-                self._dropped += 1
 
     def _sink_stage(self, r):
         """Coordinators validate their inbox and the sink re-validates theirs."""
@@ -813,7 +787,6 @@ class Simulation:
                         pkt,
                         expected_slot,
                         self._received_at.get((cc.id, pkt.src), 0),
-                        1.0,
                         self.ledgers,
                         cfg.detection,
                         self.params,
@@ -826,8 +799,6 @@ class Simulation:
                     for source in pkt.sources or (pkt.src,):
                         self.ledgers.valid_log.append((r, source))
                         accepted_sources.append(source)
-                else:
-                    self._dropped += 1
             if not accepted_sources:
                 continue
             agg = Packet(
@@ -840,16 +811,14 @@ class Simulation:
                 sources=tuple(sorted(set(accepted_sources))),
             )
             self._charge_tx(cc, agg.payload_size, cc.distance_to(self.sink))
-            if self.ledgers.is_quarantined(cc.id):
-                self._dropped += 1
+            if self.ledgers.is_quarantined(cc.id) or not is_alive(self.sink):
                 continue
             self._charge_rx(self.sink, agg.payload_size)
-            self._delivered += 1
             sink_inbox.append(agg)
         for pkt in sorted(sink_inbox, key=lambda p: p.src):
             try:
                 result = ids_mod.cc_validate(
-                    self.sink, pkt, AGGREGATE_SLOT, 1, 1.0,
+                    self.sink, pkt, AGGREGATE_SLOT, 1,
                     self.ledgers, cfg.detection, self.params, r,
                 )
             except ids_mod.DisabledIds:
@@ -858,8 +827,6 @@ class Simulation:
                 self.ledgers.sn_log.append((r, pkt.src))
                 for source in pkt.sources:
                     self.ledgers.sn_log.append((r, source))
-            else:
-                self._dropped += 1
 
     def _isolate_suspects(self, r):
         """Baseline verdict: a single strike suffices; no window, no
@@ -890,8 +857,8 @@ class Simulation:
             if not sources:
                 continue
             self._charge_tx(cc, cfg.traffic.aggregate_bits, cc.distance_to(self.sink))
-            if self._charge_rx(self.sink, cfg.traffic.aggregate_bits):
-                self._delivered += 1
+            if is_alive(self.sink):
+                self._charge_rx(self.sink, cfg.traffic.aggregate_bits)
                 self.ledgers.sn_log.append((r, cc.id))
                 for source in sources:
                     self.ledgers.sn_log.append((r, source))

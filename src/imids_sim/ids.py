@@ -65,7 +65,7 @@ class DetectionConfig:
 
 @dataclass(frozen=True)
 class NormalProfile:
-    """Pre-set per-node allowance, fixed for the whole run."""
+    """Pre-set allowance every screened node is held to, fixed for the run."""
 
     expected_energy_rate: float  # J per round
     expected_packets: float = 1.0  # packets per round toward the watcher
@@ -141,7 +141,7 @@ def sids_check(
     watcher: SensorNode,
     subjects: dict,
     observations: dict,
-    profiles: dict,
+    profile: NormalProfile,
     config: DetectionConfig,
     params: EnergyParams,
     ledgers: Ledgers,
@@ -161,7 +161,7 @@ def sids_check(
         subject = subjects[node_id]
         disabled = charge_detection(watcher, params)
         observation = observations.get(node_id) or Observation(subject=node_id)
-        reasons = evaluate_rules(subject, observation, profiles[node_id], config)
+        reasons = evaluate_rules(subject, observation, profile, config)
         if reasons:
             subject.trust = trust_penalize(subject.trust)
             add_strikes(ledgers, node_id, reasons, current_round)
@@ -219,7 +219,6 @@ def cc_validate(
     packet,
     expected_slot: int | None,
     packets_from_src: int,
-    allowed_packets: float,
     ledgers: Ledgers,
     config: DetectionConfig,
     params: EnergyParams,
@@ -241,7 +240,7 @@ def cc_validate(
         reasons.append(Reason.INVALID_TOKEN)
     if expected_slot is not None and packet.slot != expected_slot:
         reasons.append(Reason.SCHEDULE_VIOLATION)
-    if packets_from_src > config.count_threshold * allowed_packets:
+    if packets_from_src > config.count_threshold:
         reasons.append(Reason.PACKET_FLOOD)
     if reasons:
         add_strikes(ledgers, packet.src, reasons, current_round)

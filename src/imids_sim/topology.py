@@ -296,7 +296,10 @@ def form_sectors(cluster: Cluster, by_id, graph, quarantined=frozenset()) -> lis
     return [sectors[sc] for sc in coordinators]
 
 
-def _monitor_candidates(cluster, by_id, quarantined):
+def monitor_candidates(cluster, by_id, quarantined=frozenset()) -> list:
+    """The cluster's spare leaders, in id order: alive, not quarantined and
+    not its coordinator. Both the sector monitors and the forwarding head
+    are chosen from them."""
     return [
         by_id[m] for m in sorted(cluster.node_ids())
         if m != cluster.coordinator
@@ -312,14 +315,14 @@ def prospective_detection_budget(node: SensorNode) -> float:
     return min(cap, node.energy.residual_energy)
 
 
-def select_sector_monitor(cluster, sector, by_id, graph, quarantined=frozenset()) -> tuple:
-    """Pick the sector's monitors: non-CC leaders with maximal detection budget.
+def select_sector_monitor(cluster, sector, candidates, graph) -> tuple:
+    """Pick the sector's monitors among the cluster's `monitor_candidates`:
+    the spare leaders with maximal detection budget.
 
     Leaders adjacent to the sector are preferred; if none touch it, any
-    non-CC leader of the cluster may monitor (scarce-leader fallback). All
-    leaders tied at the maximum are selected.
+    candidate may monitor (scarce-leader fallback). All leaders tied at the
+    maximum are selected.
     """
-    candidates = _monitor_candidates(cluster, by_id, quarantined)
     if not candidates:
         raise MonitorUnavailable(f"cluster {cluster.id} has no spare leader")
     sector_ids = sector.node_ids()
@@ -357,16 +360,14 @@ def hop_distances(graph: TransmissionGraph, source: int, stop_at=None) -> dict:
     return dist
 
 
-def select_fsh(cluster, sector, by_id, graph, quarantined=frozenset()) -> int:
-    """Pick the sector's forwarding head: the non-CC leader closest to the
-    CC in hops, then in meters, then by id.
+def select_fsh(cluster, candidates, by_id, graph) -> int:
+    """Pick the cluster's forwarding head among its `monitor_candidates`:
+    the one closest to the CC in hops, then in meters, then by id.
 
-    The choice is per cluster: `sector` is not consulted, so every sector
-    of a cluster gets the same head and one call serves them all. The
-    search stops at the nearest candidate's level; candidates beyond it
-    could not win on hops anyway.
+    The choice is per cluster, so every sector of a cluster gets the same
+    head and one call serves them all. The search stops at the nearest
+    candidate's level; candidates beyond it could not win on hops anyway.
     """
-    candidates = _monitor_candidates(cluster, by_id, quarantined)
     if not candidates:
         raise MonitorUnavailable(f"cluster {cluster.id} has no spare leader")
     cc = by_id[cluster.coordinator]

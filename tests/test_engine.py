@@ -1,11 +1,21 @@
 import ast
+import functools
 import inspect
+import json
+from pathlib import Path
 
 import pytest
 
 from imids_sim import engine
 from imids_sim.config import parse_config
-from imids_sim.core import NodeClass, Role
+from imids_sim.core import NodeClass, Role, is_alive
+
+STOCK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "stock_comparison.json"
+
+
+def wrap_phases(sim, around):
+    """Route every phase of the round through `around(phase, r)`."""
+    sim._phases = tuple(functools.partial(around, phase) for phase in sim._phases)
 
 
 def scenario(**overrides):
@@ -147,6 +157,29 @@ def test_flooding_attacker_is_quarantined_fast():
     assert trace.final_confusion.fp == 0
 
 
+@pytest.mark.parametrize("mode", ["imids", "imids-no-sectors", "itids"])
+def test_a_dead_sink_accepts_nothing(mode):
+    # a sink this frail dies during round 10, before the ladder reaches it
+    raw = json.loads(STOCK_CONFIG.read_text())
+    raw.update(mode=mode, rounds=12)
+    raw["deployment"]["sink_initial_energy"] = 0.004
+    sim = engine.initialize(parse_config(raw))
+    ran_dead = []
+
+    def guarded(phase, r):
+        dead = not is_alive(sim.sink)
+        logged = len(sim.ledgers.sn_log)
+        phase(r)
+        if dead:
+            ran_dead.append(phase.__name__)
+            assert len(sim.ledgers.sn_log) == logged, f"{phase.__name__} in round {r}"
+
+    wrap_phases(sim, guarded)
+    for _ in range(12):
+        sim.run_round()
+    assert {"_sink_stage", "_forward_received"} & set(ran_dead)
+
+
 def test_quarantined_nodes_stop_contributing():
     trace = engine.run_simulation(scenario(attack=ATTACK))
     cut = trace.ledgers.quarantined
@@ -181,8 +214,35 @@ def test_sectored_mode_builds_sectors_and_monitors():
     assert trace.cluster_count == len(sim.clusters)
 
 
+OPENING = ["_draw_masks", "_emit_attacks", "_run_slots", "_charge_slot_costs",
+           "_inject_false_strikes"]
+SECTORED_LADDER = ["_sids_stage", "_forwarding_stage", "_monitor_stage", "_sink_stage",
+                   "_reconfiguration_sweep"]
+PHASES = {
+    "imids": OPENING + SECTORED_LADDER,
+    "imids-no-sectors": OPENING + SECTORED_LADDER,
+    "itids": OPENING + ["_sids_stage", "_isolate_suspects", "_forward_received"],
+}
+
+
+@pytest.mark.parametrize("mode", sorted(PHASES))
+def test_a_round_runs_the_mode_phase_tuple_in_order(mode):
+    sim = engine.initialize(scenario(mode=mode, rounds=2, attack=ATTACK))
+    assert [phase.__name__ for phase in sim._phases] == PHASES[mode]
+    ran = []
+
+    def recorded(phase, r):
+        ran.append((r, phase.__name__))
+        phase(r)
+
+    wrap_phases(sim, recorded)
+    sim.run_round()
+    sim.run_round()
+    assert ran == [(r, name) for r in (0, 1) for name in PHASES[mode]]
+
+
 # Set-up and structure code may branch on the defense mode; the round loop
-# runs whatever stage tuple and watch relation those left behind.
+# runs whatever phase tuple and watch relation those left behind.
 MODE_READERS = {"__init__", "_initialize", "_build_structures", "_build_indices", "snapshot_trace"}
 
 
@@ -197,6 +257,6 @@ def _mode_reads(node, scope="<module>"):
 
 def test_only_set_up_and_structure_code_reads_the_mode():
     readers = set(_mode_reads(ast.parse(inspect.getsource(engine))))
-    assert "__init__" in readers  # the scan does see the stage choice
+    assert "__init__" in readers  # the scan does see the phase choice
     assert readers <= MODE_READERS
 

@@ -103,7 +103,7 @@ def test_sids_strikes_and_trust_penalty():
     subject = _subject()
     ledgers = Ledgers()
     obs = {7: Observation(subject=7, packets_to_watcher=5)}
-    sids_check(watcher, {7: subject}, obs, {7: PROFILE}, CFG, P, ledgers, current_round=4)
+    sids_check(watcher, {7: subject}, obs, PROFILE, CFG, P, ledgers, current_round=4)
     assert 7 in ledgers.suspected
     assert subject.trust.nibble == 14
     entry = ledgers.suspected[7]
@@ -115,7 +115,7 @@ def test_sids_rewards_clean_subject():
     subject = _subject()
     subject.trust = TrustState(nibble=10)
     ledgers = Ledgers()
-    sids_check(watcher, {7: subject}, {}, {7: PROFILE}, CFG, P, ledgers, 0)
+    sids_check(watcher, {7: subject}, {}, PROFILE, CFG, P, ledgers, 0)
     assert subject.trust.nibble == 11
     assert 7 not in ledgers.suspected
 
@@ -127,7 +127,7 @@ def test_sids_skips_quarantined_and_charges_watcher():
     quarantine(ledgers, 7, 0)
     before = watcher.energy.residual_energy
     flood = {7: Observation(subject=7, packets_to_watcher=5)}  # would strike if checked
-    sids_check(watcher, {7: subject}, flood, {7: PROFILE}, CFG, P, ledgers, 1)
+    sids_check(watcher, {7: subject}, flood, PROFILE, CFG, P, ledgers, 1)
     assert 7 not in ledgers.suspected
     assert watcher.energy.residual_energy == before  # nothing checked
 
@@ -136,7 +136,7 @@ def test_sids_raises_for_disabled_watcher():
     watcher = _watcher()
     watcher.energy.detection_enabled = False
     with pytest.raises(DisabledIds):
-        sids_check(watcher, {}, {}, {}, CFG, P, Ledgers(), 0)
+        sids_check(watcher, {}, {}, PROFILE, CFG, P, Ledgers(), 0)
 
 
 # --- window decisions ------------------------------------------------------
@@ -206,7 +206,7 @@ def _validator():
 def test_cc_validate_accepts_clean_packet():
     ledgers = Ledgers()
     result = cc_validate(
-        _validator(), _data_packet(7, 2), 2, 1, 1.0, ledgers, CFG, P, 0
+        _validator(), _data_packet(7, 2), 2, 1, ledgers, CFG, P, 0
     )
     assert result.accepted
     assert 7 not in ledgers.suspected
@@ -215,7 +215,7 @@ def test_cc_validate_accepts_clean_packet():
 def test_cc_validate_strikes_invalid_token():
     ledgers = Ledgers()
     result = cc_validate(
-        _validator(), _data_packet(7, 2, valid=False), 2, 1, 1.0, ledgers, CFG, P, 0
+        _validator(), _data_packet(7, 2, valid=False), 2, 1, ledgers, CFG, P, 0
     )
     assert not result.accepted
     assert Reason.INVALID_TOKEN in ledgers.suspected[7].reasons
@@ -224,7 +224,7 @@ def test_cc_validate_strikes_invalid_token():
 def test_cc_validate_strikes_wrong_slot():
     ledgers = Ledgers()
     result = cc_validate(
-        _validator(), _data_packet(7, 5), 2, 1, 1.0, ledgers, CFG, P, 0
+        _validator(), _data_packet(7, 5), 2, 1, ledgers, CFG, P, 0
     )
     assert not result.accepted
     assert Reason.SCHEDULE_VIOLATION in ledgers.suspected[7].reasons
@@ -233,7 +233,7 @@ def test_cc_validate_strikes_wrong_slot():
 def test_cc_validate_strikes_flood():
     ledgers = Ledgers()
     result = cc_validate(
-        _validator(), _data_packet(7, 2), 2, 5, 1.0, ledgers, CFG, P, 0
+        _validator(), _data_packet(7, 2), 2, 5, ledgers, CFG, P, 0
     )
     assert not result.accepted
     assert Reason.PACKET_FLOOD in ledgers.suspected[7].reasons
@@ -243,7 +243,7 @@ def test_cc_validate_drops_quarantined_silently():
     ledgers = Ledgers()
     quarantine(ledgers, 7, 0)
     result = cc_validate(
-        _validator(), _data_packet(7, 2), 2, 1, 1.0, ledgers, CFG, P, 1
+        _validator(), _data_packet(7, 2), 2, 1, ledgers, CFG, P, 1
     )
     assert not result.accepted
     assert 7 not in ledgers.suspected  # no new strikes, just dropped

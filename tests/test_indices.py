@@ -313,16 +313,18 @@ def test_masks_are_drawn_for_exactly_the_duty_cycled_nodes(mode):
     drawn = skipped = 0
     for seed in range(3):
         sim = engine.initialize(arena(seed, mode))
-        draw_masks = sim._draw_masks
+        draw_masks = sim._phases[0]
+        assert draw_masks.__name__ == "_draw_masks"
 
-        def checked():
+        def checked(r):
             duty_cycled = {
                 n.id for n in sim.nodes
                 if n.node_class is not NodeClass.SINK
                 and is_alive(n)
                 and n.id not in sim.always_on
             }
-            masks = draw_masks()
+            draw_masks(r)
+            masks = sim._masks
             assert set(masks) == duty_cycled
             for node_id, mask in masks.items():
                 assert mask == expected_mask(sim, sim.by_id[node_id])
@@ -334,9 +336,8 @@ def test_masks_are_drawn_for_exactly_the_duty_cycled_nodes(mode):
                 and is_alive(n)
                 and n.id in sim.always_on
             )
-            return masks
 
-        sim._draw_masks = checked
+        sim._phases = (checked, *sim._phases[1:])
         for _ in range(sim.config.rounds):
             if sim.alive_non_sink() == 0:
                 break

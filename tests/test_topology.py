@@ -308,7 +308,8 @@ def _leader_cluster():
 
 def test_monitor_excludes_coordinator_and_needs_leaders():
     nodes, cluster, g, sectors = _leader_cluster()
-    monitors = topo.select_sector_monitor(cluster, sectors[0], _by_id(nodes), g)
+    candidates = topo.monitor_candidates(cluster, _by_id(nodes))
+    monitors = topo.select_sector_monitor(cluster, sectors[0], candidates, g)
     assert monitors
     assert cluster.coordinator not in monitors
     assert all(
@@ -326,13 +327,16 @@ def test_monitor_unavailable_without_spare_leaders():
     cluster = topo.Cluster(id=0, coordinator=1, members={2})
     g = _graph(nodes)
     sectors = topo.form_sectors(cluster, _by_id(nodes), g)
+    candidates = topo.monitor_candidates(cluster, _by_id(nodes))
+    assert candidates == []
     with pytest.raises(topo.MonitorUnavailable):
-        topo.select_sector_monitor(cluster, sectors[0], _by_id(nodes), g)
+        topo.select_sector_monitor(cluster, sectors[0], candidates, g)
 
 
 def test_fsh_minimizes_hops_to_coordinator():
     nodes, cluster, g, sectors = _leader_cluster()
-    fsh = topo.select_fsh(cluster, sectors[0], _by_id(nodes), g)
+    by_id = _by_id(nodes)
+    fsh = topo.select_fsh(cluster, topo.monitor_candidates(cluster, by_id), by_id, g)
     assert fsh in {2, 3}  # a spare leader, one hop from the coordinator
 
 
@@ -406,9 +410,11 @@ def test_fsh_matches_bruteforce_over_full_bfs():
             and is_alive(by_id[m])
             and m not in quarantined
         ]
+        spare = topo.monitor_candidates(cluster, by_id, quarantined)
+        assert [n.id for n in spare] == sorted(candidates)
         if not candidates:
             with pytest.raises(topo.MonitorUnavailable):
-                topo.select_fsh(cluster, None, by_id, g, quarantined)
+                topo.select_fsh(cluster, spare, by_id, g)
             continue
         want = min(
             candidates,
@@ -416,7 +422,7 @@ def test_fsh_matches_bruteforce_over_full_bfs():
                 hops.get(m, float("inf")), by_id[m].distance_to(by_id[cc]), m
             ),
         )
-        assert topo.select_fsh(cluster, None, by_id, g, quarantined) == want
+        assert topo.select_fsh(cluster, spare, by_id, g) == want
         checked += 1
     assert checked > 20
 
@@ -438,10 +444,11 @@ def test_has_edge_agrees_with_adjacency_lists():
 
 def test_assign_roles_precedence():
     nodes, cluster, g, sectors = _leader_cluster()
-    sectors[0].monitors = topo.select_sector_monitor(cluster, sectors[0], _by_id(nodes), g)
-    sectors[0].fsh = topo.select_fsh(cluster, sectors[0], _by_id(nodes), g)
+    by_id = _by_id(nodes)
+    candidates = topo.monitor_candidates(cluster, by_id)
+    sectors[0].monitors = topo.select_sector_monitor(cluster, sectors[0], candidates, g)
+    sectors[0].fsh = topo.select_fsh(cluster, candidates, by_id, g)
     roles = topo.assign_roles(nodes, [cluster])
-    by_id = {n.id: n for n in nodes}
     assert by_id[0].role is Role.SN
     assert by_id[1].role is Role.CC
     assert by_id[sectors[0].coordinator].role is Role.SC
