@@ -214,14 +214,14 @@ SWEEP_AXES = ("node_count", "attackers", "mode")
 
 
 def _sweep_cells(raw: dict, axis: str, values):
-    """Yield (value, mode, raw config) for every cell of the sweep."""
+    """Yield (value, mode, parsed config) for every cell of the sweep."""
     if axis == "mode":
         for value in values:
             if value not in MODES:
                 raise ConfigError(f"unknown mode '{value}' in sweep values")
             cell = copy.deepcopy(raw)
             cell["mode"] = value
-            yield value, value, cell
+            yield value, value, parse_config(cell)
         return
     for value in values:
         try:
@@ -237,7 +237,7 @@ def _sweep_cells(raw: dict, axis: str, values):
                 attack = cell.setdefault("attack", {})
                 attack["attacker_count"] = count
                 attack.pop("attacker_ids", None)
-            yield count, mode, cell
+            yield count, mode, parse_config(cell)
 
 
 def cmd_sweep(args) -> int:
@@ -248,10 +248,11 @@ def cmd_sweep(args) -> int:
     if not values:
         raise ConfigError("sweep needs at least one value")
 
+    cells = list(_sweep_cells(raw, args.axis, values))  # all checked before any runs
     rows = []
     energy = {}  # mode -> list of (value, joules)
-    for value, mode, cell_raw in _sweep_cells(raw, args.axis, values):
-        trace = run_simulation(parse_config(cell_raw))
+    for value, mode, config in cells:
+        trace = run_simulation(config)
         confusion = trace.final_confusion
         total = trace.total_energy_spent()
         rows.append(

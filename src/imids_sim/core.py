@@ -72,11 +72,13 @@ class TrustState:
 
 
 def trust_penalize(trust: TrustState, step: int = 1) -> TrustState:
-    return TrustState(max(0, trust.nibble - step))
+    value = max(0, trust.nibble - step)
+    return trust if value == trust.nibble else TrustState(value)
 
 
 def trust_reward(trust: TrustState, step: int = 1) -> TrustState:
-    return TrustState(min(TRUST_MAX, trust.nibble + step))
+    value = min(TRUST_MAX, trust.nibble + step)
+    return trust if value == trust.nibble else TrustState(value)
 
 
 @dataclass(frozen=True)

@@ -125,6 +125,14 @@ class Simulation:
         self.rng = SeededRng(config.seed)
         self.ledgers = Ledgers()
         self.round = 0
+        # Positions never move: each cost is computed on first use, then reused.
+        self._link_cost = {}     # (sender id, receiver id, bits) -> tx joules
+        self._rx_cost = {}       # bits -> rx joules
+        self._slot_cost = {}     # wake mask as a tuple -> duty joules
+        self._leaf_packets = {}  # (sender id, parent id, slot) -> sensing Packet
+        self._broadcast_cost = tx_cost(  # a control packet at full range
+            self.params, config.traffic.control_bits, config.deployment.transmission_range
+        )
         self._initialize()
         if config.mode == "itids":  # no reconfiguration, ever
             ladder = (self._sids_stage, self._isolate_suspects, self._forward_received)
@@ -361,24 +369,32 @@ class Simulation:
         if not is_alive(head):
             return
         bits = self.config.traffic.control_bits
-        self._charge_tx(head, bits, self.graph.transmission_range)
+        consume(head, self._broadcast_cost)
         for member_id in sorted(member_ids):
             member = self.by_id[member_id]
             if is_alive(member):
                 self._charge_rx(member, bits)
-                self._charge_tx(member, bits, member.distance_to(head))
+                self._send(member, head, bits)
                 self._charge_rx(head, bits)
 
     # ------------------------------------------------------------------
     # low-level charging
 
-    def _charge_tx(self, node, bits, distance):
+    def _send(self, node, dst, bits):
+        """Charge a live `node` for `bits` sent to `dst`, priced once per link."""
         if is_alive(node):
-            consume(node, tx_cost(self.params, bits, distance))
+            key = (node.id, dst.id, bits)
+            cost = self._link_cost.get(key)
+            if cost is None:
+                cost = self._link_cost[key] = tx_cost(self.params, bits, node.distance_to(dst))
+            consume(node, cost)
 
     def _charge_rx(self, node, bits):
         if is_alive(node):
-            consume(node, rx_cost(self.params, bits))
+            cost = self._rx_cost.get(bits)
+            if cost is None:
+                cost = self._rx_cost[bits] = rx_cost(self.params, bits)
+            consume(node, cost)
 
     def _quarantined_set(self):
         return set(self.ledgers.quarantined)
@@ -442,7 +458,7 @@ class Simulation:
                 for _ in range(cfg.slots_per_round)
             ]
             wake[node.slot] = True
-            masks[node.id] = wake
+            masks[node.id] = tuple(wake)
         self._masks = masks
         self._forced = [set() for _ in range(cfg.slots_per_round)]  # woken by attack
 
@@ -493,9 +509,10 @@ class Simulation:
             if not is_alive(src):
                 continue
             dst = self.by_id[pkt.dst]
-            self._charge_tx(src, pkt.payload_size, src.distance_to(dst))
+            self._send(src, dst, pkt.payload_size)
             self._observe_tx(pkt, slot)
-            if not is_alive(dst) or src.distance_to(dst) > self.graph.transmission_range:
+            # both ends were alive at the last graph build: nodes only die
+            if not is_alive(dst) or not self.graph.has_edge(pkt.src, pkt.dst):
                 continue
             filtered = self.ledgers.is_quarantined(pkt.src)
             awake = self._is_awake(pkt.dst, slot)
@@ -517,17 +534,19 @@ class Simulation:
             if parent_id is None:
                 continue
             parent = self.by_id[parent_id]
-            pkt = Packet(
-                src=node.id,
-                dst=parent_id,
-                kind=PacketKind.SENSOR_DATA,
-                token=WakeupToken(owner=node.id, valid=True),
-                slot=slot,
-                payload_size=cfg.traffic.data_bits,
-            )
-            self._charge_tx(node, pkt.payload_size, node.distance_to(parent))
+            pkt = self._leaf_packets.get((node.id, parent_id, slot))
+            if pkt is None:  # frozen, so one instance serves every round
+                pkt = self._leaf_packets[node.id, parent_id, slot] = Packet(
+                    src=node.id,
+                    dst=parent_id,
+                    kind=PacketKind.SENSOR_DATA,
+                    token=WakeupToken(owner=node.id, valid=True),
+                    slot=slot,
+                    payload_size=cfg.traffic.data_bits,
+                )
+            self._send(node, parent, pkt.payload_size)
             self._observe_tx(pkt, slot)
-            if not is_alive(parent) or node.distance_to(parent) > self.graph.transmission_range:
+            if not is_alive(parent) or not self.graph.has_edge(node.id, parent_id):
                 continue
             if self.ledgers.is_quarantined(node.id):
                 continue  # roster is known; junk is not picked up
@@ -547,20 +566,24 @@ class Simulation:
 
     def _charge_slot_costs(self, _round):
         """Baseline duty cost by the scheduled state: a forced wake already
-        paid the listen/sleep difference at delivery time."""
-        cfg = self.config
+        paid the listen/sleep difference at delivery time. Equal masks fold
+        to equal sums, so each wake pattern is added up once."""
+        params = self.params
+        always_on_cost = params.p_listen * self.config.slots_per_round
         for node in self.nodes:
             if not is_alive(node):
                 continue
             if node.id in self.always_on:
-                consume(node, self.params.p_listen * cfg.slots_per_round)
+                consume(node, always_on_cost)
                 continue
             mask = self._masks.get(node.id)
             if mask is None:
                 continue
-            cost = _add_up(
-                self.params.p_listen if awake else self.params.p_sleep for awake in mask
-            )
+            cost = self._slot_cost.get(mask)
+            if cost is None:
+                cost = self._slot_cost[mask] = _add_up(
+                    params.p_listen if awake else params.p_sleep for awake in mask
+                )
             consume(node, cost)
 
     # ------------------------------------------------------------------
@@ -582,7 +605,7 @@ class Simulation:
             if self.graph.has_edge(watcher_id, src_id):
                 self._observation(watcher_id, src_id).tx_events.append((slot, pkt.token.valid))
                 if watcher_id != pkt.dst:
-                    consume(watcher, rx_cost(self.params, pkt.payload_size))
+                    self._charge_rx(watcher, pkt.payload_size)
 
     def _observation(self, watcher_id, subject_id) -> Observation:
         key = (watcher_id, subject_id)
@@ -659,7 +682,7 @@ class Simulation:
                     sources=tuple(sources),
                 )
                 hop = self.by_id[agg.dst]
-                self._charge_tx(sc, bits, sc.distance_to(hop))
+                self._send(sc, hop, bits)
                 if not is_alive(hop) or self.ledgers.is_quarantined(sc.id):
                     continue
                 self._charge_rx(hop, bits)
@@ -668,7 +691,7 @@ class Simulation:
                     self.ledgers.forwarding_log.append((r, hop.id, sc.id))
                     if not is_alive(cc):
                         continue
-                    self._charge_tx(hop, bits, hop.distance_to(cc))
+                    self._send(hop, cc, bits)
                     if self.ledgers.is_quarantined(hop.id):
                         continue
                     self._charge_rx(cc, bits)
@@ -810,7 +833,7 @@ class Simulation:
                 payload_size=cfg.traffic.aggregate_bits,
                 sources=tuple(sorted(set(accepted_sources))),
             )
-            self._charge_tx(cc, agg.payload_size, cc.distance_to(self.sink))
+            self._send(cc, self.sink, agg.payload_size)
             if self.ledgers.is_quarantined(cc.id) or not is_alive(self.sink):
                 continue
             self._charge_rx(self.sink, agg.payload_size)
@@ -856,7 +879,7 @@ class Simulation:
             )
             if not sources:
                 continue
-            self._charge_tx(cc, cfg.traffic.aggregate_bits, cc.distance_to(self.sink))
+            self._send(cc, self.sink, cfg.traffic.aggregate_bits)
             if is_alive(self.sink):
                 self._charge_rx(self.sink, cfg.traffic.aggregate_bits)
                 self.ledgers.sn_log.append((r, cc.id))
@@ -873,7 +896,7 @@ class Simulation:
         cc = self.by_id[cluster.coordinator]
         if not is_alive(cc):
             return
-        self._charge_tx(cc, bits, self.graph.transmission_range)
+        consume(cc, self._broadcast_cost)
         for member_id in sorted(cluster.members):
             member = self.by_id[member_id]
             if is_alive(member):
@@ -1034,7 +1057,7 @@ class Simulation:
         best.members.add(node_id)
         self.orphans.discard(node_id)
         bits = self.config.traffic.control_bits
-        self._charge_tx(node, bits, node.distance_to(self.by_id[best.coordinator]))
+        self._send(node, self.by_id[best.coordinator], bits)
         self._charge_rx(self.by_id[best.coordinator], bits)
         self._reconfigurations.append(f"node {node_id} adopted by cluster {best.id}")
         return True

@@ -81,6 +81,10 @@ class Observation:
     packets_to_watcher: int = 0
 
 
+# What a silent subject shows; shared, so read-only (a tuple, not a list).
+_NOTHING_SEEN = Observation(subject=-1, tx_events=())
+
+
 @dataclass
 class SuspectedEntry:
     node: int
@@ -160,7 +164,7 @@ def sids_check(
             continue
         subject = subjects[node_id]
         disabled = charge_detection(watcher, params)
-        observation = observations.get(node_id) or Observation(subject=node_id)
+        observation = observations.get(node_id, _NOTHING_SEEN)
         reasons = evaluate_rules(subject, observation, profile, config)
         if reasons:
             subject.trust = trust_penalize(subject.trust)

@@ -183,11 +183,19 @@ def test_bad_override_is_a_config_error(tmp_path, capsys, override, message):
     assert not (tmp_path / "o").exists()
 
 
-def test_bad_sweep_axis_and_values_are_config_errors(tmp_path):
+def test_bad_sweep_axis_and_values_are_config_errors(tmp_path, monkeypatch):
+    def no_run(config):
+        raise AssertionError("a sweep cell ran before every value was checked")
+
+    monkeypatch.setattr(cli, "run_simulation", no_run)
     cfg = write_config(tmp_path)
     assert cli.main(["sweep", cfg, "--axis", "slots", "--values", "1"]) == 2
     assert cli.main(["sweep", cfg, "--axis", "node_count", "--values", "many"]) == 2
     assert cli.main(["sweep", cfg, "--axis", "mode", "--values", "zigbee"]) == 2
+    # a value that would run, then a malformed one: nothing may run first
+    assert cli.main(["sweep", cfg, "--axis", "node_count", "--values", "40,many"]) == 2
+    assert cli.main(["sweep", cfg, "--axis", "attackers", "--values", "1,2.5"]) == 2
+    assert cli.main(["sweep", cfg, "--axis", "mode", "--values", "imids,zigbee"]) == 2
 
 
 def test_uncoverable_deployment_is_a_runtime_error(tmp_path, capsys):

@@ -9,6 +9,7 @@ import pytest
 from imids_sim import engine
 from imids_sim.config import parse_config
 from imids_sim.core import NodeClass, Role, is_alive
+from imids_sim.energy import rx_cost, tx_cost
 
 STOCK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "stock_comparison.json"
 
@@ -100,6 +101,31 @@ def test_census_charges_before_round_zero():
     trace = engine.run_simulation(scenario(rounds=1))
     assert any(spent > 0.0 for spent in trace.init_energy_spent.values())
     assert trace.init_energy_spent[0] > 0.0  # the sink advertises
+
+
+@pytest.mark.parametrize("mode", ["imids", "imids-no-sectors", "itids"])
+def test_cost_memos_equal_the_formulas_bit_for_bit(mode):
+    sim = engine.initialize(scenario(mode=mode, rounds=20, attack=ATTACK))
+    for _ in range(20):
+        sim.run_round()
+    params = sim.params
+    assert len({bits for _, _, bits in sim._link_cost}) > 1  # control and data at least
+    for (src, dst, bits), cost in sim._link_cost.items():
+        assert cost == tx_cost(params, bits, sim.by_id[src].distance_to(sim.by_id[dst]))
+    assert len(sim._rx_cost) > 1
+    for bits, cost in sim._rx_cost.items():
+        assert cost == rx_cost(params, bits)
+    assert sim._slot_cost
+    for pattern, cost in sim._slot_cost.items():
+        folded = 0
+        for awake in pattern:
+            folded += params.p_listen if awake else params.p_sleep
+        assert cost == folded
+    assert sim._broadcast_cost == tx_cost(
+        params, sim.config.traffic.control_bits, sim.graph.transmission_range
+    )
+    for (src, dst, slot), pkt in sim._leaf_packets.items():
+        assert (pkt.src, pkt.dst, pkt.slot, pkt.token.owner) == (src, dst, slot, src)
 
 
 def test_always_on_watchers_pay_to_overhear():
@@ -246,17 +272,29 @@ def test_a_round_runs_the_mode_phase_tuple_in_order(mode):
 MODE_READERS = {"__init__", "_initialize", "_build_structures", "_build_indices", "snapshot_trace"}
 
 
-def _mode_reads(node, scope="<module>"):
+# Positions never move: the round prices links through `_send`'s memo and
+# tests range through the graph, so only the memo and set-up, structure and
+# reconfiguration code measure a distance.
+GEOMETRY_READERS = {"_send", "_sector_uplink", "_reconfiguration_sweep", "_try_adopt"}
+
+
+def _readers(attr, node, scope="<module>"):
+    """Names of the functions in which `node` reads attribute `attr`."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         scope = node.name
-    if isinstance(node, ast.Attribute) and node.attr == "mode":
+    if isinstance(node, ast.Attribute) and node.attr == attr:
         yield scope
     for child in ast.iter_child_nodes(node):
-        yield from _mode_reads(child, scope)
+        yield from _readers(attr, child, scope)
 
 
 def test_only_set_up_and_structure_code_reads_the_mode():
-    readers = set(_mode_reads(ast.parse(inspect.getsource(engine))))
+    readers = set(_readers("mode", ast.parse(inspect.getsource(engine))))
     assert "__init__" in readers  # the scan does see the phase choice
     assert readers <= MODE_READERS
 
+
+def test_only_the_link_memo_and_structure_code_measure_distance():
+    readers = set(_readers("distance_to", ast.parse(inspect.getsource(engine))))
+    assert "_send" in readers  # the scan does see the memo
+    assert readers <= GEOMETRY_READERS

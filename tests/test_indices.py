@@ -173,6 +173,20 @@ def check_indices(sim):
     assert sim._coordinators == {c.coordinator for c in sim.clusters}
     for slot in range(sim.config.slots_per_round):
         assert [n.id for n in sim._slot_senders[slot]] == scan_senders(sim, slot)
+    check_range_tests(sim)
+
+
+def check_range_tests(sim):
+    """The slot loop asks the graph whether a live sender reaches its live
+    parent, or an attacker its victim. Nodes only die, so between two
+    refreshes, and in itids with no refresh at all, an edge between any two
+    live nodes must still be exactly the inclusive distance test."""
+    radius = sim.config.deployment.transmission_range
+    alive = [n for n in sim.nodes if is_alive(n)]
+    for a in alive:
+        for b in alive:
+            if a is not b:
+                assert sim.graph.has_edge(a.id, b.id) == (a.distance_to(b) <= radius)
 
 
 def check_graph(sim):
@@ -303,7 +317,7 @@ def expected_mask(sim, node):
         for _ in range(sim.config.slots_per_round)
     ]
     wake[scan_slots(sim)[node.id]] = True
-    return wake
+    return tuple(wake)
 
 
 @pytest.mark.parametrize("mode", MODES)
