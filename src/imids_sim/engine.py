@@ -134,6 +134,7 @@ class Simulation:
             self.params, config.traffic.control_bits, config.deployment.transmission_range
         )
         self._initialize()
+        self._confusion_size = None  # quarantine size the cached counts are for
         if config.mode == "itids":  # no reconfiguration, ever
             ladder = (self._sids_stage, self._isolate_suspects, self._forward_received)
         else:
@@ -404,7 +405,8 @@ class Simulation:
 
     def run_round(self) -> RoundReport:
         r = self.round
-        residual_before = {n.id: n.energy.residual_energy for n in self.nodes}
+        nodes = self.nodes
+        residual_before = [n.energy.residual_energy for n in nodes]
         suspects_before = set(self.ledgers.suspected)
         quarantined_before = set(self.ledgers.quarantined)
         self._obs = {}
@@ -416,13 +418,19 @@ class Simulation:
         for phase in self._phases:
             phase(r)
 
-        alive_count = self.alive_non_sink()
-        spent = {
-            n.id: residual_before[n.id] - n.energy.residual_energy for n in self.nodes
-        }
-        confusion = ids_mod.compute_confusion(
-            self.nodes, self._quarantined_set(), self.sink.id
-        )
+        spent = {}  # in node order, which fixes the order of the fold below
+        alive_count = 0
+        for node, before in zip(nodes, residual_before):
+            spent[node.id] = before - node.energy.residual_energy
+            if node.node_class is not NodeClass.SINK and is_alive(node):
+                alive_count += 1
+        # Quarantine only grows and `malicious` is fixed after set-up, so
+        # the confusion counts move only when the roster does.
+        quarantined = self.ledgers.quarantined
+        if len(quarantined) != self._confusion_size:
+            self._confusion = ids_mod.compute_confusion(nodes, quarantined, self.sink.id)
+            self._confusion_size = len(quarantined)
+        confusion = self._confusion
         report = RoundReport(
             round=r,
             alive_count=alive_count,
@@ -448,19 +456,19 @@ class Simulation:
         other draw."""
         cfg = self.config
         always_on = self.always_on
+        sleep_probability = cfg.sleep_probability
+        slots = range(cfg.slots_per_round)
+        stream = self.rng.substreams("sleep", r)  # derive("sleep", r, node id)
         masks = {}
         for node in self.nodes:
             if node.id in always_on or not is_alive(node):
                 continue
-            stream = self.rng.derive("sleep", r, node.id)
-            wake = [
-                stream.random() >= cfg.sleep_probability
-                for _ in range(cfg.slots_per_round)
-            ]
+            draw = stream(node.id).random
+            wake = [draw() >= sleep_probability for _ in slots]
             wake[node.slot] = True
             masks[node.id] = tuple(wake)
         self._masks = masks
-        self._forced = [set() for _ in range(cfg.slots_per_round)]  # woken by attack
+        self._forced = [set() for _ in slots]  # woken by attack
 
     def _emit_attacks(self, r: int):
         """Each live attacker's packets for the round, by slot."""
@@ -610,7 +618,7 @@ class Simulation:
     def _observation(self, watcher_id, subject_id) -> Observation:
         key = (watcher_id, subject_id)
         if key not in self._obs:
-            self._obs[key] = Observation(subject=subject_id)
+            self._obs[key] = Observation()
         return self._obs[key]
 
     def _cluster_of(self, node_id):
@@ -635,6 +643,7 @@ class Simulation:
     def _sids_stage(self, r):
         """Every watcher screens the subjects it watches."""
         cfg = self.config
+        obs = self._obs
         for watcher_id, subject_ids in self._screens:
             watcher = self.by_id[watcher_id]
             if not is_alive(watcher) or self.ledgers.is_quarantined(watcher_id):
@@ -647,7 +656,7 @@ class Simulation:
                 s: self.by_id[s] for s in subject_ids if is_alive(self.by_id[s])
             }
             observations = {  # sids_check stands in an empty one for the rest
-                s: self._obs[(watcher_id, s)] for s in subjects if (watcher_id, s) in self._obs
+                s: seen for s in subjects if (seen := obs.get((watcher_id, s))) is not None
             }
             ids_mod.sids_check(
                 watcher, subjects, observations, self.profile,

@@ -75,14 +75,13 @@ class NormalProfile:
 class Observation:
     """What a watcher saw of one subject during one round."""
 
-    subject: int
     energy_spent: float = 0.0
     tx_events: list = field(default_factory=list)  # (slot, token_valid)
     packets_to_watcher: int = 0
 
 
 # What a silent subject shows; shared, so read-only (a tuple, not a list).
-_NOTHING_SEEN = Observation(subject=-1, tx_events=())
+_NOTHING_SEEN = Observation(tx_events=())
 
 
 @dataclass
@@ -132,9 +131,16 @@ def evaluate_rules(
     reasons = []
     if observation.energy_spent > config.rate_threshold * profile.expected_energy_rate:
         reasons.append(Reason.ENERGY_RATE)
-    if any(slot != subject.slot for slot, _valid in observation.tx_events):
+    own_slot = subject.slot
+    off_slot = forged = False
+    for slot, valid in observation.tx_events:
+        if slot != own_slot:
+            off_slot = True
+        if not valid:
+            forged = True
+    if off_slot:
         reasons.append(Reason.SCHEDULE_VIOLATION)
-    if any(not valid for _slot, valid in observation.tx_events):
+    if forged:
         reasons.append(Reason.INVALID_TOKEN)
     if observation.packets_to_watcher > config.count_threshold * profile.expected_packets:
         reasons.append(Reason.PACKET_FLOOD)
@@ -159,8 +165,9 @@ def sids_check(
     """
     if not watcher.energy.detection_enabled:
         raise DisabledIds(f"node {watcher.id} cannot run checks")
+    quarantined = ledgers.quarantined
     for node_id in sorted(subjects):
-        if ledgers.is_quarantined(node_id):
+        if node_id in quarantined:
             continue
         subject = subjects[node_id]
         disabled = charge_detection(watcher, params)

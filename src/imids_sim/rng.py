@@ -28,3 +28,30 @@ class SeededRng:
 
     def derive(self, *tokens) -> random.Random:
         return random.Random(_derive_seed(self.seed, tokens))
+
+    def substreams(self, *tokens):
+        """A family of substreams sharing the leading `tokens`.
+
+        `stream(last)` gives the generator `derive(*tokens, last)` would
+        give, draw for draw. The shared part of the seed material is hashed
+        once, and every stream reseeds one `random.Random` the family owns,
+        so the returned generator is valid only until the next
+        `stream(...)` call.
+        """
+        # repr of a tuple is its items' reprs joined by ", " in parentheses
+        prefix = "(" + ", ".join(map(repr, (self.seed, *tokens))) + ", "
+        hashed = hashlib.sha256(prefix.encode("utf-8"))
+        generator = None
+
+        def stream(last) -> random.Random:
+            nonlocal generator
+            digest = hashed.copy()
+            digest.update(f"{last!r})".encode("utf-8"))
+            seed = int.from_bytes(digest.digest()[:8], "big")
+            if generator is None:  # an unseeded Random() would read OS entropy first
+                generator = random.Random(seed)
+            else:
+                generator.seed(seed)
+            return generator
+
+        return stream

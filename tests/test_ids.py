@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imids_sim.core import (
     Packet,
@@ -51,38 +53,37 @@ def _watcher(node_id=3):
 
 def test_rule_energy_rate():
     subject = _subject()
-    obs = Observation(subject=7, energy_spent=1.6e-3)  # above 1.5 * 1e-3
+    obs = Observation(energy_spent=1.6e-3)  # above 1.5 * 1e-3
     assert evaluate_rules(subject, obs, PROFILE, CFG) == (Reason.ENERGY_RATE,)
-    obs_ok = Observation(subject=7, energy_spent=1.4e-3)
+    obs_ok = Observation(energy_spent=1.4e-3)
     assert evaluate_rules(subject, obs_ok, PROFILE, CFG) == ()
 
 
 def test_rule_schedule_violation():
     subject = _subject(slot=2)
-    obs = Observation(subject=7, tx_events=[(4, True)])
+    obs = Observation(tx_events=[(4, True)])
     assert evaluate_rules(subject, obs, PROFILE, CFG) == (Reason.SCHEDULE_VIOLATION,)
-    obs_ok = Observation(subject=7, tx_events=[(2, True)])
+    obs_ok = Observation(tx_events=[(2, True)])
     assert evaluate_rules(subject, obs_ok, PROFILE, CFG) == ()
 
 
 def test_rule_invalid_token():
     subject = _subject(slot=2)
-    obs = Observation(subject=7, tx_events=[(2, False)])
+    obs = Observation(tx_events=[(2, False)])
     assert evaluate_rules(subject, obs, PROFILE, CFG) == (Reason.INVALID_TOKEN,)
 
 
 def test_rule_packet_flood():
     subject = _subject()
-    obs = Observation(subject=7, packets_to_watcher=3)  # above 2.0 * 1.0
+    obs = Observation(packets_to_watcher=3)  # above 2.0 * 1.0
     assert evaluate_rules(subject, obs, PROFILE, CFG) == (Reason.PACKET_FLOOD,)
-    obs_ok = Observation(subject=7, packets_to_watcher=2)
+    obs_ok = Observation(packets_to_watcher=2)
     assert evaluate_rules(subject, obs_ok, PROFILE, CFG) == ()
 
 
 def test_all_rules_fire_together():
     subject = _subject(slot=2)
     obs = Observation(
-        subject=7,
         energy_spent=5e-3,
         tx_events=[(1, False), (3, False)],
         packets_to_watcher=9,
@@ -95,6 +96,38 @@ def test_all_rules_fire_together():
     }
 
 
+def two_pass_rules(subject, observation, profile, config):
+    """`evaluate_rules` as it was with one `any()` pass per token rule."""
+    reasons = []
+    if observation.energy_spent > config.rate_threshold * profile.expected_energy_rate:
+        reasons.append(Reason.ENERGY_RATE)
+    if any(slot != subject.slot for slot, _valid in observation.tx_events):
+        reasons.append(Reason.SCHEDULE_VIOLATION)
+    if any(not valid for _slot, valid in observation.tx_events):
+        reasons.append(Reason.INVALID_TOKEN)
+    if observation.packets_to_watcher > config.count_threshold * profile.expected_packets:
+        reasons.append(Reason.PACKET_FLOOD)
+    return tuple(reasons)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    own_slot=st.integers(0, 2),  # a narrow slot range, so events often match it
+    tx_events=st.lists(st.tuples(st.integers(0, 2), st.booleans()), max_size=6),
+    energy_spent=st.floats(0.0, 4e-3),  # straddles the 1.5e-3 rate limit
+    packets=st.integers(0, 5),           # straddles the 2-packet flood limit
+)
+def test_rules_in_one_pass_equal_the_two_pass_reference(
+    own_slot, tx_events, energy_spent, packets
+):
+    subject = _subject(slot=own_slot)
+    for events in (tx_events, tuple(tx_events)):
+        obs = Observation(energy_spent=energy_spent, tx_events=events, packets_to_watcher=packets)
+        assert evaluate_rules(subject, obs, PROFILE, CFG) == two_pass_rules(
+            subject, obs, PROFILE, CFG
+        )
+
+
 # --- screening pass --------------------------------------------------------
 
 
@@ -102,7 +135,7 @@ def test_sids_strikes_and_trust_penalty():
     watcher = _watcher()
     subject = _subject()
     ledgers = Ledgers()
-    obs = {7: Observation(subject=7, packets_to_watcher=5)}
+    obs = {7: Observation(packets_to_watcher=5)}
     sids_check(watcher, {7: subject}, obs, PROFILE, CFG, P, ledgers, current_round=4)
     assert 7 in ledgers.suspected
     assert subject.trust.nibble == 14
@@ -126,7 +159,7 @@ def test_sids_skips_quarantined_and_charges_watcher():
     ledgers = Ledgers()
     quarantine(ledgers, 7, 0)
     before = watcher.energy.residual_energy
-    flood = {7: Observation(subject=7, packets_to_watcher=5)}  # would strike if checked
+    flood = {7: Observation(packets_to_watcher=5)}  # would strike if checked
     sids_check(watcher, {7: subject}, flood, PROFILE, CFG, P, ledgers, 1)
     assert 7 not in ledgers.suspected
     assert watcher.energy.residual_energy == before  # nothing checked

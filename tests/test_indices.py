@@ -15,6 +15,7 @@ over the alive nodes whenever the sweep has refreshed it.
 import pytest
 
 from imids_sim import engine
+from imids_sim import ids
 from imids_sim import topology as topo
 from imids_sim.config import parse_config
 from imids_sim.core import NodeClass, Role, is_alive
@@ -22,7 +23,7 @@ from imids_sim.core import NodeClass, Role, is_alive
 MODES = ("imids", "imids-no-sectors", "itids")
 
 
-def arena(seed, mode):
+def arena(seed, mode, false_strikes=()):
     # frail batteries and early flooders: deaths and quarantines within a
     # few rounds, and a reconfiguration sweep in almost every round
     raw = {
@@ -44,6 +45,7 @@ def arena(seed, mode):
             "flood_packets_per_slot": 2,
             "start_round": 0,
         },
+        "detection": {"injected_false_strikes": [list(s) for s in false_strikes]},
     }
     return parse_config(raw)
 
@@ -257,6 +259,33 @@ def test_indices_match_scans_through_deaths_and_quarantines(mode):
     if mode != "itids":  # the baseline never sweeps
         assert quarantines > 0
         assert skipped > 0  # the skip path itself was exercised
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_round_report_equals_fresh_counts(mode):
+    """The report takes spend and the alive count in one walk and keeps
+    the confusion counts until the quarantine roster grows; after every
+    round both must equal a fresh count. The baseline isolates nothing in
+    this arena on its own, so injected strikes grow the roster mid-run."""
+    deaths = regrown = 0
+    for seed in range(6):
+        sim = engine.initialize(arena(seed, mode, ((5, 3), (9, 7), (14, 12), (20, 18))))
+        alive_start = sim.alive_non_sink()
+        for _ in range(sim.config.rounds):
+            if sim.alive_non_sink() == 0:
+                break
+            quarantined_before = len(sim.ledgers.quarantined)
+            report = sim.run_round()
+            assert report.alive_count == sim.alive_non_sink()
+            fresh = ids.compute_confusion(sim.nodes, set(sim.ledgers.quarantined), sim.sink.id)
+            assert (report.tp, report.fp, report.tn, report.fn) == (
+                fresh.tp, fresh.fp, fresh.tn, fresh.fn
+            )
+            if report.round > 0 and len(sim.ledgers.quarantined) > quarantined_before:
+                regrown += 1
+        deaths += alive_start - sim.alive_non_sink()
+    assert deaths > 0
+    assert regrown > 0  # the counts had to be refreshed after the first round
 
 
 @pytest.mark.parametrize("mode", ("imids", "imids-no-sectors"))
