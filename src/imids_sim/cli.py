@@ -134,11 +134,14 @@ def _compare_csv(traces) -> str:
 
 def cmd_compare(args) -> int:
     raw = load_raw(args.config)
-    traces = {}
+    configs = {}
     for mode in ("imids", "itids"):
         arm_raw = copy.deepcopy(raw)
         arm_raw["mode"] = mode
-        traces[mode] = run_simulation(parse_config(arm_raw))
+        configs[mode] = parse_config(arm_raw)
+    if configs["imids"].rounds == 0:  # the charts need at least one point
+        raise ConfigError("compare needs at least one round")
+    traces = {mode: run_simulation(config) for mode, config in configs.items()}
 
     imids, itids = traces["imids"], traces["itids"]
     spr = imids.config.get("seconds_per_round", 1.0)

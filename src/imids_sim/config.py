@@ -133,6 +133,13 @@ class ScenarioConfig:
                 raise ConfigError(f"unknown attacker ids: {sorted(unknown)}")
             if SINK_ID in chosen:
                 raise ConfigError("the sink cannot be an attacker")
+        for node_id, at_round in self.detection.injected_false_strikes:
+            if not 0 <= node_id < self.deployment.node_count:
+                raise ConfigError(f"injected strike names unknown node {node_id}")
+            if node_id == SINK_ID:
+                raise ConfigError("an injected strike cannot name the sink")
+            if at_round < 0:
+                raise ConfigError(f"injected strike on node {node_id} at negative round {at_round}")
 
 
 _SECTION_TYPES = {

@@ -15,9 +15,9 @@ budget, or a coordinator falling behind its peers) closes the round.
 The baseline mode ends the round with static low-energy monitors and
 single-strike isolation instead; the no-sector mode keeps cluster
 coordinators as the only detection layer. A mode is decided once: at
-set-up `__init__` builds the phase tuple, and `_build_indices` derives
-the mode's watch relation (who screens whom) with the other indices.
-`run_round` itself never asks which mode it runs.
+set-up `__init__` builds the phase tuple and picks the mode's watch
+relation (who screens whom inside a cluster). `run_round` itself never
+asks which mode it runs.
 
 Everything random is drawn from substreams derived from the scenario
 seed and keyed by concern, round, and node id, so a (config, seed) pair
@@ -27,7 +27,9 @@ traffic line up exactly across modes.
 The cluster/sector structure changes only through `_build_structures`,
 which also rebuilds the lookup indices the round loop relies on (who
 belongs to which cluster, who watches whom, who sends in which slot).
-Code that edits the structure must end in a call to it.
+Code that edits the structure must end in a call to it, naming the
+clusters it touched: each cluster's share of the indices is kept as a
+`_Fragment` and only the touched ones are derived again.
 """
 
 from __future__ import annotations
@@ -62,6 +64,25 @@ def _add_up(values):
     for value in values:
         total += value
     return total
+
+
+@dataclass(frozen=True)
+class _Fragment:
+    """What the round reads of one cluster, derived from that cluster alone
+    (slot numbering restarts at each cluster): TDMA slots, uplinks, the
+    always-on ids, node->cluster for the roster, and the watch relation as
+    (watcher, sorted subjects) passes and keyed by subject."""
+
+    slots: dict
+    parent: dict
+    always_on: set
+    cluster_of: dict
+    screens: list
+    watchers: dict
+
+    def names(self) -> set:
+        """Every node the fragment gives a slot or keeps awake."""
+        return self.slots.keys() | self.always_on
 
 
 @dataclass
@@ -133,6 +154,11 @@ class Simulation:
         self._broadcast_cost = tx_cost(  # a control packet at full range
             self.params, config.traffic.control_bits, config.deployment.transmission_range
         )
+        self._cluster_screens = {  # who screens whom inside one cluster
+            "imids": self._sector_screens,
+            "imids-no-sectors": self._member_screens,
+            "itids": self._monitor_screens,
+        }[config.mode]
         self._initialize()
         self._confusion_size = None  # quarantine size the cached counts are for
         if config.mode == "itids":  # no reconfiguration, ever
@@ -181,7 +207,22 @@ class Simulation:
         )
         self.orphans = set()
         self.monitors = {}  # cluster id -> monitor ids, baseline mode only
-        self._build_structures(initial=True)
+        if cfg.mode == "itids":  # chosen once: the baseline never re-elects
+            for cluster in self.clusters:
+                self.monitors[cluster.id] = itids_mod.select_monitors(
+                    cluster, self.by_id, cfg.itids.monitor_fraction
+                )
+        self._followers = [n for n in self.nodes if n.node_class is NodeClass.FOLLOWER]
+        self._fragments = {}  # cluster id -> _Fragment
+        self._quarantine_seen = 0  # roster size the rosters were last cleaned for
+        self._build_structures(self.clusters, unplaced=self.nodes)
+        # Every role taken above came with its reserve. The sink keeps the
+        # role it was deployed with, and a baseline monitor carries the
+        # screening-level reserve whatever its role, so both get theirs here.
+        assign_detection_budget(self.sink, Role.SN)
+        for monitor_ids in self.monitors.values():
+            for monitor_id in monitor_ids:
+                assign_detection_budget(self.by_id[monitor_id], Role.SC)
         self._charge_formation(self.clusters)
 
         # One shared allowance, fixed for the run: a transmit at full range
@@ -210,21 +251,25 @@ class Simulation:
             self.graph = topo.build_graph(self.nodes, self.config.deployment.transmission_range)
             self._graph_alive = alive
 
-    def _build_structures(self, rebuild=None, initial=False):
-        """(Re)derive sectors, monitors, roles and budgets, then everything
-        the round loop reads in one walk (`_build_indices`): TDMA slots,
-        uplinks, the always-on set and the lookup indices.
+    def _build_structures(self, rebuild, dirty=(), unplaced=()):
+        """Re-form the sectors and monitors of the `rebuild` clusters, then
+        re-derive everything the round reads of each cluster named in
+        `dirty` (rebuilt, roster cleaned, adopting, or dissolved) and of
+        any cluster without a fragment yet.
 
-        `rebuild` limits sector re-formation to the named clusters so an
-        untouched cluster keeps its coordinators and their running
-        detection budgets; roles and the walk's output are pure functions
-        of the structure and are recomputed globally.
+        A dirty cluster's old fragment is dropped; a dissolved one gets no
+        new fragment. Roles and slots are re-derived for every node the
+        dropped and the new fragments name, plus `unplaced` (every node at
+        set-up), so a node that left a roster falls back to its default
+        role and to slot `id % slots`. A node whose role moved gets a
+        fresh detection reserve; one that kept its role keeps what is left
+        of its running budget. An untouched cluster keeps its fragment,
+        its coordinators and their budgets.
         """
         cfg = self.config
-        quarantined = self._quarantined_set()
-        targets = self.clusters if rebuild is None else rebuild
         if cfg.mode == "imids":
-            for cluster in targets:
+            quarantined = self._quarantined_set()
+            for cluster in rebuild:
                 cluster.sectors = topo.form_sectors(cluster, self.by_id, self.graph, quarantined)
                 if not cluster.sectors:
                     continue
@@ -242,108 +287,115 @@ class Simulation:
                         sector.monitors = ()
                     sector.fsh = fsh
         else:
-            for cluster in targets:
+            for cluster in rebuild:
                 cluster.sectors = []
-        roles_before = {n.id: n.role for n in self.nodes}
-        topo.assign_roles(self.nodes, self.clusters)
-        if cfg.mode == "itids" and initial:
-            for cluster in self.clusters:
-                self.monitors[cluster.id] = itids_mod.select_monitors(
-                    cluster, self.by_id, cfg.itids.monitor_fraction
-                )
-        self._assign_budgets(roles_before, initial)
-        self._build_indices()
+        fragments = self._fragments
+        named = {n.id for n in unplaced}
+        for cluster_id in dirty:
+            named |= fragments.pop(cluster_id).names()
+        derived = [c for c in self.clusters if c.id not in fragments]
+        for cluster in derived:
+            fragments[cluster.id] = fresh = self._derive_fragment(cluster)
+            named |= fresh.names()
+        slot_of = self._compose_fragments()
 
-    def _assign_budgets(self, roles_before, initial):
-        """A fresh appointment brings a fresh reserve; a node that keeps its
-        role keeps whatever is left of its running budget. Baseline monitors
-        carry the screening-level reserve."""
-        monitor_ids = set().union(*self.monitors.values())
-        for node in self.nodes:
-            if not is_alive(node):
-                continue
-            if initial or node.role is not roles_before.get(node.id):
-                assign_detection_budget(node, Role.SC if node.id in monitor_ids else node.role)
-
-    def _build_indices(self):
-        """Everything the round loop reads of the structure, in one walk over
-        the clusters (ascending id) and one over the nodes, so no packet or
-        slot scans the clusters or the node list.
-
-        A cluster numbers TDMA slots modulo `slots_per_round`: its sector
-        nodes first, sector by sector with ids ascending, then its other
-        nodes by id; a node outside every cluster owns `id % slots`. The
-        same walk fills `parent`, `always_on`, node->cluster and the watch
-        relation.
-
-        The watch relation is where the defense modes differ. `_screens`
-        holds the (watcher, sorted subjects) screening passes in cluster-id
-        order: sector coordinator over its leaves, coordinator over its
-        members without sectors, and in the baseline every monitor over the
-        cluster nodes it can hear (its graph is never refreshed).
-        `_watchers` is the same relation keyed by subject."""
-        mode = self.config.mode
-        slots = self.config.slots_per_round
-        slot_of = {}
-        parent = {}
-        always_on = {self.sink.id}
-        cluster_of = {}
-        screens = []
-        for cluster in self.clusters:
-            cc = cluster.coordinator
-            always_on.add(cc)
-            parent[cc] = self.sink.id
-            index = 0
-            for sector in cluster.sectors:
-                for node_id in sorted(sector.node_ids()):
-                    slot_of[node_id] = index % slots
-                    index += 1
-                always_on.add(sector.coordinator)
-                always_on.update(sector.monitors)
-                if sector.fsh is not None:
-                    always_on.add(sector.fsh)
-                parent[sector.coordinator] = self._sector_uplink(sector, cc)
-                for leaf in sector.leaves:
-                    parent[leaf] = sector.coordinator
-            # node->cluster follows the roster: a quarantined sector
-            # coordinator may still sit in its sector after leaving it
-            for node_id in sorted(cluster.node_ids()):
-                parent.setdefault(node_id, cc)
-                cluster_of.setdefault(node_id, cluster)
-                if node_id not in slot_of:
-                    slot_of[node_id] = index % slots
-                    index += 1
-            if mode == "imids":
-                screens.extend((s.coordinator, sorted(s.leaves)) for s in cluster.sectors)
-            elif mode == "imids-no-sectors":
-                screens.append((cc, sorted(cluster.members)))
-            else:
-                for monitor_id in self.monitors.get(cluster.id, ()):
-                    always_on.add(monitor_id)
-                    heard = cluster.node_ids() - {monitor_id}
-                    screens.append((
-                        monitor_id,
-                        sorted(m for m in heard if self.graph.has_edge(monitor_id, m)),
-                    ))
-        watchers = {}
-        for watcher_id, subject_ids in screens:
-            for subject_id in subject_ids:
-                watchers[subject_id] = (*watchers.get(subject_id, ()), watcher_id)
+        nodes = [self.by_id[node_id] for node_id in named]
+        roles_before = [node.role for node in nodes]
+        topo.assign_roles(nodes, derived)
+        slots = cfg.slots_per_round
+        for node, role in zip(nodes, roles_before):
+            if node.id != self.sink.id:
+                node.slot = slot_of.get(node.id, node.id % slots)
+            if node.role is not role and is_alive(node):
+                assign_detection_budget(node, node.role)
         # id order: it decides which packet is lost when a parent dies mid-slot
         senders = [[] for _ in range(slots)]
-        for node in self.nodes:
-            if node.node_class is not NodeClass.SINK:
-                node.slot = slot_of.get(node.id, node.id % slots)
-            # leaves transmit in their own slot; liveness is checked per packet
-            if node.node_class is NodeClass.FOLLOWER and node.role is Role.LN:
+        leaf = Role.LN  # a local: enum member lookups are slow
+        for node in self._followers:
+            if node.role is leaf:  # leaves send; liveness is checked per packet
                 senders[node.slot].append(node)
+        self._slot_senders = senders
+
+    def _derive_fragment(self, cluster) -> _Fragment:
+        """The cluster's TDMA slots modulo `slots_per_round`: its sector
+        nodes first, sector by sector with ids ascending, then its other
+        nodes by id. The same walk fills the uplinks, the always-on ids
+        (coordinators, sector coordinators, monitors, forwarding heads and
+        every watcher) and node->cluster; the mode's `_cluster_screens`
+        gives the watch relation."""
+        slots = self.config.slots_per_round
+        cc = cluster.coordinator
+        slot_of = {}
+        parent = {cc: self.sink.id}
+        always_on = {cc}
+        index = 0
+        for sector in cluster.sectors:
+            for node_id in sorted(sector.node_ids()):
+                slot_of[node_id] = index % slots
+                index += 1
+            always_on.add(sector.coordinator)
+            always_on.update(sector.monitors)
+            if sector.fsh is not None:
+                always_on.add(sector.fsh)
+            parent[sector.coordinator] = self._sector_uplink(sector, cc)
+            for leaf in sector.leaves:
+                parent[leaf] = sector.coordinator
+        # node->cluster follows the roster: a quarantined sector
+        # coordinator may still sit in its sector after leaving it
+        roster = sorted(cluster.node_ids())
+        for node_id in roster:
+            parent.setdefault(node_id, cc)
+            if node_id not in slot_of:
+                slot_of[node_id] = index % slots
+                index += 1
+        screens = self._cluster_screens(cluster)
+        watchers = {}
+        for watcher_id, subject_ids in screens:
+            always_on.add(watcher_id)
+            for subject_id in subject_ids:
+                watchers[subject_id] = (*watchers.get(subject_id, ()), watcher_id)
+        return _Fragment(
+            slot_of, parent, always_on, dict.fromkeys(roster, cluster), screens, watchers
+        )
+
+    def _sector_screens(self, cluster) -> list:
+        """imids: each sector coordinator screens its leaves."""
+        return [(s.coordinator, sorted(s.leaves)) for s in cluster.sectors]
+
+    def _member_screens(self, cluster) -> list:
+        """No sectors: the coordinator screens its members."""
+        return [(cluster.coordinator, sorted(cluster.members))]
+
+    def _monitor_screens(self, cluster) -> list:
+        """Baseline: every monitor screens the cluster nodes it can hear
+        (its graph is never refreshed)."""
+        roster = cluster.node_ids()
+        return [
+            (m, sorted(n for n in roster - {m} if self.graph.has_edge(m, n)))
+            for m in self.monitors.get(cluster.id, ())
+        ]
+
+    def _compose_fragments(self) -> dict:
+        """Lay the fragments over each other in cluster-id order into the
+        maps the round reads, and return the node->slot map. Rosters are
+        disjoint; where two fragments name one node anyway, the earlier
+        cluster wins, as one walk with `setdefault` would have it."""
+        ordered = [self._fragments[c.id] for c in self.clusters]
+        slot_of, parent, cluster_of, watchers = {}, {}, {}, {}
+        always_on = {self.sink.id}
+        for fragment in reversed(ordered):
+            slot_of.update(fragment.slots)
+            parent.update(fragment.parent)
+            cluster_of.update(fragment.cluster_of)
+            watchers.update(fragment.watchers)
+            always_on |= fragment.always_on
         self.parent = parent
         self.always_on = always_on
         self._cluster_index = cluster_of
-        self._screens = screens
+        self._screens = [screen for fragment in ordered for screen in fragment.screens]
         self._watchers = watchers
         self._coordinators = {c.coordinator for c in self.clusters}
-        self._slot_senders = senders
+        return slot_of
 
     def _sector_uplink(self, sector, cc_id: int) -> int:
         """Aggregates ride through the forwarding head when it is reachable."""
@@ -920,7 +972,7 @@ class Simulation:
         node = self.by_id[node_id]
         return (
             not is_alive(node)
-            or self.ledgers.is_quarantined(node_id)
+            or node_id in self.ledgers.quarantined
             or not node.energy.detection_enabled
         )
 
@@ -928,64 +980,73 @@ class Simulation:
         """Decide whether the cluster must rebuild and whether that includes
         replacing the coordinator. Rotation maintains the defining
         invariants within a hysteresis band: the coordinator holds the
-        best capacity, a sector coordinator the best residual energy."""
+        best capacity, a sector coordinator the best residual energy.
+
+        Capacity and charge are never negative, so a best of 0.0 stands in
+        for an empty pool: nothing is below it. A dead leaf's charge is 0.0,
+        so it never raises the bar either."""
         cfg = self.config
-        cc = self.by_id[cluster.coordinator]
-        if self._role_failed(cluster.coordinator):
+        by_id = self.by_id
+        quarantined = self.ledgers.quarantined
+        hysteresis = cfg.rotation_hysteresis
+        role_failed = self._role_failed
+        if role_failed(cluster.coordinator):
             return True, True, f"cluster {cluster.id}: coordinator {cluster.coordinator} failed"
-        eligible = [
-            self.by_id[m]
-            for m in cluster.node_ids()
-            if self.by_id[m].node_class is NodeClass.LEADER
-            and is_alive(self.by_id[m])
-            and not self.ledgers.is_quarantined(m)
-            and self.by_id[m].trust.nibble >= cfg.detection.reputation_min
-        ]
-        if eligible:
-            best = max(topo.capacity(n, self.graph) for n in eligible)
-            if topo.capacity(cc, self.graph) < cfg.rotation_hysteresis * best:
-                return True, True, f"cluster {cluster.id}: coordinator rotation"
+        reputation_min = cfg.detection.reputation_min
+        graph = self.graph
+        leader = NodeClass.LEADER  # a local: enum member lookups are slow
+        best = 0.0
+        for node in map(by_id.__getitem__, (cluster.coordinator, *cluster.members)):
+            if (
+                node.node_class is leader
+                and is_alive(node)
+                and node.id not in quarantined
+                and node.trust.nibble >= reputation_min
+            ):
+                capacity = topo.capacity(node, graph)
+                if capacity > best:
+                    best = capacity
+        if topo.capacity(by_id[cluster.coordinator], graph) < hysteresis * best:
+            return True, True, f"cluster {cluster.id}: coordinator rotation"
         for sector in cluster.sectors:
-            if self._role_failed(sector.coordinator):
+            if role_failed(sector.coordinator):
                 return True, False, (
                     f"cluster {cluster.id}: sector coordinator {sector.coordinator} failed"
                 )
-            if sector.fsh is not None:
-                fsh = self.by_id[sector.fsh]
-                if not is_alive(fsh) or self.ledgers.is_quarantined(sector.fsh):
-                    return True, False, (
-                        f"cluster {cluster.id}: forwarding head {sector.fsh} failed"
-                    )
-            if sector.monitors and all(self._role_failed(m) for m in sector.monitors):
+            fsh = sector.fsh
+            if fsh is not None and (not is_alive(by_id[fsh]) or fsh in quarantined):
+                return True, False, f"cluster {cluster.id}: forwarding head {fsh} failed"
+            if sector.monitors and all(map(role_failed, sector.monitors)):
                 return True, False, (
                     f"cluster {cluster.id}: monitors of sector {sector.coordinator} failed"
                 )
-            sc = self.by_id[sector.coordinator]
-            peers = [
-                self.by_id[leaf]
-                for leaf in sector.leaves
-                if is_alive(self.by_id[leaf]) and not self.ledgers.is_quarantined(leaf)
-            ]
-            if peers:
-                best = max(p.energy.residual_energy for p in peers)
-                if sc.energy.residual_energy < cfg.rotation_hysteresis * best:
-                    return True, False, (
-                        f"cluster {cluster.id}: sector rotation at {sector.coordinator}"
-                    )
+            best = 0.0
+            for leaf_id in sector.leaves:
+                charge = by_id[leaf_id].energy.residual_energy
+                if charge > best and leaf_id not in quarantined:
+                    best = charge
+            if by_id[sector.coordinator].energy.residual_energy < hysteresis * best:
+                return True, False, (
+                    f"cluster {cluster.id}: sector rotation at {sector.coordinator}"
+                )
         return False, False, ""
 
     def _reconfiguration_sweep(self, _round):
         cfg = self.config
         events = self._reconfigurations
         self._refresh_graph()
-        quarantined = self._quarantined_set()
-        changed = False  # does the structure need re-deriving this round?
-        for cluster in self.clusters:
-            # isolated nodes leave the roster
-            for roster in (cluster.members, *(s.leaves for s in cluster.sectors)):
-                if not roster.isdisjoint(quarantined):
-                    roster.difference_update(quarantined)
-                    changed = True
+        quarantined = self.ledgers.quarantined
+        dirty = set()  # ids of the clusters whose fragment went stale
+        if len(quarantined) != self._quarantine_seen:
+            # Isolated nodes leave the roster. Quarantine only grows and no
+            # roster takes a quarantined node back, so only a sweep after a
+            # new quarantine can find one.
+            self._quarantine_seen = len(quarantined)
+            for cluster in self.clusters:
+                for roster in (cluster.members, *(s.leaves for s in cluster.sectors)):
+                    if not roster.isdisjoint(quarantined):
+                        roster.difference_update(quarantined)
+                        dirty.add(cluster.id)
         surviving = []
         rebuilt = []
         stranded = []
@@ -995,6 +1056,7 @@ class Simulation:
                 surviving.append(cluster)
                 continue
             events.append(reason)
+            dirty.add(cluster.id)
             pool = {
                 m for m in cluster.node_ids()
                 if is_alive(self.by_id[m]) and m not in quarantined
@@ -1010,7 +1072,6 @@ class Simulation:
                 if not eligible:
                     events.append(f"cluster {cluster.id}: dissolved, no leader left")
                     stranded.extend(sorted(pool))
-                    changed = True
                     continue
                 new_cc = min(
                     eligible,
@@ -1037,20 +1098,21 @@ class Simulation:
             rebuilt.append(cluster)
         self.clusters = surviving
         for node_id in sorted(set(stranded) | self.orphans):
-            if self._try_adopt(node_id):
-                changed = True
-        if changed or rebuilt:
-            self._build_structures(rebuild=rebuilt)
+            adopter = self._try_adopt(node_id)
+            if adopter is not None:
+                dirty.add(adopter.id)
+        if dirty:
+            self._build_structures(rebuilt, dirty)
         if rebuilt:
             self._charge_formation(rebuilt)
 
-    def _try_adopt(self, node_id) -> bool:
+    def _try_adopt(self, node_id) -> topo.Cluster | None:
         """Attach a stranded node to the nearest coordinator in range;
-        True if some cluster took it."""
+        returns the cluster that took it, or None."""
         node = self.by_id.get(node_id)
         if node is None or not is_alive(node) or self.ledgers.is_quarantined(node_id):
             self.orphans.discard(node_id)
-            return False
+            return None
         candidates = [
             c for c in self.clusters
             if is_alive(self.by_id[c.coordinator])
@@ -1058,7 +1120,7 @@ class Simulation:
         ]
         if not candidates:
             self.orphans.add(node_id)
-            return False
+            return None
         best = min(
             candidates,
             key=lambda c: (node.distance_to(self.by_id[c.coordinator]), c.coordinator),
@@ -1069,7 +1131,7 @@ class Simulation:
         self._send(node, self.by_id[best.coordinator], bits)
         self._charge_rx(self.by_id[best.coordinator], bits)
         self._reconfigurations.append(f"node {node_id} adopted by cluster {best.id}")
-        return True
+        return best
 
     # ------------------------------------------------------------------
 

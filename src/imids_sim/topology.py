@@ -41,13 +41,15 @@ class MonitorUnavailable(Exception):
 class TransmissionGraph:
     """Sorted neighbour lists (BFS and attack-victim order depend on the
     order) plus a neighbour set per node for constant-time edge tests.
-    The graph is immutable once built."""
+    The graph is immutable once built, so what it memoises (each node's
+    `capacity` factor) is discarded with it."""
 
     transmission_range: float
     adjacency: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self._neighbor_sets = {a: set(ids) for a, ids in self.adjacency.items()}
+        self._capacity_factors = {}  # node id -> degree / initial energy
 
     def neighbors(self, node_id: int) -> list:
         return self.adjacency.get(node_id, [])
@@ -174,10 +176,18 @@ def classify_nodes(nodes, leader_energy_threshold: float) -> None:
 
 
 def capacity(node: SensorNode, graph: TransmissionGraph) -> float:
-    """Coordination capacity: connectivity weighted by remaining charge."""
+    """Coordination capacity: connectivity weighted by remaining charge.
+    Only the residual charge moves between graph builds, so the graph keeps
+    each node's `degree / initial_energy` and the product is taken in the
+    same order as the full formula."""
     if node.energy.initial_energy <= 0:
         return 0.0
-    return graph.degree(node.id) / node.energy.initial_energy * node.energy.residual_energy
+    factor = graph._capacity_factors.get(node.id)
+    if factor is None:
+        factor = graph._capacity_factors[node.id] = (
+            graph.degree(node.id) / node.energy.initial_energy
+        )
+    return factor * node.energy.residual_energy
 
 
 def _cc_eligible(node, quarantined, reputation_min) -> bool:

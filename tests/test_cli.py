@@ -82,6 +82,18 @@ def test_run_overrides_apply(tmp_path):
 # --- compare -------------------------------------------------------------------
 
 
+def test_compare_with_zero_rounds_is_a_config_error(tmp_path, capsys, monkeypatch):
+    def no_run(config):
+        raise AssertionError("compare simulated a run it cannot chart")
+
+    monkeypatch.setattr(cli, "run_simulation", no_run)
+    cfg = write_config(tmp_path, rounds=0)
+    out = tmp_path / "cmp"
+    assert cli.main(["compare", cfg, "--out", str(out)]) == 2
+    assert "compare needs at least one round" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_emits_csv_charts_and_dominance(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "cmp"
@@ -168,6 +180,12 @@ STOCK = os.path.join(os.path.dirname(__file__), "..", "configs", "stock_comparis
                  id="unknown-attacker-id"),
     pytest.param("detection.injected_false_strikes=[[1]]", "injected_false_strikes",
                  id="malformed-injected-strike"),
+    pytest.param("detection.injected_false_strikes=[[5000,1]]",
+                 "injected strike names unknown node 5000", id="unknown-injected-strike"),
+    pytest.param("detection.injected_false_strikes=[[0,1]]",
+                 "injected strike cannot name the sink", id="injected-strike-on-sink"),
+    pytest.param("detection.injected_false_strikes=[[5,-1]]",
+                 "at negative round -1", id="injected-strike-negative-round"),
     pytest.param("rounds=1.5", "rounds must be an integer", id="fractional-int"),
     pytest.param('traffic.data_bits="10"', "traffic.data_bits must be an integer",
                  id="string-int"),

@@ -269,7 +269,7 @@ def test_a_round_runs_the_mode_phase_tuple_in_order(mode):
 
 # Set-up and structure code may branch on the defense mode; the round loop
 # runs whatever phase tuple and watch relation those left behind.
-MODE_READERS = {"__init__", "_initialize", "_build_structures", "_build_indices", "snapshot_trace"}
+MODE_READERS = {"__init__", "_initialize", "_build_structures", "snapshot_trace"}
 
 
 # Positions never move: the round prices links through `_send`'s memo and

@@ -1,16 +1,22 @@
 """The engine's derived structure against brute-force scans of the structure.
 
-`_build_structures` derives, in one walk, each node's TDMA slot, the
-uplinks (`parent`), the always-on set, node->cluster, the watch relation
-(screening passes and subject->watchers), the coordinator set, and
-slot->senders once per structure change, and the reconfiguration sweep
-skips the global re-derivation when nothing changed. After every round all
-of it must equal a scan of `clusters`/`sectors`/`monitors`/`nodes` made
-pass by pass, the watch relation the way each mode defines who watches
-whom, and forcing the skipped re-derivation must change nothing. The range
-graph, rebuilt only when the alive count moved, must equal a fresh build
-over the alive nodes whenever the sweep has refreshed it.
+`_build_structures` derives each node's TDMA slot, the uplinks (`parent`),
+the always-on set, node->cluster, the watch relation (screening passes and
+subject->watchers), the coordinator set, and slot->senders once per
+structure change, from one fragment per cluster, and re-derives only the
+fragments of the clusters a sweep touched. After every round all of it
+must equal a scan of `clusters`/`sectors`/`monitors`/`nodes` made pass by
+pass, the watch relation the way each mode defines who watches whom, and a
+derivation from scratch, every fragment dropped, must change nothing: no
+role, slot, index or detection budget. The range graph, rebuilt only when
+the alive count moved, must equal a fresh build over the alive nodes
+whenever the sweep has refreshed it, and the capacity the graph memoises
+must equal the formula on it.
 """
+
+import json
+import math
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +27,7 @@ from imids_sim.config import parse_config
 from imids_sim.core import NodeClass, Role, is_alive
 
 MODES = ("imids", "imids-no-sectors", "itids")
+STOCK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "stock_comparison.json"
 
 
 def arena(seed, mode, false_strikes=()):
@@ -86,9 +93,8 @@ def scan_screens(sim):
             watchers.append(cluster.coordinator)
         else:
             watchers += sim.monitors.get(cluster.id, ())
-    return [
-        (w, [n.id for n in sim.nodes if w in scan_watchers(sim, n.id)]) for w in watchers
-    ]
+    watched_by = {n.id: scan_watchers(sim, n.id) for n in sim.nodes}
+    return [(w, [n.id for n in sim.nodes if w in watched_by[n.id]]) for w in watchers]
 
 
 def scan_slots(sim):
@@ -192,22 +198,44 @@ def check_range_tests(sim):
 
 
 def check_graph(sim):
+    """The graph against a fresh build, and the capacity factor it memoises
+    against the formula on this graph, bit for bit."""
     fresh = topo.build_graph(sim.nodes, sim.config.deployment.transmission_range)
     assert sim.graph.adjacency == fresh.adjacency
+    for node in sim.nodes:
+        energy = node.energy
+        assert topo.capacity(node, sim.graph) == (
+            sim.graph.degree(node.id) / energy.initial_energy * energy.residual_energy
+        )
 
 
 def derived_state(sim):
     return (
+        sorted(sim._fragments),
         {n.id: n.role for n in sim.nodes},
         {n.id: n.slot for n in sim.nodes},
         dict(sim.parent),
         set(sim.always_on),
+        list(sim._screens),
+        dict(sim._watchers),
+        [[n.id for n in senders] for senders in sim._slot_senders],
+        {node_id: cluster.id for node_id, cluster in sim._cluster_index.items()},
+        set(sim._coordinators),
+        {
+            n.id: (n.energy.detection_budget, n.energy.detection_budget_initial,
+                   n.energy.detection_enabled)
+            for n in sim.nodes
+        },
     )
 
 
 def check_rederivation_is_a_fixed_point(sim):
+    """Drop every fragment and derive again from scratch, every node
+    unplaced as at set-up: what the sweeps derived incrementally must come
+    out unchanged, budgets included (a role that moved would refill one)."""
     before = derived_state(sim)
-    sim._build_structures(rebuild=[])
+    sim._fragments.clear()
+    sim._build_structures([], unplaced=sim.nodes)
     assert derived_state(sim) == before
 
 
@@ -337,6 +365,41 @@ def test_dissolved_cluster_strands_a_node_nobody_adopts(mode):
             assert not calls  # still stranded, nothing changed: no re-derivation
         check_indices(sim)
         check_rederivation_is_a_fixed_point(sim)
+
+
+def field_recipe(node_count, seed, rounds):
+    """The benchmark's field workload at `node_count` nodes: the stock
+    scenario at the same density, attacked from round 0 by one attacker
+    per 25 nodes."""
+    raw = json.loads(STOCK_CONFIG.read_text())
+    deployment = raw["deployment"]
+    scale = math.sqrt(node_count / deployment["node_count"])
+    deployment["node_count"] = node_count
+    deployment["area_width"] *= scale
+    deployment["area_height"] *= scale
+    raw["attack"].update(attacker_count=node_count // 25, start_round=0)
+    raw.update(seed=seed, rounds=rounds, mode="imids")
+    return parse_config(raw)
+
+
+def test_many_clusters_reuse_untouched_fragments():
+    """Many clusters, so most sweeps re-derive a few fragments and keep the
+    rest: after every round the indices match the scans and a derivation
+    from scratch changes nothing."""
+    sim = engine.initialize(field_recipe(200, seed=42, rounds=30))
+    check_indices(sim)
+    partial = 0
+    for _ in range(sim.config.rounds):
+        kept = dict(sim._fragments)
+        run_instrumented_round(sim)
+        fresh = sum(1 for c in sim.clusters if sim._fragments[c.id] is not kept.get(c.id))
+        if 0 < fresh < len(sim.clusters):
+            partial += 1
+        check_indices(sim)
+        check_rederivation_is_a_fixed_point(sim)
+    assert len(sim.clusters) > 10
+    assert sim.ledgers.quarantined  # roster cleanup ran too
+    assert partial > 0
 
 
 def expected_mask(sim, node):
