@@ -59,6 +59,10 @@ def choose_attackers(config: AttackConfig, node_ids, sink_id: int, rng: random.R
     return set(rng.sample(candidates, count))
 
 
+def _fresh_packet(src, dst, slot, bits, valid) -> Packet:
+    return Packet(src, dst, PacketKind.SENSOR_DATA, WakeupToken(src, valid), slot, bits)
+
+
 def emit_attack_traffic(
     attacker: SensorNode,
     neighbors: list,
@@ -67,6 +71,7 @@ def emit_attack_traffic(
     config: AttackConfig,
     data_bits: int,
     rng: random.Random,
+    packet=_fresh_packet,
 ) -> list:
     """Produce one round of attack packets for a single attacker.
 
@@ -74,6 +79,10 @@ def emit_attack_traffic(
     each; flood packets target the attacker's uplink coordinator in every
     slot. A dead attacker, or one whose round predates start_round, emits
     nothing. All emitted tokens are invalid.
+
+    `packet(src, dst, slot, bits, valid)` gives each flood packet, a
+    sensing-data packet; by default each is built fresh. Fake control
+    packets are always built fresh: their victim and slot are random.
     """
     if not is_alive(attacker):
         return []
@@ -98,21 +107,12 @@ def emit_attack_traffic(
     if uplink is not None and config.flood_packets_per_slot > 0:
         for slot in range(slots_per_round):
             for _ in range(config.flood_packets_per_slot):
-                packets.append(
-                    Packet(
-                        src=attacker.id,
-                        dst=uplink,
-                        kind=PacketKind.SENSOR_DATA,
-                        token=bad_token,
-                        slot=slot,
-                        payload_size=data_bits,
-                    )
-                )
+                packets.append(packet(attacker.id, uplink, slot, data_bits, False))
     packets.sort(key=lambda p: (p.slot, p.dst, p.kind.value))
     return packets
 
 
-@dataclass
+@dataclass(slots=True)
 class DeprivationResult:
     woken: bool = False
     energy_charged: float = 0.0

@@ -47,7 +47,7 @@ class PacketKind(Enum):
     FAKE_CONTROL = "fake_control"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Position:
     x: float
     y: float
@@ -56,7 +56,7 @@ class Position:
         return math.hypot(self.x - other.x, self.y - other.y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrustState:
     """Saturating 4-bit reputation counter. Full trust is 15, none is 0."""
 
@@ -81,13 +81,13 @@ def trust_reward(trust: TrustState, step: int = 1) -> TrustState:
     return trust if value == trust.nibble else TrustState(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WakeupToken:
     owner: int
     valid: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Packet:
     src: int
     dst: int
@@ -99,7 +99,7 @@ class Packet:
     sources: tuple = ()
 
 
-@dataclass
+@dataclass(slots=True)
 class EnergyAccount:
     initial_energy: float
     residual_energy: float
@@ -108,7 +108,7 @@ class EnergyAccount:
     detection_enabled: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class SensorNode:
     id: int
     position: Position

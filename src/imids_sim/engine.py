@@ -150,7 +150,8 @@ class Simulation:
         self._link_cost = {}     # (sender id, receiver id, bits) -> tx joules
         self._rx_cost = {}       # bits -> rx joules
         self._slot_cost = {}     # wake mask as a tuple -> duty joules
-        self._leaf_packets = {}  # (sender id, parent id, slot) -> sensing Packet
+        self._packets = {}       # (src, dst, slot, bits, valid, sources) -> Packet
+        self._tokens = {}        # (owner, valid) -> WakeupToken
         self._broadcast_cost = tx_cost(  # a control packet at full range
             self.params, config.traffic.control_bits, config.deployment.transmission_range
         )
@@ -449,6 +450,19 @@ class Simulation:
                 cost = self._rx_cost[bits] = rx_cost(self.params, bits)
             consume(node, cost)
 
+    def _packet(self, src, dst, slot, bits, valid, sources=()) -> Packet:
+        """The sensing-data packet with these fields, built on first use:
+        it is frozen, so one instance serves every round that repeats it,
+        and one token serves each (owner, valid)."""
+        key = (src, dst, slot, bits, valid, sources)
+        pkt = self._packets.get(key)
+        if pkt is None:
+            token = self._tokens.setdefault((src, valid), WakeupToken(src, valid))
+            pkt = self._packets[key] = Packet(
+                src, dst, PacketKind.SENSOR_DATA, token, slot, bits, sources
+            )
+        return pkt
+
     def _quarantined_set(self):
         return set(self.ledgers.quarantined)
 
@@ -464,7 +478,7 @@ class Simulation:
         self._obs = {}
         self._received_at = {}   # (receiver, src) -> packets received this round
         self._cc_inbox = {}      # coordinator id -> packets awaiting validation
-        self._sc_valid = {}      # sector coordinator id -> leaf data this round
+        self._sc_valid = {}      # sector coordinator id -> leaves heard this round
         self._reconfigurations = []
 
         for phase in self._phases:
@@ -472,9 +486,10 @@ class Simulation:
 
         spent = {}  # in node order, which fixes the order of the fold below
         alive_count = 0
+        sink = NodeClass.SINK  # a local: enum member lookups are slow
         for node, before in zip(nodes, residual_before):
             spent[node.id] = before - node.energy.residual_energy
-            if node.node_class is not NodeClass.SINK and is_alive(node):
+            if node.node_class is not sink and is_alive(node):
                 alive_count += 1
         # Quarantine only grows and `malicious` is fixed after set-up, so
         # the confusion counts move only when the roster does.
@@ -544,6 +559,7 @@ class Simulation:
                 cfg.attack,
                 cfg.traffic.data_bits,
                 stream,
+                packet=self._packet,
             )
             for pkt in packets:
                 by_slot.setdefault(pkt.slot, []).append(pkt)
@@ -585,6 +601,8 @@ class Simulation:
                     self._cc_inbox.setdefault(pkt.dst, []).append(pkt)
 
         # regular sensing traffic in the owner's slot
+        bits = cfg.traffic.data_bits
+        sc_role = Role.SC  # a local: enum member lookups are slow
         for node in self._slot_senders[slot]:
             if not is_alive(node):
                 continue
@@ -594,26 +612,17 @@ class Simulation:
             if parent_id is None:
                 continue
             parent = self.by_id[parent_id]
-            pkt = self._leaf_packets.get((node.id, parent_id, slot))
-            if pkt is None:  # frozen, so one instance serves every round
-                pkt = self._leaf_packets[node.id, parent_id, slot] = Packet(
-                    src=node.id,
-                    dst=parent_id,
-                    kind=PacketKind.SENSOR_DATA,
-                    token=WakeupToken(owner=node.id, valid=True),
-                    slot=slot,
-                    payload_size=cfg.traffic.data_bits,
-                )
-            self._send(node, parent, pkt.payload_size)
+            pkt = self._packet(node.id, parent_id, slot, bits, True)
+            self._send(node, parent, bits)
             self._observe_tx(pkt, slot)
             if not is_alive(parent) or not self.graph.has_edge(node.id, parent_id):
                 continue
             if self.ledgers.is_quarantined(node.id):
                 continue  # roster is known; junk is not picked up
-            self._charge_rx(parent, pkt.payload_size)
+            self._charge_rx(parent, bits)
             self._note_receipt(parent_id, node.id)
-            if parent.role is Role.SC:
-                self._sc_valid.setdefault(parent_id, []).append(pkt)
+            if parent.role is sc_role:
+                self._sc_valid.setdefault(parent_id, []).append(node.id)
             elif parent_id in coordinators:
                 self._cc_inbox.setdefault(parent_id, []).append(pkt)
 
@@ -725,22 +734,16 @@ class Simulation:
                 sc = self.by_id[sector.coordinator]
                 if not is_alive(sc):
                     continue
-                valid = [
-                    p for p in self._sc_valid.get(sc.id, [])
-                    if p.token.valid and not self.ledgers.is_quarantined(p.src)
-                ]
-                sources = sorted({p.src for p in valid})
+                # Leaf senders only, each once a round and unquarantined when
+                # it sent, and nothing quarantines before this stage: the ids
+                # need neither a token or roster filter nor a dedup.
+                sources = sorted(self._sc_valid.get(sc.id, ()))
                 if not self.ledgers.is_quarantined(sc.id):
                     sources.append(sc.id)  # own reading rides along
                 active_attacker = sc.malicious and r >= cfg.attack.start_round
-                agg = Packet(
-                    src=sc.id,
-                    dst=self.parent.get(sc.id, cluster.coordinator),
-                    kind=PacketKind.SENSOR_DATA,
-                    token=WakeupToken(owner=sc.id, valid=not active_attacker),
-                    slot=AGGREGATE_SLOT,
-                    payload_size=bits,
-                    sources=tuple(sources),
+                agg = self._packet(
+                    sc.id, self.parent.get(sc.id, cluster.coordinator),
+                    AGGREGATE_SLOT, bits, not active_attacker, tuple(sources),
                 )
                 hop = self.by_id[agg.dst]
                 self._send(sc, hop, bits)
@@ -885,14 +888,9 @@ class Simulation:
                         accepted_sources.append(source)
             if not accepted_sources:
                 continue
-            agg = Packet(
-                src=cc.id,
-                dst=self.sink.id,
-                kind=PacketKind.SENSOR_DATA,
-                token=WakeupToken(owner=cc.id, valid=not cc_active_attacker),
-                slot=AGGREGATE_SLOT,
-                payload_size=cfg.traffic.aggregate_bits,
-                sources=tuple(sorted(set(accepted_sources))),
+            agg = self._packet(
+                cc.id, self.sink.id, AGGREGATE_SLOT, cfg.traffic.aggregate_bits,
+                not cc_active_attacker, tuple(sorted(set(accepted_sources))),
             )
             self._send(cc, self.sink, agg.payload_size)
             if self.ledgers.is_quarantined(cc.id) or not is_alive(self.sink):

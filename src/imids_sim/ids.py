@@ -71,7 +71,7 @@ class NormalProfile:
     expected_packets: float = 1.0  # packets per round toward the watcher
 
 
-@dataclass
+@dataclass(slots=True)
 class Observation:
     """What a watcher saw of one subject during one round."""
 
@@ -84,7 +84,7 @@ class Observation:
 _NOTHING_SEEN = Observation(tx_events=())
 
 
-@dataclass
+@dataclass(slots=True)
 class SuspectedEntry:
     node: int
     first_round: int
@@ -219,10 +219,15 @@ def rehabilitate(ledgers: Ledgers, suspect: SensorNode) -> None:
     suspect.trust = trust_reward(suspect.trust)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValidationResult:
     accepted: bool
     reasons: tuple = ()
+
+
+# The verdicts that carry no reasons; frozen, so one instance serves all.
+_ACCEPTED = ValidationResult(accepted=True)
+_DROPPED_QUARANTINED = ValidationResult(accepted=False)
 
 
 def cc_validate(
@@ -245,7 +250,7 @@ def cc_validate(
         raise DisabledIds(f"node {validator.id} cannot validate")
     charge_detection(validator, params)
     if ledgers.is_quarantined(packet.src):
-        return ValidationResult(accepted=False, reasons=())
+        return _DROPPED_QUARANTINED
     reasons = []
     if not packet.token.valid:
         reasons.append(Reason.INVALID_TOKEN)
@@ -256,7 +261,7 @@ def cc_validate(
     if reasons:
         add_strikes(ledgers, packet.src, reasons, current_round)
         return ValidationResult(accepted=False, reasons=tuple(reasons))
-    return ValidationResult(accepted=True)
+    return _ACCEPTED
 
 
 @dataclass(frozen=True)

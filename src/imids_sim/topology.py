@@ -61,7 +61,7 @@ class TransmissionGraph:
         return b in self._neighbor_sets.get(a, ())
 
 
-@dataclass
+@dataclass(slots=True)
 class Sector:
     coordinator: int
     leaves: set = field(default_factory=set)
@@ -72,7 +72,7 @@ class Sector:
         return {self.coordinator} | set(self.leaves)
 
 
-@dataclass
+@dataclass(slots=True)
 class Cluster:
     id: int
     coordinator: int

@@ -2,12 +2,14 @@ import random
 
 import pytest
 
+from imids_sim import engine
 from imids_sim.attack import (
     AttackConfig,
     apply_deprivation,
     choose_attackers,
     emit_attack_traffic,
 )
+from imids_sim.config import parse_config
 from imids_sim.core import Packet, PacketKind, WakeupToken
 from imids_sim.energy import EnergyParams, rx_cost
 
@@ -66,6 +68,22 @@ def test_emission_all_tokens_invalid_and_sorted():
     assert keys == sorted(keys)
     floods = [p for p in packets if p.kind is PacketKind.SENSOR_DATA]
     assert len(floods) == 2 * 4 and all(p.dst == 9 for p in floods)
+
+
+def test_flood_packets_from_the_engine_table_equal_fresh_ones():
+    sim = engine.initialize(parse_config({"seed": 7, "deployment": {"node_count": 40}}))
+    attacker = build_node(5, energy=1.0, malicious=True)
+    cfg = AttackConfig(fake_msgs_per_round=3, flood_packets_per_slot=2)
+    args = (attacker, [1, 2, 3], 9, 4, cfg, 3000)
+    fresh = emit_attack_traffic(*args, random.Random(0))
+    interned = emit_attack_traffic(*args, random.Random(0), packet=sim._packet)
+    again = emit_attack_traffic(*args, random.Random(1), packet=sim._packet)
+    assert interned == fresh
+    floods = [p for p in interned if p.kind is PacketKind.SENSOR_DATA]
+    assert floods[0].slot == floods[1].slot and floods[0] is floods[1]
+    # a later round with other fake draws reuses the same flood instances
+    floods_again = [p for p in again if p.kind is PacketKind.SENSOR_DATA]
+    assert {id(p) for p in floods_again} == {id(p) for p in floods}
 
 
 def test_emission_without_uplink_still_fakes():

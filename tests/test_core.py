@@ -2,14 +2,21 @@ import math
 
 import pytest
 
+from imids_sim.attack import DeprivationResult
 from imids_sim.core import (
     DETECTION_FRACTION,
     TRUST_MAX,
+    Packet,
+    PacketKind,
     Position,
     TrustState,
+    WakeupToken,
+    make_energy_account,
     trust_penalize,
     trust_reward,
 )
+from imids_sim.ids import Observation, SuspectedEntry, ValidationResult
+from imids_sim.topology import Cluster, Sector
 
 from conftest import build_node
 
@@ -62,3 +69,26 @@ def test_node_distance():
     a = build_node(1, 0, 0)
     b = build_node(2, 6, 8)
     assert a.distance_to(b) == 10.0
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        Position(0.0, 0.0),
+        TrustState(),
+        WakeupToken(1, True),
+        Packet(1, 2, PacketKind.SENSOR_DATA, WakeupToken(1, True), 0, 8),
+        make_energy_account(1.0),
+        build_node(1),
+        Observation(),
+        SuspectedEntry(1, 0, 0),
+        ValidationResult(True),
+        DeprivationResult(),
+        Sector(1),
+        Cluster(1, 1),
+    ],
+    ids=lambda record: type(record).__name__,
+)
+def test_per_event_records_are_slotted(record):
+    # built or read per event in the round loop: no per-instance dict
+    assert not hasattr(record, "__dict__")

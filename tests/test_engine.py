@@ -8,7 +8,7 @@ import pytest
 
 from imids_sim import engine
 from imids_sim.config import parse_config
-from imids_sim.core import NodeClass, Role, is_alive
+from imids_sim.core import NodeClass, Packet, PacketKind, Role, WakeupToken, is_alive
 from imids_sim.energy import rx_cost, tx_cost
 
 STOCK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "stock_comparison.json"
@@ -124,8 +124,13 @@ def test_cost_memos_equal_the_formulas_bit_for_bit(mode):
     assert sim._broadcast_cost == tx_cost(
         params, sim.config.traffic.control_bits, sim.graph.transmission_range
     )
-    for (src, dst, slot), pkt in sim._leaf_packets.items():
-        assert (pkt.src, pkt.dst, pkt.slot, pkt.token.owner) == (src, dst, slot, src)
+    assert sim._packets
+    tokens = {}
+    for (src, dst, slot, bits, valid, sources), pkt in sim._packets.items():
+        assert pkt == Packet(
+            src, dst, PacketKind.SENSOR_DATA, WakeupToken(src, valid), slot, bits, sources
+        )
+        assert tokens.setdefault((src, valid), pkt.token) is pkt.token
 
 
 def test_always_on_watchers_pay_to_overhear():
