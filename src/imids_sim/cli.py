@@ -231,15 +231,18 @@ def _sweep_cells(raw: dict, axis: str, values):
             count = int(value)
         except ValueError as exc:
             raise ConfigError(f"axis '{axis}' needs integer values, got '{value}'") from exc
+        name = "deployment" if axis == "node_count" else "attack"
         for mode in ("imids", "imids-no-sectors"):
             cell = copy.deepcopy(raw)
             cell["mode"] = mode
+            section = cell.setdefault(name, {})
+            if not isinstance(section, dict):
+                raise ConfigError(f"section '{name}' must be an object")
             if axis == "node_count":
-                cell.setdefault("deployment", {})["node_count"] = count
+                section["node_count"] = count
             else:
-                attack = cell.setdefault("attack", {})
-                attack["attacker_count"] = count
-                attack.pop("attacker_ids", None)
+                section["attacker_count"] = count
+                section.pop("attacker_ids", None)
             yield count, mode, parse_config(cell)
 
 
@@ -330,7 +333,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed usage (2) or help (0)
+        return exc.code
     try:
         return args.handler(args)
     except ConfigError as exc:

@@ -47,10 +47,9 @@ from .core import (
     PacketKind,
     Role,
     WakeupToken,
-    is_alive,
     trust_penalize,
 )
-from .energy import assign_detection_budget, consume, rx_cost, tx_cost
+from .energy import assign_detection_budget, rx_cost, tx_cost
 from .ids import Decision, Ledgers, NormalProfile, Observation
 from .rng import SeededRng
 
@@ -64,6 +63,15 @@ def _add_up(values):
     for value in values:
         total += value
     return total
+
+
+def _charge(node, joules):
+    """Drain `joules` (never negative) from a live node, clamping at zero, as
+    `energy.consume` does; a dead node pays nothing. The engine's only energy write."""
+    account = node.energy
+    residual = account.residual_energy
+    if residual > 0.0:
+        account.residual_energy = residual - joules if joules < residual else 0.0
 
 
 @dataclass(frozen=True)
@@ -201,7 +209,7 @@ class Simulation:
         topo.classify_nodes(self.nodes, cfg.deployment.leader_energy_threshold)
 
         coordinator_ids = topo.select_cluster_coordinators(
-            self.nodes, self.graph, cfg.detection.reputation_min, self._quarantined_set()
+            self.nodes, self.graph, cfg.detection.reputation_min, set(self.ledgers.quarantined)
         )
         self.clusters = topo.form_clusters(
             self.nodes, coordinator_ids, self.graph, self.rng.derive("join", -1)
@@ -247,7 +255,7 @@ class Simulation:
     def _refresh_graph(self):
         """Rebuild the range graph when the alive set changed. Nodes only
         ever die, so an unchanged alive count means an unchanged set."""
-        alive = sum(1 for n in self.nodes if is_alive(n))
+        alive = sum(1 for n in self.nodes if n.energy.residual_energy > 0.0)
         if alive != self._graph_alive:
             self.graph = topo.build_graph(self.nodes, self.config.deployment.transmission_range)
             self._graph_alive = alive
@@ -269,7 +277,7 @@ class Simulation:
         """
         cfg = self.config
         if cfg.mode == "imids":
-            quarantined = self._quarantined_set()
+            quarantined = set(self.ledgers.quarantined)
             for cluster in rebuild:
                 cluster.sectors = topo.form_sectors(cluster, self.by_id, self.graph, quarantined)
                 if not cluster.sectors:
@@ -307,7 +315,7 @@ class Simulation:
         for node, role in zip(nodes, roles_before):
             if node.id != self.sink.id:
                 node.slot = slot_of.get(node.id, node.id % slots)
-            if node.role is not role and is_alive(node):
+            if node.role is not role and node.energy.residual_energy > 0.0:
                 assign_detection_budget(node, node.role)
         # id order: it decides which packet is lost when a parent dies mid-slot
         senders = [[] for _ in range(slots)]
@@ -404,15 +412,14 @@ class Simulation:
             return cc_id
         sc = self.by_id[sector.coordinator]
         fsh = self.by_id[sector.fsh]
-        if is_alive(fsh) and sc.distance_to(fsh) <= self.graph.transmission_range:
-            return sector.fsh
-        return cc_id
+        in_range = sc.distance_to(fsh) <= self.graph.transmission_range
+        return sector.fsh if fsh.energy.residual_energy > 0.0 and in_range else cc_id
 
     def _charge_formation(self, clusters):
         """Control traffic of (re)building cluster and sector structure."""
         for cluster in clusters:
             cc = self.by_id[cluster.coordinator]
-            if is_alive(cc):  # a dead coordinator's sectors stay silent too
+            if cc.energy.residual_energy > 0.0:  # a dead coordinator's sectors stay silent too
                 self._handshake(cc, cluster.members)
                 for sector in cluster.sectors:
                     self._handshake(self.by_id[sector.coordinator], sector.leaves)
@@ -420,35 +427,36 @@ class Simulation:
     def _handshake(self, head, member_ids):
         """Control exchange: a live head transmits at full range, then each
         live member in id order receives, replies, and the head receives."""
-        if not is_alive(head):
+        if head.energy.residual_energy <= 0.0:
             return
         bits = self.config.traffic.control_bits
-        consume(head, self._broadcast_cost)
+        rx = self._rx_price(bits)
+        _charge(head, self._broadcast_cost)
         for member_id in sorted(member_ids):
             member = self.by_id[member_id]
-            if is_alive(member):
-                self._charge_rx(member, bits)
+            if member.energy.residual_energy > 0.0:
+                _charge(member, rx)
                 self._send(member, head, bits)
-                self._charge_rx(head, bits)
+                _charge(head, rx)
 
     # ------------------------------------------------------------------
     # low-level charging
 
     def _send(self, node, dst, bits):
         """Charge a live `node` for `bits` sent to `dst`, priced once per link."""
-        if is_alive(node):
+        if node.energy.residual_energy > 0.0:
             key = (node.id, dst.id, bits)
             cost = self._link_cost.get(key)
             if cost is None:
                 cost = self._link_cost[key] = tx_cost(self.params, bits, node.distance_to(dst))
-            consume(node, cost)
+            _charge(node, cost)
 
-    def _charge_rx(self, node, bits):
-        if is_alive(node):
-            cost = self._rx_cost.get(bits)
-            if cost is None:
-                cost = self._rx_cost[bits] = rx_cost(self.params, bits)
-            consume(node, cost)
+    def _rx_price(self, bits):
+        """The joules to receive `bits`, priced once per size."""
+        cost = self._rx_cost.get(bits)
+        if cost is None:
+            cost = self._rx_cost[bits] = rx_cost(self.params, bits)
+        return cost
 
     def _packet(self, src, dst, slot, bits, valid, sources=()) -> Packet:
         """The sensing-data packet with these fields, built on first use:
@@ -462,9 +470,6 @@ class Simulation:
                 src, dst, PacketKind.SENSOR_DATA, token, slot, bits, sources
             )
         return pkt
-
-    def _quarantined_set(self):
-        return set(self.ledgers.quarantined)
 
     # ------------------------------------------------------------------
     # round loop
@@ -488,8 +493,9 @@ class Simulation:
         alive_count = 0
         sink = NodeClass.SINK  # a local: enum member lookups are slow
         for node, before in zip(nodes, residual_before):
-            spent[node.id] = before - node.energy.residual_energy
-            if node.node_class is not sink and is_alive(node):
+            residual = node.energy.residual_energy
+            spent[node.id] = before - residual
+            if residual > 0.0 and node.node_class is not sink:
                 alive_count += 1
         # Quarantine only grows and `malicious` is fixed after set-up, so
         # the confusion counts move only when the roster does.
@@ -528,7 +534,7 @@ class Simulation:
         stream = self.rng.substreams("sleep", r)  # derive("sleep", r, node id)
         masks = {}
         for node in self.nodes:
-            if node.id in always_on or not is_alive(node):
+            if node.id in always_on or node.energy.residual_energy <= 0.0:
                 continue
             draw = stream(node.id).random
             wake = [draw() >= sleep_probability for _ in slots]
@@ -545,21 +551,16 @@ class Simulation:
             return
         for attacker_id in sorted(self.attackers):
             attacker = self.by_id[attacker_id]
-            if not is_alive(attacker):
+            if attacker.energy.residual_energy <= 0.0:
                 continue
             stream = self.rng.derive("attack", r, attacker_id)
             neighbors = [
-                v for v in self.graph.neighbors(attacker_id) if is_alive(self.by_id[v])
+                v for v in self.graph.neighbors(attacker_id)
+                if self.by_id[v].energy.residual_energy > 0.0
             ]
             packets = attack_mod.emit_attack_traffic(
-                attacker,
-                neighbors,
-                self.parent.get(attacker_id),
-                cfg.slots_per_round,
-                cfg.attack,
-                cfg.traffic.data_bits,
-                stream,
-                packet=self._packet,
+                attacker, neighbors, self.parent.get(attacker_id), cfg.slots_per_round,
+                cfg.attack, cfg.traffic.data_bits, stream, packet=self._packet,
             )
             for pkt in packets:
                 by_slot.setdefault(pkt.slot, []).append(pkt)
@@ -579,18 +580,23 @@ class Simulation:
     def _run_slot(self, slot):
         cfg = self.config
         coordinators = self._coordinators
+        by_id = self.by_id
+        has_edge = self.graph.has_edge
+        quarantined = self.ledgers.quarantined
+        parent_of = self.parent
+        attacking = self.round >= cfg.attack.start_round
         # attack deliveries first: they can wake victims within this slot
         for pkt in self._attack_packets.get(slot, ()):
-            src = self.by_id[pkt.src]
-            if not is_alive(src):
+            src = by_id[pkt.src]
+            if src.energy.residual_energy <= 0.0:
                 continue
-            dst = self.by_id[pkt.dst]
+            dst = by_id[pkt.dst]
             self._send(src, dst, pkt.payload_size)
-            self._observe_tx(pkt, slot)
+            self._observe_tx(pkt, slot, None)
             # both ends were alive at the last graph build: nodes only die
-            if not is_alive(dst) or not self.graph.has_edge(pkt.src, pkt.dst):
+            if dst.energy.residual_energy <= 0.0 or not has_edge(pkt.src, pkt.dst):
                 continue
-            filtered = self.ledgers.is_quarantined(pkt.src)
+            filtered = pkt.src in quarantined
             awake = self._is_awake(pkt.dst, slot)
             result = attack_mod.apply_deprivation(dst, pkt, awake, self.params, filtered)
             if result.woken:
@@ -602,24 +608,25 @@ class Simulation:
 
         # regular sensing traffic in the owner's slot
         bits = cfg.traffic.data_bits
+        rx = self._rx_price(bits)
         sc_role = Role.SC  # a local: enum member lookups are slow
         for node in self._slot_senders[slot]:
-            if not is_alive(node):
+            if node.energy.residual_energy <= 0.0:
                 continue
-            if node.malicious and self.round >= cfg.attack.start_round:
+            if attacking and node.malicious:
                 continue  # active attackers replace sensing with their flood
-            parent_id = self.parent.get(node.id)
+            parent_id = parent_of.get(node.id)
             if parent_id is None:
                 continue
-            parent = self.by_id[parent_id]
+            parent = by_id[parent_id]
             pkt = self._packet(node.id, parent_id, slot, bits, True)
             self._send(node, parent, bits)
-            self._observe_tx(pkt, slot)
-            if not is_alive(parent) or not self.graph.has_edge(node.id, parent_id):
+            self._observe_tx(pkt, slot, rx)
+            if parent.energy.residual_energy <= 0.0 or not has_edge(node.id, parent_id):
                 continue
-            if self.ledgers.is_quarantined(node.id):
+            if node.id in quarantined:
                 continue  # roster is known; junk is not picked up
-            self._charge_rx(parent, bits)
+            _charge(parent, rx)
             self._note_receipt(parent_id, node.id)
             if parent.role is sc_role:
                 self._sc_valid.setdefault(parent_id, []).append(node.id)
@@ -638,14 +645,16 @@ class Simulation:
         paid the listen/sleep difference at delivery time. Equal masks fold
         to equal sums, so each wake pattern is added up once."""
         params = self.params
+        always_on = self.always_on
         always_on_cost = params.p_listen * self.config.slots_per_round
+        masks = self._masks
         for node in self.nodes:
-            if not is_alive(node):
+            if node.energy.residual_energy <= 0.0:
                 continue
-            if node.id in self.always_on:
-                consume(node, always_on_cost)
+            if node.id in always_on:
+                _charge(node, always_on_cost)
                 continue
-            mask = self._masks.get(node.id)
+            mask = masks.get(node.id)
             if mask is None:
                 continue
             cost = self._slot_cost.get(mask)
@@ -653,28 +662,33 @@ class Simulation:
                 cost = self._slot_cost[mask] = _add_up(
                     params.p_listen if awake else params.p_sleep for awake in mask
                 )
-            consume(node, cost)
+            _charge(node, cost)
 
     # ------------------------------------------------------------------
     # observations
 
-    def _observe_tx(self, pkt: Packet, slot: int):
+    def _observe_tx(self, pkt: Packet, slot: int, rx):
         """Record a transmission with everyone watching the source.
 
         Overhearing is not free: a watcher that is not the addressee keeps
-        its radio receiving for the whole packet and pays for it. This is
-        what makes an always-on promiscuous monitor expensive to run,
-        while a coordinator watching traffic addressed to itself pays
-        nothing extra."""
+        its radio receiving for the whole packet and pays its price `rx`
+        (None: looked up on first use). This is what makes an always-on
+        promiscuous monitor expensive to run, while a coordinator watching
+        traffic addressed to itself pays nothing extra."""
         src_id = pkt.src
+        by_id = self.by_id
+        has_edge = self.graph.has_edge
+        quarantined = self.ledgers.quarantined
         for watcher_id in self._watchers.get(src_id, ()):
-            watcher = self.by_id[watcher_id]
-            if not is_alive(watcher) or self.ledgers.is_quarantined(watcher_id):
+            watcher = by_id[watcher_id]
+            if watcher.energy.residual_energy <= 0.0 or watcher_id in quarantined:
                 continue
-            if self.graph.has_edge(watcher_id, src_id):
+            if has_edge(watcher_id, src_id):
                 self._observation(watcher_id, src_id).tx_events.append((slot, pkt.token.valid))
                 if watcher_id != pkt.dst:
-                    self._charge_rx(watcher, pkt.payload_size)
+                    if rx is None:
+                        rx = self._rx_price(pkt.payload_size)
+                    _charge(watcher, rx)
 
     def _observation(self, watcher_id, subject_id) -> Observation:
         key = (watcher_id, subject_id)
@@ -688,12 +702,13 @@ class Simulation:
     def _inject_false_strikes(self, r: int):
         """Scenario hook: a spurious strike charged against a benign node,
         standing in for a misjudgment at the screening layer."""
+        quarantined = self.ledgers.quarantined
         for item in self.config.detection.injected_false_strikes:
             node_id, at_round = int(item[0]), int(item[1])
             if at_round != r:
                 continue
             node = self.by_id.get(node_id)
-            if node is None or not is_alive(node) or self.ledgers.is_quarantined(node_id):
+            if node is None or node.energy.residual_energy <= 0.0 or node_id in quarantined:
                 continue
             node.trust = trust_penalize(node.trust)
             ids_mod.add_strikes(self.ledgers, node_id, (ids_mod.Reason.ENERGY_RATE,), r)
@@ -705,16 +720,19 @@ class Simulation:
         """Every watcher screens the subjects it watches."""
         cfg = self.config
         obs = self._obs
+        by_id = self.by_id
+        quarantined = self.ledgers.quarantined
         for watcher_id, subject_ids in self._screens:
-            watcher = self.by_id[watcher_id]
-            if not is_alive(watcher) or self.ledgers.is_quarantined(watcher_id):
+            watcher = by_id[watcher_id]
+            if watcher.energy.residual_energy <= 0.0 or watcher_id in quarantined:
                 continue
             if watcher.malicious and r >= cfg.attack.start_round:
                 continue  # a compromised screen simply stops screening
             if not watcher.energy.detection_enabled:
                 continue
             subjects = {
-                s: self.by_id[s] for s in subject_ids if is_alive(self.by_id[s])
+                s: node for s in subject_ids
+                if (node := by_id[s]).energy.residual_energy > 0.0
             }
             observations = {  # sids_check stands in an empty one for the rest
                 s: seen for s in subjects if (seen := obs.get((watcher_id, s))) is not None
@@ -728,11 +746,12 @@ class Simulation:
         """Sector coordinators aggregate their valid leaf traffic upward."""
         cfg = self.config
         bits = cfg.traffic.aggregate_bits
+        rx = self._rx_price(bits)
         for cluster in self.clusters:
             cc = self.by_id[cluster.coordinator]
             for sector in cluster.sectors:
                 sc = self.by_id[sector.coordinator]
-                if not is_alive(sc):
+                if sc.energy.residual_energy <= 0.0:
                     continue
                 # Leaf senders only, each once a round and unquarantined when
                 # it sent, and nothing quarantines before this stage: the ids
@@ -747,18 +766,18 @@ class Simulation:
                 )
                 hop = self.by_id[agg.dst]
                 self._send(sc, hop, bits)
-                if not is_alive(hop) or self.ledgers.is_quarantined(sc.id):
+                if hop.energy.residual_energy <= 0.0 or self.ledgers.is_quarantined(sc.id):
                     continue
-                self._charge_rx(hop, bits)
+                _charge(hop, rx)
                 if hop.id != cluster.coordinator:
                     # forwarding head relays to the coordinator
                     self.ledgers.forwarding_log.append((r, hop.id, sc.id))
-                    if not is_alive(cc):
+                    if cc.energy.residual_energy <= 0.0:
                         continue
                     self._send(hop, cc, bits)
                     if self.ledgers.is_quarantined(hop.id):
                         continue
-                    self._charge_rx(cc, bits)
+                    _charge(cc, rx)
                 self._cc_inbox.setdefault(cluster.coordinator, []).append(agg)
                 self._note_receipt(cluster.coordinator, sc.id)
 
@@ -793,7 +812,7 @@ class Simulation:
     def _usable_judge(self, node_id) -> bool:
         node = self.by_id[node_id]
         return (
-            is_alive(node)
+            node.energy.residual_energy > 0.0
             and not self.ledgers.is_quarantined(node_id)
             and node.energy.detection_enabled
             and not (node.malicious and self.round >= self.config.attack.start_round)
@@ -836,14 +855,9 @@ class Simulation:
         for pkt in sorted(inbox, key=lambda p: (p.src, p.slot)):
             try:  # the verdict matters only for the strikes it records
                 ids_mod.cc_validate(
-                    self.sink,
-                    pkt,
-                    self.by_id[pkt.src].slot,
+                    self.sink, pkt, self.by_id[pkt.src].slot,
                     self._received_at.get((self.sink.id, pkt.src), 0),
-                    self.ledgers,
-                    self.config.detection,
-                    self.params,
-                    r,
+                    self.ledgers, self.config.detection, self.params, r,
                 )
             except ids_mod.DisabledIds:
                 return
@@ -853,9 +867,10 @@ class Simulation:
         cfg = self.config
         self._validate_sink_inbox(r)
         sink_inbox = []
+        rx = self._rx_price(cfg.traffic.aggregate_bits)
         for cluster in self.clusters:
             cc = self.by_id[cluster.coordinator]
-            if not is_alive(cc):
+            if cc.energy.residual_energy <= 0.0:
                 continue
             cc_active_attacker = cc.malicious and r >= cfg.attack.start_round
             accepted_sources = []
@@ -870,14 +885,8 @@ class Simulation:
                 expected_slot = AGGREGATE_SLOT if pkt.slot == AGGREGATE_SLOT else subject.slot
                 try:
                     result = ids_mod.cc_validate(
-                        cc,
-                        pkt,
-                        expected_slot,
-                        self._received_at.get((cc.id, pkt.src), 0),
-                        self.ledgers,
-                        cfg.detection,
-                        self.params,
-                        r,
+                        cc, pkt, expected_slot, self._received_at.get((cc.id, pkt.src), 0),
+                        self.ledgers, cfg.detection, self.params, r,
                     )
                 except ids_mod.DisabledIds:
                     accepted_sources.extend(pkt.sources or (pkt.src,))
@@ -893,9 +902,9 @@ class Simulation:
                 not cc_active_attacker, tuple(sorted(set(accepted_sources))),
             )
             self._send(cc, self.sink, agg.payload_size)
-            if self.ledgers.is_quarantined(cc.id) or not is_alive(self.sink):
+            if self.ledgers.is_quarantined(cc.id) or self.sink.energy.residual_energy <= 0.0:
                 continue
-            self._charge_rx(self.sink, agg.payload_size)
+            _charge(self.sink, rx)
             sink_inbox.append(agg)
         for pkt in sorted(sink_inbox, key=lambda p: p.src):
             try:
@@ -927,9 +936,11 @@ class Simulation:
         senders_to = {}
         for dst, src in self._received_at:
             senders_to.setdefault(dst, []).append(src)
+        bits = cfg.traffic.aggregate_bits
+        rx = self._rx_price(bits)
         for cluster in self.clusters:
             cc = self.by_id[cluster.coordinator]
-            if not is_alive(cc):
+            if cc.energy.residual_energy <= 0.0:
                 continue
             sources = sorted(
                 src
@@ -938,9 +949,9 @@ class Simulation:
             )
             if not sources:
                 continue
-            self._send(cc, self.sink, cfg.traffic.aggregate_bits)
-            if is_alive(self.sink):
-                self._charge_rx(self.sink, cfg.traffic.aggregate_bits)
+            self._send(cc, self.sink, bits)
+            if self.sink.energy.residual_energy > 0.0:
+                _charge(self.sink, rx)
                 self.ledgers.sn_log.append((r, cc.id))
                 for source in sources:
                     self.ledgers.sn_log.append((r, source))
@@ -953,13 +964,12 @@ class Simulation:
         if cluster is None:
             return
         cc = self.by_id[cluster.coordinator]
-        if not is_alive(cc):
+        if cc.energy.residual_energy <= 0.0:
             return
-        consume(cc, self._broadcast_cost)
+        _charge(cc, self._broadcast_cost)
+        rx = self._rx_price(bits)
         for member_id in sorted(cluster.members):
-            member = self.by_id[member_id]
-            if is_alive(member):
-                self._charge_rx(member, bits)
+            _charge(self.by_id[member_id], rx)  # a dead member pays nothing
 
     # ------------------------------------------------------------------
     # reconfiguration
@@ -969,7 +979,7 @@ class Simulation:
         detection budget."""
         node = self.by_id[node_id]
         return (
-            not is_alive(node)
+            node.energy.residual_energy <= 0.0
             or node_id in self.ledgers.quarantined
             or not node.energy.detection_enabled
         )
@@ -997,7 +1007,7 @@ class Simulation:
         for node in map(by_id.__getitem__, (cluster.coordinator, *cluster.members)):
             if (
                 node.node_class is leader
-                and is_alive(node)
+                and node.energy.residual_energy > 0.0
                 and node.id not in quarantined
                 and node.trust.nibble >= reputation_min
             ):
@@ -1012,7 +1022,7 @@ class Simulation:
                     f"cluster {cluster.id}: sector coordinator {sector.coordinator} failed"
                 )
             fsh = sector.fsh
-            if fsh is not None and (not is_alive(by_id[fsh]) or fsh in quarantined):
+            if fsh is not None and (by_id[fsh].energy.residual_energy <= 0.0 or fsh in quarantined):
                 return True, False, f"cluster {cluster.id}: forwarding head {fsh} failed"
             if sector.monitors and all(map(role_failed, sector.monitors)):
                 return True, False, (
@@ -1057,7 +1067,7 @@ class Simulation:
             dirty.add(cluster.id)
             pool = {
                 m for m in cluster.node_ids()
-                if is_alive(self.by_id[m]) and m not in quarantined
+                if self.by_id[m].energy.residual_energy > 0.0 and m not in quarantined
             }
             if replace_cc:
                 eligible = [
@@ -1108,12 +1118,14 @@ class Simulation:
         """Attach a stranded node to the nearest coordinator in range;
         returns the cluster that took it, or None."""
         node = self.by_id.get(node_id)
-        if node is None or not is_alive(node) or self.ledgers.is_quarantined(node_id):
+        if node is None or node.energy.residual_energy <= 0.0 or (
+            node_id in self.ledgers.quarantined
+        ):
             self.orphans.discard(node_id)
             return None
         candidates = [
             c for c in self.clusters
-            if is_alive(self.by_id[c.coordinator])
+            if self.by_id[c.coordinator].energy.residual_energy > 0.0
             and node.distance_to(self.by_id[c.coordinator]) <= self.graph.transmission_range
         ]
         if not candidates:
@@ -1127,7 +1139,7 @@ class Simulation:
         self.orphans.discard(node_id)
         bits = self.config.traffic.control_bits
         self._send(node, self.by_id[best.coordinator], bits)
-        self._charge_rx(self.by_id[best.coordinator], bits)
+        _charge(self.by_id[best.coordinator], self._rx_price(bits))
         self._reconfigurations.append(f"node {node_id} adopted by cluster {best.id}")
         return best
 
@@ -1135,7 +1147,8 @@ class Simulation:
 
     def alive_non_sink(self) -> int:
         return sum(
-            1 for n in self.nodes if n.node_class is not NodeClass.SINK and is_alive(n)
+            1 for n in self.nodes
+            if n.node_class is not NodeClass.SINK and n.energy.residual_energy > 0.0
         )
 
     def snapshot_trace(self) -> SimulationTrace:

@@ -86,6 +86,24 @@ def test_flood_packets_from_the_engine_table_equal_fresh_ones():
     assert {id(p) for p in floods_again} == {id(p) for p in floods}
 
 
+def test_emission_order_equals_the_order_by_kind_value():
+    # the only neighbour is the uplink, so fake and flood packets share
+    # slots and destination and only the kind part of the key orders them
+    attacker = build_node(5, energy=1.0, malicious=True)
+    cfg = AttackConfig(fake_msgs_per_round=12, flood_packets_per_slot=2)
+    packets = emit_attack_traffic(
+        attacker, [9], 9, 4, cfg, data_bits=3000, rng=random.Random(3)
+    )
+    kinds_by_slot = {}
+    for p in packets:
+        kinds_by_slot.setdefault((p.slot, p.dst), set()).add(p.kind)
+    assert any(len(kinds) == 2 for kinds in kinds_by_slot.values())
+    # both sorts are stable, so a re-sort by the old key moves nothing
+    # unless the two keys order some pair differently
+    by_value = sorted(packets, key=lambda p: (p.slot, p.dst, p.kind.value))
+    assert [id(p) for p in packets] == [id(p) for p in by_value]
+
+
 def test_emission_without_uplink_still_fakes():
     attacker = build_node(5, energy=1.0, malicious=True)
     cfg = AttackConfig(fake_msgs_per_round=2, flood_packets_per_slot=2)

@@ -216,6 +216,24 @@ def test_bad_sweep_axis_and_values_are_config_errors(tmp_path, monkeypatch):
     assert cli.main(["sweep", cfg, "--axis", "mode", "--values", "imids,zigbee"]) == 2
 
 
+@pytest.mark.parametrize("axis, section", [("node_count", "deployment"), ("attackers", "attack")])
+def test_sweep_over_a_section_that_is_not_an_object_is_a_config_error(
+    tmp_path, capsys, axis, section
+):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"seed": 1, "rounds": 1, section: None}))
+    assert cli.main(["sweep", str(path), "--axis", axis, "--values", "5"]) == 2
+    assert f"section '{section}' must be an object" in capsys.readouterr().err
+
+
+def test_a_usage_error_returns_2_instead_of_raising(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    # argparse reads "-1,2" as an option, so --values is left without a value
+    assert cli.main(["sweep", cfg, "--axis", "node_count", "--values", "-1,2"]) == 2
+    assert "usage:" in capsys.readouterr().err
+    assert cli.main(["--help"]) == 0
+
+
 def test_uncoverable_deployment_is_a_runtime_error(tmp_path, capsys):
     # one node is parked far outside everyone's radio range
     positions = [[0.0, 0.0], [0.0, 10.0], [10.0, 0.0], [500.0, 500.0]]

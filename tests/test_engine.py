@@ -283,14 +283,22 @@ MODE_READERS = {"__init__", "_initialize", "_build_structures", "snapshot_trace"
 GEOMETRY_READERS = {"_send", "_sector_uplink", "_reconfiguration_sweep", "_try_adopt"}
 
 
-def _readers(attr, node, scope="<module>"):
-    """Names of the functions in which `node` reads attribute `attr`."""
+# One charging call: every energy write of the round goes through
+# `_charge`, and the engine neither calls the validating `energy.consume`
+# nor the `core.is_alive` wrapper (liveness is tested inline).
+ENERGY_WRITERS = {"_charge"}
+NOT_IN_ENGINE = {"consume", "is_alive"}
+
+
+def _readers(attr, node, scope="<module>", ctx=ast.expr_context):
+    """Names of the functions in which `node` reads attribute `attr` (with
+    `ctx=ast.Store`, the ones that assign it)."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         scope = node.name
-    if isinstance(node, ast.Attribute) and node.attr == attr:
+    if isinstance(node, ast.Attribute) and node.attr == attr and isinstance(node.ctx, ctx):
         yield scope
     for child in ast.iter_child_nodes(node):
-        yield from _readers(attr, child, scope)
+        yield from _readers(attr, child, scope, ctx)
 
 
 def test_only_set_up_and_structure_code_reads_the_mode():
@@ -303,3 +311,24 @@ def test_only_the_link_memo_and_structure_code_measure_distance():
     readers = set(_readers("distance_to", ast.parse(inspect.getsource(engine))))
     assert "_send" in readers  # the scan does see the memo
     assert readers <= GEOMETRY_READERS
+
+
+def test_only_the_charging_primitive_writes_residual_energy():
+    tree = ast.parse(inspect.getsource(engine))
+    assert set(_readers("residual_energy", tree, ctx=ast.Store)) == ENERGY_WRITERS
+    assert "_run_slot" in set(_readers("residual_energy", tree))  # reads are inline
+
+
+def test_the_engine_names_neither_consume_nor_is_alive():
+    tree = ast.parse(inspect.getsource(engine))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                names.update((alias.name, alias.asname))
+    assert {"_charge", "tx_cost", "rx_cost"} <= names  # the scan does see calls and imports
+    assert not names & NOT_IN_ENGINE

@@ -9,13 +9,21 @@ import os
 import random
 import tempfile
 import typing
+from unittest import mock
 
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from imids_sim import cli, engine
 from imids_sim import topology as topo
-from imids_sim.config import _SECTION_TYPES, MODES, ConfigError, ScenarioConfig, parse_config
+from imids_sim.config import (
+    _SECTION_TYPES,
+    MODES,
+    ConfigError,
+    ScenarioConfig,
+    apply_overrides,
+    parse_config,
+)
 from imids_sim.core import (
     NodeClass,
     Role,
@@ -24,6 +32,7 @@ from imids_sim.core import (
     trust_penalize,
     trust_reward,
 )
+from imids_sim.energy import consume
 
 from conftest import build_node, build_sink
 
@@ -34,6 +43,8 @@ EXAMPLES = {
     "structure_roles": 150,
     "alive_monotone": 100,
     "config_contract": 200,
+    "charge_clamp": 400,
+    "cli_contract": 150,
 }
 
 RELAXED = settings(
@@ -270,6 +281,103 @@ def test_any_json_object_parses_or_is_a_config_error(raw):
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(raw, handle)
         assert cli.main(["run", path, "--out", os.path.join(tmp, "out")]) in allowed
+
+
+# --- command-line contract ---------------------------------------------------------
+
+SCHEMA_HINTS = {  # dotted override key -> annotation; a section takes any JSON value
+    **typing.get_type_hints(ScenarioConfig),
+    **{f"{name}.{key}": hint for name, cls in _SECTION_TYPES.items()
+       for key, hint in typing.get_type_hints(cls).items()},
+}
+BAD_KEYS = ["nosuch", "deployment.nosuch", "seed.x", "deployment.node_count.x"]
+
+
+@st.composite
+def cli_invocations(draw):
+    """A command, its argv and the scenario file it reads: a small valid
+    base under drawn schema overrides, bad values and bad keys included."""
+    raw = {"seed": draw(st.integers(0, 50)), "rounds": draw(st.integers(0, 3)),
+           "deployment": {"node_count": draw(st.integers(3, 12)),
+                          "area_width": 30.0, "area_height": 30.0}}
+    keys = draw(st.lists(st.sampled_from([*SCHEMA_HINTS, *BAD_KEYS]), max_size=3))
+    items = [f"{key}={json.dumps(draw(field_values(SCHEMA_HINTS.get(key))))}" for key in keys]
+    if draw(st.booleans()):
+        items.append(draw(st.sampled_from(["rounds", "=1", "mode=bogus", "rounds=x"])))
+    command = draw(st.sampled_from(["run", "compare", "sweep"]))
+    argv = [command, "<config>", "--out", "<out>"]
+    if command == "run":
+        for item in items:
+            argv += ["--override", item]
+    else:  # compare and sweep read their overrides from the file
+        try:
+            apply_overrides(raw, items)
+        except ConfigError:
+            pass  # the file keeps what applied before the bad item
+    if command == "sweep":
+        axis = draw(st.sampled_from(["node_count", "attackers", "mode", "bogus"]))
+        good = {
+            "node_count": st.integers(3, 12).map(str),
+            "attackers": st.integers(0, 3).map(str),
+        }.get(axis, st.sampled_from(MODES))
+        bad = st.sampled_from([*MODES, "x", "1.5", " ", "-1", "2"])
+        cells = draw(st.lists(st.one_of(good, good, good, bad), max_size=3))
+        argv += ["--axis", axis, "--values", ",".join(cells)]
+    text = draw(st.sampled_from([None, None, None, "[]", "{", "null"]))
+    return argv, json.dumps(raw) if text is None else text
+
+
+@settings(RELAXED, max_examples=EXAMPLES["cli_contract"])
+@given(invocation=cli_invocations())
+def test_every_cli_exit_is_0_2_or_3_and_names_its_cause(invocation):
+    argv, text = invocation
+    ran, raised = [], []
+
+    def recording(config):
+        ran.append(config)
+        try:
+            return engine.run_simulation(config)
+        except Exception as exc:
+            raised.append(exc)
+            raise
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scenario.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        argv = [{"<config>": path, "<out>": os.path.join(tmp, "out")}.get(a, a) for a in argv]
+        with mock.patch.object(cli, "run_simulation", recording):
+            code = cli.main(argv)
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_RUNTIME)
+    if code == cli.EXIT_CONFIG:
+        assert not ran  # every check comes before the first simulation
+    if code == cli.EXIT_RUNTIME:
+        assert len(raised) == 1
+        assert isinstance(raised[0], (topo.CoverageFailure, topo.UnreachableNode))
+    else:
+        assert not raised
+
+
+# --- energy clamp -------------------------------------------------------------------
+
+LEAST_NORMAL = 2.2250738585072014e-308  # below it, doubles are subnormal
+JOULES = (
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+    | st.floats(min_value=0.0, max_value=LEAST_NORMAL)
+    | st.sampled_from([0.0, 5e-324, LEAST_NORMAL])
+)
+
+
+@settings(RELAXED, max_examples=EXAMPLES["charge_clamp"])
+@given(residual=JOULES, joules=JOULES, equal=st.booleans())
+def test_engine_charge_leaves_what_consume_leaves(residual, joules, equal):
+    if equal:
+        joules = residual
+    charged, consumed = build_node(1), build_node(2)
+    charged.energy.residual_energy = consumed.energy.residual_energy = residual
+    engine._charge(charged, joules)
+    consume(consumed, joules)
+    assert charged.energy.residual_energy.hex() == consumed.energy.residual_energy.hex()
 
 
 def test_declared_example_volume():
