@@ -35,8 +35,8 @@ def _fmt(value: float) -> str:
 def _bounds(series) -> tuple:
     xs = [x for s in series for x in s.xs]
     ys = [y for s in series for y in s.ys]
-    if not xs:
-        raise ValueError("nothing to plot")
+    if not xs:  # every series is empty: the axes span the unit square
+        return 0.0, 1.0, 0.0, 1.0
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     if x_lo == x_hi:
@@ -55,7 +55,8 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list:
 
 
 def line_chart(series, title: str, x_label: str, y_label: str) -> str:
-    """Render the series as one SVG document and return it as a string."""
+    """Render the series as one SVG document and return it as a string. A
+    series without points still gets its legend entry, but no line."""
     series = list(series)
     if not series:
         raise ValueError("nothing to plot")
@@ -125,7 +126,7 @@ def line_chart(series, title: str, x_label: str, y_label: str) -> str:
                 f'<circle cx="{_fmt(sx(s.xs[0]))}" cy="{_fmt(sy(s.ys[0]))}" r="4" '
                 f'fill="{color}"/>'
             )
-        else:
+        elif s.xs:
             out.append(
                 f'<polyline points="{points}" fill="none" stroke="{color}" '
                 f'stroke-width="2" stroke-linejoin="round"/>'

@@ -29,7 +29,10 @@ which also rebuilds the lookup indices the round loop relies on (who
 belongs to which cluster, who watches whom, who sends in which slot).
 Code that edits the structure must end in a call to it, naming the
 clusters it touched: each cluster's share of the indices is kept as a
-`_Fragment` and only the touched ones are derived again.
+`_Fragment` and only the touched ones are derived again. The last index,
+each leaf's uplink route (`_routes`), is built on the leaf's first send and
+dropped, with the node's slot, whenever a fragment naming it is dropped or
+derived again.
 """
 
 from __future__ import annotations
@@ -223,6 +226,7 @@ class Simulation:
                 )
         self._followers = [n for n in self.nodes if n.node_class is NodeClass.FOLLOWER]
         self._fragments = {}  # cluster id -> _Fragment
+        self._routes = {}  # leaf id -> its uplink route, built on its first send
         self._quarantine_seen = 0  # roster size the rosters were last cleaned for
         self._build_structures(self.clusters, unplaced=self.nodes)
         # Every role taken above came with its reserve. The sink keeps the
@@ -267,10 +271,10 @@ class Simulation:
         any cluster without a fragment yet.
 
         A dirty cluster's old fragment is dropped; a dissolved one gets no
-        new fragment. Roles and slots are re-derived for every node the
-        dropped and the new fragments name, plus `unplaced` (every node at
-        set-up), so a node that left a roster falls back to its default
-        role and to slot `id % slots`. A node whose role moved gets a
+        new fragment. Roles and slots are re-derived, and routes dropped,
+        for every node the dropped and the new fragments name, plus
+        `unplaced` (every node at set-up), so a node that left a roster
+        falls back to its default role and to slot `id % slots`. A node whose role moved gets a
         fresh detection reserve; one that kept its role keeps what is left
         of its running budget. An untouched cluster keeps its fragment,
         its coordinators and their budgets.
@@ -313,6 +317,7 @@ class Simulation:
         topo.assign_roles(nodes, derived)
         slots = cfg.slots_per_round
         for node, role in zip(nodes, roles_before):
+            self._routes.pop(node.id, None)
             if node.id != self.sink.id:
                 node.slot = slot_of.get(node.id, node.id % slots)
             if node.role is not role and node.energy.residual_energy > 0.0:
@@ -443,13 +448,17 @@ class Simulation:
     # low-level charging
 
     def _send(self, node, dst, bits):
-        """Charge a live `node` for `bits` sent to `dst`, priced once per link."""
+        """Charge a live `node` for `bits` sent to `dst`."""
         if node.energy.residual_energy > 0.0:
-            key = (node.id, dst.id, bits)
-            cost = self._link_cost.get(key)
-            if cost is None:
-                cost = self._link_cost[key] = tx_cost(self.params, bits, node.distance_to(dst))
-            _charge(node, cost)
+            _charge(node, self._link_price(node, dst, bits))
+
+    def _link_price(self, node, dst, bits):
+        """The joules for `node` to send `bits` to `dst`, priced once per link."""
+        key = (node.id, dst.id, bits)
+        cost = self._link_cost.get(key)
+        if cost is None:
+            cost = self._link_cost[key] = tx_cost(self.params, bits, node.distance_to(dst))
+        return cost
 
     def _rx_price(self, bits):
         """The joules to receive `bits`, priced once per size."""
@@ -583,7 +592,6 @@ class Simulation:
         by_id = self.by_id
         has_edge = self.graph.has_edge
         quarantined = self.ledgers.quarantined
-        parent_of = self.parent
         attacking = self.round >= cfg.attack.start_round
         # attack deliveries first: they can wake victims within this slot
         for pkt in self._attack_packets.get(slot, ()):
@@ -592,7 +600,7 @@ class Simulation:
                 continue
             dst = by_id[pkt.dst]
             self._send(src, dst, pkt.payload_size)
-            self._observe_tx(pkt, slot, None)
+            self._observe_tx(pkt, slot)
             # both ends were alive at the last graph build: nodes only die
             if dst.energy.residual_energy <= 0.0 or not has_edge(pkt.src, pkt.dst):
                 continue
@@ -606,39 +614,69 @@ class Simulation:
                 if pkt.dst in coordinators or pkt.dst == self.sink.id:
                     self._cc_inbox.setdefault(pkt.dst, []).append(pkt)
 
-        # regular sensing traffic in the owner's slot
+        # regular sensing traffic in the owner's slot, along each leaf's route
         bits = cfg.traffic.data_bits
         rx = self._rx_price(bits)
         sc_role = Role.SC  # a local: enum member lookups are slow
+        obs, received_at, routes = self._obs, self._received_at, self._routes
         for node in self._slot_senders[slot]:
-            if node.energy.residual_energy <= 0.0:
-                continue
-            if attacking and node.malicious:
+            if node.energy.residual_energy <= 0.0 or (attacking and node.malicious):
                 continue  # active attackers replace sensing with their flood
-            parent_id = parent_of.get(node.id)
-            if parent_id is None:
-                continue
-            parent = by_id[parent_id]
-            pkt = self._packet(node.id, parent_id, slot, bits, True)
-            self._send(node, parent, bits)
-            self._observe_tx(pkt, slot, rx)
-            if parent.energy.residual_energy <= 0.0 or not has_edge(node.id, parent_id):
-                continue
-            if node.id in quarantined:
-                continue  # roster is known; junk is not picked up
+            route = routes.get(node.id)
+            if route is None:
+                route = routes[node.id] = self._route(node, slot, bits)
+            if not route:
+                continue  # no uplink
+            parent, pkt, cost, reaches, overhearers, receipt, watched = route
+            _charge(node, cost)
+            for watcher, key, pays in overhearers:
+                if watcher.energy.residual_energy <= 0.0 or key[0] in quarantined:
+                    continue
+                if (seen := obs.get(key)) is None:
+                    seen = obs[key] = Observation()
+                seen.tx_events.append((slot, True))
+                if pays:
+                    _charge(watcher, rx)
+            if parent.energy.residual_energy <= 0.0 or not reaches or node.id in quarantined:
+                continue  # the roster is known: a quarantined sender's junk is not picked up
             _charge(parent, rx)
-            self._note_receipt(parent_id, node.id)
+            received_at[receipt] = received_at.get(receipt, 0) + 1
+            if watched:
+                if (seen := obs.get(receipt)) is None:
+                    seen = obs[receipt] = Observation()
+                seen.packets_to_watcher += 1
             if parent.role is sc_role:
-                self._sc_valid.setdefault(parent_id, []).append(node.id)
-            elif parent_id in coordinators:
-                self._cc_inbox.setdefault(parent_id, []).append(pkt)
+                self._sc_valid.setdefault(pkt.dst, []).append(node.id)
+            elif pkt.dst in coordinators:
+                self._cc_inbox.setdefault(pkt.dst, []).append(pkt)
+
+    def _route(self, node, slot, bits) -> tuple:
+        """A live leaf's uplink as the slot loop reads it, or () for none:
+        (parent, packet, link price, parent in range, overhearers, receipt
+        key, parent watches it), an overhearer being an in-range watcher as
+        (node, observation key, pays rx as not the addressee). Nodes only
+        die, so a cached range test holds while both ends live."""
+        src = node.id
+        parent_id = self.parent.get(src)
+        if parent_id is None:
+            return ()
+        has_edge = self.graph.has_edge
+        parent = self.by_id[parent_id]
+        watchers = self._watchers.get(src, ())
+        return (
+            parent, self._packet(src, parent_id, slot, bits, True),
+            self._link_price(node, parent, bits), has_edge(src, parent_id),
+            tuple((self.by_id[w], (w, src), w != parent_id) for w in watchers if has_edge(w, src)),
+            (parent_id, src), parent_id in watchers,
+        )
 
     def _note_receipt(self, receiver_id, src_id):
-        self._received_at[(receiver_id, src_id)] = (
-            self._received_at.get((receiver_id, src_id), 0) + 1
-        )
+        key = (receiver_id, src_id)
+        self._received_at[key] = self._received_at.get(key, 0) + 1
         if receiver_id in self._watchers.get(src_id, ()):
-            self._observation(receiver_id, src_id).packets_to_watcher += 1
+            if (seen := self._obs.get(key)) is None:
+                seen = self._obs[key] = Observation()
+            seen.packets_to_watcher += 1
 
     def _charge_slot_costs(self, _round):
         """Baseline duty cost by the scheduled state: a forced wake already
@@ -667,34 +705,30 @@ class Simulation:
     # ------------------------------------------------------------------
     # observations
 
-    def _observe_tx(self, pkt: Packet, slot: int, rx):
-        """Record a transmission with everyone watching the source.
+    def _observe_tx(self, pkt: Packet, slot: int):
+        """Record an attack packet with everyone watching its source.
 
         Overhearing is not free: a watcher that is not the addressee keeps
-        its radio receiving for the whole packet and pays its price `rx`
-        (None: looked up on first use). This is what makes an always-on
-        promiscuous monitor expensive to run, while a coordinator watching
-        traffic addressed to itself pays nothing extra."""
+        its radio receiving for the whole packet and pays its receive price.
+        This is what makes an always-on promiscuous monitor expensive to
+        run, while a coordinator watching traffic addressed to itself pays
+        nothing extra."""
         src_id = pkt.src
         by_id = self.by_id
         has_edge = self.graph.has_edge
         quarantined = self.ledgers.quarantined
+        obs = self._obs
         for watcher_id in self._watchers.get(src_id, ()):
             watcher = by_id[watcher_id]
             if watcher.energy.residual_energy <= 0.0 or watcher_id in quarantined:
                 continue
             if has_edge(watcher_id, src_id):
-                self._observation(watcher_id, src_id).tx_events.append((slot, pkt.token.valid))
+                key = (watcher_id, src_id)
+                if (seen := obs.get(key)) is None:
+                    seen = obs[key] = Observation()
+                seen.tx_events.append((slot, pkt.token.valid))
                 if watcher_id != pkt.dst:
-                    if rx is None:
-                        rx = self._rx_price(pkt.payload_size)
-                    _charge(watcher, rx)
-
-    def _observation(self, watcher_id, subject_id) -> Observation:
-        key = (watcher_id, subject_id)
-        if key not in self._obs:
-            self._obs[key] = Observation()
-        return self._obs[key]
+                    _charge(watcher, self._rx_price(pkt.payload_size))
 
     def _cluster_of(self, node_id):
         return self._cluster_index.get(node_id)

@@ -66,6 +66,13 @@ def test_mismatched_lengths_and_empty_input_are_rejected():
         line_chart([], "t", "x", "y")
 
 
+def test_series_without_points_get_axes_and_a_legend_but_no_line():
+    doc = line_chart([Series("a", (), ()), Series("b", (), ())], "t", "x", "y")
+    root = ET.fromstring(doc)
+    assert not root.findall(f"{SVG_NS}polyline") and not root.findall(f"{SVG_NS}circle")
+    assert "nan" not in doc and ">a<" in doc and ">b<" in doc
+
+
 def test_flat_series_is_padded_not_degenerate():
     # constant y must not divide by zero
     doc = line_chart([Series("flat", (0, 1, 2), (4, 4, 4))], "t", "x", "y")

@@ -114,6 +114,30 @@ def test_compare_emits_csv_charts_and_dominance(tmp_path):
     assert summary["imids"]["mode"] == "imids"
 
 
+def test_compare_charts_a_network_that_dies_in_set_up(tmp_path):
+    # e_elec this high drains every battery in the set-up handshakes, so
+    # both arms end before their first round: the charts have no points
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({
+        "seed": 0,
+        "rounds": 1,
+        "deployment": {"node_count": 3, "area_width": 30.0, "area_height": 30.0},
+        "energy": {"e_elec": 1.0},
+    }))
+    out = tmp_path / "cmp"
+    assert cli.main(["compare", str(path), "--out", str(out)]) == 0
+    assert (out / "compare.csv").read_text() == "mode," + cli.CSV_HEADER + "\n"
+    for name in ("alive_vs_time.svg", "accuracy_vs_round.svg"):
+        text = (out / name).read_text()
+        assert ET.fromstring(text).tag.endswith("svg")
+        assert ">IMIDS<" in text and ">ITIDS<" in text  # the legend names the empty arms
+    summary = json.loads((out / "summary.json").read_text())
+    for mode in ("imids", "itids"):
+        assert summary[mode]["rounds_executed"] == 0
+        assert summary[mode]["extinction_round"] == 0
+    assert no_tmp_litter(out)
+
+
 # --- sweep ---------------------------------------------------------------------
 
 

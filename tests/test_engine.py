@@ -277,10 +277,10 @@ def test_a_round_runs_the_mode_phase_tuple_in_order(mode):
 MODE_READERS = {"__init__", "_initialize", "_build_structures", "snapshot_trace"}
 
 
-# Positions never move: the round prices links through `_send`'s memo and
-# tests range through the graph, so only the memo and set-up, structure and
-# reconfiguration code measure a distance.
-GEOMETRY_READERS = {"_send", "_sector_uplink", "_reconfiguration_sweep", "_try_adopt"}
+# Positions never move: the round prices links through the `_link_price` memo
+# and tests range through the graph, so only the memo and set-up, structure
+# and reconfiguration code measure a distance.
+GEOMETRY_READERS = {"_link_price", "_sector_uplink", "_reconfiguration_sweep", "_try_adopt"}
 
 
 # One charging call: every energy write of the round goes through
@@ -309,7 +309,7 @@ def test_only_set_up_and_structure_code_reads_the_mode():
 
 def test_only_the_link_memo_and_structure_code_measure_distance():
     readers = set(_readers("distance_to", ast.parse(inspect.getsource(engine))))
-    assert "_send" in readers  # the scan does see the memo
+    assert "_link_price" in readers  # the scan does see the memo
     assert readers <= GEOMETRY_READERS
 
 

@@ -8,12 +8,15 @@ fragments of the clusters a sweep touched. After every round all of it
 must equal a scan of `clusters`/`sectors`/`monitors`/`nodes` made pass by
 pass, the watch relation the way each mode defines who watches whom, and a
 derivation from scratch, every fragment dropped, must change nothing: no
-role, slot, index or detection budget. The range graph, rebuilt only when
-the alive count moved, must equal a fresh build over the alive nodes
-whenever the sweep has refreshed it, and the capacity the graph memoises
-must equal the formula on it.
+role, slot, index or detection budget. Each leaf's uplink route, built on
+its first send, must equal one built from the scans, and no route may
+outlive a re-derivation of a fragment that names its leaf. The range graph,
+rebuilt only when the alive count moved, must equal a fresh build over the
+alive nodes whenever the sweep has refreshed it, and the capacity the graph
+memoises must equal the formula on it.
 """
 
+import functools
 import json
 import math
 from pathlib import Path
@@ -24,7 +27,8 @@ from imids_sim import engine
 from imids_sim import ids
 from imids_sim import topology as topo
 from imids_sim.config import parse_config
-from imids_sim.core import NodeClass, Role, is_alive
+from imids_sim.core import NodeClass, Packet, PacketKind, Role, WakeupToken, is_alive
+from imids_sim.energy import tx_cost
 
 MODES = ("imids", "imids-no-sectors", "itids")
 STOCK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "stock_comparison.json"
@@ -182,11 +186,68 @@ def check_indices(sim):
     for slot in range(sim.config.slots_per_round):
         assert [n.id for n in sim._slot_senders[slot]] == scan_senders(sim, slot)
     check_range_tests(sim)
+    check_routes(sim)
+
+
+def check_routes(sim):
+    """Every cached route of a live leaf against one built from the scans:
+    its parent, a fresh packet, the transmit price bit for bit, the range
+    test to a live parent, the live watchers in range in watch order (each
+    paying rx unless it is the addressee), the receipt key, and whether the
+    parent watches the leaf. A dead leaf never sends again, and a watcher
+    that died is skipped whatever its cached range test says."""
+    parents = scan_parent(sim)
+    slots = scan_slots(sim)
+    bits = sim.config.traffic.data_bits
+    has_edge = sim.graph.has_edge
+    for node_id, route in sim._routes.items():
+        node = sim.by_id[node_id]
+        if not is_alive(node):
+            continue
+        assert node.role is Role.LN
+        parent_id = parents.get(node_id)
+        if parent_id is None:
+            assert route == ()
+            continue
+        parent, pkt, cost, reaches, overhearers, receipt, watched = route
+        assert parent is sim.by_id[parent_id]
+        assert pkt == Packet(
+            node_id, parent_id, PacketKind.SENSOR_DATA, WakeupToken(node_id, True),
+            slots[node_id], bits,
+        )
+        assert cost == tx_cost(sim.params, bits, node.distance_to(parent))
+        if is_alive(parent):
+            assert reaches == has_edge(node_id, parent_id)
+        watchers = scan_watchers(sim, node_id)
+        assert [
+            (watcher.id, key, pays) for watcher, key, pays in overhearers if is_alive(watcher)
+        ] == [
+            (w, (w, node_id), w != parent_id) for w in watchers
+            if is_alive(sim.by_id[w]) and has_edge(w, node_id)
+        ]
+        assert receipt == (parent_id, node_id)
+        assert watched == (parent_id in watchers)
+
+
+def check_no_stale_routes(sim, fragments_before, unplaced=()):
+    """Right after a re-derivation, which builds no route, no node named by
+    a fragment it dropped or derived, or left unplaced, keeps a route: every
+    route in the cache was built before the re-derivation."""
+    touched = {n.id for n in unplaced}
+    for cluster_id in fragments_before.keys() | sim._fragments.keys():
+        before = fragments_before.get(cluster_id)
+        after = sim._fragments.get(cluster_id)
+        if before is not after:
+            for fragment in (before, after):
+                if fragment is not None:
+                    touched |= fragment.names()
+    assert not touched & sim._routes.keys()
 
 
 def check_range_tests(sim):
-    """The slot loop asks the graph whether a live sender reaches its live
-    parent, or an attacker its victim. Nodes only die, so between two
+    """A leaf's route keeps the graph's answer to whether the leaf reaches
+    its parent and each watcher, and the slot loop asks the graph whether
+    an attacker reaches its victim. Nodes only die, so between two
     refreshes, and in itids with no refresh at all, an edge between any two
     live nodes must still be exactly the inclusive distance test."""
     radius = sim.config.deployment.transmission_range
@@ -234,22 +295,29 @@ def check_rederivation_is_a_fixed_point(sim):
     unplaced as at set-up: what the sweeps derived incrementally must come
     out unchanged, budgets included (a role that moved would refill one)."""
     before = derived_state(sim)
+    routes = dict(sim._routes)
     sim._fragments.clear()
     sim._build_structures([], unplaced=sim.nodes)
     assert derived_state(sim) == before
+    # nothing moved, so the routes still hold: keep them, so that later
+    # rounds check routes that outlive many sweeps
+    sim._routes.update(routes)
 
 
 def run_instrumented_round(sim):
     """One round with two engine steps shadowed on this instance: count
-    the re-derivations, and check the graph each time the sweep refreshes
-    it. Returns the report and the re-derivation calls."""
+    the re-derivations and check that each drops the routes it stales, and
+    check the graph each time the sweep refreshes it. Returns the report
+    and the re-derivation calls."""
     calls = []
     build_structures = sim._build_structures
     refresh_graph = sim._refresh_graph
 
     def counted(*args, **kwargs):
         calls.append(kwargs)
-        return build_structures(*args, **kwargs)
+        fragments_before = dict(sim._fragments)
+        build_structures(*args, **kwargs)
+        check_no_stale_routes(sim, fragments_before, kwargs.get("unplaced", ()))
 
     def checked():
         refresh_graph()
@@ -367,7 +435,7 @@ def test_dissolved_cluster_strands_a_node_nobody_adopts(mode):
         check_rederivation_is_a_fixed_point(sim)
 
 
-def field_recipe(node_count, seed, rounds):
+def field_recipe(node_count, seed, rounds, mode="imids"):
     """The benchmark's field workload at `node_count` nodes: the stock
     scenario at the same density, attacked from round 0 by one attacker
     per 25 nodes."""
@@ -378,7 +446,7 @@ def field_recipe(node_count, seed, rounds):
     deployment["area_width"] *= scale
     deployment["area_height"] *= scale
     raw["attack"].update(attacker_count=node_count // 25, start_round=0)
-    raw.update(seed=seed, rounds=rounds, mode="imids")
+    raw.update(seed=seed, rounds=rounds, mode=mode)
     return parse_config(raw)
 
 
@@ -400,6 +468,47 @@ def test_many_clusters_reuse_untouched_fragments():
     assert len(sim.clusters) > 10
     assert sim.ledgers.quarantined  # roster cleanup ran too
     assert partial > 0
+
+
+def test_a_leaf_out_of_range_reaches_neither_its_parent_nor_its_watcher():
+    """Structure code only ever places a leaf in range of its parent and
+    its watcher, so the cached range tests are exercised by hand: a leaf
+    moved into the roster of a coordinator out of its range pays for its
+    send, but the coordinator neither overhears nor receives it."""
+    sim = engine.initialize(field_recipe(200, seed=42, rounds=1, mode="imids-no-sectors"))
+    radius = sim.config.deployment.transmission_range
+    home, far, leaf_id = next(
+        (home, far, m)
+        for home in sim.clusters
+        for m in sorted(home.members)
+        if sim.by_id[m].role is Role.LN and not sim.by_id[m].malicious
+        for far in sim.clusters
+        if sim.by_id[m].distance_to(sim.by_id[far.coordinator]) > radius
+    )
+    home.members.discard(leaf_id)
+    far.members.add(leaf_id)
+    sim._build_structures([], {home.id, far.id})
+    check_indices(sim)
+    leaf = sim.by_id[leaf_id]
+    assert leaf.role is Role.LN and sim.parent[leaf_id] == far.coordinator
+    assert sim._watchers[leaf_id] == (far.coordinator,)
+    seen = {}
+
+    def probed(phase, r):
+        charge = leaf.energy.residual_energy
+        phase(r)
+        if phase.__name__ == "_run_slots":
+            seen.update(route=sim._routes[leaf_id], obs=set(sim._obs),
+                        received=set(sim._received_at),
+                        paid=charge - leaf.energy.residual_energy)
+            check_routes(sim)
+
+    sim._phases = tuple(functools.partial(probed, phase) for phase in sim._phases)
+    sim.run_round()
+    _, _, cost, reaches, overhearers, receipt, watched = seen["route"]
+    assert not reaches and overhearers == () and watched
+    assert receipt not in seen["obs"] and receipt not in seen["received"]
+    assert seen["paid"] >= cost * (1 - 1e-12)  # the send itself was paid
 
 
 def expected_mask(sim, node):
