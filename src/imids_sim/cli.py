@@ -82,7 +82,7 @@ def _summarize(trace) -> dict:
         "seed": trace.seed,
         "rounds_executed": len(trace.reports),
         "alive_initial": alive_initial,
-        "final_alive": trace.reports[-1].alive_count if trace.reports else alive_initial,
+        "final_alive": sum(e > 0.0 for i, e in trace.final_energy.items() if i != topo.SINK_ID),
         "lifetime_round": _lifetime_round(trace, alive_initial),
         "extinction_round": trace.extinction_round,
         "accuracy": confusion.accuracy,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import DETECTION_FRACTION, Role, SensorNode, is_alive
+from .core import DETECTION_FRACTION, Role, SensorNode
 
 
 @dataclass(frozen=True)
@@ -53,10 +53,10 @@ def consume(node: SensorNode, joules: float) -> float:
     if joules == 0.0:
         return 0.0
     account = node.energy
-    spent = min(joules, account.residual_energy)
-    account.residual_energy -= spent
-    if account.residual_energy <= 0.0:
-        account.residual_energy = 0.0
+    residual = account.residual_energy
+    spent = residual if residual < joules else joules
+    residual -= spent
+    account.residual_energy = 0.0 if residual <= 0.0 else residual
     return spent
 
 
@@ -81,9 +81,10 @@ def charge_detection(node: SensorNode, params: EnergyParams) -> bool:
     if not account.detection_enabled:
         raise ValueError(f"node {node.id} has no active detection capability")
     consume(node, params.e_detect)
-    account.detection_budget = max(0.0, account.detection_budget - params.e_detect)
+    budget = account.detection_budget - params.e_detect
+    account.detection_budget = budget = budget if budget > 0.0 else 0.0
     floor = params.dp_min_threshold * account.detection_budget_initial
-    if account.detection_budget < floor or not is_alive(node):
+    if budget < floor or not account.residual_energy > 0.0:  # or the node died
         account.detection_enabled = False
         return True
     return False

@@ -20,9 +20,10 @@ relation (who screens whom inside a cluster). `run_round` itself never
 asks which mode it runs.
 
 Everything random is drawn from substreams derived from the scenario
-seed and keyed by concern, round, and node id, so a (config, seed) pair
-always produces the identical trace and the sleep masks and attack
-traffic line up exactly across modes.
+seed and keyed by concern, round, and node id (a round's sleep masks come
+from one `SeededRng.flip_rows` call and are priced as they are drawn), so
+a (config, seed) pair always produces the identical trace and the sleep
+masks and attack traffic line up exactly across modes.
 
 The cluster/sector structure changes only through `_build_structures`,
 which also rebuilds the lookup indices the round loop relies on (who
@@ -532,25 +533,34 @@ class Simulation:
     def _draw_masks(self, r: int):
         """Per-node wake masks for the round; the own TDMA slot is always
         awake. Keyed by (round, node) so every mode sees the same draw.
+        Each mask is priced here, once per wake pattern through the
+        `_slot_cost` memo, for `_charge_slot_costs` to charge.
 
         Always-on nodes, the sink among them, get no mask: every reader
         checks `always_on` first, and skipping a keyed stream moves no
         other draw."""
         cfg = self.config
+        p_listen, p_sleep = self.params.p_listen, self.params.p_sleep
         always_on = self.always_on
-        sleep_probability = cfg.sleep_probability
-        slots = range(cfg.slots_per_round)
-        stream = self.rng.substreams("sleep", r)  # derive("sleep", r, node id)
-        masks = {}
-        for node in self.nodes:
-            if node.id in always_on or node.energy.residual_energy <= 0.0:
-                continue
-            draw = stream(node.id).random
-            wake = [draw() >= sleep_probability for _ in slots]
+        sleepers = [
+            node for node in self.nodes
+            if node.id not in always_on and node.energy.residual_energy > 0.0
+        ]
+        rows = self.rng.flip_rows(  # row i: derive("sleep", r, sleepers[i].id)
+            ("sleep", r), [node.id for node in sleepers], cfg.slots_per_round,
+            cfg.sleep_probability,
+        )
+        prices = self._slot_cost
+        self._masks = masks = {}
+        self._duty = duty = []  # (node, its mask's duty joules)
+        for node, wake in zip(sleepers, rows):
             wake[node.slot] = True
-            masks[node.id] = tuple(wake)
-        self._masks = masks
-        self._forced = [set() for _ in slots]  # woken by attack
+            masks[node.id] = mask = tuple(wake)
+            cost = prices.get(mask)
+            if cost is None:
+                cost = prices[mask] = _add_up(p_listen if awake else p_sleep for awake in mask)
+            duty.append((node, cost))
+        self._forced = [set() for _ in range(cfg.slots_per_round)]  # woken by attack
 
     def _emit_attacks(self, r: int):
         """Each live attacker's packets for the round, by slot."""
@@ -680,26 +690,13 @@ class Simulation:
 
     def _charge_slot_costs(self, _round):
         """Baseline duty cost by the scheduled state: a forced wake already
-        paid the listen/sleep difference at delivery time. Equal masks fold
-        to equal sums, so each wake pattern is added up once."""
-        params = self.params
-        always_on = self.always_on
-        always_on_cost = params.p_listen * self.config.slots_per_round
-        masks = self._masks
-        for node in self.nodes:
-            if node.energy.residual_energy <= 0.0:
-                continue
-            if node.id in always_on:
-                _charge(node, always_on_cost)
-                continue
-            mask = masks.get(node.id)
-            if mask is None:
-                continue
-            cost = self._slot_cost.get(mask)
-            if cost is None:
-                cost = self._slot_cost[mask] = _add_up(
-                    params.p_listen if awake else params.p_sleep for awake in mask
-                )
+        paid the listen/sleep difference at delivery time. Always-on nodes
+        listen through every slot; the rest pay the price of their mask."""
+        by_id = self.by_id
+        always_on_cost = self.params.p_listen * self.config.slots_per_round
+        for node_id in self.always_on:
+            _charge(by_id[node_id], always_on_cost)
+        for node, cost in self._duty:
             _charge(node, cost)
 
     # ------------------------------------------------------------------

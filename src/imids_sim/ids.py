@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .core import SensorNode, trust_penalize, trust_reward
+from .core import TRUST_MAX, SensorNode, trust_penalize, trust_reward
 from .energy import EnergyParams, charge_detection
 
 
@@ -176,7 +176,7 @@ def sids_check(
         if reasons:
             subject.trust = trust_penalize(subject.trust)
             add_strikes(ledgers, node_id, reasons, current_round)
-        else:
+        elif subject.trust.nibble < TRUST_MAX:  # full trust has nothing to gain
             subject.trust = trust_reward(subject.trust)
         if disabled:
             break

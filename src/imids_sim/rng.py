@@ -1,9 +1,15 @@
-"""Seeded random streams with reproducible, independently derivable substreams."""
+"""Seeded random streams with reproducible, independently derivable substreams.
+
+The package's only source of randomness: every draw is keyed by the scenario seed."""
 
 from __future__ import annotations
 
 import hashlib
 import random
+from _random import Random as _Generator  # random.Random's C base, same draws
+from functools import partial
+from itertools import starmap
+from operator import le
 
 
 def _derive_seed(master_seed: int, tokens: tuple) -> int:
@@ -29,29 +35,22 @@ class SeededRng:
     def derive(self, *tokens) -> random.Random:
         return random.Random(_derive_seed(self.seed, tokens))
 
-    def substreams(self, *tokens):
-        """A family of substreams sharing the leading `tokens`.
+    def flip_rows(self, prefix: tuple, keys, count: int, p: float) -> list:
+        """One list per key: the first `count` draws of
+        `derive(*prefix, key)` as bits `draw >= p`, draw for draw.
 
-        `stream(last)` gives the generator `derive(*tokens, last)` would
-        give, draw for draw. The shared part of the seed material is hashed
-        once, and every stream reseeds one `random.Random` the family owns,
-        so the returned generator is valid only until the next
-        `stream(...)` call.
-        """
+        The shared part of the seed material is hashed once. Each key seeds
+        a C generator as `random.Random` would, and its draws are mapped to
+        bits in C."""
         # repr of a tuple is its items' reprs joined by ", " in parentheses
-        prefix = "(" + ", ".join(map(repr, (self.seed, *tokens))) + ", "
-        hashed = hashlib.sha256(prefix.encode("utf-8"))
-        generator = None
-
-        def stream(last) -> random.Random:
-            nonlocal generator
-            digest = hashed.copy()
-            digest.update(f"{last!r})".encode("utf-8"))
-            seed = int.from_bytes(digest.digest()[:8], "big")
-            if generator is None:  # an unseeded Random() would read OS entropy first
-                generator = random.Random(seed)
-            else:
-                generator.seed(seed)
-            return generator
-
-        return stream
+        prefix = "(" + ", ".join(map(repr, (self.seed, *prefix))) + ", "
+        copy = hashlib.sha256(prefix.encode("utf-8")).copy
+        at_least_p = partial(le, p)  # p <= draw
+        no_args = ((),) * count
+        rows = []
+        for key in keys:
+            digest = copy()
+            digest.update(f"{key!r})".encode("utf-8"))
+            draw = _Generator(int.from_bytes(digest.digest()[:8], "big")).random
+            rows.append(list(map(at_least_p, starmap(draw, no_args))))
+        return rows

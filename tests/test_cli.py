@@ -138,6 +138,25 @@ def test_compare_charts_a_network_that_dies_in_set_up(tmp_path):
     assert no_tmp_litter(out)
 
 
+def test_a_network_that_dies_in_set_up_ends_with_none_alive(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({
+        "seed": 0,
+        "rounds": 1,
+        "deployment": {"node_count": 3, "area_width": 30.0, "area_height": 30.0},
+        "energy": {"e_elec": 1.0},
+    }))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "run")]) == 0
+    summaries = [json.loads((tmp_path / "run" / "summary.json").read_text())]
+    assert cli.main(["compare", str(path), "--out", str(tmp_path / "cmp")]) == 0
+    compared = json.loads((tmp_path / "cmp" / "summary.json").read_text())
+    summaries += [compared["imids"], compared["itids"]]
+    for summary in summaries:
+        assert summary["rounds_executed"] == 0
+        assert summary["alive_initial"] == 2
+        assert summary["final_alive"] == 0
+
+
 # --- sweep ---------------------------------------------------------------------
 
 

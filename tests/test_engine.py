@@ -332,3 +332,39 @@ def test_the_engine_names_neither_consume_nor_is_alive():
                 names.update((alias.name, alias.asname))
     assert {"_charge", "tx_cost", "rx_cost"} <= names  # the scan does see calls and imports
     assert not names & NOT_IN_ENGINE
+
+
+# Every draw is keyed by the scenario seed: only `rng.py` builds or reseeds
+# a generator or hashes seed material, and no module draws from the global
+# `random` generator.
+PACKAGE = Path(engine.__file__).resolve().parent
+SEED_MODULES = {"random", "_random", "hashlib"}
+
+
+def _seeding(tree) -> set:
+    """What in `tree` builds or reseeds a generator or reaches for hashing."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("Random", "seed"):
+                found.add(f"{name}(...)")
+            if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "random":
+                found.add(f"random.{name}(...)")  # the global, unkeyed generator
+        elif isinstance(node, ast.Import):
+            found.update(a.name for a in node.names if a.name in SEED_MODULES - {"random"})
+        elif isinstance(node, ast.ImportFrom) and node.module in SEED_MODULES:
+            found.add(f"from {node.module} import")
+        elif isinstance(node, ast.Name) and node.id == "hashlib":
+            found.add("hashlib")
+    return found
+
+
+def test_only_rng_seeds_generators_or_hashes():
+    assert {"Random(...)", "hashlib", "from _random import"} <= _seeding(
+        ast.parse((PACKAGE / "rng.py").read_text())
+    )  # the scan does see rng.py's own seeding
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "rng.py":
+            assert not _seeding(ast.parse(path.read_text())), path.name

@@ -32,7 +32,7 @@ from imids_sim.core import (
     trust_penalize,
     trust_reward,
 )
-from imids_sim.energy import consume
+from imids_sim.energy import EnergyParams, charge_detection, consume
 
 from conftest import build_node, build_sink
 
@@ -44,6 +44,7 @@ EXAMPLES = {
     "alive_monotone": 100,
     "config_contract": 200,
     "charge_clamp": 400,
+    "clamp_reference": 400,
     "cli_contract": 150,
 }
 
@@ -384,6 +385,84 @@ def test_engine_charge_leaves_what_consume_leaves(residual, joules, equal):
     engine._charge(charged, joules)
     consume(consumed, joules)
     assert charged.energy.residual_energy.hex() == consumed.energy.residual_energy.hex()
+
+
+def consume_reference(node, joules):
+    """`energy.consume` as it was written with `min()`."""
+    if joules < 0:
+        raise ValueError("cannot consume negative energy")
+    if joules == 0.0:
+        return 0.0
+    account = node.energy
+    spent = min(joules, account.residual_energy)
+    account.residual_energy -= spent
+    if account.residual_energy <= 0.0:
+        account.residual_energy = 0.0
+    return spent
+
+
+def charge_detection_reference(node, params):
+    """`energy.charge_detection` as it was written with `max()` and `is_alive`."""
+    account = node.energy
+    consume_reference(node, params.e_detect)
+    account.detection_budget = max(0.0, account.detection_budget - params.e_detect)
+    floor = params.dp_min_threshold * account.detection_budget_initial
+    if account.detection_budget < floor or not is_alive(node):
+        account.detection_enabled = False
+        return True
+    return False
+
+
+@settings(RELAXED, max_examples=EXAMPLES["clamp_reference"] // 2)
+@given(residual=JOULES, joules=JOULES, equal=st.booleans())
+@example(residual=0.0, joules=0.0, equal=False)
+@example(residual=1e-6, joules=1e-6, equal=False)
+def test_consume_matches_its_min_reference(residual, joules, equal):
+    if equal:
+        joules = residual
+    node, reference = build_node(1), build_node(2)
+    node.energy.residual_energy = reference.energy.residual_energy = residual
+    spent = consume(node, joules)
+    expected = consume_reference(reference, joules)
+    assert spent.hex() == expected.hex()
+    assert node.energy.residual_energy.hex() == reference.energy.residual_energy.hex()
+
+
+@settings(RELAXED, max_examples=EXAMPLES["clamp_reference"] // 2)
+@given(
+    residual=JOULES,
+    budget=JOULES,
+    initial=JOULES,
+    e_detect=JOULES,
+    threshold=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    tie=st.sampled_from(["none", "residual", "budget", "both"]),
+    checks=st.integers(min_value=1, max_value=4),
+)
+@example(residual=0.0, budget=0.0, initial=0.0, e_detect=0.0, threshold=0.0, tie="none", checks=1)
+@example(residual=1e-6, budget=1e-6, initial=1e-6, e_detect=1e-6, threshold=0.05, tie="both",
+         checks=2)
+def test_charge_detection_matches_its_max_reference(
+    residual, budget, initial, e_detect, threshold, tie, checks
+):
+    if tie in ("residual", "both"):
+        e_detect = residual
+    if tie in ("budget", "both"):
+        budget = e_detect
+    params = EnergyParams(e_detect=e_detect, dp_min_threshold=threshold)
+    node, reference = build_node(1), build_node(2)
+    for account in (node.energy, reference.energy):
+        account.residual_energy = residual
+        account.detection_budget = budget
+        account.detection_budget_initial = initial
+        account.detection_enabled = True
+    for _ in range(checks):
+        if not reference.energy.detection_enabled:
+            break
+        assert charge_detection(node, params) is charge_detection_reference(reference, params)
+        ours, theirs = node.energy, reference.energy
+        assert ours.residual_energy.hex() == theirs.residual_energy.hex()
+        assert ours.detection_budget.hex() == theirs.detection_budget.hex()
+        assert ours.detection_enabled is theirs.detection_enabled
 
 
 def test_declared_example_volume():
