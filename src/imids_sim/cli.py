@@ -56,22 +56,31 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _metrics_row(report) -> str:
+    """One round as a `CSV_HEADER` row."""
+    return (
+        f"{report.round},{report.alive_count},{report.energy_spent_total!r},"
+        f"{len(report.suspects_new)},{len(report.quarantines_new)},"
+        f"{report.tp},{report.fp},{report.tn},{report.fn}"
+    )
+
+
 def _metrics_csv(trace) -> str:
-    lines = [CSV_HEADER]
-    for report in trace.reports:
-        lines.append(
-            f"{report.round},{report.alive_count},{report.energy_spent_total!r},"
-            f"{len(report.suspects_new)},{len(report.quarantines_new)},"
-            f"{report.tp},{report.fp},{report.tn},{report.fn}"
-        )
-    return "\n".join(lines) + "\n"
+    return "\n".join([CSV_HEADER, *map(_metrics_row, trace.reports)]) + "\n"
+
+
+def _final_alive(trace) -> int:
+    """Live non-sink nodes at the end of the run, set-up deaths included."""
+    return sum(e > 0.0 for i, e in trace.final_energy.items() if i != topo.SINK_ID)
 
 
 def _lifetime_round(trace, alive_initial: int):
+    """The first round that ends with fewer nodes alive than deployed: 0 if
+    set-up killed some before any round, None if none died."""
     for report in trace.reports:
         if report.alive_count < alive_initial:
             return report.round
-    return None
+    return 0 if _final_alive(trace) < alive_initial else None
 
 
 def _summarize(trace) -> dict:
@@ -82,7 +91,7 @@ def _summarize(trace) -> dict:
         "seed": trace.seed,
         "rounds_executed": len(trace.reports),
         "alive_initial": alive_initial,
-        "final_alive": sum(e > 0.0 for i, e in trace.final_energy.items() if i != topo.SINK_ID),
+        "final_alive": _final_alive(trace),
         "lifetime_round": _lifetime_round(trace, alive_initial),
         "extinction_round": trace.extinction_round,
         "accuracy": confusion.accuracy,
@@ -122,13 +131,7 @@ def cmd_run(args) -> int:
 def _compare_csv(traces) -> str:
     lines = ["mode," + CSV_HEADER]
     for mode, trace in traces.items():
-        for report in trace.reports:
-            lines.append(
-                f"{mode},{report.round},{report.alive_count},"
-                f"{report.energy_spent_total!r},{len(report.suspects_new)},"
-                f"{len(report.quarantines_new)},{report.tp},{report.fp},"
-                f"{report.tn},{report.fn}"
-            )
+        lines.extend(f"{mode},{_metrics_row(report)}" for report in trace.reports)
     return "\n".join(lines) + "\n"
 
 
@@ -145,30 +148,13 @@ def cmd_compare(args) -> int:
 
     imids, itids = traces["imids"], traces["itids"]
     spr = imids.config.get("seconds_per_round", 1.0)
-    alive_series = [
-        Series(
-            label="IMIDS",
-            xs=tuple(r.round * spr for r in imids.reports),
-            ys=tuple(r.alive_count for r in imids.reports),
-        ),
-        Series(
-            label="ITIDS",
-            xs=tuple(r.round * spr for r in itids.reports),
-            ys=tuple(r.alive_count for r in itids.reports),
-        ),
-    ]
-    accuracy_series = [
-        Series(
-            label="IMIDS",
-            xs=tuple(r.round for r in imids.reports),
-            ys=tuple(imids.accuracy_series()),
-        ),
-        Series(
-            label="ITIDS",
-            xs=tuple(r.round for r in itids.reports),
-            ys=tuple(itids.accuracy_series()),
-        ),
-    ]
+    alive_series, accuracy_series = zip(*(
+        (
+            Series(mode.upper(), tuple(r.round * spr for r in t.reports), tuple(t.alive_series)),
+            Series(mode.upper(), tuple(r.round for r in t.reports), tuple(t.accuracy_series())),
+        )
+        for mode, t in traces.items()
+    ))
 
     rounds = max(len(imids.reports), len(itids.reports))
 
@@ -263,7 +249,7 @@ def cmd_sweep(args) -> int:
         total = trace.total_energy_spent()
         rows.append(
             f"{args.axis},{value},{mode},{trace.seed},{len(trace.reports)},"
-            f"{trace.reports[-1].alive_count if trace.reports else ''},"
+            f"{_final_alive(trace)},"
             f"{total!r},{confusion.accuracy!r},{confusion.detection_rate!r}"
         )
         energy.setdefault(mode, []).append((value, total))

@@ -19,6 +19,11 @@ set-up `__init__` builds the phase tuple and picks the mode's watch
 relation (who screens whom inside a cluster). `run_round` itself never
 asks which mode it runs.
 
+Every hop is one first-order radio transmission through `_hop`. Overhearing
+is not free: a watcher that is not the addressee pays the receive price too
+(`_overhear`), which is what makes an always-on promiscuous monitor
+expensive to run.
+
 Everything random is drawn from substreams derived from the scenario
 seed and keyed by concern, round, and node id (a round's sleep masks come
 from one `SeededRng.flip_rows` call and are priced as they are drawn), so
@@ -442,16 +447,24 @@ class Simulation:
             member = self.by_id[member_id]
             if member.energy.residual_energy > 0.0:
                 _charge(member, rx)
-                self._send(member, head, bits)
-                _charge(head, rx)
+                self._hop(member, head, bits)
 
     # ------------------------------------------------------------------
     # low-level charging
 
-    def _send(self, node, dst, bits):
-        """Charge a live `node` for `bits` sent to `dst`."""
-        if node.energy.residual_energy > 0.0:
-            _charge(node, self._link_price(node, dst, bits))
+    def _hop(self, src, dst, bits, filtered=False) -> bool:
+        """One first-order radio transmission of `bits` from `src` to `dst`:
+        a live sender pays its link price and a live receiver that does not
+        filter the sender (`filtered`) pays the receive price. Returns
+        whether the receiver got the packet. The receiving side does not
+        ask whether the sender is alive, so a sender that died paying its
+        own receive charge just before still bills its receiver."""
+        if src.energy.residual_energy > 0.0:
+            _charge(src, self._link_price(src, dst, bits))
+        if filtered or dst.energy.residual_energy <= 0.0:
+            return False
+        _charge(dst, self._rx_price(bits))
+        return True
 
     def _link_price(self, node, dst, bits):
         """The joules for `node` to send `bits` to `dst`, priced once per link."""
@@ -608,9 +621,9 @@ class Simulation:
             src = by_id[pkt.src]
             if src.energy.residual_energy <= 0.0:
                 continue
-            dst = by_id[pkt.dst]
-            self._send(src, dst, pkt.payload_size)
-            self._observe_tx(pkt, slot)
+            dst, size = by_id[pkt.dst], pkt.payload_size
+            _charge(src, self._link_price(src, dst, size))
+            self._overhear(self._overhearers(pkt.src, pkt.dst), slot, pkt.token.valid, size)
             # both ends were alive at the last graph build: nodes only die
             if dst.energy.residual_energy <= 0.0 or not has_edge(pkt.src, pkt.dst):
                 continue
@@ -629,6 +642,7 @@ class Simulation:
         rx = self._rx_price(bits)
         sc_role = Role.SC  # a local: enum member lookups are slow
         obs, received_at, routes = self._obs, self._received_at, self._routes
+        overhear = self._overhear
         for node in self._slot_senders[slot]:
             if node.energy.residual_energy <= 0.0 or (attacking and node.malicious):
                 continue  # active attackers replace sensing with their flood
@@ -639,14 +653,7 @@ class Simulation:
                 continue  # no uplink
             parent, pkt, cost, reaches, overhearers, receipt, watched = route
             _charge(node, cost)
-            for watcher, key, pays in overhearers:
-                if watcher.energy.residual_energy <= 0.0 or key[0] in quarantined:
-                    continue
-                if (seen := obs.get(key)) is None:
-                    seen = obs[key] = Observation()
-                seen.tx_events.append((slot, True))
-                if pays:
-                    _charge(watcher, rx)
+            overhear(overhearers, slot, True, bits)
             if parent.energy.residual_energy <= 0.0 or not reaches or node.id in quarantined:
                 continue  # the roster is known: a quarantined sender's junk is not picked up
             _charge(parent, rx)
@@ -662,23 +669,50 @@ class Simulation:
 
     def _route(self, node, slot, bits) -> tuple:
         """A live leaf's uplink as the slot loop reads it, or () for none:
-        (parent, packet, link price, parent in range, overhearers, receipt
-        key, parent watches it), an overhearer being an in-range watcher as
-        (node, observation key, pays rx as not the addressee). Nodes only
-        die, so a cached range test holds while both ends live."""
+        (parent, packet, link price, parent in range, `_overhearers`,
+        receipt key, parent watches it). Nodes only die, so a cached range
+        test holds while both ends live."""
         src = node.id
         parent_id = self.parent.get(src)
         if parent_id is None:
             return ()
-        has_edge = self.graph.has_edge
         parent = self.by_id[parent_id]
-        watchers = self._watchers.get(src, ())
         return (
             parent, self._packet(src, parent_id, slot, bits, True),
-            self._link_price(node, parent, bits), has_edge(src, parent_id),
-            tuple((self.by_id[w], (w, src), w != parent_id) for w in watchers if has_edge(w, src)),
-            (parent_id, src), parent_id in watchers,
+            self._link_price(node, parent, bits), self.graph.has_edge(src, parent_id),
+            self._overhearers(src, parent_id), (parent_id, src),
+            parent_id in self._watchers.get(src, ()),
         )
+
+    def _overhearers(self, src, dst) -> tuple:
+        """The watchers of `src` in range of it, as (node, observation key,
+        pays rx as not the addressee `dst`)."""
+        has_edge = self.graph.has_edge
+        return tuple(
+            (self.by_id[w], (w, src), w != dst)
+            for w in self._watchers.get(src, ()) if has_edge(w, src)
+        )
+
+    def _overhear(self, overhearers, slot, valid, bits):
+        """Record a transmission of `bits` in `slot` with every live,
+        unquarantined overhearer. Overhearing is not free: a watcher that
+        is not the addressee keeps its radio receiving for the whole packet
+        and pays the receive price, looked up once someone pays. This is
+        what makes an always-on promiscuous monitor expensive to run, while
+        a coordinator watching traffic addressed to itself pays nothing."""
+        obs = self._obs
+        quarantined = self.ledgers.quarantined
+        rx = None
+        for watcher, key, pays in overhearers:
+            if watcher.energy.residual_energy <= 0.0 or key[0] in quarantined:
+                continue
+            if (seen := obs.get(key)) is None:
+                seen = obs[key] = Observation()
+            seen.tx_events.append((slot, valid))
+            if pays:
+                if rx is None:
+                    rx = self._rx_price(bits)
+                _charge(watcher, rx)
 
     def _note_receipt(self, receiver_id, src_id):
         key = (receiver_id, src_id)
@@ -698,34 +732,6 @@ class Simulation:
             _charge(by_id[node_id], always_on_cost)
         for node, cost in self._duty:
             _charge(node, cost)
-
-    # ------------------------------------------------------------------
-    # observations
-
-    def _observe_tx(self, pkt: Packet, slot: int):
-        """Record an attack packet with everyone watching its source.
-
-        Overhearing is not free: a watcher that is not the addressee keeps
-        its radio receiving for the whole packet and pays its receive price.
-        This is what makes an always-on promiscuous monitor expensive to
-        run, while a coordinator watching traffic addressed to itself pays
-        nothing extra."""
-        src_id = pkt.src
-        by_id = self.by_id
-        has_edge = self.graph.has_edge
-        quarantined = self.ledgers.quarantined
-        obs = self._obs
-        for watcher_id in self._watchers.get(src_id, ()):
-            watcher = by_id[watcher_id]
-            if watcher.energy.residual_energy <= 0.0 or watcher_id in quarantined:
-                continue
-            if has_edge(watcher_id, src_id):
-                key = (watcher_id, src_id)
-                if (seen := obs.get(key)) is None:
-                    seen = obs[key] = Observation()
-                seen.tx_events.append((slot, pkt.token.valid))
-                if watcher_id != pkt.dst:
-                    _charge(watcher, self._rx_price(pkt.payload_size))
 
     def _cluster_of(self, node_id):
         return self._cluster_index.get(node_id)
@@ -752,15 +758,9 @@ class Simulation:
         cfg = self.config
         obs = self._obs
         by_id = self.by_id
-        quarantined = self.ledgers.quarantined
         for watcher_id, subject_ids in self._screens:
-            watcher = by_id[watcher_id]
-            if watcher.energy.residual_energy <= 0.0 or watcher_id in quarantined:
-                continue
-            if watcher.malicious and r >= cfg.attack.start_round:
+            if not self._usable_judge(watcher_id):
                 continue  # a compromised screen simply stops screening
-            if not watcher.energy.detection_enabled:
-                continue
             subjects = {
                 s: node for s in subject_ids
                 if (node := by_id[s]).energy.residual_energy > 0.0
@@ -769,7 +769,7 @@ class Simulation:
                 s: seen for s in subjects if (seen := obs.get((watcher_id, s))) is not None
             }
             ids_mod.sids_check(
-                watcher, subjects, observations, self.profile,
+                by_id[watcher_id], subjects, observations, self.profile,
                 cfg.detection, self.params, self.ledgers, r,
             )
 
@@ -777,7 +777,6 @@ class Simulation:
         """Sector coordinators aggregate their valid leaf traffic upward."""
         cfg = self.config
         bits = cfg.traffic.aggregate_bits
-        rx = self._rx_price(bits)
         for cluster in self.clusters:
             cc = self.by_id[cluster.coordinator]
             for sector in cluster.sectors:
@@ -796,19 +795,15 @@ class Simulation:
                     AGGREGATE_SLOT, bits, not active_attacker, tuple(sources),
                 )
                 hop = self.by_id[agg.dst]
-                self._send(sc, hop, bits)
-                if hop.energy.residual_energy <= 0.0 or self.ledgers.is_quarantined(sc.id):
+                if not self._hop(sc, hop, bits, self.ledgers.is_quarantined(sc.id)):
                     continue
-                _charge(hop, rx)
                 if hop.id != cluster.coordinator:
                     # forwarding head relays to the coordinator
                     self.ledgers.forwarding_log.append((r, hop.id, sc.id))
-                    if cc.energy.residual_energy <= 0.0:
+                    if cc.energy.residual_energy <= 0.0 or not self._hop(
+                        hop, cc, bits, self.ledgers.is_quarantined(hop.id)
+                    ):
                         continue
-                    self._send(hop, cc, bits)
-                    if self.ledgers.is_quarantined(hop.id):
-                        continue
-                    _charge(cc, rx)
                 self._cc_inbox.setdefault(cluster.coordinator, []).append(agg)
                 self._note_receipt(cluster.coordinator, sc.id)
 
@@ -818,22 +813,16 @@ class Simulation:
         for suspect_id in sorted(self.ledgers.suspected):
             if self.ledgers.is_quarantined(suspect_id):
                 continue
+            judges = self._judges_for(suspect_id)
+            if not judges:
+                continue
             suspect = self.by_id[suspect_id]
             entry = self.ledgers.suspected[suspect_id]
-            decision = None
-            decided_by = None
-            for judge_id in self._judges_for(suspect_id):
-                judge = self.by_id[judge_id]
-                try:
-                    decision = ids_mod.exids_decide(
-                        judge, suspect, entry, r, cfg.detection, self.params
-                    )
-                    decided_by = judge_id
-                except ids_mod.DisabledIds:
-                    continue
-            if decision is None:
-                continue
-            self.ledgers.decision_log.append((r, decided_by, suspect_id, decision))
+            for judge_id in judges:  # every judge checks; the last one's verdict stands
+                decision = ids_mod.exids_decide(
+                    self.by_id[judge_id], suspect, entry, r, cfg.detection, self.params
+                )
+            self.ledgers.decision_log.append((r, judges[-1], suspect_id, decision))
             if decision is Decision.MALICIOUS:
                 if ids_mod.quarantine(self.ledgers, suspect_id, r):
                     self._broadcast_roster_update(suspect_id)
@@ -841,12 +830,9 @@ class Simulation:
                 ids_mod.rehabilitate(self.ledgers, suspect)
 
     def _usable_judge(self, node_id) -> bool:
-        node = self.by_id[node_id]
-        return (
-            node.energy.residual_energy > 0.0
-            and not self.ledgers.is_quarantined(node_id)
-            and node.energy.detection_enabled
-            and not (node.malicious and self.round >= self.config.attack.start_round)
+        """A detection role holder that has not failed and is not an active attacker."""
+        return not self._role_failed(node_id) and not (
+            self.by_id[node_id].malicious and self.round >= self.config.attack.start_round
         )
 
     def _judges_for(self, suspect_id):
@@ -898,7 +884,6 @@ class Simulation:
         cfg = self.config
         self._validate_sink_inbox(r)
         sink_inbox = []
-        rx = self._rx_price(cfg.traffic.aggregate_bits)
         for cluster in self.clusters:
             cc = self.by_id[cluster.coordinator]
             if cc.energy.residual_energy <= 0.0:
@@ -914,14 +899,10 @@ class Simulation:
                     continue
                 subject = self.by_id[pkt.src]
                 expected_slot = AGGREGATE_SLOT if pkt.slot == AGGREGATE_SLOT else subject.slot
-                try:
-                    result = ids_mod.cc_validate(
-                        cc, pkt, expected_slot, self._received_at.get((cc.id, pkt.src), 0),
-                        self.ledgers, cfg.detection, self.params, r,
-                    )
-                except ids_mod.DisabledIds:
-                    accepted_sources.extend(pkt.sources or (pkt.src,))
-                    continue
+                result = ids_mod.cc_validate(
+                    cc, pkt, expected_slot, self._received_at.get((cc.id, pkt.src), 0),
+                    self.ledgers, cfg.detection, self.params, r,
+                )
                 if result.accepted:
                     for source in pkt.sources or (pkt.src,):
                         self.ledgers.valid_log.append((r, source))
@@ -932,11 +913,8 @@ class Simulation:
                 cc.id, self.sink.id, AGGREGATE_SLOT, cfg.traffic.aggregate_bits,
                 not cc_active_attacker, tuple(sorted(set(accepted_sources))),
             )
-            self._send(cc, self.sink, agg.payload_size)
-            if self.ledgers.is_quarantined(cc.id) or self.sink.energy.residual_energy <= 0.0:
-                continue
-            _charge(self.sink, rx)
-            sink_inbox.append(agg)
+            if self._hop(cc, self.sink, agg.payload_size, self.ledgers.is_quarantined(cc.id)):
+                sink_inbox.append(agg)
         for pkt in sorted(sink_inbox, key=lambda p: p.src):
             try:
                 result = ids_mod.cc_validate(
@@ -967,8 +945,6 @@ class Simulation:
         senders_to = {}
         for dst, src in self._received_at:
             senders_to.setdefault(dst, []).append(src)
-        bits = cfg.traffic.aggregate_bits
-        rx = self._rx_price(bits)
         for cluster in self.clusters:
             cc = self.by_id[cluster.coordinator]
             if cc.energy.residual_energy <= 0.0:
@@ -980,9 +956,7 @@ class Simulation:
             )
             if not sources:
                 continue
-            self._send(cc, self.sink, bits)
-            if self.sink.energy.residual_energy > 0.0:
-                _charge(self.sink, rx)
+            if self._hop(cc, self.sink, cfg.traffic.aggregate_bits):
                 self.ledgers.sn_log.append((r, cc.id))
                 for source in sources:
                     self.ledgers.sn_log.append((r, source))
@@ -1102,24 +1076,15 @@ class Simulation:
             }
             if replace_cc:
                 eligible = [
-                    self.by_id[m]
-                    for m in pool
-                    if self.by_id[m].node_class is NodeClass.LEADER
-                    and self.by_id[m].trust.nibble >= cfg.detection.reputation_min
-                    and not self._role_failed(m)
+                    node for node in map(self.by_id.__getitem__, pool)
+                    if topo.cc_eligible(node, quarantined, cfg.detection.reputation_min)
+                    and node.energy.detection_enabled
                 ]
                 if not eligible:
                     events.append(f"cluster {cluster.id}: dissolved, no leader left")
                     stranded.extend(sorted(pool))
                     continue
-                new_cc = min(
-                    eligible,
-                    key=lambda n: (
-                        -topo.capacity(n, self.graph),
-                        n.distance_to(self.sink),
-                        n.id,
-                    ),
-                )
+                new_cc = min(eligible, key=lambda n: topo.cc_rank(n, self.graph, self.sink))
                 if new_cc.id != cluster.coordinator:
                     events.append(f"cluster {cluster.id}: coordinator -> {new_cc.id}")
                 cluster.coordinator = new_cc.id
@@ -1168,9 +1133,7 @@ class Simulation:
         )
         best.members.add(node_id)
         self.orphans.discard(node_id)
-        bits = self.config.traffic.control_bits
-        self._send(node, self.by_id[best.coordinator], bits)
-        _charge(self.by_id[best.coordinator], self._rx_price(bits))
+        self._hop(node, self.by_id[best.coordinator], self.config.traffic.control_bits)
         self._reconfigurations.append(f"node {node_id} adopted by cluster {best.id}")
         return best
 

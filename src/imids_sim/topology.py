@@ -190,13 +190,20 @@ def capacity(node: SensorNode, graph: TransmissionGraph) -> float:
     return factor * node.energy.residual_energy
 
 
-def _cc_eligible(node, quarantined, reputation_min) -> bool:
+def cc_eligible(node, quarantined, reputation_min) -> bool:
+    """May `node` coordinate a cluster: a live, unquarantined, trusted leader."""
     return (
         node.node_class is NodeClass.LEADER
         and is_alive(node)
         and node.id not in quarantined
         and node.trust.nibble >= reputation_min
     )
+
+
+def cc_rank(node, graph, sink) -> tuple:
+    """Coordinator preference, smallest first: the highest capacity, then
+    the smaller distance to the sink, then the smaller id."""
+    return (-capacity(node, graph), node.distance_to(sink), node.id)
 
 
 def select_cluster_coordinators(
@@ -212,7 +219,7 @@ def select_cluster_coordinators(
     by_id = {n.id: n for n in nodes}
     sink = by_id[SINK_ID]
     uncovered = {n.id for n in nodes if is_alive(n) and n.node_class is not NodeClass.SINK}
-    eligible = [n for n in nodes if _cc_eligible(n, quarantined, reputation_min)]
+    eligible = [n for n in nodes if cc_eligible(n, quarantined, reputation_min)]
     coordinators = []
     while uncovered:
         best = None
@@ -223,7 +230,7 @@ def select_cluster_coordinators(
             claims = {node.id} | set(graph.neighbors(node.id))
             if not claims & uncovered:
                 continue
-            key = (-capacity(node, graph), node.distance_to(sink), node.id)
+            key = cc_rank(node, graph, sink)
             if best is None or key < best_key:
                 best = node
                 best_key = key

@@ -155,6 +155,12 @@ def test_a_network_that_dies_in_set_up_ends_with_none_alive(tmp_path):
         assert summary["rounds_executed"] == 0
         assert summary["alive_initial"] == 2
         assert summary["final_alive"] == 0
+        assert summary["lifetime_round"] == 0  # the drop happened before round 0
+    out = tmp_path / "sw"
+    sweep = ["sweep", str(path), "--axis", "mode", "--values", "imids", "--out", str(out)]
+    assert cli.main(sweep) == 0
+    header, row = (out / "sweep.csv").read_text().splitlines()
+    assert row.split(",")[header.split(",").index("final_alive")] == "0"
 
 
 # --- sweep ---------------------------------------------------------------------

@@ -141,6 +141,28 @@ def test_always_on_watchers_pay_to_overhear():
     assert itids.total_energy_spent() > imids.total_energy_spent()
 
 
+def test_a_hop_bills_the_sender_its_link_and_a_listening_receiver_its_rx():
+    sim = engine.initialize(scenario(rounds=1))
+    src, dst = [n for n in sim.nodes if n.id != sim.sink.id][:2]
+    bits = sim.config.traffic.data_bits
+    link = tx_cost(sim.params, bits, src.distance_to(dst))
+    rx = rx_cost(sim.params, bits)
+
+    def hop(src_joules, dst_joules, filtered=False):
+        src.energy.residual_energy, dst.energy.residual_energy = src_joules, dst_joules
+        got = sim._hop(src, dst, bits, filtered)
+        return got, src_joules - src.energy.residual_energy, dst_joules - dst.energy.residual_energy
+
+    assert hop(1.0, 1.0) == (True, 1.0 - (1.0 - link), 1.0 - (1.0 - rx))
+    assert sim._link_cost[(src.id, dst.id, bits)] == link  # priced once, then reused
+    assert hop(1.0, 1.0, filtered=True) == (False, 1.0 - (1.0 - link), 0.0)
+    assert hop(1.0, 0.0) == (False, 1.0 - (1.0 - link), 0.0)
+    # A sender killed by its own receive charge just before still bills
+    # its receiver: the handshake reply and the forwarding-head relay
+    # rely on this, and the pinned traces with them.
+    assert hop(0.0, 1.0) == (True, 0.0, 1.0 - (1.0 - rx))
+
+
 # --- lifecycle -----------------------------------------------------------------
 
 
@@ -368,3 +390,18 @@ def test_only_rng_seeds_generators_or_hashes():
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name != "rng.py":
             assert not _seeding(ast.parse(path.read_text())), path.name
+
+
+# Delete what nothing reads: every private function of the engine is
+# called, or handed on, somewhere in the engine besides its own `def`.
+def test_every_private_engine_function_is_referenced():
+    tree = ast.parse(inspect.getsource(engine))
+    defined = {
+        node.name for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+    }
+    referenced = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    referenced |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert {"_charge", "_hop", "_overhear"} <= defined  # the scan does see functions and methods
+    assert defined - referenced == set()
