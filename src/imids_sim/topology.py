@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from math import hypot
 
 from .core import (
     DETECTION_FRACTION,
@@ -40,7 +41,7 @@ class MonitorUnavailable(Exception):
 @dataclass
 class TransmissionGraph:
     """Sorted neighbour lists (BFS and attack-victim order depend on the
-    order) plus a neighbour set per node for constant-time edge tests.
+    order) plus a neighbour set per node for edge and disk-claim tests.
     The graph is immutable once built, so what it memoises (each node's
     `capacity` factor) is discarded with it."""
 
@@ -147,14 +148,13 @@ def build_graph(nodes, transmission_range: float) -> TransmissionGraph:
     their distance does not exceed the transmission range (inclusive)."""
     if transmission_range <= 0:
         raise ValueError("transmission range must be positive")
-    alive = [n for n in nodes if is_alive(n)]
-    adjacency = {n.id: [] for n in alive}
-    for i, a in enumerate(alive):
-        position = a.position
-        for b in alive[i + 1:]:
-            if position.distance_to(b.position) <= transmission_range:
-                adjacency[a.id].append(b.id)
-                adjacency[b.id].append(a.id)
+    points = [(n.id, n.position.x, n.position.y) for n in nodes if is_alive(n)]
+    adjacency = {a: [] for a, _, _ in points}
+    for i, (a, ax, ay) in enumerate(points):
+        for b, bx, by in points[i + 1:]:
+            if hypot(ax - bx, ay - by) <= transmission_range:
+                adjacency[a].append(b)
+                adjacency[b].append(a)
     for neighbor_list in adjacency.values():
         neighbor_list.sort()
     return TransmissionGraph(transmission_range=transmission_range, adjacency=adjacency)
@@ -215,29 +215,23 @@ def select_cluster_coordinators(
     those whose range disk still claims at least one uncovered node; ties
     go to the smaller distance to the sink, then the smaller id. Fails if
     some alive non-sink node can never be covered.
+
+    No rank moves during one election and `uncovered` only shrinks, so a
+    leader whose disk claims nothing uncovered never claims again: one walk
+    over the leaders in rank order, taking each that still claims, makes
+    the same picks in the same order as re-ranking before every pick.
     """
-    by_id = {n.id: n for n in nodes}
-    sink = by_id[SINK_ID]
+    sink = {n.id: n for n in nodes}[SINK_ID]
     uncovered = {n.id for n in nodes if is_alive(n) and n.node_class is not NodeClass.SINK}
     eligible = [n for n in nodes if cc_eligible(n, quarantined, reputation_min)]
     coordinators = []
-    while uncovered:
-        best = None
-        best_key = None
-        for node in eligible:
-            if node.id in coordinators:
-                continue
-            claims = {node.id} | set(graph.neighbors(node.id))
-            if not claims & uncovered:
-                continue
-            key = cc_rank(node, graph, sink)
-            if best is None or key < best_key:
-                best = node
-                best_key = key
-        if best is None:
-            raise CoverageFailure(f"uncoverable nodes remain: {sorted(uncovered)}")
-        coordinators.append(best.id)
-        uncovered -= {best.id} | set(graph.neighbors(best.id))
+    for node in sorted(eligible, key=lambda n: cc_rank(n, graph, sink)):
+        disk = graph._neighbor_sets.get(node.id, ())
+        if node.id in uncovered or not uncovered.isdisjoint(disk):
+            coordinators.append(node.id)
+            uncovered -= {node.id, *disk}
+    if uncovered:
+        raise CoverageFailure(f"uncoverable nodes remain: {sorted(uncovered)}")
     return coordinators
 
 
@@ -246,26 +240,28 @@ def form_clusters(nodes, coordinator_ids, graph, rng: random.Random) -> list:
 
     Signal strength is modeled as 1/d^2, so the nearest coordinator wins;
     exact distance ties are broken uniformly at random. Membership is
-    exclusive.
+    exclusive. Each (node, coordinator) distance is measured once, and the
+    coordinators are walked in id order, so a tie hands `rng.choice` the
+    sorted list of the tied ids.
     """
     by_id = {n.id: n for n in nodes}
     clusters = [
         Cluster(id=idx, coordinator=cc) for idx, cc in enumerate(sorted(coordinator_ids))
     ]
     slot_of = {c.coordinator: c for c in clusters}
+    heads = [
+        (cc, by_id[cc].position.x, by_id[cc].position.y) for cc in slot_of if is_alive(by_id[cc])
+    ]
+    reach = graph.transmission_range
     for node in nodes:
-        if not is_alive(node) or node.node_class is NodeClass.SINK:
+        if not is_alive(node) or node.node_class is NodeClass.SINK or node.id in slot_of:
             continue
-        if node.id in slot_of:
-            continue
-        in_range = [
-            cc for cc in slot_of
-            if is_alive(by_id[cc]) and node.distance_to(by_id[cc]) <= graph.transmission_range
-        ]
+        x, y = node.position.x, node.position.y
+        in_range = [(d, cc) for cc, hx, hy in heads if (d := hypot(x - hx, y - hy)) <= reach]
         if not in_range:
             raise UnreachableNode(f"node {node.id} has no coordinator in range")
-        best_d = min(node.distance_to(by_id[cc]) for cc in in_range)
-        tied = sorted(cc for cc in in_range if node.distance_to(by_id[cc]) == best_d)
+        best_d = min(d for d, _ in in_range)
+        tied = [cc for d, cc in in_range if d == best_d]
         choice = tied[0] if len(tied) == 1 else rng.choice(tied)
         slot_of[choice].members.add(node.id)
     return clusters
@@ -281,34 +277,36 @@ def form_sectors(cluster: Cluster, by_id, graph, quarantined=frozenset()) -> lis
     settles on its nearest coordinator, which keeps the data hops short.
     Quarantined followers never coordinate; they only ever join.
     `by_id` maps node id to node.
+
+    Residuals do not move during the call and a claimed follower stays
+    claimed, so one walk over the untainted followers by (-residual, id),
+    seeding each one still unassigned, seeds the same coordinators in the
+    same order as taking the richest unassigned follower before every seed.
     """
     followers = sorted(
         m for m in cluster.node_ids()
         if by_id[m].node_class is NodeClass.FOLLOWER and is_alive(by_id[m])
     )
+    xy = {m: (by_id[m].position.x, by_id[m].position.y) for m in followers}
     unassigned = set(followers)
-    tainted = set(followers) & set(quarantined)
     radius = graph.transmission_range / 2.0
     coordinators = []
-    while unassigned - tainted:
-        candidates = sorted(unassigned - tainted)
-        sc = max(candidates, key=lambda m: (by_id[m].energy.residual_energy, -m))
-        coordinators.append(sc)
-        claimed = {
-            m for m in unassigned
-            if m == sc or by_id[sc].distance_to(by_id[m]) <= radius
-        }
-        unassigned -= claimed
+    untainted = set(followers).difference(quarantined)
+    for sc in sorted(untainted, key=lambda m: (-by_id[m].energy.residual_energy, m)):
+        if sc in unassigned:
+            coordinators.append(sc)
+            sx, sy = xy[sc]
+            unassigned -= {
+                m for m in unassigned if m == sc or hypot(sx - xy[m][0], sy - xy[m][1]) <= radius
+            }
     if not coordinators:
         return []
     sectors = {sc: Sector(coordinator=sc, leaves=set()) for sc in coordinators}
     for member in followers:
         if member in sectors:
             continue
-        nearest = min(
-            coordinators,
-            key=lambda sc: (by_id[member].distance_to(by_id[sc]), sc),
-        )
+        x, y = xy[member]
+        nearest = min(coordinators, key=lambda sc: (hypot(x - xy[sc][0], y - xy[sc][1]), sc))
         sectors[nearest].leaves.add(member)
     return [sectors[sc] for sc in coordinators]
 
@@ -345,7 +343,7 @@ def select_sector_monitor(cluster, sector, candidates, graph) -> tuple:
     sector_ids = sector.node_ids()
     adjacent = [
         c for c in candidates
-        if any(graph.has_edge(c.id, s) for s in sector_ids)
+        if not sector_ids.isdisjoint(graph._neighbor_sets.get(c.id, ()))
     ]
     budgets = {c.id: prospective_detection_budget(c) for c in adjacent or candidates}
     best = max(budgets.values())

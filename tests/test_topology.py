@@ -1,5 +1,6 @@
 import random
-from collections import deque
+import re
+from collections import Counter, deque
 
 import pytest
 
@@ -437,6 +438,282 @@ def test_has_edge_agrees_with_adjacency_lists():
         for a in ids:
             for b in ids:
                 assert g.has_edge(a, b) == (b in g.neighbors(a))
+
+
+# --- one-pass builders vs the re-ranking bodies they replaced -----------------
+#
+# Verbatim copies of the five builders as they were before each election
+# ranked its candidates once and each pair distance was measured once. The
+# rewritten functions must return exactly what these return, and leave the
+# join stream in the same state. `_oracle_election` above restates capacity
+# in another float order, so it could not see a near-tie rank flip; these
+# copies call the same `cc_rank`.
+
+
+def _reference_build_graph(nodes, transmission_range):
+    if transmission_range <= 0:
+        raise ValueError("transmission range must be positive")
+    alive = [n for n in nodes if is_alive(n)]
+    adjacency = {n.id: [] for n in alive}
+    for i, a in enumerate(alive):
+        position = a.position
+        for b in alive[i + 1:]:
+            if position.distance_to(b.position) <= transmission_range:
+                adjacency[a.id].append(b.id)
+                adjacency[b.id].append(a.id)
+    for neighbor_list in adjacency.values():
+        neighbor_list.sort()
+    return topo.TransmissionGraph(transmission_range=transmission_range, adjacency=adjacency)
+
+
+def _reference_select_cluster_coordinators(
+    nodes, graph, reputation_min=8, quarantined=frozenset()
+):
+    by_id = {n.id: n for n in nodes}
+    sink = by_id[topo.SINK_ID]
+    uncovered = {n.id for n in nodes if is_alive(n) and n.node_class is not NodeClass.SINK}
+    eligible = [n for n in nodes if topo.cc_eligible(n, quarantined, reputation_min)]
+    coordinators = []
+    while uncovered:
+        best = None
+        best_key = None
+        for node in eligible:
+            if node.id in coordinators:
+                continue
+            claims = {node.id} | set(graph.neighbors(node.id))
+            if not claims & uncovered:
+                continue
+            key = topo.cc_rank(node, graph, sink)
+            if best is None or key < best_key:
+                best = node
+                best_key = key
+        if best is None:
+            raise topo.CoverageFailure(f"uncoverable nodes remain: {sorted(uncovered)}")
+        coordinators.append(best.id)
+        uncovered -= {best.id} | set(graph.neighbors(best.id))
+    return coordinators
+
+
+def _reference_form_clusters(nodes, coordinator_ids, graph, rng):
+    by_id = {n.id: n for n in nodes}
+    clusters = [
+        topo.Cluster(id=idx, coordinator=cc) for idx, cc in enumerate(sorted(coordinator_ids))
+    ]
+    slot_of = {c.coordinator: c for c in clusters}
+    for node in nodes:
+        if not is_alive(node) or node.node_class is NodeClass.SINK:
+            continue
+        if node.id in slot_of:
+            continue
+        in_range = [
+            cc for cc in slot_of
+            if is_alive(by_id[cc]) and node.distance_to(by_id[cc]) <= graph.transmission_range
+        ]
+        if not in_range:
+            raise topo.UnreachableNode(f"node {node.id} has no coordinator in range")
+        best_d = min(node.distance_to(by_id[cc]) for cc in in_range)
+        tied = sorted(cc for cc in in_range if node.distance_to(by_id[cc]) == best_d)
+        choice = tied[0] if len(tied) == 1 else rng.choice(tied)
+        slot_of[choice].members.add(node.id)
+    return clusters
+
+
+def _reference_form_sectors(cluster, by_id, graph, quarantined=frozenset()):
+    followers = sorted(
+        m for m in cluster.node_ids()
+        if by_id[m].node_class is NodeClass.FOLLOWER and is_alive(by_id[m])
+    )
+    unassigned = set(followers)
+    tainted = set(followers) & set(quarantined)
+    radius = graph.transmission_range / 2.0
+    coordinators = []
+    while unassigned - tainted:
+        candidates = sorted(unassigned - tainted)
+        sc = max(candidates, key=lambda m: (by_id[m].energy.residual_energy, -m))
+        coordinators.append(sc)
+        claimed = {
+            m for m in unassigned
+            if m == sc or by_id[sc].distance_to(by_id[m]) <= radius
+        }
+        unassigned -= claimed
+    if not coordinators:
+        return []
+    sectors = {sc: topo.Sector(coordinator=sc, leaves=set()) for sc in coordinators}
+    for member in followers:
+        if member in sectors:
+            continue
+        nearest = min(
+            coordinators,
+            key=lambda sc: (by_id[member].distance_to(by_id[sc]), sc),
+        )
+        sectors[nearest].leaves.add(member)
+    return [sectors[sc] for sc in coordinators]
+
+
+def _reference_select_sector_monitor(cluster, sector, candidates, graph):
+    if not candidates:
+        raise topo.MonitorUnavailable(f"cluster {cluster.id} has no spare leader")
+    sector_ids = sector.node_ids()
+    adjacent = [
+        c for c in candidates
+        if any(graph.has_edge(c.id, s) for s in sector_ids)
+    ]
+    budgets = {c.id: topo.prospective_detection_budget(c) for c in adjacent or candidates}
+    best = max(budgets.values())
+    return tuple(sorted(m for m, budget in budgets.items() if budget == best))
+
+
+GRID_RANGE = 20.0
+
+
+def _grid_instance(rng):
+    """Nodes on a 2 m grid with a 20 m range, so pairs sit exactly at range
+    (0-20, 12-16-20) and at half range (0-10, 6-8-10), a node is often
+    equidistant from two coordinators, and two energy levels with two
+    residual shares make equal residuals and equal capacities common. A
+    few nodes are dead."""
+    cells = [(x, y) for x in range(0, 50, 2) for y in range(0, 50, 2)]
+    spots = rng.sample(cells, rng.randint(8, 40))
+    nodes = [build_sink(*spots[0])]
+    for i, (x, y) in enumerate(spots[1:], start=1):
+        if rng.random() < 0.45:
+            node = build_node(
+                i, x, y, energy=rng.choice((1.0, 2.0)),
+                node_class=NodeClass.LEADER, role=Role.SM,
+            )
+        else:
+            node = build_node(i, x, y, energy=0.2)
+        share = 0.0 if rng.random() < 0.08 else rng.choice((0.5, 1.0))
+        node.energy.residual_energy = share * node.energy.initial_energy
+        nodes.append(node)
+    return nodes
+
+
+def _shape(clusters):
+    return [(c.id, c.coordinator, sorted(c.members)) for c in clusters]
+
+
+def _sector_shape(sectors):
+    return [(s.coordinator, sorted(s.leaves)) for s in sectors]
+
+
+def _cases_seen(nodes, graph, coordinators, clusters, sectors_of, quarantined):
+    """The boundary cases one instance exercises, by name."""
+    by_id = _by_id(nodes)
+    alive = [n for n in nodes if is_alive(n)]
+    pair_d = {a.distance_to(b) for i, a in enumerate(alive) for b in alive[i + 1:]}
+    capacities = [
+        topo.capacity(n, graph) for n in nodes if topo.cc_eligible(n, quarantined, 8)
+    ]
+
+    def nearest_two(node):
+        d = (node.distance_to(by_id[cc]) for cc in coordinators)
+        return sorted(x for x in d if x <= GRID_RANGE)[:2]
+
+    joining = [n for n in alive if n.id not in coordinators and n.id != topo.SINK_ID]
+    followers = {
+        c.id: [
+            by_id[m] for m in c.members
+            if by_id[m].node_class is NodeClass.FOLLOWER and is_alive(by_id[m])
+        ]
+        for c in clusters
+    }
+    residuals = [
+        [f.energy.residual_energy for f in fs if f.id not in quarantined]
+        for fs in followers.values()
+    ]
+    seen = {
+        "at range": GRID_RANGE in pair_d,
+        "at half range": GRID_RANGE / 2 in pair_d,
+        "dead": len(alive) < len(nodes),
+        "equal capacities": len(set(capacities)) < len(capacities),
+        "distance tie": any(
+            len(d) == 2 and d[0] == d[1] for d in map(nearest_two, joining)
+        ),
+        "equal residuals": any(len(set(r)) < len(r) for r in residuals),
+        "quarantined out of every claim": any(
+            f.id in quarantined and sectors_of[cid] and all(
+                f.distance_to(by_id[s.coordinator]) > GRID_RANGE / 2 for s in sectors_of[cid]
+            )
+            for cid, fs in followers.items() for f in fs
+        ),
+    }
+    return {case for case, hit in seen.items() if hit}
+
+
+def test_builders_match_the_reranking_reference_bodies():
+    rng = random.Random(1515)
+    cases = Counter()
+    compared = Counter()
+    for trial in range(200):
+        nodes = _grid_instance(rng)
+        by_id = _by_id(nodes)
+        graph = topo.build_graph(nodes, GRID_RANGE)
+        reference_graph = _reference_build_graph(nodes, GRID_RANGE)
+        assert list(graph.adjacency.items()) == list(reference_graph.adjacency.items())
+        quarantined = set(rng.sample(range(1, len(nodes)), rng.randint(0, len(nodes) // 4)))
+
+        try:
+            expected = _reference_select_cluster_coordinators(nodes, graph, 8, quarantined)
+        except topo.CoverageFailure as failure:
+            with pytest.raises(topo.CoverageFailure, match=re.escape(str(failure))):
+                topo.select_cluster_coordinators(nodes, graph, 8, quarantined)
+            compared["uncoverable"] += 1
+            continue
+        coordinators = topo.select_cluster_coordinators(nodes, graph, 8, quarantined)
+        assert coordinators == expected
+
+        join, reference_join = random.Random(trial), random.Random(trial)
+        reference_clusters = _reference_form_clusters(nodes, expected, graph, reference_join)
+        clusters = topo.form_clusters(nodes, coordinators, graph, join)
+        assert _shape(clusters) == _shape(reference_clusters)
+        assert join.getstate() == reference_join.getstate()
+
+        sectors_of = {}
+        for cluster in clusters:
+            sectors = topo.form_sectors(cluster, by_id, graph, quarantined)
+            expected_sectors = _reference_form_sectors(cluster, by_id, graph, quarantined)
+            assert _sector_shape(sectors) == _sector_shape(expected_sectors)
+            sectors_of[cluster.id] = sectors
+            candidates = topo.monitor_candidates(cluster, by_id, quarantined)
+            for sector in sectors:
+                if not candidates:
+                    for select in (topo.select_sector_monitor, _reference_select_sector_monitor):
+                        with pytest.raises(topo.MonitorUnavailable):
+                            select(cluster, sector, candidates, graph)
+                    continue
+                assert topo.select_sector_monitor(
+                    cluster, sector, candidates, graph
+                ) == _reference_select_sector_monitor(cluster, sector, candidates, graph)
+                compared["monitors"] += 1
+        compared["structures"] += 1
+        cases.update(_cases_seen(nodes, graph, coordinators, clusters, sectors_of, quarantined))
+    assert compared["structures"] >= 50 and compared["monitors"] >= 50
+    assert compared["uncoverable"]
+    assert set(cases) == {
+        "at range", "at half range", "dead", "equal capacities", "distance tie",
+        "equal residuals", "quarantined out of every claim",
+    }, cases
+
+
+def test_election_ranks_each_eligible_leader_once(monkeypatch):
+    """Ranks cannot move during one election, so ranking a leader twice is
+    wasted work; this catches re-ranking before every pick coming back."""
+    deployment = DeploymentConfig(node_count=150, area_width=120.0, area_height=150.0)
+    nodes = topo.deploy(deployment, SeededRng(43))
+    graph = topo.build_graph(nodes, 40.0)
+    eligible = [n.id for n in nodes if topo.cc_eligible(n, frozenset(), 8)]
+    ranked = Counter()
+    rank = topo.cc_rank
+
+    def counting_rank(node, graph, sink):
+        ranked[node.id] += 1
+        return rank(node, graph, sink)
+
+    monkeypatch.setattr(topo, "cc_rank", counting_rank)
+    coordinators = topo.select_cluster_coordinators(nodes, graph)
+    assert len(coordinators) > 10
+    assert ranked == Counter(eligible)
 
 
 # --- roles ---------------------------------------------------------------------
