@@ -14,10 +14,10 @@ budget, or a coordinator falling behind its peers) closes the round.
 
 The baseline mode ends the round with static low-energy monitors and
 single-strike isolation instead; the no-sector mode keeps cluster
-coordinators as the only detection layer. A mode is decided once: at
-set-up `__init__` builds the phase tuple and picks the mode's watch
-relation (who screens whom inside a cluster). `run_round` itself never
-asks which mode it runs.
+coordinators as the only detection layer. Each mode is one row of
+`_MODES` (its watch relation, the phases that close its round, whether it
+forms sectors, whether it fixes static monitors), which `__init__` looks
+up once: nothing else asks which mode it runs.
 
 Every hop is one first-order radio transmission through `_hop`. Overhearing
 is not free: a watcher that is not the addressee pays the receive price too
@@ -44,6 +44,7 @@ derived again.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import attack as attack_mod
 from . import ids as ids_mod
@@ -120,7 +121,6 @@ class RoundReport:
 @dataclass
 class SimulationTrace:
     config: dict
-    mode: str
     seed: int
     attacker_ids: list
     positions: dict
@@ -172,30 +172,16 @@ class Simulation:
         self._broadcast_cost = tx_cost(  # a control packet at full range
             self.params, config.traffic.control_bits, config.deployment.transmission_range
         )
-        self._cluster_screens = {  # who screens whom inside one cluster
-            "imids": self._sector_screens,
-            "imids-no-sectors": self._member_screens,
-            "itids": self._monitor_screens,
-        }[config.mode]
+        self._mode = _MODES[config.mode]
         self._initialize()
         self._confusion_size = None  # quarantine size the cached counts are for
-        if config.mode == "itids":  # no reconfiguration, ever
-            ladder = (self._sids_stage, self._isolate_suspects, self._forward_received)
-        else:
-            ladder = (
-                self._sids_stage,
-                self._forwarding_stage,
-                self._monitor_stage,
-                self._sink_stage,
-                self._reconfiguration_sweep,
-            )
         self._phases = (
             self._draw_masks,
             self._emit_attacks,
             self._run_slots,
             self._charge_slot_costs,
             self._inject_false_strikes,
-            *ladder,
+            *(phase.__get__(self) for phase in self._mode.ladder),
         )
 
     # ------------------------------------------------------------------
@@ -225,7 +211,7 @@ class Simulation:
         )
         self.orphans = set()
         self.monitors = {}  # cluster id -> monitor ids, baseline mode only
-        if cfg.mode == "itids":  # chosen once: the baseline never re-elects
+        if self._mode.static_monitors:  # chosen once: the baseline never re-elects
             for cluster in self.clusters:
                 self.monitors[cluster.id] = itids_mod.select_monitors(
                     cluster, self.by_id, cfg.itids.monitor_fraction
@@ -286,7 +272,7 @@ class Simulation:
         its coordinators and their budgets.
         """
         cfg = self.config
-        if cfg.mode == "imids":
+        if self._mode.sectors:
             quarantined = set(self.ledgers.quarantined)
             for cluster in rebuild:
                 cluster.sectors = topo.form_sectors(cluster, self.by_id, self.graph, quarantined)
@@ -305,9 +291,6 @@ class Simulation:
                     except topo.MonitorUnavailable:
                         sector.monitors = ()
                     sector.fsh = fsh
-        else:
-            for cluster in rebuild:
-                cluster.sectors = []
         fragments = self._fragments
         named = {n.id for n in unplaced}
         for cluster_id in dirty:
@@ -341,8 +324,8 @@ class Simulation:
         nodes first, sector by sector with ids ascending, then its other
         nodes by id. The same walk fills the uplinks, the always-on ids
         (coordinators, sector coordinators, monitors, forwarding heads and
-        every watcher) and node->cluster; the mode's `_cluster_screens`
-        gives the watch relation."""
+        every watcher) and node->cluster; the mode's `screens` gives the
+        watch relation."""
         slots = self.config.slots_per_round
         cc = cluster.coordinator
         slot_of = {}
@@ -368,7 +351,7 @@ class Simulation:
             if node_id not in slot_of:
                 slot_of[node_id] = index % slots
                 index += 1
-        screens = self._cluster_screens(cluster)
+        screens = self._mode.screens(self, cluster)
         watchers = {}
         for watcher_id, subject_ids in screens:
             always_on.add(watcher_id)
@@ -1146,13 +1129,12 @@ class Simulation:
         )
 
     def snapshot_trace(self) -> SimulationTrace:
-        if self.config.mode == "itids":
+        if self._mode.static_monitors:
             monitor_count = sum(len(m) for m in self.monitors.values())
         else:
             monitor_count = sum(1 for n in self.nodes if n.role is Role.SM)
         return SimulationTrace(
             config=config_to_dict(self.config),
-            mode=self.config.mode,
             seed=self.config.seed,
             attacker_ids=sorted(self.attackers),
             positions={n.id: (n.position.x, n.position.y) for n in self.nodes},
@@ -1162,6 +1144,25 @@ class Simulation:
             initial_energy={n.id: n.energy.initial_energy for n in self.nodes},
             init_energy_spent=dict(self.init_energy_spent),
         )
+
+
+class _Mode(NamedTuple):  # a row of `_MODES`, read once by `Simulation.__init__`
+    screens: object  # unbound: who screens whom inside one cluster
+    ladder: tuple  # the unbound phases that close the round
+    sectors: bool  # whether `_build_structures` forms sectors
+    static_monitors: bool  # whether `_initialize` fixes monitors and `snapshot_trace` counts them
+
+
+_LAYERED = (
+    Simulation._sids_stage, Simulation._forwarding_stage, Simulation._monitor_stage,
+    Simulation._sink_stage, Simulation._reconfiguration_sweep,
+)
+_BASELINE = (Simulation._sids_stage, Simulation._isolate_suspects, Simulation._forward_received)
+_MODES = {
+    "imids": _Mode(Simulation._sector_screens, _LAYERED, True, False),
+    "imids-no-sectors": _Mode(Simulation._member_screens, _LAYERED, False, False),
+    "itids": _Mode(Simulation._monitor_screens, _BASELINE, False, True),  # never reconfigures
+}
 
 
 def initialize(config: ScenarioConfig) -> Simulation:

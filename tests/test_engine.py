@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from imids_sim import engine
-from imids_sim.config import parse_config
+from imids_sim.config import MODES, parse_config
 from imids_sim.core import NodeClass, Packet, PacketKind, Role, WakeupToken, is_alive
 from imids_sim.energy import rx_cost, tx_cost
 
@@ -294,9 +294,9 @@ def test_a_round_runs_the_mode_phase_tuple_in_order(mode):
     assert ran == [(r, name) for r in (0, 1) for name in PHASES[mode]]
 
 
-# Set-up and structure code may branch on the defense mode; the round loop
-# runs whatever phase tuple and watch relation those left behind.
-MODE_READERS = {"__init__", "_initialize", "_build_structures", "snapshot_trace"}
+# `__init__` looks the mode's row up in `_MODES` once; everything else reads
+# the row, and the round loop runs whatever phase tuple it left behind.
+MODE_READERS = {"__init__"}
 
 
 # Positions never move: the round prices links through the `_link_price` memo
@@ -327,6 +327,49 @@ def test_only_set_up_and_structure_code_reads_the_mode():
     readers = set(_readers("mode", ast.parse(inspect.getsource(engine))))
     assert "__init__" in readers  # the scan does see the phase choice
     assert readers <= MODE_READERS
+
+
+def test_every_valid_mode_has_exactly_one_row():
+    assert set(engine._MODES) == set(MODES)
+
+
+def _string_constants(node) -> set:
+    return {
+        c.value for c in ast.walk(node) if isinstance(c, ast.Constant) and isinstance(c.value, str)
+    }
+
+
+def test_no_mode_name_is_spelled_outside_the_mode_table():
+    tree = ast.parse(inspect.getsource(engine))
+    (table,) = [
+        n for n in tree.body
+        if isinstance(n, ast.Assign) and [t.id for t in n.targets] == ["_MODES"]
+    ]
+    assert _string_constants(table) == set(MODES)  # the scan does see the table
+    tree.body.remove(table)
+    assert not _string_constants(tree) & set(MODES)
+
+
+@pytest.mark.parametrize("mode", sorted(m for m, row in engine._MODES.items() if not row.sectors))
+def test_a_sectorless_mode_never_forms_a_sector(mode):
+    # set-up forms every cluster; this tiny arena, attacked, makes the
+    # reconfiguring modes rebuild clusters again during the run
+    sim = engine.initialize(tiny_arena(mode=mode, rounds=20, attack=ATTACK))
+    assert all(c.sectors == [] for c in sim.clusters)
+    rebuilt = []
+    build = sim._build_structures
+
+    def recorded(rebuild, *args, **kwargs):
+        rebuilt.extend(rebuild)
+        build(rebuild, *args, **kwargs)
+
+    sim._build_structures = recorded
+    for _ in range(20):
+        engine.run_round(sim)
+        assert all(c.sectors == [] for c in sim.clusters)
+    assert sim.snapshot_trace().sector_count == 0
+    reconfigures = engine.Simulation._reconfiguration_sweep in engine._MODES[mode].ladder
+    assert bool(rebuilt) == reconfigures
 
 
 def test_only_the_link_memo_and_structure_code_measure_distance():
