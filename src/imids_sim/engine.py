@@ -198,7 +198,7 @@ class Simulation:
         for node_id in self.attackers:
             self.by_id[node_id].malicious = True
 
-        self._graph_alive = None
+        self.graph = None
         self._refresh_graph()
         self._census()
         topo.classify_nodes(self.nodes, cfg.deployment.leader_energy_threshold)
@@ -249,12 +249,18 @@ class Simulation:
             self._handshake(self.sink, in_range)
 
     def _refresh_graph(self):
-        """Rebuild the range graph when the alive set changed. Nodes only
-        ever die, so an unchanged alive count means an unchanged set."""
-        alive = sum(1 for n in self.nodes if n.energy.residual_energy > 0.0)
-        if alive != self._graph_alive:
-            self.graph = topo.build_graph(self.nodes, self.config.deployment.transmission_range)
-            self._graph_alive = alive
+        """Build the range graph at set-up, then derive the next from the last
+        once a node it holds dies (nodes only die, so only those are watched)."""
+        if self.graph is not None:
+            for account in self._graph_accounts:
+                if not account.residual_energy > 0.0:
+                    break
+            else:
+                return
+        self.graph = topo.build_graph(
+            self.nodes, self.config.deployment.transmission_range, self.graph
+        )
+        self._graph_accounts = [n.energy for n in self.nodes if n.energy.residual_energy > 0.0]
 
     def _build_structures(self, rebuild, dirty=(), unplaced=()):
         """Re-form the sectors and monitors of the `rebuild` clusters, then

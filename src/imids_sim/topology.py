@@ -10,7 +10,7 @@ tie-break ends in the node id so elections are reproducible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from math import hypot
 
 from .core import (
@@ -42,15 +42,18 @@ class MonitorUnavailable(Exception):
 class TransmissionGraph:
     """Sorted neighbour lists (BFS and attack-victim order depend on the
     order) plus a neighbour set per node for edge and disk-claim tests.
-    The graph is immutable once built, so what it memoises (each node's
-    `capacity` factor) is discarded with it."""
+    A refresh derives a new graph from the previous one, never changing
+    it, and shares the lists and sets no death touched; what a graph
+    memoises (`capacity` factors, `form_sectors` half disks) dies with it."""
 
     transmission_range: float
     adjacency: dict = field(default_factory=dict)
+    neighbor_sets: InitVar[dict | None] = None  # built from `adjacency` if omitted
 
-    def __post_init__(self):
-        self._neighbor_sets = {a: set(ids) for a, ids in self.adjacency.items()}
+    def __post_init__(self, neighbor_sets):
+        self._neighbor_sets = neighbor_sets or {a: set(ids) for a, ids in self.adjacency.items()}
         self._capacity_factors = {}  # node id -> degree / initial energy
+        self._half_disks = {}  # node id -> False once seeded, then its half-range disk
 
     def neighbors(self, node_id: int) -> list:
         return self.adjacency.get(node_id, [])
@@ -143,12 +146,25 @@ def deploy(deployment, rng) -> list:
     return nodes
 
 
-def build_graph(nodes, transmission_range: float) -> TransmissionGraph:
+def build_graph(nodes, transmission_range: float, previous=None) -> TransmissionGraph:
     """Symmetric range graph: an edge exists iff both ends are alive and
-    their distance does not exceed the transmission range (inclusive)."""
+    their distance does not exceed the transmission range (inclusive).
+    Given the `previous` graph of the same nodes and range, the nodes that
+    died since drop out of it and no pair is re-tested (nodes never move):
+    the result equals a full build and shares every untouched list and set."""
     if transmission_range <= 0:
         raise ValueError("transmission range must be positive")
     points = [(n.id, n.position.x, n.position.y) for n in nodes if is_alive(n)]
+    if previous is not None and previous.transmission_range == transmission_range:
+        old, sets = previous.adjacency, previous._neighbor_sets
+        dead = old.keys() - {a for a, _, _ in points}
+        if len(old) - len(dead) == len(points):  # every live node was live before
+            adjacency = {a: ids for a, ids in old.items() if a not in dead}
+            neighbor_sets = {a: sets[a] for a in adjacency}
+            for a in set().union(*(sets[d] for d in dead)) - dead:  # lost a neighbour
+                adjacency[a] = [b for b in adjacency[a] if b not in dead]
+                neighbor_sets[a] = sets[a] - dead
+            return TransmissionGraph(transmission_range, adjacency, neighbor_sets)
     adjacency = {a: [] for a, _, _ in points}
     for i, (a, ax, ay) in enumerate(points):
         for b, bx, by in points[i + 1:]:
@@ -283,9 +299,10 @@ def form_sectors(cluster: Cluster, by_id, graph, quarantined=frozenset()) -> lis
     seeding each one still unassigned, seeds the same coordinators in the
     same order as taking the richest unassigned follower before every seed.
     """
+    follower = NodeClass.FOLLOWER  # a local: enum member lookups are slow
     followers = sorted(
         m for m in cluster.node_ids()
-        if by_id[m].node_class is NodeClass.FOLLOWER and is_alive(by_id[m])
+        if (node := by_id[m]).node_class is follower and node.energy.residual_energy > 0.0
     )
     xy = {m: (by_id[m].position.x, by_id[m].position.y) for m in followers}
     unassigned = set(followers)
@@ -296,18 +313,24 @@ def form_sectors(cluster: Cluster, by_id, graph, quarantined=frozenset()) -> lis
         if sc in unassigned:
             coordinators.append(sc)
             sx, sy = xy[sc]
-            unassigned -= {
-                m for m in unassigned if m == sc or hypot(sx - xy[m][0], sy - xy[m][1]) <= radius
-            }
+            disk = graph._half_disks.get(sc)
+            if disk is None:  # first seed on this graph: test the cluster alone
+                graph._half_disks[sc] = False
+                disk = {m for m in unassigned if hypot(sx - xy[m][0], sy - xy[m][1]) <= radius}
+            elif disk is False:  # seeded again: memoise its disk, which only neighbours reach
+                disk = graph._half_disks[sc] = {
+                    m for m in (sc, *graph.neighbors(sc))
+                    if hypot(sx - (p := by_id[m].position).x, sy - p.y) <= radius
+                }
+            unassigned -= disk
     if not coordinators:
         return []
     sectors = {sc: Sector(coordinator=sc, leaves=set()) for sc in coordinators}
+    heads = [(sc, *xy[sc]) for sc in coordinators]
     for member in followers:
-        if member in sectors:
-            continue
-        x, y = xy[member]
-        nearest = min(coordinators, key=lambda sc: (hypot(x - xy[sc][0], y - xy[sc][1]), sc))
-        sectors[nearest].leaves.add(member)
+        if member not in sectors:
+            x, y = xy[member]
+            sectors[min((hypot(x - hx, y - hy), sc) for sc, hx, hy in heads)[1]].leaves.add(member)
     return [sectors[sc] for sc in coordinators]
 
 

@@ -179,6 +179,25 @@ def test_extinction_truncates_the_run():
     assert trace.alive_series[-1] == 0
 
 
+def test_after_set_up_a_graph_is_made_only_on_a_death_and_from_the_last(monkeypatch):
+    """Set-up builds the range graph from scratch. After that the sweep
+    makes a graph only when a node has died, and derives it from the one
+    it replaces instead of re-testing every pair."""
+    build = engine.topo.build_graph
+    calls = []  # (previous passed in, graph made, live nodes then)
+
+    def recording(nodes, transmission_range, previous=None):
+        graph = build(nodes, transmission_range, previous)
+        calls.append((previous, graph, sum(map(is_alive, nodes))))
+        return graph
+
+    monkeypatch.setattr(engine.topo, "build_graph", recording)
+    engine.run_simulation(tiny_arena())
+    assert calls[0][0] is None and len(calls) > 3
+    for (_, last, alive_then), (previous, _, alive) in zip(calls, calls[1:]):
+        assert previous is last and alive < alive_then
+
+
 def test_run_round_refuses_a_dead_network():
     sim = engine.initialize(tiny_arena(rounds=5))
     for node in sim.nodes:

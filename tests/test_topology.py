@@ -1,6 +1,7 @@
 import random
 import re
 from collections import Counter, deque
+from math import hypot
 
 import pytest
 
@@ -75,6 +76,51 @@ def test_graph_edges_symmetric_inclusive_and_alive_only():
     assert not g.has_edge(1, 3)  # 40.1 m, just past the range
     assert not g.has_edge(1, 4)  # dead node has no edges
     assert g.degree(4) == 0
+
+
+def test_a_derived_graph_equals_a_full_build_through_deaths():
+    """`build_graph(nodes, r, previous)` drops the nodes that died from
+    `previous` instead of re-testing every pair. Over seeded death
+    sequences it must answer exactly what a full build answers (key and
+    neighbour order, sets, degrees, capacities), leave `previous` as it
+    was, and share every list and set that no death touched."""
+    rng = random.Random(1717)
+    cases = Counter()
+    for _ in range(60):
+        nodes = _grid_instance(rng)
+        ids = range(len(nodes) + 1)  # plus one id that was never deployed
+        graph = topo.build_graph(nodes, GRID_RANGE)
+        while len(alive := [n for n in nodes if is_alive(n)]) > 1:
+            for node in alive:  # a memo the derived graph must not inherit
+                topo.capacity(node, graph)
+            lists = {a: list(neighbors) for a, neighbors in graph.adjacency.items()}
+            sets = {a: set(neighbors) for a, neighbors in graph._neighbor_sets.items()}
+            dying = rng.sample(alive, min(len(alive), rng.choice((1, 1, 2, 3))))
+            for node in dying:
+                node.energy.residual_energy = 0.0
+
+            derived = topo.build_graph(nodes, GRID_RANGE, graph)
+            full = topo.build_graph(nodes, GRID_RANGE)
+            assert list(derived.adjacency.items()) == list(full.adjacency.items())
+            assert list(derived._neighbor_sets.items()) == list(full._neighbor_sets.items())
+            assert [derived.degree(i) for i in ids] == [full.degree(i) for i in ids]
+            for node in nodes:
+                if is_alive(node):
+                    assert topo.capacity(node, derived) == topo.capacity(node, full)
+            assert list(graph.adjacency.items()) == list(lists.items())
+            assert list(graph._neighbor_sets.items()) == list(sets.items())
+            touched = set().union(*(sets[n.id] for n in dying))
+            for a in derived.adjacency.keys() - touched:
+                assert derived.adjacency[a] is graph.adjacency[a]
+                assert derived._neighbor_sets[a] is graph._neighbor_sets[a]
+
+            cases["several at once"] += len(dying) > 1
+            cases["lost every neighbour"] += any(
+                lists[a] and not derived.degree(a) for a in derived.adjacency
+            )
+            cases["isolated node died"] += any(not lists[n.id] for n in dying)
+            graph = derived
+    assert set(+cases) == {"several at once", "lost every neighbour", "isolated node died"}, cases
 
 
 # --- coordinator election vs brute-force oracle ------------------------------
@@ -694,6 +740,81 @@ def test_builders_match_the_reranking_reference_bodies():
         "at range", "at half range", "dead", "equal capacities", "distance tie",
         "equal residuals", "quarantined out of every claim",
     }, cases
+
+
+def _scanning_form_sectors(cluster, by_id, graph, quarantined=frozenset()):
+    """`form_sectors` as it was before the graph memoised half-range disks:
+    every claim measures the seed against each unassigned follower."""
+    followers = sorted(
+        m for m in cluster.node_ids()
+        if by_id[m].node_class is NodeClass.FOLLOWER and is_alive(by_id[m])
+    )
+    xy = {m: (by_id[m].position.x, by_id[m].position.y) for m in followers}
+    unassigned = set(followers)
+    radius = graph.transmission_range / 2.0
+    coordinators = []
+    untainted = set(followers).difference(quarantined)
+    for sc in sorted(untainted, key=lambda m: (-by_id[m].energy.residual_energy, m)):
+        if sc in unassigned:
+            coordinators.append(sc)
+            sx, sy = xy[sc]
+            unassigned -= {
+                m for m in unassigned if m == sc or hypot(sx - xy[m][0], sy - xy[m][1]) <= radius
+            }
+    if not coordinators:
+        return []
+    sectors = {sc: topo.Sector(coordinator=sc, leaves=set()) for sc in coordinators}
+    for member in followers:
+        if member in sectors:
+            continue
+        x, y = xy[member]
+        nearest = min(coordinators, key=lambda sc: (hypot(x - xy[sc][0], y - xy[sc][1]), sc))
+        sectors[nearest].leaves.add(member)
+    return [sectors[sc] for sc in coordinators]
+
+
+def test_form_sectors_matches_the_scanning_body_through_deaths_and_quarantines():
+    """A follower that seeds a sector again on the same graph claims
+    through the half-range disk the graph memoised; over graphs derived
+    after deaths, with quarantines and residuals moving in between, the
+    sectors must come out exactly as the body that measured every claim."""
+    rng = random.Random(1718)
+    seen = Counter()
+    for trial in range(80):
+        nodes = _grid_instance(rng)
+        by_id = _by_id(nodes)
+        graph = topo.build_graph(nodes, GRID_RANGE)
+        try:
+            coordinators = topo.select_cluster_coordinators(nodes, graph)
+        except topo.CoverageFailure:
+            continue
+        clusters = topo.form_clusters(nodes, coordinators, graph, random.Random(trial))
+        quarantined = set()
+        for _ in range(10):
+            for cluster in clusters:
+                for _ in range(2):  # the first seed on a graph marks, the next memoises
+                    sectors = topo.form_sectors(cluster, by_id, graph, quarantined)
+                    expected = _scanning_form_sectors(cluster, by_id, graph, quarantined)
+                    assert _sector_shape(sectors) == _sector_shape(expected)
+            for sc, disk in graph._half_disks.items():
+                if disk:
+                    seen["memoised"] += 1
+                    seen["at half range"] += any(
+                        by_id[sc].distance_to(by_id[m]) == GRID_RANGE / 2 for m in disk
+                    )
+            alive = [n for n in nodes if is_alive(n) and n.id != topo.SINK_ID]
+            for node in alive:  # residuals move, so other followers seed next
+                if rng.random() < 0.3:
+                    node.energy.residual_energy *= rng.choice((0.5, 0.9))
+            if alive and rng.random() < 0.3:
+                quarantined.add(rng.choice(alive).id)
+                seen["quarantine"] += 1
+            if alive and rng.random() < 0.4:
+                rng.choice(alive).energy.residual_energy = 0.0
+                graph = topo.build_graph(nodes, GRID_RANGE, graph)
+                seen["death"] += 1
+    cases = ("memoised", "at half range", "quarantine", "death")
+    assert min(seen[case] for case in cases) > 20, seen
 
 
 def test_election_ranks_each_eligible_leader_once(monkeypatch):
