@@ -44,7 +44,7 @@ class TransmissionGraph:
     order) plus a neighbour set per node for edge and disk-claim tests.
     A refresh derives a new graph from the previous one, never changing
     it, and shares the lists and sets no death touched; what a graph
-    memoises (`capacity` factors, `form_sectors` half disks) dies with it."""
+    memoises (each node's `capacity` factor) dies with it."""
 
     transmission_range: float
     adjacency: dict = field(default_factory=dict)
@@ -53,7 +53,6 @@ class TransmissionGraph:
     def __post_init__(self, neighbor_sets):
         self._neighbor_sets = neighbor_sets or {a: set(ids) for a, ids in self.adjacency.items()}
         self._capacity_factors = {}  # node id -> degree / initial energy
-        self._half_disks = {}  # node id -> False once seeded, then its half-range disk
 
     def neighbors(self, node_id: int) -> list:
         return self.adjacency.get(node_id, [])
@@ -151,20 +150,24 @@ def build_graph(nodes, transmission_range: float, previous=None) -> Transmission
     their distance does not exceed the transmission range (inclusive).
     Given the `previous` graph of the same nodes and range, the nodes that
     died since drop out of it and no pair is re-tested (nodes never move):
-    the result equals a full build and shares every untouched list and set."""
+    the result equals a full build and shares every untouched list and set.
+    A `previous` of another range, or missing a live node, is refused."""
     if transmission_range <= 0:
         raise ValueError("transmission range must be positive")
     points = [(n.id, n.position.x, n.position.y) for n in nodes if is_alive(n)]
-    if previous is not None and previous.transmission_range == transmission_range:
+    if previous is not None:
+        if previous.transmission_range != transmission_range:
+            raise ValueError("a graph derives only from one of the same range")
         old, sets = previous.adjacency, previous._neighbor_sets
         dead = old.keys() - {a for a, _, _ in points}
-        if len(old) - len(dead) == len(points):  # every live node was live before
-            adjacency = {a: ids for a, ids in old.items() if a not in dead}
-            neighbor_sets = {a: sets[a] for a in adjacency}
-            for a in set().union(*(sets[d] for d in dead)) - dead:  # lost a neighbour
-                adjacency[a] = [b for b in adjacency[a] if b not in dead]
-                neighbor_sets[a] = sets[a] - dead
-            return TransmissionGraph(transmission_range, adjacency, neighbor_sets)
+        if len(old) - len(dead) != len(points):
+            raise ValueError("a graph derives only from one that holds every live node")
+        adjacency = {a: ids for a, ids in old.items() if a not in dead}
+        neighbor_sets = {a: sets[a] for a in adjacency}
+        for a in set().union(*(sets[d] for d in dead)) - dead:  # lost a neighbour
+            adjacency[a] = [b for b in adjacency[a] if b not in dead]
+            neighbor_sets[a] = sets[a] - dead
+        return TransmissionGraph(transmission_range, adjacency, neighbor_sets)
     adjacency = {a: [] for a, _, _ in points}
     for i, (a, ax, ay) in enumerate(points):
         for b, bx, by in points[i + 1:]:
@@ -299,10 +302,9 @@ def form_sectors(cluster: Cluster, by_id, graph, quarantined=frozenset()) -> lis
     seeding each one still unassigned, seeds the same coordinators in the
     same order as taking the richest unassigned follower before every seed.
     """
-    follower = NodeClass.FOLLOWER  # a local: enum member lookups are slow
     followers = sorted(
         m for m in cluster.node_ids()
-        if (node := by_id[m]).node_class is follower and node.energy.residual_energy > 0.0
+        if by_id[m].node_class is NodeClass.FOLLOWER and is_alive(by_id[m])
     )
     xy = {m: (by_id[m].position.x, by_id[m].position.y) for m in followers}
     unassigned = set(followers)
@@ -313,24 +315,18 @@ def form_sectors(cluster: Cluster, by_id, graph, quarantined=frozenset()) -> lis
         if sc in unassigned:
             coordinators.append(sc)
             sx, sy = xy[sc]
-            disk = graph._half_disks.get(sc)
-            if disk is None:  # first seed on this graph: test the cluster alone
-                graph._half_disks[sc] = False
-                disk = {m for m in unassigned if hypot(sx - xy[m][0], sy - xy[m][1]) <= radius}
-            elif disk is False:  # seeded again: memoise its disk, which only neighbours reach
-                disk = graph._half_disks[sc] = {
-                    m for m in (sc, *graph.neighbors(sc))
-                    if hypot(sx - (p := by_id[m].position).x, sy - p.y) <= radius
-                }
-            unassigned -= disk
+            unassigned -= {
+                m for m in unassigned if m == sc or hypot(sx - xy[m][0], sy - xy[m][1]) <= radius
+            }
     if not coordinators:
         return []
     sectors = {sc: Sector(coordinator=sc, leaves=set()) for sc in coordinators}
-    heads = [(sc, *xy[sc]) for sc in coordinators]
     for member in followers:
-        if member not in sectors:
-            x, y = xy[member]
-            sectors[min((hypot(x - hx, y - hy), sc) for sc, hx, hy in heads)[1]].leaves.add(member)
+        if member in sectors:
+            continue
+        x, y = xy[member]
+        nearest = min(coordinators, key=lambda sc: (hypot(x - xy[sc][0], y - xy[sc][1]), sc))
+        sectors[nearest].leaves.add(member)
     return [sectors[sc] for sc in coordinators]
 
 

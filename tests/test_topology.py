@@ -1,7 +1,6 @@
 import random
 import re
 from collections import Counter, deque
-from math import hypot
 
 import pytest
 
@@ -121,6 +120,24 @@ def test_a_derived_graph_equals_a_full_build_through_deaths():
             cases["isolated node died"] += any(not lists[n.id] for n in dying)
             graph = derived
     assert set(+cases) == {"several at once", "lost every neighbour", "isolated node died"}, cases
+
+
+def test_a_graph_is_not_derived_from_another_range_or_a_revived_node():
+    """Deriving drops the dead and tests no pair, so it holds only for the
+    same range and for nodes that only die; anything else is refused
+    rather than answered with a graph a full build would not give."""
+    nodes = [build_sink(), build_node(1, 0, 0), build_node(2, 0, 30), build_node(3, 0, 60)]
+    nodes[3].energy.residual_energy = 0.0
+    graph = _graph(nodes)
+    with pytest.raises(ValueError, match="same range"):
+        topo.build_graph(nodes, 50.0, graph)
+    nodes[3].energy.residual_energy = 1.0
+    with pytest.raises(ValueError, match="every live node"):
+        topo.build_graph(nodes, 40.0, graph)
+    nodes[3].energy.residual_energy = 0.0
+    nodes[1].energy.residual_energy = 0.0
+    derived = topo.build_graph(nodes, 40.0, graph)
+    assert list(derived.adjacency.items()) == list(_graph(nodes).adjacency.items())
 
 
 # --- coordinator election vs brute-force oracle ------------------------------
@@ -740,81 +757,6 @@ def test_builders_match_the_reranking_reference_bodies():
         "at range", "at half range", "dead", "equal capacities", "distance tie",
         "equal residuals", "quarantined out of every claim",
     }, cases
-
-
-def _scanning_form_sectors(cluster, by_id, graph, quarantined=frozenset()):
-    """`form_sectors` as it was before the graph memoised half-range disks:
-    every claim measures the seed against each unassigned follower."""
-    followers = sorted(
-        m for m in cluster.node_ids()
-        if by_id[m].node_class is NodeClass.FOLLOWER and is_alive(by_id[m])
-    )
-    xy = {m: (by_id[m].position.x, by_id[m].position.y) for m in followers}
-    unassigned = set(followers)
-    radius = graph.transmission_range / 2.0
-    coordinators = []
-    untainted = set(followers).difference(quarantined)
-    for sc in sorted(untainted, key=lambda m: (-by_id[m].energy.residual_energy, m)):
-        if sc in unassigned:
-            coordinators.append(sc)
-            sx, sy = xy[sc]
-            unassigned -= {
-                m for m in unassigned if m == sc or hypot(sx - xy[m][0], sy - xy[m][1]) <= radius
-            }
-    if not coordinators:
-        return []
-    sectors = {sc: topo.Sector(coordinator=sc, leaves=set()) for sc in coordinators}
-    for member in followers:
-        if member in sectors:
-            continue
-        x, y = xy[member]
-        nearest = min(coordinators, key=lambda sc: (hypot(x - xy[sc][0], y - xy[sc][1]), sc))
-        sectors[nearest].leaves.add(member)
-    return [sectors[sc] for sc in coordinators]
-
-
-def test_form_sectors_matches_the_scanning_body_through_deaths_and_quarantines():
-    """A follower that seeds a sector again on the same graph claims
-    through the half-range disk the graph memoised; over graphs derived
-    after deaths, with quarantines and residuals moving in between, the
-    sectors must come out exactly as the body that measured every claim."""
-    rng = random.Random(1718)
-    seen = Counter()
-    for trial in range(80):
-        nodes = _grid_instance(rng)
-        by_id = _by_id(nodes)
-        graph = topo.build_graph(nodes, GRID_RANGE)
-        try:
-            coordinators = topo.select_cluster_coordinators(nodes, graph)
-        except topo.CoverageFailure:
-            continue
-        clusters = topo.form_clusters(nodes, coordinators, graph, random.Random(trial))
-        quarantined = set()
-        for _ in range(10):
-            for cluster in clusters:
-                for _ in range(2):  # the first seed on a graph marks, the next memoises
-                    sectors = topo.form_sectors(cluster, by_id, graph, quarantined)
-                    expected = _scanning_form_sectors(cluster, by_id, graph, quarantined)
-                    assert _sector_shape(sectors) == _sector_shape(expected)
-            for sc, disk in graph._half_disks.items():
-                if disk:
-                    seen["memoised"] += 1
-                    seen["at half range"] += any(
-                        by_id[sc].distance_to(by_id[m]) == GRID_RANGE / 2 for m in disk
-                    )
-            alive = [n for n in nodes if is_alive(n) and n.id != topo.SINK_ID]
-            for node in alive:  # residuals move, so other followers seed next
-                if rng.random() < 0.3:
-                    node.energy.residual_energy *= rng.choice((0.5, 0.9))
-            if alive and rng.random() < 0.3:
-                quarantined.add(rng.choice(alive).id)
-                seen["quarantine"] += 1
-            if alive and rng.random() < 0.4:
-                rng.choice(alive).energy.residual_energy = 0.0
-                graph = topo.build_graph(nodes, GRID_RANGE, graph)
-                seen["death"] += 1
-    cases = ("memoised", "at half range", "quarantine", "death")
-    assert min(seen[case] for case in cases) > 20, seen
 
 
 def test_election_ranks_each_eligible_leader_once(monkeypatch):
