@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import InitVar, dataclass, field
 from math import hypot
+from operator import itemgetter
 
 from .core import (
     DETECTION_FRACTION,
@@ -148,10 +149,16 @@ def deploy(deployment, rng) -> list:
 def build_graph(nodes, transmission_range: float, previous=None) -> TransmissionGraph:
     """Symmetric range graph: an edge exists iff both ends are alive and
     their distance does not exceed the transmission range (inclusive).
-    Given the `previous` graph of the same nodes and range, the nodes that
-    died since drop out of it and no pair is re-tested (nodes never move):
-    the result equals a full build and shares every untouched list and set.
-    A `previous` of another range, or missing a live node, is refused."""
+
+    A full build sweeps the live nodes in x order and tests each only
+    against the later ones whose x gap is within the range: a wider gap
+    puts the pair out of range (`hypot` is at least either leg), and
+    `hypot` ignores the legs' signs, so the edges are those of testing
+    every pair. Given the `previous` graph of the same nodes and range, the
+    nodes that died since drop out of it and no pair is re-tested (nodes
+    never move): the result equals a full build and shares every untouched
+    list and set. A `previous` of another range, or missing a live node,
+    is refused."""
     if transmission_range <= 0:
         raise ValueError("transmission range must be positive")
     points = [(n.id, n.position.x, n.position.y) for n in nodes if is_alive(n)]
@@ -169,8 +176,13 @@ def build_graph(nodes, transmission_range: float, previous=None) -> Transmission
             neighbor_sets[a] = sets[a] - dead
         return TransmissionGraph(transmission_range, adjacency, neighbor_sets)
     adjacency = {a: [] for a, _, _ in points}
-    for i, (a, ax, ay) in enumerate(points):
-        for b, bx, by in points[i + 1:]:
+    by_x = sorted(points, key=itemgetter(1))
+    xs = [x for _, x, _ in by_x]
+    end = 0  # one past the last node within range of `ax` along x
+    for i, (a, ax, ay) in enumerate(by_x):
+        while end < len(xs) and xs[end] - ax <= transmission_range:
+            end += 1
+        for b, bx, by in by_x[i + 1:end]:
             if hypot(ax - bx, ay - by) <= transmission_range:
                 adjacency[a].append(b)
                 adjacency[b].append(a)
@@ -259,9 +271,11 @@ def form_clusters(nodes, coordinator_ids, graph, rng: random.Random) -> list:
 
     Signal strength is modeled as 1/d^2, so the nearest coordinator wins;
     exact distance ties are broken uniformly at random. Membership is
-    exclusive. Each (node, coordinator) distance is measured once, and the
-    coordinators are walked in id order, so a tie hands `rng.choice` the
-    sorted list of the tied ids.
+    exclusive. `graph` must be the range graph of these nodes, since range
+    is read from it: a live coordinator is in range of a node iff the graph
+    links the two, so only linked coordinators are measured, each once.
+    The coordinators are walked in id order, so a tie hands `rng.choice`
+    the sorted list of the tied ids.
     """
     by_id = {n.id: n for n in nodes}
     clusters = [
@@ -271,12 +285,12 @@ def form_clusters(nodes, coordinator_ids, graph, rng: random.Random) -> list:
     heads = [
         (cc, by_id[cc].position.x, by_id[cc].position.y) for cc in slot_of if is_alive(by_id[cc])
     ]
-    reach = graph.transmission_range
+    linked = graph._neighbor_sets
     for node in nodes:
         if not is_alive(node) or node.node_class is NodeClass.SINK or node.id in slot_of:
             continue
-        x, y = node.position.x, node.position.y
-        in_range = [(d, cc) for cc, hx, hy in heads if (d := hypot(x - hx, y - hy)) <= reach]
+        x, y, near = node.position.x, node.position.y, linked[node.id]
+        in_range = [(hypot(x - hx, y - hy), cc) for cc, hx, hy in heads if cc in near]
         if not in_range:
             raise UnreachableNode(f"node {node.id} has no coordinator in range")
         best_d = min(d for d, _ in in_range)

@@ -4,14 +4,21 @@ Each pin is sha256 over the bytes of `metrics.csv` followed by the bytes of
 `summary.json`, as written by `imids-sim run <config> --override mode=<mode>`.
 A change that alters simulated behaviour on purpose re-pins here and says
 why in CHANGES.md; every other change must leave these untouched.
+
+The bundled configs hold 70 nodes at most, so one more pin covers the
+set-up of a large field, where the range graph and the cluster joins do
+most of their work.
 """
 
 import hashlib
+import json
+import math
 from pathlib import Path
 
 import pytest
 
-from imids_sim import cli
+from imids_sim import cli, engine
+from imids_sim.config import parse_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -64,3 +71,42 @@ def test_run_artifacts_match_golden_digest(config, mode, tmp_path, capsys):
     found = artifact_digest(config, mode, tmp_path)
     capsys.readouterr()  # `run` prints the artifact paths
     assert found == GOLDEN[(config, mode)]
+
+
+# sha256 of `setup_digest` for the stock scenario at 1,600 nodes and the
+# same density on seed 44. Seeds 42, 43, 45 and 46 deploy a node that no
+# coordinator covers at that size and raise CoverageFailure, which is a
+# legitimate outcome of the deployment and not a defect.
+SETUP_1600_AT_44 = "02d84c5c87d309bb5c8f11c88417615625953493bdac1038ff731b2c54c5d39d"
+
+
+def setup_digest(sim) -> str:
+    """sha256 over the whole set-up state: the range graph's adjacency, each
+    cluster with its sectors, and each node's role, slot, residual energy
+    and detection budget (floats as `.hex()`, so every bit counts)."""
+    h = hashlib.sha256()
+    h.update(repr(list(sim.graph.adjacency.items())).encode())
+    for c in sim.clusters:
+        h.update(repr((c.id, c.coordinator, sorted(c.members))).encode())
+        for s in c.sectors:
+            h.update(repr((s.coordinator, sorted(s.leaves), s.monitors, s.fsh)).encode())
+    for n in sim.nodes:
+        energy = n.energy
+        h.update(repr((
+            n.id, n.role.value, n.slot,
+            energy.residual_energy.hex(), energy.detection_budget.hex(),
+        )).encode())
+    return h.hexdigest()
+
+
+def test_a_1600_node_setup_matches_its_pin():
+    raw = json.loads((CONFIG_DIR / "stock_comparison.json").read_text())
+    deployment = raw["deployment"]
+    scale = math.sqrt(1600 / deployment["node_count"])
+    deployment["node_count"] = 1600
+    deployment["area_width"] *= scale
+    deployment["area_height"] *= scale
+    raw.update(seed=44, rounds=1)
+    sim = engine.Simulation(parse_config(raw))
+    assert len(sim.clusters) > 100
+    assert setup_digest(sim) == SETUP_1600_AT_44

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from collections import Counter, deque
@@ -777,6 +778,106 @@ def test_election_ranks_each_eligible_leader_once(monkeypatch):
     coordinators = topo.select_cluster_coordinators(nodes, graph)
     assert len(coordinators) > 10
     assert ranked == Counter(eligible)
+
+
+# --- the x-order sweep ---------------------------------------------------------
+
+
+def _field(node_count, seed):
+    """Uniform nodes at the stock scenario's density: 70 nodes on 80 x 100 m
+    with a 40 m range, scaled in area with the node count."""
+    scale = math.sqrt(node_count / 70)
+    deployment = DeploymentConfig(
+        node_count=node_count, area_width=80.0 * scale, area_height=100.0 * scale,
+        leader_fraction=0.2,
+    )
+    return topo.deploy(deployment, SeededRng(seed))
+
+
+def _rounding_pair(transmission_range):
+    """x values `ax < bx` exactly `transmission_range` apart for which
+    `ax + transmission_range` rounds below `bx`: a window that ends at that
+    sum would leave out a pair in range."""
+    rng = random.Random(0)
+    while True:
+        ax = rng.uniform(0.0, 200.0)
+        bx = math.nextafter(ax + transmission_range, math.inf)
+        if bx - ax == transmission_range:
+            return ax, bx
+
+
+def test_the_sweep_links_pairs_at_range_and_along_a_shared_x():
+    """Pairs exactly at range along x, one ulp past it, at a gap the sum
+    `ax + range` misplaces, and a run of nodes on one x, with ids out of x
+    order: the sweep must give the pair loop's graph item for item."""
+    r = 40.0
+    past = math.nextafter(r, math.inf)
+    ax, bx = _rounding_pair(r)
+    assert ax + r < bx
+    nodes = [
+        build_sink(500, 500),
+        build_node(1, r, 0), build_node(2, 0, 0),        # exactly at range
+        build_node(3, past, 100), build_node(4, 0, 100),  # one ulp past it
+        build_node(5, bx, 200), build_node(6, ax, 200),   # past the rounded sum
+        build_node(7, 60, 341), build_node(8, 60, 300), build_node(9, 60, 340),
+        build_node(10, 60, 310), build_node(11, 60, 320),
+    ]
+    graph = topo.build_graph(nodes, r)
+    assert graph.has_edge(1, 2) and graph.has_edge(5, 6)
+    assert not graph.has_edge(3, 4)
+    assert graph.has_edge(8, 9) and not graph.has_edge(8, 7)
+    assert graph.neighbors(10) == [7, 8, 9, 11]
+    expected = _reference_build_graph(nodes, r)
+    assert list(graph.adjacency.items()) == list(expected.adjacency.items())
+
+
+@pytest.mark.parametrize("node_count", [400, 1600])
+def test_the_sweep_matches_the_pair_loop_on_large_fields(node_count):
+    nodes = _field(node_count, 44)
+    graph = topo.build_graph(nodes, 40.0)
+    expected = _reference_build_graph(nodes, 40.0)
+    assert list(graph.adjacency.items()) == list(expected.adjacency.items())
+
+
+def _counting_hypot(monkeypatch):
+    calls = Counter()
+
+    def counting_hypot(*legs):
+        calls["hypot"] += 1
+        return math.hypot(*legs)
+
+    monkeypatch.setattr(topo, "hypot", counting_hypot)
+    return calls
+
+
+def test_a_full_build_measures_under_half_the_pairs(monkeypatch):
+    """A build that tests every pair measures N(N-1)/2 distances; this
+    catches that loop coming back in place of the x sweep."""
+    nodes = _field(400, 44)
+    calls = _counting_hypot(monkeypatch)
+    graph = topo.build_graph(nodes, 40.0)
+    n = len(nodes)
+    assert sum(map(len, graph.adjacency.values())) > 10 * n
+    assert 0 < calls["hypot"] < n * (n - 1) / 4
+
+
+def test_a_join_measures_only_the_coordinators_the_graph_links(monkeypatch):
+    """Joining measures each joining node against the live coordinators its
+    range graph links it to, once each; measuring every coordinator, as a
+    join that ignores the graph does, fails here."""
+    nodes = _field(400, 44)
+    graph = topo.build_graph(nodes, 40.0)
+    coordinators = topo.select_cluster_coordinators(nodes, graph)
+    heads = set(coordinators)
+    joining = [
+        n.id for n in nodes
+        if is_alive(n) and n.node_class is not NodeClass.SINK and n.id not in heads
+    ]
+    calls = _counting_hypot(monkeypatch)
+    clusters = topo.form_clusters(nodes, coordinators, graph, random.Random(0))
+    assert sum(len(c.members) for c in clusters) == len(joining)
+    assert calls["hypot"] == sum(len(heads & graph._neighbor_sets[a]) for a in joining)
+    assert calls["hypot"] < len(joining) * len(heads) / 4
 
 
 # --- roles ---------------------------------------------------------------------
