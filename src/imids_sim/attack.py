@@ -11,7 +11,7 @@ turns active) still bear its authentic token.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import Packet, PacketKind, SensorNode, WakeupToken, is_alive
 from .energy import EnergyParams, consume, rx_cost
@@ -118,7 +118,6 @@ def emit_attack_traffic(
 @dataclass(slots=True)
 class DeprivationResult:
     woken: bool = False
-    energy_charged: float = 0.0
     received: bool = False
 
 
@@ -142,10 +141,7 @@ def apply_deprivation(
     if not awake:
         consume(victim, params.p_listen - params.p_sleep)
         result.woken = True
-        result.energy_charged += params.p_listen - params.p_sleep
     if is_alive(victim):
-        charge = rx_cost(params, packet.payload_size)
-        consume(victim, charge)
-        result.energy_charged += charge
+        consume(victim, rx_cost(params, packet.payload_size))
         result.received = True
     return result

@@ -66,18 +66,14 @@ class TrustState:
         if not 0 <= self.nibble <= TRUST_MAX:
             raise ValueError(f"trust nibble out of range: {self.nibble}")
 
-    @property
-    def belief(self) -> float:
-        return self.nibble / TRUST_MAX
 
-
-def trust_penalize(trust: TrustState, step: int = 1) -> TrustState:
-    value = max(0, trust.nibble - step)
+def trust_penalize(trust: TrustState) -> TrustState:
+    value = max(0, trust.nibble - 1)
     return trust if value == trust.nibble else TrustState(value)
 
 
-def trust_reward(trust: TrustState, step: int = 1) -> TrustState:
-    value = min(TRUST_MAX, trust.nibble + step)
+def trust_reward(trust: TrustState) -> TrustState:
+    value = min(TRUST_MAX, trust.nibble + 1)
     return trust if value == trust.nibble else TrustState(value)
 
 

@@ -146,10 +146,10 @@ class SimulationTrace:
             out.append((r.tp + r.tn) / total if total else 1.0)
         return out
 
-    def total_energy_spent(self, include_sink: bool = False) -> float:
+    def total_energy_spent(self) -> float:
         total = 0.0
         for node_id, initial in self.initial_energy.items():
-            if not include_sink and node_id == topo.SINK_ID:
+            if node_id == topo.SINK_ID:
                 continue
             total += initial - self.final_energy.get(node_id, initial)
         return total
@@ -410,10 +410,9 @@ class Simulation:
         """Aggregates ride through the forwarding head when it is reachable."""
         if sector.fsh is None:
             return cc_id
-        sc = self.by_id[sector.coordinator]
         fsh = self.by_id[sector.fsh]
-        in_range = sc.distance_to(fsh) <= self.graph.transmission_range
-        return sector.fsh if fsh.energy.residual_energy > 0.0 and in_range else cc_id
+        in_range = self.graph.has_edge(sector.coordinator, fsh.id)
+        return fsh.id if fsh.energy.residual_energy > 0.0 and in_range else cc_id
 
     def _charge_formation(self, clusters):
         """Control traffic of (re)building cluster and sector structure."""
@@ -630,7 +629,7 @@ class Simulation:
         bits = cfg.traffic.data_bits
         rx = self._rx_price(bits)
         sc_role = Role.SC  # a local: enum member lookups are slow
-        obs, received_at, routes = self._obs, self._received_at, self._routes
+        received_at, routes = self._received_at, self._routes
         overhear = self._overhear
         for node in self._slot_senders[slot]:
             if node.energy.residual_energy <= 0.0 or (attacking and node.malicious):
@@ -640,17 +639,13 @@ class Simulation:
                 route = routes[node.id] = self._route(node, slot, bits)
             if not route:
                 continue  # no uplink
-            parent, pkt, cost, reaches, overhearers, receipt, watched = route
+            parent, pkt, cost, reaches, overhearers, receipt = route
             _charge(node, cost)
             overhear(overhearers, slot, True, bits)
             if parent.energy.residual_energy <= 0.0 or not reaches or node.id in quarantined:
                 continue  # the roster is known: a quarantined sender's junk is not picked up
             _charge(parent, rx)
             received_at[receipt] = received_at.get(receipt, 0) + 1
-            if watched:
-                if (seen := obs.get(receipt)) is None:
-                    seen = obs[receipt] = Observation()
-                seen.packets_to_watcher += 1
             if parent.role is sc_role:
                 self._sc_valid.setdefault(pkt.dst, []).append(node.id)
             elif pkt.dst in coordinators:
@@ -659,8 +654,8 @@ class Simulation:
     def _route(self, node, slot, bits) -> tuple:
         """A live leaf's uplink as the slot loop reads it, or () for none:
         (parent, packet, link price, parent in range, `_overhearers`,
-        receipt key, parent watches it). Nodes only die, so a cached range
-        test holds while both ends live."""
+        receipt key). Nodes only die, so a cached range test holds while
+        both ends live."""
         src = node.id
         parent_id = self.parent.get(src)
         if parent_id is None:
@@ -670,7 +665,6 @@ class Simulation:
             parent, self._packet(src, parent_id, slot, bits, True),
             self._link_price(node, parent, bits), self.graph.has_edge(src, parent_id),
             self._overhearers(src, parent_id), (parent_id, src),
-            parent_id in self._watchers.get(src, ()),
         )
 
     def _overhearers(self, src, dst) -> tuple:
@@ -706,10 +700,6 @@ class Simulation:
     def _note_receipt(self, receiver_id, src_id):
         key = (receiver_id, src_id)
         self._received_at[key] = self._received_at.get(key, 0) + 1
-        if receiver_id in self._watchers.get(src_id, ()):
-            if (seen := self._obs.get(key)) is None:
-                seen = self._obs[key] = Observation()
-            seen.packets_to_watcher += 1
 
     def _charge_slot_costs(self, _round):
         """Baseline duty cost by the scheduled state: a forced wake already
@@ -743,9 +733,11 @@ class Simulation:
     # detection ladder
 
     def _sids_stage(self, r):
-        """Every watcher screens the subjects it watches."""
+        """Every watcher screens the subjects it watches. A watcher that
+        received from a subject also overheard it, so each observation takes
+        its packet count from `_received_at`."""
         cfg = self.config
-        obs = self._obs
+        obs, received_at = self._obs, self._received_at
         by_id = self.by_id
         for watcher_id, subject_ids in self._screens:
             if not self._usable_judge(watcher_id):
@@ -757,6 +749,8 @@ class Simulation:
             observations = {  # sids_check stands in an empty one for the rest
                 s: seen for s in subjects if (seen := obs.get((watcher_id, s))) is not None
             }
+            for s, seen in observations.items():
+                seen.packets_to_watcher = received_at.get((watcher_id, s), 0)
             ids_mod.sids_check(
                 by_id[watcher_id], subjects, observations, self.profile,
                 cfg.detection, self.params, self.ledgers, r,
@@ -996,15 +990,9 @@ class Simulation:
             return True, True, f"cluster {cluster.id}: coordinator {cluster.coordinator} failed"
         reputation_min = cfg.detection.reputation_min
         graph = self.graph
-        leader = NodeClass.LEADER  # a local: enum member lookups are slow
         best = 0.0
         for node in map(by_id.__getitem__, (cluster.coordinator, *cluster.members)):
-            if (
-                node.node_class is leader
-                and node.energy.residual_energy > 0.0
-                and node.id not in quarantined
-                and node.trust.nibble >= reputation_min
-            ):
+            if topo.cc_eligible(node, quarantined, reputation_min):
                 capacity = topo.capacity(node, graph)
                 if capacity > best:
                     best = capacity
@@ -1079,8 +1067,7 @@ class Simulation:
                 cluster.coordinator = new_cc.id
                 keep = set()
                 for member_id in pool - {new_cc.id}:
-                    member = self.by_id[member_id]
-                    if member.distance_to(new_cc) <= self.graph.transmission_range:
+                    if self.graph.has_edge(member_id, new_cc.id):
                         keep.add(member_id)
                     else:
                         stranded.append(member_id)
@@ -1111,7 +1098,7 @@ class Simulation:
         candidates = [
             c for c in self.clusters
             if self.by_id[c.coordinator].energy.residual_energy > 0.0
-            and node.distance_to(self.by_id[c.coordinator]) <= self.graph.transmission_range
+            and self.graph.has_edge(node_id, c.coordinator)
         ]
         if not candidates:
             self.orphans.add(node_id)

@@ -10,7 +10,7 @@ tie-break ends in the node id so elections are reproducible.
 from __future__ import annotations
 
 import random
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from math import hypot
 from operator import itemgetter
 
@@ -41,28 +41,24 @@ class MonitorUnavailable(Exception):
 
 @dataclass
 class TransmissionGraph:
-    """Sorted neighbour lists (BFS and attack-victim order depend on the
-    order) plus a neighbour set per node for edge and disk-claim tests.
-    A refresh derives a new graph from the previous one, never changing
-    it, and shares the lists and sets no death touched; what a graph
-    memoises (each node's `capacity` factor) dies with it."""
+    """The range graph as one neighbour set per live node. A refresh derives
+    a new graph from the previous one, never changing it, and shares the
+    sets no death touched; what a graph memoises (each node's `capacity`
+    factor) dies with it."""
 
     transmission_range: float
-    adjacency: dict = field(default_factory=dict)
-    neighbor_sets: InitVar[dict | None] = None  # built from `adjacency` if omitted
+    adjacency: dict = field(default_factory=dict)  # node id -> set of neighbour ids
+    # node id -> degree / initial energy, filled by `capacity`
+    _capacity_factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __post_init__(self, neighbor_sets):
-        self._neighbor_sets = neighbor_sets or {a: set(ids) for a, ids in self.adjacency.items()}
-        self._capacity_factors = {}  # node id -> degree / initial energy
-
-    def neighbors(self, node_id: int) -> list:
-        return self.adjacency.get(node_id, [])
+    def neighbors(self, node_id: int) -> set:
+        return self.adjacency.get(node_id, frozenset())
 
     def degree(self, node_id: int) -> int:
-        return len(self.adjacency.get(node_id, []))
+        return len(self.adjacency.get(node_id, ()))
 
     def has_edge(self, a: int, b: int) -> bool:
-        return b in self._neighbor_sets.get(a, ())
+        return b in self.adjacency.get(a, ())
 
 
 @dataclass(slots=True)
@@ -157,25 +153,22 @@ def build_graph(nodes, transmission_range: float, previous=None) -> Transmission
     every pair. Given the `previous` graph of the same nodes and range, the
     nodes that died since drop out of it and no pair is re-tested (nodes
     never move): the result equals a full build and shares every untouched
-    list and set. A `previous` of another range, or missing a live node,
-    is refused."""
+    set. A `previous` of another range, or missing a live node, is refused."""
     if transmission_range <= 0:
         raise ValueError("transmission range must be positive")
     points = [(n.id, n.position.x, n.position.y) for n in nodes if is_alive(n)]
     if previous is not None:
         if previous.transmission_range != transmission_range:
             raise ValueError("a graph derives only from one of the same range")
-        old, sets = previous.adjacency, previous._neighbor_sets
+        old = previous.adjacency
         dead = old.keys() - {a for a, _, _ in points}
         if len(old) - len(dead) != len(points):
             raise ValueError("a graph derives only from one that holds every live node")
         adjacency = {a: ids for a, ids in old.items() if a not in dead}
-        neighbor_sets = {a: sets[a] for a in adjacency}
-        for a in set().union(*(sets[d] for d in dead)) - dead:  # lost a neighbour
-            adjacency[a] = [b for b in adjacency[a] if b not in dead]
-            neighbor_sets[a] = sets[a] - dead
-        return TransmissionGraph(transmission_range, adjacency, neighbor_sets)
-    adjacency = {a: [] for a, _, _ in points}
+        for a in set().union(*(old[d] for d in dead)) - dead:  # lost a neighbour
+            adjacency[a] = old[a] - dead
+        return TransmissionGraph(transmission_range, adjacency)
+    adjacency = {a: set() for a, _, _ in points}
     by_x = sorted(points, key=itemgetter(1))
     xs = [x for _, x, _ in by_x]
     end = 0  # one past the last node within range of `ax` along x
@@ -184,11 +177,9 @@ def build_graph(nodes, transmission_range: float, previous=None) -> Transmission
             end += 1
         for b, bx, by in by_x[i + 1:end]:
             if hypot(ax - bx, ay - by) <= transmission_range:
-                adjacency[a].append(b)
-                adjacency[b].append(a)
-    for neighbor_list in adjacency.values():
-        neighbor_list.sort()
-    return TransmissionGraph(transmission_range=transmission_range, adjacency=adjacency)
+                adjacency[a].add(b)
+                adjacency[b].add(a)
+    return TransmissionGraph(transmission_range, adjacency)
 
 
 def classify_nodes(nodes, leader_energy_threshold: float) -> None:
@@ -257,7 +248,7 @@ def select_cluster_coordinators(
     eligible = [n for n in nodes if cc_eligible(n, quarantined, reputation_min)]
     coordinators = []
     for node in sorted(eligible, key=lambda n: cc_rank(n, graph, sink)):
-        disk = graph._neighbor_sets.get(node.id, ())
+        disk = graph.neighbors(node.id)
         if node.id in uncovered or not uncovered.isdisjoint(disk):
             coordinators.append(node.id)
             uncovered -= {node.id, *disk}
@@ -285,11 +276,10 @@ def form_clusters(nodes, coordinator_ids, graph, rng: random.Random) -> list:
     heads = [
         (cc, by_id[cc].position.x, by_id[cc].position.y) for cc in slot_of if is_alive(by_id[cc])
     ]
-    linked = graph._neighbor_sets
     for node in nodes:
         if not is_alive(node) or node.node_class is NodeClass.SINK or node.id in slot_of:
             continue
-        x, y, near = node.position.x, node.position.y, linked[node.id]
+        x, y, near = node.position.x, node.position.y, graph.neighbors(node.id)
         in_range = [(hypot(x - hx, y - hy), cc) for cc, hx, hy in heads if cc in near]
         if not in_range:
             raise UnreachableNode(f"node {node.id} has no coordinator in range")
@@ -376,7 +366,7 @@ def select_sector_monitor(cluster, sector, candidates, graph) -> tuple:
     sector_ids = sector.node_ids()
     adjacent = [
         c for c in candidates
-        if not sector_ids.isdisjoint(graph._neighbor_sets.get(c.id, ()))
+        if not sector_ids.isdisjoint(graph.neighbors(c.id))
     ]
     budgets = {c.id: prospective_detection_budget(c) for c in adjacent or candidates}
     best = max(budgets.values())

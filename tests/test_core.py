@@ -1,4 +1,3 @@
-import math
 
 import pytest
 
@@ -44,12 +43,6 @@ def test_trust_rejects_out_of_range():
         TrustState(nibble=16)
     with pytest.raises(ValueError):
         TrustState(nibble=-1)
-
-
-def test_trust_belief_is_normalized():
-    assert TrustState(nibble=15).belief == 1.0
-    assert TrustState(nibble=0).belief == 0.0
-    assert math.isclose(TrustState(nibble=12).belief, 0.8)
 
 
 def test_position_distance():

@@ -319,9 +319,9 @@ MODE_READERS = {"__init__"}
 
 
 # Positions never move: the round prices links through the `_link_price` memo
-# and tests range through the graph, so only the memo and set-up, structure
-# and reconfiguration code measure a distance.
-GEOMETRY_READERS = {"_link_price", "_sector_uplink", "_reconfiguration_sweep", "_try_adopt"}
+# and every range test asks the graph, so only the memo and adoption's choice
+# of the nearest coordinator measure a distance.
+GEOMETRY_READERS = {"_link_price", "_try_adopt"}
 
 
 # One charging call: every energy write of the round goes through
@@ -452,6 +452,41 @@ def test_only_rng_seeds_generators_or_hashes():
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name != "rng.py":
             assert not _seeding(ast.parse(path.read_text())), path.name
+
+
+# The range rule lives in `topology.build_graph`: the engine asks the graph
+# whether two nodes are in range instead of comparing against the range, and
+# only `topology.py` reads a graph's private state.
+def _range_comparisons(tree) -> list:
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Compare) and any(
+            isinstance(n, ast.Attribute) and n.attr == "transmission_range"
+            for n in ast.walk(node)
+        )
+    ]
+
+
+def _graph_private_reads(tree) -> set:
+    """Underscore attributes read off a graph (`graph._x`, `self.graph._x`)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            owner = node.value
+            name = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", "")
+            if "graph" in name:
+                found.add(f"{name}.{node.attr}")
+    return found
+
+
+def test_the_range_rule_stays_in_the_topology_module():
+    assert _range_comparisons(ast.parse("d <= self.graph.transmission_range"))  # the scan sees one
+    assert not _range_comparisons(ast.parse(inspect.getsource(engine)))
+    assert _graph_private_reads(ast.parse((PACKAGE / "topology.py").read_text()))
+    assert _graph_private_reads(ast.parse("self.graph._memo"))
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "topology.py":
+            assert not _graph_private_reads(ast.parse(path.read_text())), path.name
 
 
 # Delete what nothing reads: every private function of the engine is

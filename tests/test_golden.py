@@ -85,7 +85,7 @@ def setup_digest(sim) -> str:
     cluster with its sectors, and each node's role, slot, residual energy
     and detection budget (floats as `.hex()`, so every bit counts)."""
     h = hashlib.sha256()
-    h.update(repr(list(sim.graph.adjacency.items())).encode())
+    h.update(repr([(a, sorted(ids)) for a, ids in sim.graph.adjacency.items()]).encode())
     for c in sim.clusters:
         h.update(repr((c.id, c.coordinator, sorted(c.members))).encode())
         for s in c.sectors:

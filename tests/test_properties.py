@@ -67,7 +67,6 @@ def test_trust_stays_a_nibble(start, steps):
     for reward in steps:
         trust = trust_reward(trust) if reward else trust_penalize(trust)
         assert 0 <= trust.nibble <= 15
-        assert 0.0 <= trust.belief <= 1.0
 
 
 # --- sector formation --------------------------------------------------------------

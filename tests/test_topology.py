@@ -81,9 +81,9 @@ def test_graph_edges_symmetric_inclusive_and_alive_only():
 def test_a_derived_graph_equals_a_full_build_through_deaths():
     """`build_graph(nodes, r, previous)` drops the nodes that died from
     `previous` instead of re-testing every pair. Over seeded death
-    sequences it must answer exactly what a full build answers (key and
-    neighbour order, sets, degrees, capacities), leave `previous` as it
-    was, and share every list and set that no death touched."""
+    sequences it must answer exactly what a full build answers (key order,
+    neighbour sets, degrees, capacities), leave `previous` as it was, and
+    share every set that no death touched."""
     rng = random.Random(1717)
     cases = Counter()
     for _ in range(60):
@@ -93,8 +93,7 @@ def test_a_derived_graph_equals_a_full_build_through_deaths():
         while len(alive := [n for n in nodes if is_alive(n)]) > 1:
             for node in alive:  # a memo the derived graph must not inherit
                 topo.capacity(node, graph)
-            lists = {a: list(neighbors) for a, neighbors in graph.adjacency.items()}
-            sets = {a: set(neighbors) for a, neighbors in graph._neighbor_sets.items()}
+            sets = {a: set(neighbors) for a, neighbors in graph.adjacency.items()}
             dying = rng.sample(alive, min(len(alive), rng.choice((1, 1, 2, 3))))
             for node in dying:
                 node.energy.residual_energy = 0.0
@@ -102,23 +101,20 @@ def test_a_derived_graph_equals_a_full_build_through_deaths():
             derived = topo.build_graph(nodes, GRID_RANGE, graph)
             full = topo.build_graph(nodes, GRID_RANGE)
             assert list(derived.adjacency.items()) == list(full.adjacency.items())
-            assert list(derived._neighbor_sets.items()) == list(full._neighbor_sets.items())
             assert [derived.degree(i) for i in ids] == [full.degree(i) for i in ids]
             for node in nodes:
                 if is_alive(node):
                     assert topo.capacity(node, derived) == topo.capacity(node, full)
-            assert list(graph.adjacency.items()) == list(lists.items())
-            assert list(graph._neighbor_sets.items()) == list(sets.items())
+            assert list(graph.adjacency.items()) == list(sets.items())
             touched = set().union(*(sets[n.id] for n in dying))
             for a in derived.adjacency.keys() - touched:
                 assert derived.adjacency[a] is graph.adjacency[a]
-                assert derived._neighbor_sets[a] is graph._neighbor_sets[a]
 
             cases["several at once"] += len(dying) > 1
             cases["lost every neighbour"] += any(
-                lists[a] and not derived.degree(a) for a in derived.adjacency
+                sets[a] and not derived.degree(a) for a in derived.adjacency
             )
-            cases["isolated node died"] += any(not lists[n.id] for n in dying)
+            cases["isolated node died"] += any(not sets[n.id] for n in dying)
             graph = derived
     assert set(+cases) == {"several at once", "lost every neighbour", "isolated node died"}, cases
 
@@ -518,15 +514,13 @@ def _reference_build_graph(nodes, transmission_range):
     if transmission_range <= 0:
         raise ValueError("transmission range must be positive")
     alive = [n for n in nodes if is_alive(n)]
-    adjacency = {n.id: [] for n in alive}
+    adjacency = {n.id: set() for n in alive}
     for i, a in enumerate(alive):
         position = a.position
         for b in alive[i + 1:]:
             if position.distance_to(b.position) <= transmission_range:
-                adjacency[a.id].append(b.id)
-                adjacency[b.id].append(a.id)
-    for neighbor_list in adjacency.values():
-        neighbor_list.sort()
+                adjacency[a.id].add(b.id)
+                adjacency[b.id].add(a.id)
     return topo.TransmissionGraph(transmission_range=transmission_range, adjacency=adjacency)
 
 
@@ -826,7 +820,7 @@ def test_the_sweep_links_pairs_at_range_and_along_a_shared_x():
     assert graph.has_edge(1, 2) and graph.has_edge(5, 6)
     assert not graph.has_edge(3, 4)
     assert graph.has_edge(8, 9) and not graph.has_edge(8, 7)
-    assert graph.neighbors(10) == [7, 8, 9, 11]
+    assert graph.neighbors(10) == {7, 8, 9, 11}
     expected = _reference_build_graph(nodes, r)
     assert list(graph.adjacency.items()) == list(expected.adjacency.items())
 
@@ -876,7 +870,7 @@ def test_a_join_measures_only_the_coordinators_the_graph_links(monkeypatch):
     calls = _counting_hypot(monkeypatch)
     clusters = topo.form_clusters(nodes, coordinators, graph, random.Random(0))
     assert sum(len(c.members) for c in clusters) == len(joining)
-    assert calls["hypot"] == sum(len(heads & graph._neighbor_sets[a]) for a in joining)
+    assert calls["hypot"] == sum(len(heads & graph.neighbors(a)) for a in joining)
     assert calls["hypot"] < len(joining) * len(heads) / 4
 
 
