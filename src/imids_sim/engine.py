@@ -43,6 +43,8 @@ derived again.
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -103,12 +105,33 @@ class _Fragment:
         return self.slots.keys() | self.always_on
 
 
+class _Spend(Mapping):
+    """One round's joules spent per node, read-only: the spends sit in an
+    `array('d')` in node order, and `index` (node id -> position, one map
+    per run) finds them, so a round keeps 8 bytes per node, not a dict entry."""
+
+    __slots__ = ("_index", "_joules")
+
+    def __init__(self, index, joules):
+        self._index = index
+        self._joules = joules
+
+    def __getitem__(self, node_id):
+        return self._joules[self._index[node_id]]
+
+    def __iter__(self):
+        return iter(self._index)
+
+    def __len__(self):
+        return len(self._joules)
+
+
 @dataclass
 class RoundReport:
     round: int
     alive_count: int
     energy_spent_total: float
-    energy_spent: dict
+    energy_spent: Mapping  # node id -> joules, read-only; dict() it for a copy
     suspects_new: list
     quarantines_new: list
     reconfigurations: list
@@ -217,6 +240,7 @@ class Simulation:
                     cluster, self.by_id, cfg.itids.monitor_fraction
                 )
         self._followers = [n for n in self.nodes if n.node_class is NodeClass.FOLLOWER]
+        self._spend_index = {n.id: i for i, n in enumerate(self.nodes)}  # shared by every `_Spend`
         self._fragments = {}  # cluster id -> _Fragment
         self._routes = {}  # leaf id -> its uplink route, built on its first send
         self._quarantine_seen = 0  # roster size the rosters were last cleaned for
@@ -500,12 +524,12 @@ class Simulation:
         for phase in self._phases:
             phase(r)
 
-        spent = {}  # in node order, which fixes the order of the fold below
+        spent = []  # in node order, which fixes the order of the fold below
         alive_count = 0
         sink = NodeClass.SINK  # a local: enum member lookups are slow
         for node, before in zip(nodes, residual_before):
             residual = node.energy.residual_energy
-            spent[node.id] = before - residual
+            spent.append(before - residual)
             if residual > 0.0 and node.node_class is not sink:
                 alive_count += 1
         # Quarantine only grows and `malicious` is fixed after set-up, so
@@ -518,8 +542,8 @@ class Simulation:
         report = RoundReport(
             round=r,
             alive_count=alive_count,
-            energy_spent_total=_add_up(spent.values()),
-            energy_spent=spent,
+            energy_spent_total=_add_up(spent),
+            energy_spent=_Spend(self._spend_index, array("d", spent)),
             suspects_new=sorted(set(self.ledgers.suspected) - suspects_before),
             quarantines_new=sorted(set(self.ledgers.quarantined) - quarantined_before),
             reconfigurations=self._reconfigurations,
@@ -867,6 +891,7 @@ class Simulation:
         cfg = self.config
         self._validate_sink_inbox(r)
         sink_inbox = []
+        entries = {}  # source -> its (r, source) entry, one object for both logs
         for cluster in self.clusters:
             cc = self.by_id[cluster.coordinator]
             if cc.energy.residual_energy <= 0.0:
@@ -888,7 +913,7 @@ class Simulation:
                 )
                 if result.accepted:
                     for source in pkt.sources or (pkt.src,):
-                        self.ledgers.valid_log.append((r, source))
+                        self.ledgers.valid_log.append(entries.setdefault(source, (r, source)))
                         accepted_sources.append(source)
             if not accepted_sources:
                 continue
@@ -907,9 +932,8 @@ class Simulation:
             except ids_mod.DisabledIds:
                 continue
             if result.accepted:
-                self.ledgers.sn_log.append((r, pkt.src))
-                for source in pkt.sources:
-                    self.ledgers.sn_log.append((r, source))
+                for source in (pkt.src, *pkt.sources):
+                    self.ledgers.sn_log.append(entries.setdefault(source, (r, source)))
 
     def _isolate_suspects(self, r):
         """Baseline verdict: a single strike suffices; no window, no
@@ -991,8 +1015,9 @@ class Simulation:
         reputation_min = cfg.detection.reputation_min
         graph = self.graph
         best = 0.0
+        leader = NodeClass.LEADER  # class is fixed at set-up: skip followers unasked
         for node in map(by_id.__getitem__, (cluster.coordinator, *cluster.members)):
-            if topo.cc_eligible(node, quarantined, reputation_min):
+            if node.node_class is leader and topo.cc_eligible(node, quarantined, reputation_min):
                 capacity = topo.capacity(node, graph)
                 if capacity > best:
                     best = capacity

@@ -100,7 +100,8 @@ class Ledgers:
     suspected: dict = field(default_factory=dict)       # node -> SuspectedEntry
     quarantined: dict = field(default_factory=dict)     # node -> round
     valid_log: list = field(default_factory=list)       # (round, source id)
-    sn_log: list = field(default_factory=list)          # (round, source id)
+    # (round, source id); a source validated that round reuses valid_log's tuple
+    sn_log: list = field(default_factory=list)
     forwarding_log: list = field(default_factory=list)  # (round, fsh, sector coordinator)
     decision_log: list = field(default_factory=list)    # (round, judge, node, Decision)
 

@@ -1,4 +1,6 @@
 
+from array import array
+
 import pytest
 
 from imids_sim.attack import DeprivationResult
@@ -14,6 +16,7 @@ from imids_sim.core import (
     trust_penalize,
     trust_reward,
 )
+from imids_sim.engine import _Spend
 from imids_sim.ids import Observation, SuspectedEntry, ValidationResult
 from imids_sim.topology import Cluster, Sector
 
@@ -79,6 +82,7 @@ def test_node_distance():
         DeprivationResult(),
         Sector(1),
         Cluster(1, 1),
+        _Spend({1: 0}, array("d", [0.0])),
     ],
     ids=lambda record: type(record).__name__,
 )

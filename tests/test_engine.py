@@ -1,7 +1,9 @@
 import ast
+import copy
 import functools
 import inspect
 import json
+import pickle
 from pathlib import Path
 
 import pytest
@@ -96,6 +98,45 @@ def test_round_spends_telescope_to_energy_delta():
         )
         assert booked == pytest.approx(initial - trace.final_energy[node_id], abs=1e-9)
 
+
+
+def test_a_round_spend_reads_as_the_dict_of_battery_deltas():
+    sim = engine.initialize(parse_config(json.loads(STOCK_CONFIG.read_text())))
+    node_ids = [n.id for n in sim.nodes]
+    while sim.round < sim.config.rounds and sim.alive_non_sink():
+        before = [n.energy.residual_energy for n in sim.nodes]
+        spent = sim.run_round().energy_spent
+        rebuilt = {n.id: b - n.energy.residual_energy for n, b in zip(sim.nodes, before)}
+        assert list(spent) == node_ids
+        assert spent == rebuilt and rebuilt == spent
+        assert len(spent) == len(rebuilt)
+        assert list(spent.items()) == list(rebuilt.items())
+    assert any(rebuilt.values())
+    with pytest.raises(KeyError):
+        spent[max(node_ids) + 1]
+    with pytest.raises(TypeError):
+        spent[node_ids[0]] = 0.0
+    assert dict(spent) == rebuilt
+    assert copy.deepcopy(spent) == spent
+    assert pickle.loads(pickle.dumps(spent)) == spent
+
+
+@pytest.mark.parametrize("mode", ["imids", "imids-no-sectors"])
+def test_the_sink_log_reuses_each_validated_entry(mode):
+    # A source validated in a round is logged once as one (round, source)
+    # tuple, which the sink log holds too when the sink accepts it.
+    raw = json.loads(STOCK_CONFIG.read_text())
+    raw["mode"] = mode
+    ledgers = engine.run_simulation(parse_config(raw)).ledgers
+    validated = {}
+    for entry in ledgers.valid_log:
+        assert validated.setdefault(entry, entry) is entry
+    shared = 0
+    for entry in ledgers.sn_log:
+        if entry in validated:
+            assert entry is validated[entry]
+            shared += 1
+    assert shared > len(ledgers.sn_log) // 2
 
 def test_census_charges_before_round_zero():
     trace = engine.run_simulation(scenario(rounds=1))

@@ -110,3 +110,33 @@ def test_a_1600_node_setup_matches_its_pin():
     sim = engine.Simulation(parse_config(raw))
     assert len(sim.clusters) > 100
     assert setup_digest(sim) == SETUP_1600_AT_44
+
+
+# sha256 of `records_digest` for `configs/stock_comparison.json` in each mode.
+# The pins above read only each round's spend total; these cover what a trace
+# keeps besides it.
+RECORDS = {
+    "imids": "fe7f8f3e0e8bc9ae382fe17d2b3ff5265ece0d36c5a2ab147bd55620ea845a81",
+    "imids-no-sectors": "5a9b69e18334b6f83f0c91bbb4ec3d7a15b4d8f464c4f202addca6d04521d5ef",
+    "itids": "bd4e21cc52b75723f15171271e49f800e867c489b255b0540ddf68248e67a0eb",
+}
+
+
+def records_digest(trace) -> str:
+    """sha256 over the `repr` of every round's per-node spends as (node id,
+    joules) pairs in node order, then of the four delivery and verdict logs."""
+    h = hashlib.sha256()
+    for report in trace.reports:
+        h.update(repr(list(report.energy_spent.items())).encode())
+    ledgers = trace.ledgers
+    for log in (ledgers.valid_log, ledgers.sn_log, ledgers.forwarding_log, ledgers.decision_log):
+        h.update(repr(log).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("mode", sorted(RECORDS))
+def test_round_records_and_ledgers_match_their_pin(mode):
+    raw = json.loads((CONFIG_DIR / "stock_comparison.json").read_text())
+    raw["mode"] = mode
+    trace = engine.run_simulation(parse_config(raw))
+    assert records_digest(trace) == RECORDS[mode]
