@@ -1,6 +1,7 @@
 import ast
 import copy
 import functools
+import hashlib
 import inspect
 import json
 import pickle
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from imids_sim import engine
+from imids_sim.cli import _metrics_row
 from imids_sim.config import MODES, parse_config
 from imids_sim.core import NodeClass, Packet, PacketKind, Role, WakeupToken, is_alive
 from imids_sim.energy import rx_cost, tx_cost
@@ -291,6 +293,44 @@ def test_a_dead_sink_accepts_nothing(mode):
     for _ in range(12):
         sim.run_round()
     assert {"_sink_stage", "_forward_received"} & set(ran_dead)
+
+
+# sha256 of the metrics rows, the four delivery and verdict logs and the
+# quarantine map of the stock scenario cut to 60 rounds, with a 1 J sink,
+# 0.02 J checks and the set-up coordinators 10 and 16 attacking from round 0.
+SPENT_SINK = "8324be4d926e09a017376f6a72c59f6290f25dcad4250b44c64a52271042ad7d"
+
+
+def test_a_sink_with_its_budget_spent_validates_nothing_more():
+    raw = json.loads(STOCK_CONFIG.read_text())
+    raw["rounds"] = 60
+    del raw["attack"]["attacker_count"]
+    raw["attack"].update(start_round=0, attacker_ids=[10, 16])
+    raw["deployment"]["sink_initial_energy"] = 1.0
+    raw["energy"] = {"e_detect": 0.02}
+    sim = engine.initialize(parse_config(raw))
+    assert {10, 16} <= {c.coordinator for c in sim.clusters}
+    sink, hop = sim.sink, sim._hop
+    blind_deliveries = []  # rounds in which a coordinator reached a sink whose IDS is off
+
+    def watched_hop(src, dst, bits, filtered=False):
+        received = hop(src, dst, bits, filtered)
+        if received and dst is sink and not sink.energy.detection_enabled:
+            if src.id in {c.coordinator for c in sim.clusters}:
+                blind_deliveries.append(sim.round)
+        return received
+
+    sim._hop = watched_hop
+    reports = [sim.run_round() for _ in range(60)]
+    assert blind_deliveries and min(blind_deliveries) < 59
+    h = hashlib.sha256()
+    for report in reports:
+        h.update(_metrics_row(report).encode())
+    ledgers = sim.ledgers
+    for log in (ledgers.valid_log, ledgers.sn_log, ledgers.forwarding_log, ledgers.decision_log):
+        h.update(repr(log).encode())
+    h.update(repr(sorted(ledgers.quarantined.items())).encode())
+    assert h.hexdigest() == SPENT_SINK
 
 
 def test_quarantined_nodes_stop_contributing():
