@@ -55,7 +55,6 @@ from .topology import (
     SINK_ID,
     Cluster,
     CoverageFailure,
-    MonitorUnavailable,
     Sector,
     UnreachableNode,
     deploy,
@@ -75,7 +74,6 @@ __all__ = [
     "EnergyParams",
     "Ledgers",
     "MODES",
-    "MonitorUnavailable",
     "NodeClass",
     "NormalProfile",
     "Packet",

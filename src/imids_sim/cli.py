@@ -20,7 +20,7 @@ import tempfile
 
 from . import topology as topo
 from .charts import Series, line_chart
-from .config import ConfigError, apply_overrides, load_raw, parse_config
+from .config import ConfigError, load_config, load_raw, parse_config
 from .engine import run_simulation
 
 EXIT_OK = 0
@@ -34,7 +34,6 @@ CSV_HEADER = (
 RUNTIME_ERRORS = (
     topo.CoverageFailure,
     topo.UnreachableNode,
-    topo.MonitorUnavailable,
     RuntimeError,
     OSError,
 )
@@ -115,9 +114,7 @@ def _dump_json(payload) -> str:
 
 
 def cmd_run(args) -> int:
-    raw = load_raw(args.config)
-    config = parse_config(apply_overrides(raw, args.override))
-    trace = run_simulation(config)
+    trace = run_simulation(load_config(args.config, args.override))
     out = args.out
     csv_path = os.path.join(out, "metrics.csv")
     summary_path = os.path.join(out, "summary.json")

@@ -309,17 +309,15 @@ class Simulation:
                 if not cluster.sectors:
                     continue
                 candidates = topo.monitor_candidates(cluster, self.by_id, quarantined)
-                try:  # one forwarding head per cluster, shared by its sectors
-                    fsh = topo.select_fsh(cluster, candidates, self.by_id, self.graph)
-                except topo.MonitorUnavailable:
-                    fsh = None
+                # one forwarding head per cluster, shared by its sectors
+                fsh = topo.select_fsh(cluster, candidates, self.by_id, self.graph)
+                # a monitor keeps its spent reserve along with its role, so one
+                # whose IDS is off is not re-elected (a new role brings a fresh one)
+                candidates = [
+                    c for c in candidates if c.role is not Role.SM or c.energy.detection_enabled
+                ]
                 for sector in cluster.sectors:
-                    try:
-                        sector.monitors = topo.select_sector_monitor(
-                            cluster, sector, candidates, self.graph
-                        )
-                    except topo.MonitorUnavailable:
-                        sector.monitors = ()
+                    sector.monitors = topo.select_sector_monitor(sector, candidates, self.graph)
                     sector.fsh = fsh
         fragments = self._fragments
         named = {n.id for n in unplaced}
@@ -869,27 +867,20 @@ class Simulation:
             return [self.sink.id]
         return []
 
-    def _validate_sink_inbox(self, r):
-        """Raw traffic landing on the sink directly (a coordinator gone
-        rogue floods its uplink like everyone else) faces the same checks
-        the coordinators apply."""
-        inbox = self._cc_inbox.pop(self.sink.id, None)
-        if not inbox:
-            return
-        for pkt in sorted(inbox, key=lambda p: (p.src, p.slot)):
-            try:  # the verdict matters only for the strikes it records
-                ids_mod.cc_validate(
-                    self.sink, pkt, self.by_id[pkt.src].slot,
-                    self._received_at.get((self.sink.id, pkt.src), 0),
-                    self.ledgers, self.config.detection, self.params, r,
-                )
-            except ids_mod.DisabledIds:
-                return
-
     def _sink_stage(self, r):
-        """Coordinators validate their inbox and the sink re-validates theirs."""
+        """Coordinators validate their inbox and the sink re-validates theirs,
+        after screening the raw traffic that reached it directly (a coordinator
+        gone rogue floods its uplink like everyone else) for the strikes it
+        earns. A sink whose detection budget is spent validates nothing more."""
         cfg = self.config
-        self._validate_sink_inbox(r)
+        sink = self.sink
+        for pkt in sorted(self._cc_inbox.pop(sink.id, ()), key=lambda p: (p.src, p.slot)):
+            if not sink.energy.detection_enabled:
+                break
+            ids_mod.cc_validate(
+                sink, pkt, self.by_id[pkt.src].slot, self._received_at.get((sink.id, pkt.src), 0),
+                self.ledgers, cfg.detection, self.params, r,
+            )
         sink_inbox = []
         entries = {}  # source -> its (r, source) entry, one object for both logs
         for cluster in self.clusters:
@@ -918,19 +909,17 @@ class Simulation:
             if not accepted_sources:
                 continue
             agg = self._packet(
-                cc.id, self.sink.id, AGGREGATE_SLOT, cfg.traffic.aggregate_bits,
+                cc.id, sink.id, AGGREGATE_SLOT, cfg.traffic.aggregate_bits,
                 not cc_active_attacker, tuple(sorted(set(accepted_sources))),
             )
-            if self._hop(cc, self.sink, agg.payload_size, self.ledgers.is_quarantined(cc.id)):
+            if self._hop(cc, sink, agg.payload_size, self.ledgers.is_quarantined(cc.id)):
                 sink_inbox.append(agg)
         for pkt in sorted(sink_inbox, key=lambda p: p.src):
-            try:
-                result = ids_mod.cc_validate(
-                    self.sink, pkt, AGGREGATE_SLOT, 1,
-                    self.ledgers, cfg.detection, self.params, r,
-                )
-            except ids_mod.DisabledIds:
-                continue
+            if not sink.energy.detection_enabled:
+                break
+            result = ids_mod.cc_validate(
+                sink, pkt, AGGREGATE_SLOT, 1, self.ledgers, cfg.detection, self.params, r,
+            )
             if result.accepted:
                 for source in (pkt.src, *pkt.sources):
                     self.ledgers.sn_log.append(entries.setdefault(source, (r, source)))

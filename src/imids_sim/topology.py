@@ -35,10 +35,6 @@ class UnreachableNode(Exception):
     """A node has no coordinator inside its transmission range."""
 
 
-class MonitorUnavailable(Exception):
-    """A cluster holds no leader that could take a monitoring duty."""
-
-
 @dataclass
 class TransmissionGraph:
     """The range graph as one neighbour set per live node. A refresh derives
@@ -353,16 +349,16 @@ def prospective_detection_budget(node: SensorNode) -> float:
     return min(cap, node.energy.residual_energy)
 
 
-def select_sector_monitor(cluster, sector, candidates, graph) -> tuple:
+def select_sector_monitor(sector, candidates, graph) -> tuple:
     """Pick the sector's monitors among the cluster's `monitor_candidates`:
-    the spare leaders with maximal detection budget.
+    the spare leaders with maximal detection budget; `()` for none.
 
     Leaders adjacent to the sector are preferred; if none touch it, any
     candidate may monitor (scarce-leader fallback). All leaders tied at the
     maximum are selected.
     """
     if not candidates:
-        raise MonitorUnavailable(f"cluster {cluster.id} has no spare leader")
+        return ()
     sector_ids = sector.node_ids()
     adjacent = [
         c for c in candidates
@@ -398,16 +394,16 @@ def hop_distances(graph: TransmissionGraph, source: int, stop_at=None) -> dict:
     return dist
 
 
-def select_fsh(cluster, candidates, by_id, graph) -> int:
+def select_fsh(cluster, candidates, by_id, graph) -> int | None:
     """Pick the cluster's forwarding head among its `monitor_candidates`:
-    the one closest to the CC in hops, then in meters, then by id.
+    the one closest to the CC in hops, then in meters, then by id; None for none.
 
     The choice is per cluster, so every sector of a cluster gets the same
     head and one call serves them all. The search stops at the nearest
     candidate's level; candidates beyond it could not win on hops anyway.
     """
     if not candidates:
-        raise MonitorUnavailable(f"cluster {cluster.id} has no spare leader")
+        return None
     cc = by_id[cluster.coordinator]
     hops = hop_distances(graph, cc.id, stop_at={c.id for c in candidates})
     inf = float("inf")

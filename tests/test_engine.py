@@ -333,6 +333,30 @@ def test_a_sink_with_its_budget_spent_validates_nothing_more():
     assert h.hexdigest() == SPENT_SINK
 
 
+# seed 7: the failed monitors were the cluster's only spare leaders; seed 24:
+# another leader is left to take over
+@pytest.mark.parametrize("seed, replaced", [(7, False), (24, True)])
+def test_a_sector_whose_monitors_all_fail_elects_usable_ones(seed, replaced):
+    sim = engine.initialize(scenario(seed=seed, rounds=1))
+    cluster = next(c for c in sim.clusters if c.sectors and c.sectors[0].monitors)
+    sector = cluster.sectors[0]
+    failed = set(sector.monitors)
+    assert not failed & {cluster.coordinator, sector.coordinator}
+    for monitor_id in failed:  # spent, as `charge_detection` leaves a monitor
+        account = sim.by_id[monitor_id].energy
+        account.detection_budget, account.detection_enabled = 0.0, False
+    assert not any(map(sim._role_failed, (cluster.coordinator, sector.coordinator)))
+    assert sector.fsh is not None and is_alive(sim.by_id[sector.fsh])
+    sim._reconfigurations = []
+    sim._reconfiguration_sweep(sim.round)
+    assert sim._reconfigurations[0] == (
+        f"cluster {cluster.id}: monitors of sector {sector.coordinator} failed"
+    )
+    for rebuilt in cluster.sectors:
+        assert not any(map(sim._role_failed, rebuilt.monitors))
+    assert any(rebuilt.monitors for rebuilt in cluster.sectors) == replaced
+
+
 def test_quarantined_nodes_stop_contributing():
     trace = engine.run_simulation(scenario(attack=ATTACK))
     cut = trace.ledgers.quarantined
@@ -533,6 +557,22 @@ def test_only_rng_seeds_generators_or_hashes():
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name != "rng.py":
             assert not _seeding(ast.parse(path.read_text())), path.name
+
+
+# An exception in the simulator core is an error, never a normal state: an
+# election with no candidate returns its empty value and the sink tests its
+# budget. Only the front ends, which turn bad input into exit codes, catch.
+TRY_HOLDERS = {"cli.py", "config.py"}
+
+
+def _has_try(tree) -> bool:
+    kinds = (ast.Try, getattr(ast, "TryStar", ast.Try))  # `except*` is 3.11+
+    return any(isinstance(node, kinds) for node in ast.walk(tree))
+
+
+def test_only_the_front_ends_catch_exceptions():
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert _has_try(ast.parse(path.read_text())) == (path.name in TRY_HOLDERS), path.name
 
 
 # The range rule lives in `topology.build_graph`: the engine asks the graph

@@ -370,7 +370,7 @@ def _leader_cluster():
 def test_monitor_excludes_coordinator_and_needs_leaders():
     nodes, cluster, g, sectors = _leader_cluster()
     candidates = topo.monitor_candidates(cluster, _by_id(nodes))
-    monitors = topo.select_sector_monitor(cluster, sectors[0], candidates, g)
+    monitors = topo.select_sector_monitor(sectors[0], candidates, g)
     assert monitors
     assert cluster.coordinator not in monitors
     assert all(
@@ -390,8 +390,8 @@ def test_monitor_unavailable_without_spare_leaders():
     sectors = topo.form_sectors(cluster, _by_id(nodes), g)
     candidates = topo.monitor_candidates(cluster, _by_id(nodes))
     assert candidates == []
-    with pytest.raises(topo.MonitorUnavailable):
-        topo.select_sector_monitor(cluster, sectors[0], candidates, g)
+    assert topo.select_sector_monitor(sectors[0], candidates, g) == ()
+    assert topo.select_fsh(cluster, candidates, _by_id(nodes), g) is None
 
 
 def test_fsh_minimizes_hops_to_coordinator():
@@ -474,8 +474,7 @@ def test_fsh_matches_bruteforce_over_full_bfs():
         spare = topo.monitor_candidates(cluster, by_id, quarantined)
         assert [n.id for n in spare] == sorted(candidates)
         if not candidates:
-            with pytest.raises(topo.MonitorUnavailable):
-                topo.select_fsh(cluster, spare, by_id, g)
+            assert topo.select_fsh(cluster, spare, by_id, g) is None
             continue
         want = min(
             candidates,
@@ -736,12 +735,10 @@ def test_builders_match_the_reranking_reference_bodies():
             candidates = topo.monitor_candidates(cluster, by_id, quarantined)
             for sector in sectors:
                 if not candidates:
-                    for select in (topo.select_sector_monitor, _reference_select_sector_monitor):
-                        with pytest.raises(topo.MonitorUnavailable):
-                            select(cluster, sector, candidates, graph)
+                    assert topo.select_sector_monitor(sector, candidates, graph) == ()
                     continue
                 assert topo.select_sector_monitor(
-                    cluster, sector, candidates, graph
+                    sector, candidates, graph
                 ) == _reference_select_sector_monitor(cluster, sector, candidates, graph)
                 compared["monitors"] += 1
         compared["structures"] += 1
@@ -881,7 +878,7 @@ def test_assign_roles_precedence():
     nodes, cluster, g, sectors = _leader_cluster()
     by_id = _by_id(nodes)
     candidates = topo.monitor_candidates(cluster, by_id)
-    sectors[0].monitors = topo.select_sector_monitor(cluster, sectors[0], candidates, g)
+    sectors[0].monitors = topo.select_sector_monitor(sectors[0], candidates, g)
     sectors[0].fsh = topo.select_fsh(cluster, candidates, by_id, g)
     roles = topo.assign_roles(nodes, [cluster])
     assert by_id[0].role is Role.SN
