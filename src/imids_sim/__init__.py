@@ -39,7 +39,9 @@ from .core import (
     is_alive,
 )
 from .energy import EnergyParams, rx_cost, tx_cost
-from .engine import RoundReport, Simulation, SimulationTrace, initialize, run_round, run_simulation
+from .engine import (
+    Change, Event, RoundReport, Simulation, SimulationTrace, initialize, run_round, run_simulation,
+)
 from .ids import (
     Confusion,
     Decision,
@@ -64,6 +66,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AttackConfig",
+    "Change",
     "Cluster",
     "Confusion",
     "ConfigError",
@@ -72,6 +75,7 @@ __all__ = [
     "DetectionConfig",
     "DETECTION_FRACTION",
     "EnergyParams",
+    "Event",
     "Ledgers",
     "MODES",
     "NodeClass",

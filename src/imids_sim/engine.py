@@ -46,6 +46,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from enum import Enum
 from typing import NamedTuple
 
 from . import attack as attack_mod
@@ -126,6 +127,29 @@ class _Spend(Mapping):
         return len(self._joules)
 
 
+class Change(Enum):  # what a sweep did to a cluster
+    COORDINATOR_FAILED = "coordinator failed"
+    COORDINATOR_ROTATED = "coordinator rotated"
+    COORDINATOR_CHANGED = "coordinator changed"
+    SECTOR_COORDINATOR_FAILED = "sector coordinator failed"
+    SECTOR_ROTATED = "sector rotated"
+    FORWARDING_HEAD_FAILED = "forwarding head failed"
+    MONITORS_FAILED = "monitors failed"
+    DISSOLVED = "dissolved"
+    ADOPTED = "adopted"
+
+
+@dataclass(frozen=True, slots=True)
+class Event:
+    """One restructuring in a round's sweep. `node` is the holder that failed
+    or rotated (a sector's coordinator when its monitors failed), the new
+    coordinator, or the adopted node; None for a dissolution."""
+
+    kind: Change
+    cluster: int
+    node: int | None
+
+
 @dataclass
 class RoundReport:
     round: int
@@ -134,7 +158,7 @@ class RoundReport:
     energy_spent: Mapping  # node id -> joules, read-only; dict() it for a copy
     suspects_new: list
     quarantines_new: list
-    reconfigurations: list
+    reconfigurations: list  # Events, in sweep order
     tp: int
     fp: int
     tn: int
@@ -163,11 +187,7 @@ class SimulationTrace:
         return [r.alive_count for r in self.reports]
 
     def accuracy_series(self) -> list:
-        out = []
-        for r in self.reports:
-            total = r.tp + r.fp + r.tn + r.fn
-            out.append((r.tp + r.tn) / total if total else 1.0)
-        return out
+        return [ids_mod.Confusion(r.tp, r.fp, r.tn, r.fn).accuracy for r in self.reports]
 
     def total_energy_spent(self) -> float:
         total = 0.0
@@ -611,9 +631,7 @@ class Simulation:
         if node_id in self.always_on:
             return True
         mask = self._masks.get(node_id)
-        if mask is None:
-            return False
-        return mask[slot] or node_id in self._forced[slot]
+        return mask is not None and (mask[slot] or node_id in self._forced[slot])
 
     def _run_slots(self, _round):
         for slot in range(self.config.slots_per_round):
@@ -734,9 +752,6 @@ class Simulation:
         for node, cost in self._duty:
             _charge(node, cost)
 
-    def _cluster_of(self, node_id):
-        return self._cluster_index.get(node_id)
-
     def _inject_false_strikes(self, r: int):
         """Scenario hook: a spurious strike charged against a benign node,
         standing in for a misjudgment at the screening layer."""
@@ -782,6 +797,7 @@ class Simulation:
         """Sector coordinators aggregate their valid leaf traffic upward."""
         cfg = self.config
         bits = cfg.traffic.aggregate_bits
+        quarantined = self.ledgers.quarantined
         for cluster in self.clusters:
             cc = self.by_id[cluster.coordinator]
             for sector in cluster.sectors:
@@ -792,7 +808,7 @@ class Simulation:
                 # it sent, and nothing quarantines before this stage: the ids
                 # need neither a token or roster filter nor a dedup.
                 sources = sorted(self._sc_valid.get(sc.id, ()))
-                if not self.ledgers.is_quarantined(sc.id):
+                if sc.id not in quarantined:
                     sources.append(sc.id)  # own reading rides along
                 active_attacker = sc.malicious and r >= cfg.attack.start_round
                 agg = self._packet(
@@ -800,13 +816,13 @@ class Simulation:
                     AGGREGATE_SLOT, bits, not active_attacker, tuple(sources),
                 )
                 hop = self.by_id[agg.dst]
-                if not self._hop(sc, hop, bits, self.ledgers.is_quarantined(sc.id)):
+                if not self._hop(sc, hop, bits, sc.id in quarantined):
                     continue
                 if hop.id != cluster.coordinator:
                     # forwarding head relays to the coordinator
                     self.ledgers.forwarding_log.append((r, hop.id, sc.id))
                     if cc.energy.residual_energy <= 0.0 or not self._hop(
-                        hop, cc, bits, self.ledgers.is_quarantined(hop.id)
+                        hop, cc, bits, hop.id in quarantined
                     ):
                         continue
                 self._cc_inbox.setdefault(cluster.coordinator, []).append(agg)
@@ -816,7 +832,7 @@ class Simulation:
         """Sector monitors pass window verdicts over every open suspect."""
         cfg = self.config
         for suspect_id in sorted(self.ledgers.suspected):
-            if self.ledgers.is_quarantined(suspect_id):
+            if suspect_id in self.ledgers.quarantined:
                 continue
             judges = self._judges_for(suspect_id)
             if not judges:
@@ -844,7 +860,7 @@ class Simulation:
         """Monitors of the suspect's own sector judge it; lacking those, any
         monitor of the cluster, then the coordinator. A suspect nobody local
         can judge (typically a coordinator gone bad) escalates to the sink."""
-        cluster = self._cluster_of(suspect_id)
+        cluster = self._cluster_index.get(suspect_id)
         if cluster is not None:
             own_sector = []
             cluster_wide = []
@@ -859,7 +875,6 @@ class Simulation:
             pool = own_sector or cluster_wide
             if pool:
                 return sorted(set(pool))
-        if cluster is not None:
             cc_id = cluster.coordinator
             if cc_id != suspect_id and self._usable_judge(cc_id):
                 return [cc_id]
@@ -912,7 +927,7 @@ class Simulation:
                 cc.id, sink.id, AGGREGATE_SLOT, cfg.traffic.aggregate_bits,
                 not cc_active_attacker, tuple(sorted(set(accepted_sources))),
             )
-            if self._hop(cc, sink, agg.payload_size, self.ledgers.is_quarantined(cc.id)):
+            if self._hop(cc, sink, agg.payload_size, cc.id in self.ledgers.quarantined):
                 sink_inbox.append(agg)
         for pkt in sorted(sink_inbox, key=lambda p: p.src):
             if not sink.energy.detection_enabled:
@@ -928,7 +943,7 @@ class Simulation:
         """Baseline verdict: a single strike suffices; no window, no
         rehabilitation, ever."""
         for suspect_id in sorted(self.ledgers.suspected):
-            if self.ledgers.is_quarantined(suspect_id):
+            if suspect_id in self.ledgers.quarantined:
                 continue
             if ids_mod.quarantine(self.ledgers, suspect_id, r):
                 self.ledgers.decision_log.append((r, None, suspect_id, Decision.MALICIOUS))
@@ -948,7 +963,7 @@ class Simulation:
             sources = sorted(
                 src
                 for src in senders_to.get(cc.id, ())
-                if not self.ledgers.is_quarantined(src)
+                if src not in self.ledgers.quarantined
             )
             if not sources:
                 continue
@@ -961,7 +976,7 @@ class Simulation:
         """Cluster-wide notice that a node was isolated; receivers filter
         its traffic from now on."""
         bits = self.config.traffic.control_bits
-        cluster = self._cluster_of(node_id)
+        cluster = self._cluster_index.get(node_id)
         if cluster is None:
             return
         cc = self.by_id[cluster.coordinator]
@@ -985,11 +1000,11 @@ class Simulation:
             or not node.energy.detection_enabled
         )
 
-    def _check_cluster(self, cluster):
-        """Decide whether the cluster must rebuild and whether that includes
-        replacing the coordinator. Rotation maintains the defining
-        invariants within a hysteresis band: the coordinator holds the
-        best capacity, a sector coordinator the best residual energy.
+    def _check_cluster(self, cluster) -> Event | None:
+        """The first reason the cluster must rebuild, or None; the sweep also
+        replaces the coordinator on a coordinator kind. Rotation maintains the
+        defining invariants within a hysteresis band: the coordinator holds
+        the best capacity, a sector coordinator the best residual energy.
 
         Capacity and charge are never negative, so a best of 0.0 stands in
         for an empty pool: nothing is below it. A dead leaf's charge is 0.0,
@@ -1000,7 +1015,7 @@ class Simulation:
         hysteresis = cfg.rotation_hysteresis
         role_failed = self._role_failed
         if role_failed(cluster.coordinator):
-            return True, True, f"cluster {cluster.id}: coordinator {cluster.coordinator} failed"
+            return Event(Change.COORDINATOR_FAILED, cluster.id, cluster.coordinator)
         reputation_min = cfg.detection.reputation_min
         graph = self.graph
         best = 0.0
@@ -1011,36 +1026,30 @@ class Simulation:
                 if capacity > best:
                     best = capacity
         if topo.capacity(by_id[cluster.coordinator], graph) < hysteresis * best:
-            return True, True, f"cluster {cluster.id}: coordinator rotation"
+            return Event(Change.COORDINATOR_ROTATED, cluster.id, cluster.coordinator)
         for sector in cluster.sectors:
             if role_failed(sector.coordinator):
-                return True, False, (
-                    f"cluster {cluster.id}: sector coordinator {sector.coordinator} failed"
-                )
+                return Event(Change.SECTOR_COORDINATOR_FAILED, cluster.id, sector.coordinator)
             fsh = sector.fsh
             if fsh is not None and (by_id[fsh].energy.residual_energy <= 0.0 or fsh in quarantined):
-                return True, False, f"cluster {cluster.id}: forwarding head {fsh} failed"
+                return Event(Change.FORWARDING_HEAD_FAILED, cluster.id, fsh)
             if sector.monitors and all(map(role_failed, sector.monitors)):
-                return True, False, (
-                    f"cluster {cluster.id}: monitors of sector {sector.coordinator} failed"
-                )
+                return Event(Change.MONITORS_FAILED, cluster.id, sector.coordinator)
             best = 0.0
             for leaf_id in sector.leaves:
                 charge = by_id[leaf_id].energy.residual_energy
                 if charge > best and leaf_id not in quarantined:
                     best = charge
             if by_id[sector.coordinator].energy.residual_energy < hysteresis * best:
-                return True, False, (
-                    f"cluster {cluster.id}: sector rotation at {sector.coordinator}"
-                )
-        return False, False, ""
+                return Event(Change.SECTOR_ROTATED, cluster.id, sector.coordinator)
+        return None
 
     def _reconfiguration_sweep(self, _round):
         cfg = self.config
         events = self._reconfigurations
         self._refresh_graph()
         quarantined = self.ledgers.quarantined
-        dirty = set()  # ids of the clusters whose fragment went stale
+        cleaned = set()  # ids of the clusters whose rosters lost a quarantined node
         if len(quarantined) != self._quarantine_seen:
             # Isolated nodes leave the roster. Quarantine only grows and no
             # roster takes a quarantined node back, so only a sweep after a
@@ -1050,65 +1059,56 @@ class Simulation:
                 for roster in (cluster.members, *(s.leaves for s in cluster.sectors)):
                     if not roster.isdisjoint(quarantined):
                         roster.difference_update(quarantined)
-                        dirty.add(cluster.id)
-        surviving = []
-        rebuilt = []
-        stranded = []
+                        cleaned.add(cluster.id)
+        surviving, rebuilt, stranded = [], [], []
         for cluster in self.clusters:
-            needs, replace_cc, reason = self._check_cluster(cluster)
-            if not needs:
+            event = self._check_cluster(cluster)
+            if event is None:
                 surviving.append(cluster)
                 continue
-            events.append(reason)
-            dirty.add(cluster.id)
+            events.append(event)
             pool = {
                 m for m in cluster.node_ids()
                 if self.by_id[m].energy.residual_energy > 0.0 and m not in quarantined
             }
-            if replace_cc:
+            if event.kind in (Change.COORDINATOR_FAILED, Change.COORDINATOR_ROTATED):
                 eligible = [
                     node for node in map(self.by_id.__getitem__, pool)
                     if topo.cc_eligible(node, quarantined, cfg.detection.reputation_min)
                     and node.energy.detection_enabled
                 ]
                 if not eligible:
-                    events.append(f"cluster {cluster.id}: dissolved, no leader left")
+                    events.append(Event(Change.DISSOLVED, cluster.id, None))
                     stranded.extend(sorted(pool))
                     continue
                 new_cc = min(eligible, key=lambda n: topo.cc_rank(n, self.graph, self.sink))
                 if new_cc.id != cluster.coordinator:
-                    events.append(f"cluster {cluster.id}: coordinator -> {new_cc.id}")
+                    events.append(Event(Change.COORDINATOR_CHANGED, cluster.id, new_cc.id))
                 cluster.coordinator = new_cc.id
-                keep = set()
-                for member_id in pool - {new_cc.id}:
-                    if self.graph.has_edge(member_id, new_cc.id):
-                        keep.add(member_id)
-                    else:
-                        stranded.append(member_id)
-                cluster.members = keep
+                others = pool - {new_cc.id}
+                cluster.members = {m for m in others if self.graph.has_edge(m, new_cc.id)}
+                stranded.extend(others - cluster.members)
             else:
                 cluster.members = pool - {cluster.coordinator}
             surviving.append(cluster)
             rebuilt.append(cluster)
         self.clusters = surviving
         for node_id in sorted(set(stranded) | self.orphans):
-            adopter = self._try_adopt(node_id)
-            if adopter is not None:
-                dirty.add(adopter.id)
+            self._try_adopt(node_id)
+        # every event names a cluster whose fragment went stale
+        dirty = cleaned.union(event.cluster for event in events)
         if dirty:
             self._build_structures(rebuilt, dirty)
         if rebuilt:
             self._charge_formation(rebuilt)
 
-    def _try_adopt(self, node_id) -> topo.Cluster | None:
-        """Attach a stranded node to the nearest coordinator in range;
-        returns the cluster that took it, or None."""
-        node = self.by_id.get(node_id)
-        if node is None or node.energy.residual_energy <= 0.0 or (
-            node_id in self.ledgers.quarantined
-        ):
+    def _try_adopt(self, node_id):
+        """Attach a stranded node to the nearest coordinator in range, or
+        keep it an orphan."""
+        node = self.by_id[node_id]
+        if node.energy.residual_energy <= 0.0 or node_id in self.ledgers.quarantined:
             self.orphans.discard(node_id)
-            return None
+            return
         candidates = [
             c for c in self.clusters
             if self.by_id[c.coordinator].energy.residual_energy > 0.0
@@ -1116,7 +1116,7 @@ class Simulation:
         ]
         if not candidates:
             self.orphans.add(node_id)
-            return None
+            return
         best = min(
             candidates,
             key=lambda c: (node.distance_to(self.by_id[c.coordinator]), c.coordinator),
@@ -1124,8 +1124,7 @@ class Simulation:
         best.members.add(node_id)
         self.orphans.discard(node_id)
         self._hop(node, self.by_id[best.coordinator], self.config.traffic.control_bits)
-        self._reconfigurations.append(f"node {node_id} adopted by cluster {best.id}")
-        return best
+        self._reconfigurations.append(Event(Change.ADOPTED, best.id, node_id))
 
     # ------------------------------------------------------------------
 

@@ -105,9 +105,6 @@ class Ledgers:
     forwarding_log: list = field(default_factory=list)  # (round, fsh, sector coordinator)
     decision_log: list = field(default_factory=list)    # (round, judge, node, Decision)
 
-    def is_quarantined(self, node_id: int) -> bool:
-        return node_id in self.quarantined
-
 
 def add_strikes(ledgers: Ledgers, node_id: int, reasons, current_round: int) -> SuspectedEntry:
     entry = ledgers.suspected.get(node_id)
@@ -250,7 +247,7 @@ def cc_validate(
     if not validator.energy.detection_enabled:
         raise DisabledIds(f"node {validator.id} cannot validate")
     charge_detection(validator, params)
-    if ledgers.is_quarantined(packet.src):
+    if packet.src in ledgers.quarantined:
         return _DROPPED_QUARANTINED
     reasons = []
     if not packet.token.valid:

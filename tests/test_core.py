@@ -16,7 +16,7 @@ from imids_sim.core import (
     trust_penalize,
     trust_reward,
 )
-from imids_sim.engine import _Spend
+from imids_sim.engine import Change, Event, _Spend
 from imids_sim.ids import Observation, SuspectedEntry, ValidationResult
 from imids_sim.topology import Cluster, Sector
 
@@ -83,6 +83,7 @@ def test_node_distance():
         Sector(1),
         Cluster(1, 1),
         _Spend({1: 0}, array("d", [0.0])),
+        Event(Change.ADOPTED, 1, 2),
     ],
     ids=lambda record: type(record).__name__,
 )

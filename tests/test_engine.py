@@ -14,6 +14,7 @@ from imids_sim.cli import _metrics_row
 from imids_sim.config import MODES, parse_config
 from imids_sim.core import NodeClass, Packet, PacketKind, Role, WakeupToken, is_alive
 from imids_sim.energy import rx_cost, tx_cost
+from imids_sim.engine import Change, Event
 
 STOCK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "stock_comparison.json"
 
@@ -333,6 +334,13 @@ def test_a_sink_with_its_budget_spent_validates_nothing_more():
     assert h.hexdigest() == SPENT_SINK
 
 
+def sweep_events(sim):
+    """Run one reconfiguration sweep outside a round; return its events."""
+    sim._reconfigurations = []
+    sim._reconfiguration_sweep(sim.round)
+    return sim._reconfigurations
+
+
 # seed 7: the failed monitors were the cluster's only spare leaders; seed 24:
 # another leader is left to take over
 @pytest.mark.parametrize("seed, replaced", [(7, False), (24, True)])
@@ -347,14 +355,42 @@ def test_a_sector_whose_monitors_all_fail_elects_usable_ones(seed, replaced):
         account.detection_budget, account.detection_enabled = 0.0, False
     assert not any(map(sim._role_failed, (cluster.coordinator, sector.coordinator)))
     assert sector.fsh is not None and is_alive(sim.by_id[sector.fsh])
-    sim._reconfigurations = []
-    sim._reconfiguration_sweep(sim.round)
-    assert sim._reconfigurations[0] == (
-        f"cluster {cluster.id}: monitors of sector {sector.coordinator} failed"
-    )
+    assert sweep_events(sim)[0] == Event(Change.MONITORS_FAILED, cluster.id, sector.coordinator)
     for rebuilt in cluster.sectors:
         assert not any(map(sim._role_failed, rebuilt.monitors))
     assert any(rebuilt.monitors for rebuilt in cluster.sectors) == replaced
+
+
+@pytest.mark.parametrize("mode", ("imids", "imids-no-sectors"))
+def test_a_failed_coordinator_is_reported_then_its_successor(mode):
+    sim = engine.initialize(scenario(mode=mode, rounds=1))
+    cluster = next(c for c in sim.clusters if c.members)
+    failed = cluster.coordinator
+    sim.by_id[failed].energy.residual_energy = 0.0
+    events = sweep_events(sim)
+    assert cluster.coordinator != failed
+    mine = [e for e in events if e.cluster == cluster.id]
+    assert mine[:2] == [
+        Event(Change.COORDINATOR_FAILED, cluster.id, failed),
+        Event(Change.COORDINATOR_CHANGED, cluster.id, cluster.coordinator),
+    ]
+    for event in events:  # whoever was stranded names its new cluster
+        if event.kind is Change.ADOPTED:
+            assert sim._cluster_index[event.node].id == event.cluster
+
+
+def test_an_orphan_in_range_of_a_coordinator_is_adopted():
+    sim = engine.initialize(scenario(mode="imids-no-sectors", rounds=1))
+    cluster = next(c for c in sim.clusters if c.members)
+    orphan = min(cluster.members)
+    cluster.members.discard(orphan)
+    sim.orphans.add(orphan)
+    sim._build_structures([], {cluster.id})
+    assert orphan not in sim._cluster_index
+    events = sweep_events(sim)
+    adopter = sim._cluster_index[orphan]
+    assert orphan in adopter.members and not sim.orphans
+    assert Event(Change.ADOPTED, adopter.id, orphan) in events
 
 
 def test_quarantined_nodes_stop_contributing():

@@ -7,7 +7,9 @@ why in CHANGES.md; every other change must leave these untouched.
 
 The bundled configs hold 70 nodes at most, so one more pin covers the
 set-up of a large field, where the range graph and the cluster joins do
-most of their work.
+most of their work. Two more families pin what a trace keeps beyond the
+artifacts: the per-node spends with the ledgers, and the reconfiguration
+events.
 """
 
 import hashlib
@@ -112,6 +114,12 @@ def test_a_1600_node_setup_matches_its_pin():
     assert setup_digest(sim) == SETUP_1600_AT_44
 
 
+def run_bundled(config: str, mode: str):
+    raw = json.loads((CONFIG_DIR / f"{config}.json").read_text())
+    raw["mode"] = mode
+    return engine.run_simulation(parse_config(raw))
+
+
 # sha256 of `records_digest` for `configs/stock_comparison.json` in each mode.
 # The pins above read only each round's spend total; these cover what a trace
 # keeps besides it.
@@ -136,7 +144,40 @@ def records_digest(trace) -> str:
 
 @pytest.mark.parametrize("mode", sorted(RECORDS))
 def test_round_records_and_ledgers_match_their_pin(mode):
-    raw = json.loads((CONFIG_DIR / "stock_comparison.json").read_text())
-    raw["mode"] = mode
-    trace = engine.run_simulation(parse_config(raw))
-    assert records_digest(trace) == RECORDS[mode]
+    assert records_digest(run_bundled("stock_comparison", mode)) == RECORDS[mode]
+
+
+# sha256 of `events_digest` for two bundled configs in the modes that
+# reconfigure. These runs report five kinds: sector rotations with failed
+# sector coordinators or a failed forwarding head, and coordinator rotations
+# each followed by a change of coordinator.
+EVENTS = {
+    ("stock_comparison", "imids"):
+        "d532705cbbae2f8e72a038dbf878bbbb13aa04edfdac9699f5a3d76362790756",
+    ("stock_comparison", "imids-no-sectors"):
+        "f908fd21dd72524c5b15fda84f483f001f9fece4877cffdd269aa5b2f4e8f7ed",
+    ("sweep_base", "imids"):
+        "d8bd79fb9dcff1be11fce3577aab9d754868a0d741dfce126561d22f1015377a",
+    ("sweep_base", "imids-no-sectors"):
+        "82be3a9a187e32f20498e47c3d7a040ff27fd8b21e713f69bc3efa0b3da9c9ae",
+}
+
+
+def events_digest(trace) -> str:
+    """sha256 over the `repr` of (round, kind name, cluster, node) for every
+    reconfiguration event, report by report in sweep order."""
+    h = hashlib.sha256()
+    for report in trace.reports:
+        for event in report.reconfigurations:
+            h.update(repr((report.round, event.kind.name, event.cluster, event.node)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("config,mode", sorted(EVENTS))
+def test_reconfiguration_events_match_their_pin(config, mode):
+    assert events_digest(run_bundled(config, mode)) == EVENTS[(config, mode)]
+
+
+@pytest.mark.parametrize("config", sorted({c for c, _ in EVENTS}))
+def test_the_baseline_never_reconfigures(config):
+    assert not any(report.reconfigurations for report in run_bundled(config, "itids").reports)

@@ -177,7 +177,7 @@ def check_indices(sim):
     assert sim.parent == scan_parent(sim)
     assert sim.always_on == scan_always_on(sim)
     for node in sim.nodes:
-        assert sim._cluster_of(node.id) is scan_cluster_of(sim, node.id)
+        assert sim._cluster_index.get(node.id) is scan_cluster_of(sim, node.id)
         assert sim._watchers.get(node.id, ()) == scan_watchers(sim, node.id)
     assert sim._screens == scan_screens(sim)
     if sim.config.mode != "itids":  # one watcher per subject in the layered modes
@@ -458,18 +458,18 @@ def test_dissolved_cluster_strands_a_node_nobody_adopts(mode):
     for leader in leaders:
         sim.by_id[leader].energy.residual_energy = 0.0
     report, _ = run_instrumented_round(sim)
-    assert any("dissolved" in event for event in report.reconfigurations)
+    assert engine.Event(engine.Change.DISSOLVED, far_cluster.id, None) in report.reconfigurations
     assert far_cluster not in sim.clusters
     assert sim.orphans == set(followers)
     for node_id in followers:
-        assert sim._cluster_of(node_id) is None
+        assert sim._cluster_index.get(node_id) is None
         assert node_id not in sim._watchers
     check_indices(sim)
     check_rederivation_is_a_fixed_point(sim)
 
     for _ in range(3):
         report, calls = run_instrumented_round(sim)
-        assert not any("adopted" in event for event in report.reconfigurations)
+        assert all(e.kind is not engine.Change.ADOPTED for e in report.reconfigurations)
         assert sim.orphans == {f for f in followers if is_alive(sim.by_id[f])}
         if not report.reconfigurations:
             assert not calls  # still stranded, nothing changed: no re-derivation
