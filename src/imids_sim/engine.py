@@ -150,7 +150,7 @@ class Event:
     node: int | None
 
 
-@dataclass
+@dataclass(slots=True)
 class RoundReport:
     round: int
     alive_count: int
@@ -798,6 +798,7 @@ class Simulation:
         cfg = self.config
         bits = cfg.traffic.aggregate_bits
         quarantined = self.ledgers.quarantined
+        relays = []  # (forwarding head, sector coordinator) pairs, flattened
         for cluster in self.clusters:
             cc = self.by_id[cluster.coordinator]
             for sector in cluster.sectors:
@@ -820,13 +821,14 @@ class Simulation:
                     continue
                 if hop.id != cluster.coordinator:
                     # forwarding head relays to the coordinator
-                    self.ledgers.forwarding_log.append((r, hop.id, sc.id))
+                    relays += (hop.id, sc.id)
                     if cc.energy.residual_energy <= 0.0 or not self._hop(
                         hop, cc, bits, hop.id in quarantined
                     ):
                         continue
                 self._cc_inbox.setdefault(cluster.coordinator, []).append(agg)
                 self._note_receipt(cluster.coordinator, sc.id)
+        self.ledgers.forwarding_log.extend(r, relays)
 
     def _monitor_stage(self, r):
         """Sector monitors pass window verdicts over every open suspect."""
@@ -897,7 +899,7 @@ class Simulation:
                 self.ledgers, cfg.detection, self.params, r,
             )
         sink_inbox = []
-        entries = {}  # source -> its (r, source) entry, one object for both logs
+        validated = []
         for cluster in self.clusters:
             cc = self.by_id[cluster.coordinator]
             if cc.energy.residual_energy <= 0.0:
@@ -918,9 +920,9 @@ class Simulation:
                     self.ledgers, cfg.detection, self.params, r,
                 )
                 if result.accepted:
-                    for source in pkt.sources or (pkt.src,):
-                        self.ledgers.valid_log.append(entries.setdefault(source, (r, source)))
-                        accepted_sources.append(source)
+                    sources = pkt.sources or (pkt.src,)
+                    validated += sources
+                    accepted_sources += sources
             if not accepted_sources:
                 continue
             agg = self._packet(
@@ -929,6 +931,8 @@ class Simulation:
             )
             if self._hop(cc, sink, agg.payload_size, cc.id in self.ledgers.quarantined):
                 sink_inbox.append(agg)
+        self.ledgers.valid_log.extend(r, validated)
+        delivered = []
         for pkt in sorted(sink_inbox, key=lambda p: p.src):
             if not sink.energy.detection_enabled:
                 break
@@ -936,8 +940,9 @@ class Simulation:
                 sink, pkt, AGGREGATE_SLOT, 1, self.ledgers, cfg.detection, self.params, r,
             )
             if result.accepted:
-                for source in (pkt.src, *pkt.sources):
-                    self.ledgers.sn_log.append(entries.setdefault(source, (r, source)))
+                delivered.append(pkt.src)
+                delivered += pkt.sources
+        self.ledgers.sn_log.extend(r, delivered)
 
     def _isolate_suspects(self, r):
         """Baseline verdict: a single strike suffices; no window, no
@@ -956,6 +961,7 @@ class Simulation:
         senders_to = {}
         for dst, src in self._received_at:
             senders_to.setdefault(dst, []).append(src)
+        delivered = []
         for cluster in self.clusters:
             cc = self.by_id[cluster.coordinator]
             if cc.energy.residual_energy <= 0.0:
@@ -968,9 +974,9 @@ class Simulation:
             if not sources:
                 continue
             if self._hop(cc, self.sink, cfg.traffic.aggregate_bits):
-                self.ledgers.sn_log.append((r, cc.id))
-                for source in sources:
-                    self.ledgers.sn_log.append((r, source))
+                delivered.append(cc.id)
+                delivered += sources
+        self.ledgers.sn_log.extend(r, delivered)
 
     def _broadcast_roster_update(self, node_id):
         """Cluster-wide notice that a node was isolated; receivers filter

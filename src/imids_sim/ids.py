@@ -12,8 +12,11 @@ traffic; a drop there feeds a strike back to the origin's suspect entry.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
+from itertools import repeat
 
 from .core import TRUST_MAX, SensorNode, trust_penalize, trust_reward
 from .energy import EnergyParams, charge_detection
@@ -93,16 +96,72 @@ class SuspectedEntry:
     reasons: list = field(default_factory=list)
 
 
+class _RoundLog:
+    """A delivery log of `(round, *ids)` entries, `width` fields each, kept as
+    int arrays instead of one tuple per entry: every id in entry order, and a
+    round index of each run's round number and the offset where its ids end
+    (a round logged in consecutive batches is one run). Node ids and rounds are
+    4-byte ints. It reads as the list of tuples it stands for: iteration,
+    `len`, `==` (with a list or another log), `+` (a list) and `repr` all go
+    through the tuples; `list(log)` is a mutable copy."""
+
+    __slots__ = ("_width", "_ids", "_rounds", "_ends")
+
+    def __init__(self, width):
+        self._width = width
+        self._ids = array("i")
+        self._rounds = array("i")
+        self._ends = array("q")
+
+    def extend(self, r, ids):
+        """Log round `r`'s entries, their ids flattened in entry order."""
+        if not ids:
+            return
+        self._ids.extend(ids)
+        if self._rounds and self._rounds[-1] == r:
+            self._ends[-1] = len(self._ids)
+        else:
+            self._rounds.append(r)
+            self._ends.append(len(self._ids))
+
+    def __iter__(self):
+        ids = self._ids
+        per_entry = self._width - 1
+        start = 0
+        for r, end in zip(self._rounds, self._ends):
+            run = iter(ids[start:end])
+            yield from zip(repeat(r), *(run,) * per_entry)
+            start = end
+
+    def __len__(self):
+        return len(self._ids) // (self._width - 1)
+
+    def __eq__(self, other):
+        if isinstance(other, (_RoundLog, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __add__(self, other):
+        if isinstance(other, (_RoundLog, list)):
+            return list(self) + list(other)
+        return NotImplemented
+
+    def __repr__(self):
+        return repr(list(self))
+
+
 @dataclass
 class Ledgers:
     """Run-wide audit state: suspects, quarantine, and delivery logs."""
 
     suspected: dict = field(default_factory=dict)       # node -> SuspectedEntry
     quarantined: dict = field(default_factory=dict)     # node -> round
-    valid_log: list = field(default_factory=list)       # (round, source id)
-    # (round, source id); a source validated that round reuses valid_log's tuple
-    sn_log: list = field(default_factory=list)
-    forwarding_log: list = field(default_factory=list)  # (round, fsh, sector coordinator)
+    # The delivery logs, each fed one batch per round:
+    # (round, source id) a coordinator validated, and one the sink accepted
+    valid_log: _RoundLog = field(default_factory=partial(_RoundLog, 2))
+    sn_log: _RoundLog = field(default_factory=partial(_RoundLog, 2))
+    # (round, forwarding head, sector coordinator)
+    forwarding_log: _RoundLog = field(default_factory=partial(_RoundLog, 3))
     decision_log: list = field(default_factory=list)    # (round, judge, node, Decision)
 
 

@@ -1,10 +1,12 @@
 import ast
 import copy
 import functools
+import gc
 import hashlib
 import inspect
 import json
 import pickle
+import sys
 from pathlib import Path
 
 import pytest
@@ -124,22 +126,40 @@ def test_a_round_spend_reads_as_the_dict_of_battery_deltas():
     assert pickle.loads(pickle.dumps(spent)) == spent
 
 
+def test_a_round_report_is_slotted():
+    # a trace keeps one per round: no per-instance dict
+    report = engine.initialize(scenario(rounds=1)).run_round()
+    assert not hasattr(report, "__dict__")
+
+
+def retained_bytes(*roots):
+    """Bytes held by `roots` and everything they reach, each object once
+    (classes aside)."""
+    seen, stack, total = set(), list(roots), 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        total += sys.getsizeof(obj)
+        stack.extend(gc.get_referents(obj))
+    return total
+
+
 @pytest.mark.parametrize("mode", ["imids", "imids-no-sectors"])
-def test_the_sink_log_reuses_each_validated_entry(mode):
-    # A source validated in a round is logged once as one (round, source)
-    # tuple, which the sink log holds too when the sink accepts it.
+def test_the_delivery_logs_keep_validated_sources_compactly(mode):
+    # Most of what the sink accepts in a round was validated below it that
+    # round, and the three delivery logs hold their entries in flat arrays
+    # rather than one tuple per entry (a list of tuples costs 64 bytes each).
     raw = json.loads(STOCK_CONFIG.read_text())
     raw["mode"] = mode
     ledgers = engine.run_simulation(parse_config(raw)).ledgers
-    validated = {}
-    for entry in ledgers.valid_log:
-        assert validated.setdefault(entry, entry) is entry
-    shared = 0
-    for entry in ledgers.sn_log:
-        if entry in validated:
-            assert entry is validated[entry]
-            shared += 1
+    validated = set(ledgers.valid_log)
+    shared = sum(entry in validated for entry in ledgers.sn_log)
     assert shared > len(ledgers.sn_log) // 2
+    logs = (ledgers.valid_log, ledgers.sn_log, ledgers.forwarding_log)
+    assert retained_bytes(*logs) <= 16 * sum(map(len, logs))
+
 
 def test_census_charges_before_round_zero():
     trace = engine.run_simulation(scenario(rounds=1))

@@ -1,3 +1,8 @@
+import copy
+import pickle
+from itertools import groupby
+from operator import itemgetter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +24,7 @@ from imids_sim.ids import (
     Observation,
     Reason,
     SuspectedEntry,
+    _RoundLog,
     add_strikes,
     cc_validate,
     compute_confusion,
@@ -301,3 +307,90 @@ def test_confusion_empty_positive_class():
     confusion = compute_confusion(nodes, quarantined_ids=set(), sink_id=0)
     assert confusion.detection_rate == 1.0
     assert confusion.accuracy == 1.0
+
+
+# --- delivery logs ------------------------------------------------------------
+
+
+def _logged(width, batches):
+    """A log fed `batches` of (round, entries) and the list of tuples it stands for."""
+    log, model = _RoundLog(width), []
+    for r, entries in batches:
+        log.extend(r, [node_id for entry in entries for node_id in entry])
+        model += [(r, *entry) for entry in entries]
+    return log, model
+
+
+def _reads_as(log, model):
+    assert list(log) == model
+    assert len(log) == len(model)
+    assert log == model and model == log
+    assert not (log != model or model != log)
+    assert repr(log) == repr(model)
+    assert log + log == model + model
+
+
+def _one_batch_a_round(width, model):
+    """The log of `model` fed each run of one round as a single batch."""
+    runs = groupby(model, itemgetter(0))
+    return _logged(width, [(r, [entry[1:] for entry in run]) for r, run in runs])[0]
+
+
+# Empty rounds, a round logged in two batches, and a round number that comes back.
+BATCHES = {
+    2: [
+        (0, [(4,), (2,)]), (1, []), (1, [(7,)]), (3, [(3,)]), (3, [(3,), (9,)]), (0, [(1,)]),
+        (5, []),
+    ],
+    3: [(2, [(5, 1)]), (2, []), (2, [(6, 1), (5, 1)]), (4, []), (7, [(0, 8)])],
+}
+
+
+@pytest.mark.parametrize("width", sorted(BATCHES))
+def test_a_round_log_reads_as_its_list_of_tuples(width):
+    log, model = _logged(width, BATCHES[width])
+    _reads_as(log, model)
+    assert _one_batch_a_round(width, model) == log
+    # one run per round in the index, and none for a round that logged nothing
+    assert list(log._rounds) == [r for r, _ in groupby(model, itemgetter(0))]
+    shorter, _ = _logged(width, BATCHES[width][:-2])
+    assert shorter != log and log != shorter
+    assert log != model[:-1] and log != tuple(model)
+
+
+def test_an_empty_round_log_reads_as_an_empty_list():
+    log = _RoundLog(2)
+    log.extend(0, [])
+    _reads_as(log, [])
+    assert not log and log == _RoundLog(3)
+
+
+@pytest.mark.parametrize("width", sorted(BATCHES))
+def test_a_round_log_survives_pickle_and_deepcopy(width):
+    log, model = _logged(width, BATCHES[width])
+    for twin in (pickle.loads(pickle.dumps(log)), copy.deepcopy(log)):
+        assert type(twin) is _RoundLog
+        _reads_as(twin, model)
+        twin.extend(9, [1] * (width - 1))
+        assert len(twin) == len(log) + 1 and list(log) == model
+
+
+@st.composite
+def round_batches(draw):
+    width = draw(st.sampled_from([2, 3]))
+    node_ids = st.integers(0, 2**31 - 1)
+    rounds = st.integers(0, 3) | st.integers(0, 2**31 - 1)  # small ones repeat
+    entries = st.lists(st.tuples(*[node_ids] * (width - 1)), max_size=6)
+    return width, draw(st.lists(st.tuples(rounds, entries), max_size=12))
+
+
+@settings(deadline=None, max_examples=200)
+@given(instance=round_batches())
+def test_a_round_log_matches_a_plain_list(instance):
+    width, batches = instance
+    log, model = _logged(width, batches)
+    _reads_as(log, model)
+    _reads_as(pickle.loads(pickle.dumps(log)), model)
+    _reads_as(copy.deepcopy(log), model)
+    one_entry_a_batch, _ = _logged(width, [(entry[0], [entry[1:]]) for entry in model])
+    assert one_entry_a_batch == log == _one_batch_a_round(width, model)

@@ -1,0 +1,54 @@
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "profile_rounds.py"
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("profile_rounds", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_a_ladder_rung_keeps_the_stock_density_and_attacker_share():
+    tool = load_tool()
+    stock = tool.ladder_config(70)
+    rung = tool.ladder_config(800)
+    assert rung["deployment"]["node_count"] == 800
+    assert rung["attack"]["attacker_count"] == 34
+    for raw in (stock, rung):
+        deployment = raw["deployment"]
+        density = deployment["node_count"] / (deployment["area_width"] * deployment["area_height"])
+        assert density == pytest.approx(70 / (80.0 * 100.0))
+
+
+def test_the_round_profiler_writes_one_json_object(tmp_path):
+    out = tmp_path / "BENCH_tiny.json"
+    subprocess.run(
+        [sys.executable, str(TOOL), "--configs", "false_alarm", "--rungs", "--repeat", "1",
+         "--out", str(out)],
+        check=True, capture_output=True, cwd=tmp_path,
+    )
+    document = json.loads(out.read_text())
+    assert set(document) == {"label", "python", "machine", "cpus", "repeat", "cases"}
+    assert document["label"] == "tiny" and document["repeat"] == 1
+    cases = document["cases"]
+    assert set(cases) == {"false_alarm/imids", "false_alarm/imids-no-sectors", "false_alarm/itids"}
+    for case in cases.values():
+        assert set(case) == {
+            "nodes", "seed", "rounds", "node_rounds", "setup_s", "wall_s",
+            "us_per_node_round", "phase_share", "peak_rss_mb", "retained_mb",
+        }
+        assert (case["nodes"], case["seed"], case["rounds"]) == (40, 13, 40)
+        assert case["setup_s"] > 0 and case["wall_s"] > 0 and case["us_per_node_round"] > 0
+        assert case["peak_rss_mb"] > 0 and case["retained_mb"] > 0
+        shares = case["phase_share"].values()
+        assert all(share >= 0 for share in shares) and 0 < sum(shares) <= 1
+    assert "_sink_stage" in cases["false_alarm/imids"]["phase_share"]
+    assert "_forward_received" in cases["false_alarm/itids"]["phase_share"]

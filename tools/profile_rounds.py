@@ -1,0 +1,243 @@
+"""Round-phase profile of imids-sim: set-up time, round cost, phase shares
+and memory for each bundled config in each mode, and along a node-count
+ladder.
+
+Run from the root of a checkout:
+
+    python3 tools/profile_rounds.py --out BENCH_<label>.json
+
+Every case runs in a child process of its own, so the peak RSS it reports
+is that case's alone. A case builds the `Simulation` and runs its rounds
+`--repeat` times and keeps the fastest set-up and the fastest run; the
+entries of `Simulation._phases` are wrapped from outside the package, so
+the run's time splits by phase (what is left is the round's bookkeeping
+outside them). Peak RSS is read after the timed runs. One more run under
+`tracemalloc` gives the memory the finished trace retains, after
+`gc.collect()`. Times are raw `time.perf_counter` seconds of this host,
+not normalised.
+
+A ladder rung is the stock scenario (`configs/stock_comparison.json`) at
+its own density with N nodes: the field scaled by sqrt(N / 70), the
+attackers at the stock share, on the first seed from 42 up whose
+deployment every coordinator can cover.
+
+Standard library only; the package is imported from this checkout's src/.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import json
+import math
+import os
+import platform
+import resource
+import subprocess
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
+STOCK = "stock_comparison"
+RUNGS = (100, 200, 400, 800)
+SEED_TRIES = 50  # seeds a rung may try before it gives up
+
+
+def ladder_config(nodes: int) -> dict:
+    """The stock scenario at stock density with `nodes` nodes."""
+    raw = json.loads((CONFIGS / f"{STOCK}.json").read_text())
+    deployment = raw["deployment"]
+    stock_nodes = deployment["node_count"]
+    scale = math.sqrt(nodes / stock_nodes)
+    deployment["node_count"] = nodes
+    deployment["area_width"] *= scale
+    deployment["area_height"] *= scale
+    attack = raw["attack"]
+    attack["attacker_count"] = round(attack["attacker_count"] * nodes / stock_nodes)
+    return raw
+
+
+def cases(configs, rungs) -> list:
+    """(name, raw config, whether to search for a covering seed) per case,
+    each config and rung in every mode."""
+    from imids_sim.config import MODES
+
+    out = []
+    for name in configs:
+        raw = json.loads((CONFIGS / f"{name}.json").read_text())
+        out += [(f"{name}/{mode}", dict(raw, mode=mode), False) for mode in MODES]
+    for nodes in rungs:
+        raw = ladder_config(nodes)
+        out += [(f"ladder-{nodes}/{mode}", dict(raw, mode=mode), True) for mode in MODES]
+    return out
+
+
+# ----------------------------------------------------------------------
+# one case, in its own process
+
+
+def timed_run(engine, config) -> dict:
+    """Set-up and every round of one run, as `engine.run_simulation` runs
+    it, with each phase of the round timed from outside."""
+    clock = time.perf_counter
+    start = clock()
+    sim = engine.Simulation(config)
+    setup_s = clock() - start
+    phase_s = {phase.__name__: 0.0 for phase in sim._phases}
+
+    def timed(phase):
+        name = phase.__name__
+
+        def run(r):
+            begin = clock()
+            phase(r)
+            phase_s[name] += clock() - begin
+
+        return run
+
+    sim._phases = tuple(timed(phase) for phase in sim._phases)
+    trace = sim.snapshot_trace()
+    alive = sim.alive_non_sink()
+    node_rounds = 0
+    start = clock()
+    for _ in range(config.rounds):
+        if alive == 0:
+            break
+        node_rounds += alive
+        report = sim.run_round()
+        trace.reports.append(report)
+        alive = report.alive_count
+    wall_s = clock() - start
+    return {
+        "setup_s": setup_s,
+        "wall_s": wall_s,
+        "rounds": len(trace.reports),
+        "node_rounds": node_rounds,
+        "phase_s": phase_s,
+    }
+
+
+def retained_mb(engine, config) -> float:
+    """MB that `tracemalloc` still counts once a whole run has returned its
+    trace, with the trace alive and garbage collected."""
+    gc.collect()
+    tracemalloc.start()
+    before = tracemalloc.get_traced_memory()[0]
+    trace = engine.run_simulation(config)
+    gc.collect()
+    retained = tracemalloc.get_traced_memory()[0] - before
+    tracemalloc.stop()
+    del trace
+    return retained / 2**20
+
+
+def profile_case(raw: dict, search_seed: bool, repeat: int) -> dict:
+    from imids_sim import engine
+    from imids_sim.config import parse_config
+    from imids_sim.topology import CoverageFailure
+
+    if search_seed:  # the first seed from the config's own up that set-up can cover
+        first = raw["seed"]
+        for seed in range(first, first + SEED_TRIES):
+            try:
+                engine.Simulation(parse_config(dict(raw, seed=seed)))
+            except CoverageFailure:
+                continue
+            raw = dict(raw, seed=seed)
+            break
+        else:
+            raise SystemExit(f"no seed in {first}..{first + SEED_TRIES - 1} covers this rung")
+    config = parse_config(raw)
+    runs = []
+    for _ in range(repeat):
+        gc.collect()
+        runs.append(timed_run(engine, config))
+    fastest = min(runs, key=lambda run: run["wall_s"])
+    wall_s, node_rounds = fastest["wall_s"], fastest["node_rounds"]
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    return {
+        "nodes": config.deployment.node_count,
+        "seed": config.seed,
+        "rounds": fastest["rounds"],
+        "node_rounds": node_rounds,
+        "setup_s": min(run["setup_s"] for run in runs),
+        "wall_s": wall_s,
+        "us_per_node_round": wall_s * 1e6 / node_rounds if node_rounds else None,
+        "phase_share": {
+            name: seconds / wall_s if wall_s else 0.0 for name, seconds in fastest["phase_s"].items()
+        },
+        "peak_rss_mb": peak_rss_mb,
+        "retained_mb": retained_mb(engine, config),
+    }
+
+
+# ----------------------------------------------------------------------
+# driver
+
+
+def run_child(raw: dict, search_seed: bool, repeat: int) -> dict:
+    command = [
+        sys.executable, str(Path(__file__).resolve()), "--case",
+        json.dumps({"raw": raw, "search_seed": search_seed}), "--repeat", str(repeat),
+    ]
+    done = subprocess.run(command, stdout=subprocess.PIPE, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def describe(name: str, result: dict) -> str:
+    shares = sorted(result["phase_share"].items(), key=lambda item: -item[1])
+    top = ", ".join(f"{phase.lstrip('_')} {100 * share:.1f}%" for phase, share in shares[:4])
+    us = result["us_per_node_round"]
+    return (
+        f"{name:<32} seed {result['seed']:>3}  set-up {result['setup_s'] * 1e3:8.2f} ms"
+        f"  run {result['wall_s']:7.3f} s  {'-' if us is None else f'{us:6.2f}'} us/node-round"
+        f"  rss {result['peak_rss_mb']:6.1f} MB  retained {result['retained_mb']:6.2f} MB  [{top}]"
+    )
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    bundled = sorted(path.stem for path in CONFIGS.glob("*.json"))
+    parser.add_argument("--configs", nargs="*", choices=bundled, default=bundled,
+                        help="bundled config names (default: all; none with no names)")
+    parser.add_argument("--rungs", nargs="*", type=int, default=list(RUNGS),
+                        help="ladder node counts (default: %(default)s; none with no values)")
+    parser.add_argument("--repeat", type=int, default=3,
+                        help="timed runs per case; the fastest counts")
+    parser.add_argument("--out", type=Path,
+                        help="write the results as one JSON object, e.g. BENCH_<label>.json")
+    parser.add_argument("--case", help=argparse.SUPPRESS)  # a child's one case
+    args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
+    if any(nodes < 3 for nodes in args.rungs):
+        parser.error("a rung needs at least 3 nodes")
+    sys.path.insert(0, str(ROOT / "src"))  # this checkout's package
+
+    if args.case is not None:
+        case = json.loads(args.case)
+        print(json.dumps(profile_case(case["raw"], case["search_seed"], args.repeat)))
+        return 0
+
+    results = {}
+    for name, raw, search_seed in cases(args.configs, args.rungs):
+        results[name] = run_child(raw, search_seed, args.repeat)
+        print(describe(name, results[name]), flush=True)
+    if args.out is not None:
+        document = {
+            "label": args.out.stem.removeprefix("BENCH_"),
+            "python": platform.python_version(),
+            "machine": platform.machine(),
+            "cpus": os.cpu_count(),
+            "repeat": args.repeat,
+            "cases": results,
+        }
+        args.out.write_text(json.dumps(document, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
