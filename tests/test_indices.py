@@ -19,6 +19,7 @@ memoises must equal the formula on it.
 import functools
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -475,6 +476,91 @@ def test_dissolved_cluster_strands_a_node_nobody_adopts(mode):
             assert not calls  # still stranded, nothing changed: no re-derivation
         check_indices(sim)
         check_rederivation_is_a_fixed_point(sim)
+
+
+def reference_check_cluster(sim, cluster):
+    """The rotation check as a walk of the whole roster, every member asked
+    `topo.cc_eligible`: the first reason the cluster must rebuild, or None."""
+    by_id = sim.by_id
+    quarantined = sim.ledgers.quarantined
+    hysteresis = sim.config.rotation_hysteresis
+
+    def role_failed(node_id):
+        node = by_id[node_id]
+        return (
+            not is_alive(node) or node_id in quarantined or not node.energy.detection_enabled
+        )
+
+    if role_failed(cluster.coordinator):
+        return engine.Event(engine.Change.COORDINATOR_FAILED, cluster.id, cluster.coordinator)
+    capacities = [
+        topo.capacity(by_id[m], sim.graph)
+        for m in (cluster.coordinator, *cluster.members)
+        if topo.cc_eligible(by_id[m], quarantined, sim.config.detection.reputation_min)
+    ]
+    best = max(capacities, default=0.0)
+    if topo.capacity(by_id[cluster.coordinator], sim.graph) < hysteresis * best:
+        return engine.Event(engine.Change.COORDINATOR_ROTATED, cluster.id, cluster.coordinator)
+    for sector in cluster.sectors:
+        if role_failed(sector.coordinator):
+            return engine.Event(
+                engine.Change.SECTOR_COORDINATOR_FAILED, cluster.id, sector.coordinator
+            )
+        fsh = sector.fsh
+        if fsh is not None and (not is_alive(by_id[fsh]) or fsh in quarantined):
+            return engine.Event(engine.Change.FORWARDING_HEAD_FAILED, cluster.id, fsh)
+        if sector.monitors and all(role_failed(m) for m in sector.monitors):
+            return engine.Event(engine.Change.MONITORS_FAILED, cluster.id, sector.coordinator)
+        best = max(
+            (by_id[leaf].energy.residual_energy for leaf in sector.leaves
+             if leaf not in quarantined),
+            default=0.0,
+        )
+        if by_id[sector.coordinator].energy.residual_energy < hysteresis * best:
+            return engine.Event(engine.Change.SECTOR_ROTATED, cluster.id, sector.coordinator)
+    return None
+
+
+@pytest.mark.parametrize("mode", ("imids", "imids-no-sectors"))
+def test_the_rotation_check_matches_a_walk_of_every_member(mode):
+    """Before each sweep, and at each call inside it (after the sweep drops
+    newly quarantined nodes from the rosters, before any re-derivation),
+    the engine's check of every cluster must return what a walk of the
+    whole roster returns, through deaths, quarantines and adoptions."""
+    seen = Counter()
+    for seed in range(6):
+        sim = engine.initialize(arena(seed, mode, ((5, 3), (9, 7), (14, 12))))
+        check_cluster = sim._check_cluster
+
+        def checked(cluster):
+            event = check_cluster(cluster)
+            assert event == reference_check_cluster(sim, cluster)
+            seen[None if event is None else event.kind] += 1
+            # a roster the sweep edited, whose fragment is not derived yet
+            seen["stale"] += sim._fragments[cluster.id].cluster_of.keys() != cluster.node_ids()
+            return event
+
+        def swept(phase, r):
+            if phase.__name__ == "_reconfiguration_sweep":
+                for cluster in sim.clusters:
+                    assert check_cluster(cluster) == reference_check_cluster(sim, cluster)
+            phase(r)
+
+        sim._check_cluster = checked
+        sim._phases = tuple(functools.partial(swept, phase) for phase in sim._phases)
+        alive = sim.alive_non_sink()
+        for _ in range(sim.config.rounds):
+            if sim.alive_non_sink() == 0:
+                break
+            for event in sim.run_round().reconfigurations:
+                seen[event.kind] += event.kind is engine.Change.ADOPTED
+        seen["deaths"] += alive - sim.alive_non_sink()
+        seen["quarantines"] += len(sim.ledgers.quarantined)
+    Change = engine.Change
+    expected = ["deaths", "quarantines", "stale", None, Change.COORDINATOR_ROTATED, Change.ADOPTED]
+    if mode == "imids":
+        expected += [Change.SECTOR_ROTATED, Change.SECTOR_COORDINATOR_FAILED]
+    assert all(seen[what] for what in expected), seen
 
 
 def field_recipe(node_count, seed, rounds, mode="imids"):

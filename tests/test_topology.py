@@ -751,6 +751,116 @@ def test_builders_match_the_reranking_reference_bodies():
     }, cases
 
 
+# Verbatim copies of the two remaining elections as they were before they
+# stopped building a roster set per call and looking enum members up per node.
+
+
+def _reference_monitor_candidates(cluster, by_id, quarantined=frozenset()):
+    return [
+        by_id[m] for m in sorted(cluster.node_ids())
+        if m != cluster.coordinator
+        and by_id[m].node_class is NodeClass.LEADER
+        and is_alive(by_id[m])
+        and m not in quarantined
+    ]
+
+
+def _reference_assign_roles(nodes, clusters, sink_id=topo.SINK_ID):
+    roles = {}
+    for node in nodes:
+        if node.id == sink_id:
+            roles[node.id] = Role.SN
+        elif node.node_class is NodeClass.LEADER:
+            roles[node.id] = Role.SM
+        else:
+            roles[node.id] = Role.LN
+    for cluster in clusters:
+        for sector in cluster.sectors:
+            roles[sector.coordinator] = Role.SC
+            if sector.fsh is not None:
+                roles[sector.fsh] = Role.FSH
+    for cluster in clusters:
+        for sector in cluster.sectors:
+            for sm in sector.monitors:
+                roles[sm] = Role.SM
+    for cluster in clusters:
+        roles[cluster.coordinator] = Role.CC
+    for node in nodes:
+        node.role = roles[node.id]
+    return roles
+
+
+def _roles_both_ways(nodes, clusters):
+    """What the reference and the rewritten `assign_roles` return and leave
+    on the nodes, each run from the same starting roles."""
+    start = [node.role for node in nodes]
+    expected = _reference_assign_roles(nodes, clusters)
+    expected_left = [node.role for node in nodes]
+    for node, role in zip(nodes, start):
+        node.role = role
+    roles = topo.assign_roles(nodes, clusters)
+    return (list(roles.items()), [node.role for node in nodes]), (
+        list(expected.items()), expected_left
+    )
+
+
+def test_candidates_and_roles_match_their_reference_bodies():
+    """Random structures, built as the engine builds them, with rosters
+    edited the ways a run edits them: members die after joining, the sink
+    or the coordinator itself sits in a roster, leaders are quarantined.
+    Roles are assigned over every node and over the nodes of a few
+    clusters only, as a partial re-derivation does."""
+    rng = random.Random(2424)
+    cases = Counter()
+    for trial in range(200):
+        nodes = _grid_instance(rng)
+        by_id = _by_id(nodes)
+        graph = topo.build_graph(nodes, GRID_RANGE)
+        quarantined = set(rng.sample(range(1, len(nodes)), rng.randint(0, len(nodes) // 4)))
+        try:
+            coordinators = topo.select_cluster_coordinators(nodes, graph, 8, quarantined)
+        except topo.CoverageFailure:
+            continue
+        clusters = topo.form_clusters(nodes, coordinators, graph, random.Random(trial))
+        for cluster in clusters:
+            members = sorted(cluster.members)
+            for m in members:
+                if rng.random() < 0.1:
+                    by_id[m].energy.residual_energy = 0.0
+                    cases["dead member"] += 1
+            if rng.random() < 0.1:
+                cluster.members.add(topo.SINK_ID)
+                cases["sink in roster"] += 1
+            if rng.random() < 0.1:
+                cluster.members.add(cluster.coordinator)
+                cases["coordinator in members"] += 1
+            cases["quarantined leader"] += any(
+                m in quarantined and by_id[m].node_class is NodeClass.LEADER for m in members
+            )
+            candidates = topo.monitor_candidates(cluster, by_id, quarantined)
+            assert candidates == _reference_monitor_candidates(cluster, by_id, quarantined)
+            cluster.sectors = topo.form_sectors(cluster, by_id, graph, quarantined)
+            fsh = topo.select_fsh(cluster, candidates, by_id, graph)
+            for sector in cluster.sectors:
+                sector.monitors = topo.select_sector_monitor(sector, candidates, graph)
+                sector.fsh = fsh
+                cases["monitor forwards"] += fsh is not None and fsh in sector.monitors
+        got, expected = _roles_both_ways(nodes, clusters)
+        assert got == expected
+        some = rng.sample(clusters, rng.randint(0, len(clusters)))
+        named = {m for cluster in some for m in cluster.node_ids()}
+        subset = [node for node in nodes if node.id in named and rng.random() < 0.8]
+        got, expected = _roles_both_ways(subset, some)
+        assert got == expected
+        cases["structures"] += 1
+        cases["role of a node left out"] += len(expected[0]) > len(subset)
+    assert cases["structures"] >= 50
+    assert all(cases[case] for case in (
+        "dead member", "sink in roster", "coordinator in members", "quarantined leader",
+        "monitor forwards", "role of a node left out",
+    )), cases
+
+
 def test_election_ranks_each_eligible_leader_once(monkeypatch):
     """Ranks cannot move during one election, so ranking a leader twice is
     wasted work; this catches re-ranking before every pick coming back."""
