@@ -35,8 +35,9 @@ which also rebuilds the lookup indices the round loop relies on (who
 belongs to which cluster, who watches whom, who sends in which slot).
 Code that edits the structure must end in a call to it, naming the
 clusters it touched: each cluster's share of the indices is kept as a
-`_Fragment` and only the touched ones are derived again. The last index,
-each leaf's uplink route (`_routes`), is built on the leaf's first send and
+`_Fragment` and only the touched ones are derived again; the rotation
+check walks the leaders a fragment lists. The last index, each leaf's
+uplink route (`_routes`), is built on the leaf's first send and
 dropped, with the node's slot, whenever a fragment naming it is dropped or
 derived again.
 """
@@ -87,12 +88,12 @@ def _charge(node, joules):
         account.residual_energy = residual - joules if joules < residual else 0.0
 
 
-@dataclass(frozen=True)
-class _Fragment:
+class _Fragment(NamedTuple):
     """What the round reads of one cluster, derived from that cluster alone
     (slot numbering restarts at each cluster): TDMA slots, uplinks, the
-    always-on ids, node->cluster for the roster, and the watch relation as
-    (watcher, sorted subjects) passes and keyed by subject."""
+    always-on ids, node->cluster for the roster, the watch relation as
+    (watcher, sorted subjects) passes and keyed by subject, and the leader
+    nodes of the roster, which the rotation check walks (class is fixed)."""
 
     slots: dict
     parent: dict
@@ -100,6 +101,7 @@ class _Fragment:
     cluster_of: dict
     screens: list
     watchers: dict
+    leaders: tuple
 
     def names(self) -> set:
         """Every node the fragment gives a slot or keeps awake."""
@@ -323,7 +325,7 @@ class Simulation:
         """
         cfg = self.config
         if self._mode.sectors:
-            quarantined = set(self.ledgers.quarantined)
+            quarantined = self.ledgers.quarantined
             for cluster in rebuild:
                 cluster.sectors = topo.form_sectors(cluster, self.by_id, self.graph, quarantined)
                 if not cluster.sectors:
@@ -349,13 +351,14 @@ class Simulation:
             named |= fresh.names()
         slot_of = self._compose_fragments()
 
-        nodes = [self.by_id[node_id] for node_id in named]
+        nodes = list(map(self.by_id.__getitem__, named))
         roles_before = [node.role for node in nodes]
         topo.assign_roles(nodes, derived)
         slots = cfg.slots_per_round
+        routes, sink_id = self._routes, self.sink.id
         for node, role in zip(nodes, roles_before):
-            self._routes.pop(node.id, None)
-            if node.id != self.sink.id:
+            routes.pop(node.id, None)
+            if node.id != sink_id:
                 node.slot = slot_of.get(node.id, node.id % slots)
             if node.role is not role and node.energy.residual_energy > 0.0:
                 assign_detection_budget(node, node.role)
@@ -372,31 +375,36 @@ class Simulation:
         nodes first, sector by sector with ids ascending, then its other
         nodes by id. The same walk fills the uplinks, the always-on ids
         (coordinators, sector coordinators, monitors, forwarding heads and
-        every watcher) and node->cluster; the mode's `screens` gives the
-        watch relation."""
+        every watcher), node->cluster and the roster's leaders; the mode's
+        `screens` gives the watch relation."""
         slots = self.config.slots_per_round
+        by_id = self.by_id
         cc = cluster.coordinator
         slot_of = {}
         parent = {cc: self.sink.id}
         always_on = {cc}
         index = 0
         for sector in cluster.sectors:
-            for node_id in sorted(sector.node_ids()):
+            sc = sector.coordinator
+            for node_id in sorted((sc, *sector.leaves)):  # a coordinator is never its own leaf
                 slot_of[node_id] = index % slots
                 index += 1
-            always_on.add(sector.coordinator)
+            always_on.add(sc)
             always_on.update(sector.monitors)
+            uplink = cc  # aggregates ride through the forwarding head when it is reachable
             if sector.fsh is not None:
-                always_on.add(sector.fsh)
-            parent[sector.coordinator] = self._sector_uplink(sector, cc)
-            for leaf in sector.leaves:
-                parent[leaf] = sector.coordinator
+                fsh = by_id[sector.fsh]
+                always_on.add(fsh.id)
+                if fsh.energy.residual_energy > 0.0 and self.graph.has_edge(sc, fsh.id):
+                    uplink = fsh.id
+            parent[sc] = uplink
+            parent.update(dict.fromkeys(sector.leaves, sc))
         # node->cluster follows the roster: a quarantined sector
         # coordinator may still sit in its sector after leaving it
-        roster = sorted(cluster.node_ids())
+        roster = sorted({cc, *cluster.members})
         for node_id in roster:
-            parent.setdefault(node_id, cc)
-            if node_id not in slot_of:
+            if node_id not in slot_of:  # a sector node has its uplink already
+                parent.setdefault(node_id, cc)
                 slot_of[node_id] = index % slots
                 index += 1
         screens = self._mode.screens(self, cluster)
@@ -404,9 +412,12 @@ class Simulation:
         for watcher_id, subject_ids in screens:
             always_on.add(watcher_id)
             for subject_id in subject_ids:
-                watchers[subject_id] = (*watchers.get(subject_id, ()), watcher_id)
+                seen = watchers.get(subject_id)
+                watchers[subject_id] = (watcher_id,) if seen is None else (*seen, watcher_id)
+        leader = NodeClass.LEADER
+        leaders = tuple([n for n in map(by_id.__getitem__, roster) if n.node_class is leader])
         return _Fragment(
-            slot_of, parent, always_on, dict.fromkeys(roster, cluster), screens, watchers
+            slot_of, parent, always_on, dict.fromkeys(roster, cluster), screens, watchers, leaders
         )
 
     def _sector_screens(self, cluster) -> list:
@@ -448,14 +459,6 @@ class Simulation:
         self._coordinators = {c.coordinator for c in self.clusters}
         return slot_of
 
-    def _sector_uplink(self, sector, cc_id: int) -> int:
-        """Aggregates ride through the forwarding head when it is reachable."""
-        if sector.fsh is None:
-            return cc_id
-        fsh = self.by_id[sector.fsh]
-        in_range = self.graph.has_edge(sector.coordinator, fsh.id)
-        return fsh.id if fsh.energy.residual_energy > 0.0 and in_range else cc_id
-
     def _charge_formation(self, clusters):
         """Control traffic of (re)building cluster and sector structure."""
         for cluster in clusters:
@@ -473,8 +476,7 @@ class Simulation:
         bits = self.config.traffic.control_bits
         rx = self._rx_price(bits)
         _charge(head, self._broadcast_cost)
-        for member_id in sorted(member_ids):
-            member = self.by_id[member_id]
+        for member in map(self.by_id.__getitem__, sorted(member_ids)):
             if member.energy.residual_energy > 0.0:
                 _charge(member, rx)
                 self._hop(member, head, bits)
@@ -489,11 +491,12 @@ class Simulation:
         whether the receiver got the packet. The receiving side does not
         ask whether the sender is alive, so a sender that died paying its
         own receive charge just before still bills its receiver."""
-        if src.energy.residual_energy > 0.0:
-            _charge(src, self._link_price(src, dst, bits))
+        if src.energy.residual_energy > 0.0:  # a memo hit skips the pricing method
+            link = self._link_cost.get((src.id, dst.id, bits))
+            _charge(src, link or self._link_price(src, dst, bits))
         if filtered or dst.energy.residual_energy <= 0.0:
             return False
-        _charge(dst, self._rx_price(bits))
+        _charge(dst, self._rx_cost.get(bits) or self._rx_price(bits))
         return True
 
     def _link_price(self, node, dst, bits):
@@ -711,10 +714,10 @@ class Simulation:
         """The watchers of `src` in range of it, as (node, observation key,
         pays rx as not the addressee `dst`)."""
         has_edge = self.graph.has_edge
-        return tuple(
+        return tuple([
             (self.by_id[w], (w, src), w != dst)
             for w in self._watchers.get(src, ()) if has_edge(w, src)
-        )
+        ])
 
     def _overhear(self, overhearers, slot, valid, bits):
         """Record a transmission of `bits` in `slot` with every live,
@@ -1024,14 +1027,16 @@ class Simulation:
             return Event(Change.COORDINATOR_FAILED, cluster.id, cluster.coordinator)
         reputation_min = cfg.detection.reputation_min
         graph = self.graph
+        capacity, cc_eligible = topo.capacity, topo.cc_eligible
         best = 0.0
-        leader = NodeClass.LEADER  # class is fixed at set-up: skip followers unasked
-        for node in map(by_id.__getitem__, (cluster.coordinator, *cluster.members)):
-            if node.node_class is leader and topo.cc_eligible(node, quarantined, reputation_min):
-                capacity = topo.capacity(node, graph)
-                if capacity > best:
-                    best = capacity
-        if topo.capacity(by_id[cluster.coordinator], graph) < hysteresis * best:
+        # only leaders may coordinate, and a roster edit not yet re-derived
+        # only ever dropped a quarantined node, which is not eligible anyway
+        for node in self._fragments[cluster.id].leaders:
+            if cc_eligible(node, quarantined, reputation_min):
+                held = capacity(node, graph)
+                if held > best:
+                    best = held
+        if capacity(by_id[cluster.coordinator], graph) < hysteresis * best:
             return Event(Change.COORDINATOR_ROTATED, cluster.id, cluster.coordinator)
         for sector in cluster.sectors:
             if role_failed(sector.coordinator):

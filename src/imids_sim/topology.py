@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from math import hypot
+from itertools import repeat
+from math import dist, hypot
 from operator import itemgetter
 
 from .core import (
@@ -212,7 +213,7 @@ def cc_eligible(node, quarantined, reputation_min) -> bool:
     """May `node` coordinate a cluster: a live, unquarantined, trusted leader."""
     return (
         node.node_class is NodeClass.LEADER
-        and is_alive(node)
+        and node.energy.residual_energy > 0.0
         and node.id not in quarantined
         and node.trust.nibble >= reputation_min
     )
@@ -302,44 +303,43 @@ def form_sectors(cluster: Cluster, by_id, graph, quarantined=frozenset()) -> lis
     seeding each one still unassigned, seeds the same coordinators in the
     same order as taking the richest unassigned follower before every seed.
     """
-    followers = sorted(
-        m for m in cluster.node_ids()
-        if by_id[m].node_class is NodeClass.FOLLOWER and is_alive(by_id[m])
-    )
-    xy = {m: (by_id[m].position.x, by_id[m].position.y) for m in followers}
-    unassigned = set(followers)
+    follower = NodeClass.FOLLOWER
+    xy = {}  # alive follower id -> (x, y), ids ascending
+    rank = []  # (-residual, id) of every follower that may coordinate
+    for node in map(by_id.__getitem__, sorted({cluster.coordinator, *cluster.members})):
+        if node.node_class is follower and node.energy.residual_energy > 0.0:
+            xy[node.id] = (node.position.x, node.position.y)
+            if node.id not in quarantined:
+                rank.append((-node.energy.residual_energy, node.id))
+    unassigned = set(xy)
     radius = graph.transmission_range / 2.0
     coordinators = []
-    untainted = set(followers).difference(quarantined)
-    for sc in sorted(untainted, key=lambda m: (-by_id[m].energy.residual_energy, m)):
+    for _, sc in sorted(rank):
         if sc in unassigned:
             coordinators.append(sc)
-            sx, sy = xy[sc]
-            unassigned -= {
-                m for m in unassigned if m == sc or hypot(sx - xy[m][0], sy - xy[m][1]) <= radius
-            }
+            seat = xy[sc]
+            unassigned -= {m for m in unassigned if m == sc or dist(seat, xy[m]) <= radius}
     if not coordinators:
         return []
-    sectors = {sc: Sector(coordinator=sc, leaves=set()) for sc in coordinators}
-    for member in followers:
-        if member in sectors:
-            continue
-        x, y = xy[member]
-        nearest = min(coordinators, key=lambda sc: (hypot(x - xy[sc][0], y - xy[sc][1]), sc))
-        sectors[nearest].leaves.add(member)
-    return [sectors[sc] for sc in coordinators]
+    seats = [xy[sc] for sc in coordinators]
+    leaves = {sc: set() for sc in coordinators}
+    for member, seat in xy.items():
+        if member not in leaves:  # the nearest coordinator, then the smaller id
+            leaves[min(zip(map(dist, repeat(seat), seats), coordinators))[1]].add(member)
+    return [Sector(sc, leaves[sc]) for sc in coordinators]
 
 
 def monitor_candidates(cluster, by_id, quarantined=frozenset()) -> list:
     """The cluster's spare leaders, in id order: alive, not quarantined and
     not its coordinator. Both the sector monitors and the forwarding head
     are chosen from them."""
+    leader, cc = NodeClass.LEADER, cluster.coordinator
     return [
-        by_id[m] for m in sorted(cluster.node_ids())
-        if m != cluster.coordinator
-        and by_id[m].node_class is NodeClass.LEADER
-        and is_alive(by_id[m])
-        and m not in quarantined
+        node for node in map(by_id.__getitem__, sorted(cluster.members))
+        if node.node_class is leader
+        and node.energy.residual_energy > 0.0
+        and node.id != cc
+        and node.id not in quarantined
     ]
 
 
@@ -359,14 +359,12 @@ def select_sector_monitor(sector, candidates, graph) -> tuple:
     """
     if not candidates:
         return ()
-    sector_ids = sector.node_ids()
-    adjacent = [
-        c for c in candidates
-        if not sector_ids.isdisjoint(graph.neighbors(c.id))
-    ]
-    budgets = {c.id: prospective_detection_budget(c) for c in adjacent or candidates}
-    best = max(budgets.values())
-    return tuple(sorted(m for m, budget in budgets.items() if budget == best))
+    sector_ids = (sector.coordinator, *sector.leaves)
+    pool = [c for c in candidates if not graph.neighbors(c.id).isdisjoint(sector_ids)]
+    pool = pool or candidates
+    budgets = list(map(prospective_detection_budget, pool))
+    best = max(budgets)
+    return tuple(sorted(c.id for c, budget in zip(pool, budgets) if budget == best))
 
 
 def hop_distances(graph: TransmissionGraph, source: int, stop_at=None) -> dict:
@@ -407,10 +405,7 @@ def select_fsh(cluster, candidates, by_id, graph) -> int | None:
     cc = by_id[cluster.coordinator]
     hops = hop_distances(graph, cc.id, stop_at={c.id for c in candidates})
     inf = float("inf")
-    return min(
-        candidates,
-        key=lambda c: (hops.get(c.id, inf), c.distance_to(cc), c.id),
-    ).id
+    return min([(hops.get(c.id, inf), c.distance_to(cc), c.id) for c in candidates])[2]
 
 
 def assign_roles(nodes, clusters, sink_id: int = SINK_ID) -> dict:
@@ -422,23 +417,20 @@ def assign_roles(nodes, clusters, sink_id: int = SINK_ID) -> dict:
     names it as forwarder. Leaders left without a duty become reserve
     monitors; everything else is a leaf.
     """
-    roles = {}
-    for node in nodes:
-        if node.id == sink_id:
-            roles[node.id] = Role.SN
-        elif node.node_class is NodeClass.LEADER:
-            roles[node.id] = Role.SM
-        else:
-            roles[node.id] = Role.LN
-    for cluster in clusters:
-        for sector in cluster.sectors:
-            roles[sector.coordinator] = Role.SC
-            if sector.fsh is not None:
-                roles[sector.fsh] = Role.FSH
-    for cluster in clusters:
-        for sector in cluster.sectors:
-            for sm in sector.monitors:
-                roles[sm] = Role.SM
+    sn, sc, fsh, sm, ln = Role.SN, Role.SC, Role.FSH, Role.SM, Role.LN
+    leader = NodeClass.LEADER
+    roles = {
+        node.id: sn if node.id == sink_id else sm if node.node_class is leader else ln
+        for node in nodes
+    }
+    sectors = [sector for cluster in clusters for sector in cluster.sectors]
+    for sector in sectors:
+        roles[sector.coordinator] = sc
+        if sector.fsh is not None:
+            roles[sector.fsh] = fsh
+    for sector in sectors:
+        for monitor in sector.monitors:
+            roles[monitor] = sm
     for cluster in clusters:
         roles[cluster.coordinator] = Role.CC
     for node in nodes:

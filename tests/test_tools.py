@@ -43,12 +43,21 @@ def test_the_round_profiler_writes_one_json_object(tmp_path):
     for case in cases.values():
         assert set(case) == {
             "nodes", "seed", "rounds", "node_rounds", "setup_s", "wall_s",
-            "us_per_node_round", "phase_share", "peak_rss_mb", "retained_mb",
+            "us_per_node_round", "phase_share", "phase_share_spread", "sweep_share",
+            "peak_rss_mb", "retained_mb",
         }
         assert (case["nodes"], case["seed"], case["rounds"]) == (40, 13, 40)
         assert case["setup_s"] > 0 and case["wall_s"] > 0 and case["us_per_node_round"] > 0
         assert case["peak_rss_mb"] > 0 and case["retained_mb"] > 0
         shares = case["phase_share"].values()
         assert all(share >= 0 for share in shares) and 0 < sum(shares) <= 1
+        assert case["phase_share_spread"] == dict.fromkeys(case["phase_share"], 0.0)  # one run
+        assert set(case["sweep_share"]) == {
+            "_check_cluster", "_build_structures", "_charge_formation",
+        }
+        assert all(share >= 0 for share in case["sweep_share"].values())
+    imids = cases["false_alarm/imids"]
+    assert 0 < sum(imids["sweep_share"].values()) <= imids["phase_share"]["_reconfiguration_sweep"]
+    assert not any(cases["false_alarm/itids"]["sweep_share"].values())  # the baseline never sweeps
     assert "_sink_stage" in cases["false_alarm/imids"]["phase_share"]
     assert "_forward_received" in cases["false_alarm/itids"]["phase_share"]

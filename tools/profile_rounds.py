@@ -11,7 +11,12 @@ is that case's alone. A case builds the `Simulation` and runs its rounds
 `--repeat` times and keeps the fastest set-up and the fastest run; the
 entries of `Simulation._phases` are wrapped from outside the package, so
 the run's time splits by phase (what is left is the round's bookkeeping
-outside them). Peak RSS is read after the timed runs. One more run under
+outside them). The reconfiguration sweep splits further: its rotation
+checks, re-derivations and formation charges are wrapped on the instance
+the same way (`sweep_share`; 0 in a mode that never sweeps). Each phase's
+share also gets its spread, the max - min over the `--repeat` runs, which
+says whether the shares can be read to a few points on this host. Peak
+RSS is read after the timed runs. One more run under
 `tracemalloc` gives the memory the finished trace retains, after
 `gc.collect()`. Times are raw `time.perf_counter` seconds of this host,
 not normalised.
@@ -43,6 +48,7 @@ ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
 STOCK = "stock_comparison"
 RUNGS = (100, 200, 400, 800)
+SWEEP_PARTS = ("_check_cluster", "_build_structures", "_charge_formation")
 SEED_TRIES = 50  # seeds a rung may try before it gives up
 
 
@@ -81,24 +87,29 @@ def cases(configs, rungs) -> list:
 
 def timed_run(engine, config) -> dict:
     """Set-up and every round of one run, as `engine.run_simulation` runs
-    it, with each phase of the round timed from outside."""
+    it, with each phase of the round and each part of the sweep timed from
+    outside."""
     clock = time.perf_counter
     start = clock()
     sim = engine.Simulation(config)
     setup_s = clock() - start
     phase_s = {phase.__name__: 0.0 for phase in sim._phases}
+    sweep_s = dict.fromkeys(SWEEP_PARTS, 0.0)
 
-    def timed(phase):
-        name = phase.__name__
+    def timed(method, spent):
+        name = method.__name__
 
-        def run(r):
+        def run(*args, **kwargs):
             begin = clock()
-            phase(r)
-            phase_s[name] += clock() - begin
+            result = method(*args, **kwargs)
+            spent[name] += clock() - begin
+            return result
 
         return run
 
-    sim._phases = tuple(timed(phase) for phase in sim._phases)
+    sim._phases = tuple(timed(phase, phase_s) for phase in sim._phases)
+    for name in SWEEP_PARTS:  # instance attributes shadow the methods the sweep calls
+        setattr(sim, name, timed(getattr(sim, name), sweep_s))
     trace = sim.snapshot_trace()
     alive = sim.alive_non_sink()
     node_rounds = 0
@@ -117,6 +128,7 @@ def timed_run(engine, config) -> dict:
         "rounds": len(trace.reports),
         "node_rounds": node_rounds,
         "phase_s": phase_s,
+        "sweep_s": sweep_s,
     }
 
 
@@ -132,6 +144,10 @@ def retained_mb(engine, config) -> float:
     tracemalloc.stop()
     del trace
     return retained / 2**20
+
+
+def share_of(seconds: dict, wall_s: float) -> dict:
+    return {name: spent / wall_s if wall_s else 0.0 for name, spent in seconds.items()}
 
 
 def profile_case(raw: dict, search_seed: bool, repeat: int) -> dict:
@@ -157,6 +173,7 @@ def profile_case(raw: dict, search_seed: bool, repeat: int) -> dict:
         runs.append(timed_run(engine, config))
     fastest = min(runs, key=lambda run: run["wall_s"])
     wall_s, node_rounds = fastest["wall_s"], fastest["node_rounds"]
+    shares = [share_of(run["phase_s"], run["wall_s"]) for run in runs]
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return {
         "nodes": config.deployment.node_count,
@@ -166,9 +183,12 @@ def profile_case(raw: dict, search_seed: bool, repeat: int) -> dict:
         "setup_s": min(run["setup_s"] for run in runs),
         "wall_s": wall_s,
         "us_per_node_round": wall_s * 1e6 / node_rounds if node_rounds else None,
-        "phase_share": {
-            name: seconds / wall_s if wall_s else 0.0 for name, seconds in fastest["phase_s"].items()
+        "phase_share": share_of(fastest["phase_s"], wall_s),
+        "phase_share_spread": {
+            name: max(share[name] for share in shares) - min(share[name] for share in shares)
+            for name in shares[0]
         },
+        "sweep_share": share_of(fastest["sweep_s"], wall_s),
         "peak_rss_mb": peak_rss_mb,
         "retained_mb": retained_mb(engine, config),
     }
@@ -191,10 +211,12 @@ def describe(name: str, result: dict) -> str:
     shares = sorted(result["phase_share"].items(), key=lambda item: -item[1])
     top = ", ".join(f"{phase.lstrip('_')} {100 * share:.1f}%" for phase, share in shares[:4])
     us = result["us_per_node_round"]
+    spread = max(result["phase_share_spread"].values())
     return (
         f"{name:<32} seed {result['seed']:>3}  set-up {result['setup_s'] * 1e3:8.2f} ms"
         f"  run {result['wall_s']:7.3f} s  {'-' if us is None else f'{us:6.2f}'} us/node-round"
         f"  rss {result['peak_rss_mb']:6.1f} MB  retained {result['retained_mb']:6.2f} MB  [{top}]"
+        f"  spread {100 * spread:.1f} pts"
     )
 
 
