@@ -48,6 +48,7 @@ from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import cycle
 from typing import NamedTuple
 
 from . import attack as attack_mod
@@ -377,18 +378,16 @@ class Simulation:
         (coordinators, sector coordinators, monitors, forwarding heads and
         every watcher), node->cluster and the roster's leaders; the mode's
         `screens` gives the watch relation."""
-        slots = self.config.slots_per_round
+        numbers = cycle(range(self.config.slots_per_round))  # the next slot, round robin
         by_id = self.by_id
         cc = cluster.coordinator
         slot_of = {}
         parent = {cc: self.sink.id}
         always_on = {cc}
-        index = 0
         for sector in cluster.sectors:
             sc = sector.coordinator
-            for node_id in sorted((sc, *sector.leaves)):  # a coordinator is never its own leaf
-                slot_of[node_id] = index % slots
-                index += 1
+            # zip stops at the last node, before it takes a number more
+            slot_of.update(zip(sorted((sc, *sector.leaves)), numbers))
             always_on.add(sc)
             always_on.update(sector.monitors)
             uplink = cc  # aggregates ride through the forwarding head when it is reachable
@@ -405,8 +404,7 @@ class Simulation:
         for node_id in roster:
             if node_id not in slot_of:  # a sector node has its uplink already
                 parent.setdefault(node_id, cc)
-                slot_of[node_id] = index % slots
-                index += 1
+                slot_of[node_id] = next(numbers)
         screens = self._mode.screens(self, cluster)
         watchers = {}
         for watcher_id, subject_ids in screens:
@@ -1079,7 +1077,7 @@ class Simulation:
                 continue
             events.append(event)
             pool = {
-                m for m in cluster.node_ids()
+                m for m in (cluster.coordinator, *cluster.members)
                 if self.by_id[m].energy.residual_energy > 0.0 and m not in quarantined
             }
             if event.kind in (Change.COORDINATOR_FAILED, Change.COORDINATOR_ROTATED):

@@ -357,8 +357,8 @@ def select_sector_monitor(sector, candidates, graph) -> tuple:
     candidate may monitor (scarce-leader fallback). All leaders tied at the
     maximum are selected.
     """
-    if not candidates:
-        return ()
+    if len(candidates) < 2:  # a lone candidate monitors whether it touches the sector or not
+        return (candidates[0].id,) if candidates else ()
     sector_ids = (sector.coordinator, *sector.leaves)
     pool = [c for c in candidates if not graph.neighbors(c.id).isdisjoint(sector_ids)]
     pool = pool or candidates
