@@ -266,6 +266,7 @@ class Simulation:
         self._spend_index = {n.id: i for i, n in enumerate(self.nodes)}  # shared by every `_Spend`
         self._fragments = {}  # cluster id -> _Fragment
         self._routes = {}  # leaf id -> its uplink route, built on its first send
+        self._route_table = {}  # (leaf, parent, slot, bits, watchers) -> route
         self._quarantine_seen = 0  # roster size the rosters were last cleaned for
         self._build_structures(self.clusters, unplaced=self.nodes)
         # Every role taken above came with its reserve. The sink keeps the
@@ -696,17 +697,22 @@ class Simulation:
         """A live leaf's uplink as the slot loop reads it, or () for none:
         (parent, packet, link price, parent in range, `_overhearers`,
         receipt key). Nodes only die, so a cached range test holds while
-        both ends live."""
+        both ends live, and one route serves the leaf whenever it gets the
+        same parent, slot and watchers again."""
         src = node.id
         parent_id = self.parent.get(src)
         if parent_id is None:
             return ()
-        parent = self.by_id[parent_id]
-        return (
-            parent, self._packet(src, parent_id, slot, bits, True),
-            self._link_price(node, parent, bits), self.graph.has_edge(src, parent_id),
-            self._overhearers(src, parent_id), (parent_id, src),
-        )
+        key = (src, parent_id, slot, bits, self._watchers.get(src, ()))
+        route = self._route_table.get(key)
+        if route is None:
+            parent = self.by_id[parent_id]
+            route = self._route_table[key] = (
+                parent, self._packet(src, parent_id, slot, bits, True),
+                self._link_price(node, parent, bits), self.graph.has_edge(src, parent_id),
+                self._overhearers(src, parent_id), (parent_id, src),
+            )
+        return route
 
     def _overhearers(self, src, dst) -> tuple:
         """The watchers of `src` in range of it, as (node, observation key,
@@ -1027,8 +1033,7 @@ class Simulation:
         graph = self.graph
         capacity, cc_eligible = topo.capacity, topo.cc_eligible
         best = 0.0
-        # only leaders may coordinate, and a roster edit not yet re-derived
-        # only ever dropped a quarantined node, which is not eligible anyway
+        # leaders a cleanup dropped this sweep are quarantined, so never eligible
         for node in self._fragments[cluster.id].leaders:
             if cc_eligible(node, quarantined, reputation_min):
                 held = capacity(node, graph)
