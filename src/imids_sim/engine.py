@@ -37,9 +37,9 @@ Code that edits the structure must end in a call to it, naming the
 clusters it touched: each cluster's share of the indices is kept as a
 `_Fragment` and only the touched ones are derived again; the rotation
 check walks the leaders a fragment lists. The last index, each leaf's
-uplink route (`_routes`), is built on the leaf's first send and
-dropped, with the node's slot, whenever a fragment naming it is dropped or
-derived again.
+uplink route (`_routes`), is looked up on the leaf's first send and
+dropped, with the node's slot, whenever a fragment naming it is dropped
+or derived again; `_route_table` keeps each route built, by its inputs.
 """
 
 from __future__ import annotations
