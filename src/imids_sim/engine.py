@@ -387,7 +387,7 @@ class Simulation:
         always_on = {cc}
         for sector in cluster.sectors:
             sc = sector.coordinator
-            # zip stops at the last node, before it takes a number more
+            # a coordinator is never its own leaf; zip stops before taking a number more
             slot_of.update(zip(sorted((sc, *sector.leaves)), numbers))
             always_on.add(sc)
             always_on.update(sector.monitors)
@@ -411,8 +411,7 @@ class Simulation:
         for watcher_id, subject_ids in screens:
             always_on.add(watcher_id)
             for subject_id in subject_ids:
-                seen = watchers.get(subject_id)
-                watchers[subject_id] = (watcher_id,) if seen is None else (*seen, watcher_id)
+                watchers[subject_id] = (*watchers.get(subject_id, ()), watcher_id)
         leader = NodeClass.LEADER
         leaders = tuple([n for n in map(by_id.__getitem__, roster) if n.node_class is leader])
         return _Fragment(
@@ -718,10 +717,10 @@ class Simulation:
         """The watchers of `src` in range of it, as (node, observation key,
         pays rx as not the addressee `dst`)."""
         has_edge = self.graph.has_edge
-        return tuple([
+        return tuple(
             (self.by_id[w], (w, src), w != dst)
             for w in self._watchers.get(src, ()) if has_edge(w, src)
-        ])
+        )
 
     def _overhear(self, overhearers, slot, valid, bits):
         """Record a transmission of `bits` in `slot` with every live,
