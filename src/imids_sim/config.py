@@ -52,7 +52,6 @@ class DeploymentConfig:
     leader_initial_energy: float = 2.0
     follower_initial_energy: float = 0.2
     sink_initial_energy: float = 500.0
-    leader_energy_threshold: float = 1.0
 
     def validate(self) -> None:
         if self.node_count < 3:
@@ -63,8 +62,7 @@ class DeploymentConfig:
             raise ConfigError("transmission_range must be positive")
         if not 0 < self.leader_fraction < 1:
             raise ConfigError("leader_fraction must lie in (0, 1)")
-        for name in ("leader_initial_energy", "follower_initial_energy",
-                     "sink_initial_energy", "leader_energy_threshold"):
+        for name in ("leader_initial_energy", "follower_initial_energy", "sink_initial_energy"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         points = [] if self.sink_position is None else [self.sink_position]

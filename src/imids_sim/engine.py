@@ -247,7 +247,6 @@ class Simulation:
         self.graph = None
         self._refresh_graph()
         self._census()
-        topo.classify_nodes(self.nodes, cfg.deployment.leader_energy_threshold)
 
         coordinator_ids = topo.select_cluster_coordinators(
             self.nodes, self.graph, cfg.detection.reputation_min, set(self.ledgers.quarantined)

@@ -86,6 +86,10 @@ def deploy(deployment, rng) -> list:
     Node ids run 0..n-1 with the sink at id 0. Explicit coordinates are
     echoed back verbatim when provided; otherwise non-sink nodes land
     uniformly in the area and the sink sits at its configured position.
+
+    `leader_fraction` alone splits leaders from followers; the class drawn
+    here is final, and the two `*_initial_energy` values only set the
+    battery each class starts with.
     """
     n = deployment.node_count
     if n < 3:
@@ -177,21 +181,6 @@ def build_graph(nodes, transmission_range: float, previous=None) -> Transmission
                 adjacency[a].add(b)
                 adjacency[b].add(a)
     return TransmissionGraph(transmission_range, adjacency)
-
-
-def classify_nodes(nodes, leader_energy_threshold: float) -> None:
-    """Split non-sink nodes into leaders and followers by initial energy."""
-    leaders = 0
-    for node in nodes:
-        if node.node_class is NodeClass.SINK:
-            continue
-        if node.energy.initial_energy >= leader_energy_threshold:
-            node.node_class = NodeClass.LEADER
-            leaders += 1
-        else:
-            node.node_class = NodeClass.FOLLOWER
-    if leaders == 0:
-        raise CoverageFailure("no node qualifies as leader under the energy threshold")
 
 
 def capacity(node: SensorNode, graph: TransmissionGraph) -> float:

@@ -4,7 +4,10 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from imids_sim import cli
+from imids_sim import cli, engine
+from imids_sim import topology as topo
+from imids_sim.config import load_config
+from imids_sim.rng import SeededRng
 
 
 def write_config(tmp_path, name="scenario.json", **overrides):
@@ -242,12 +245,33 @@ STOCK = os.path.join(os.path.dirname(__file__), "..", "configs", "stock_comparis
                  id="bool-int"),
     pytest.param("energy.e_elec=NaN", "energy.e_elec must be a finite number",
                  id="nan-float"),
+    pytest.param("deployment.leader_energy_threshold=1.0",
+                 "unknown key(s) under 'deployment': ['leader_energy_threshold']",
+                 id="removed-leader-energy-threshold"),
 ])
 def test_bad_override_is_a_config_error(tmp_path, capsys, override, message):
     code = cli.main(["run", STOCK, "--out", str(tmp_path / "o"), "--override", override])
     assert code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("override", [
+    "deployment.leader_initial_energy=0.8",
+    "deployment.follower_initial_energy=1.5",
+])
+def test_initial_energies_leave_the_deployed_classes_alone(tmp_path, capsys, override):
+    # `leader_fraction` alone decides who leads: a weak leader still leads
+    # and a strong follower still follows, so set-up forms sectors either way
+    out = tmp_path / "o"
+    assert cli.main(["run", STOCK, "--out", str(out), "--override", override]) == 0
+    capsys.readouterr()  # `run` prints the artifact paths
+    assert json.loads((out / "summary.json").read_text())["sector_count"] > 0
+
+    config = load_config(STOCK, [override])
+    sim = engine.Simulation(config)
+    drawn = topo.deploy(config.deployment, SeededRng(config.seed))
+    assert [n.node_class for n in sim.nodes] == [n.node_class for n in drawn]
 
 
 def test_bad_sweep_axis_and_values_are_config_errors(tmp_path, monkeypatch):

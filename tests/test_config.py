@@ -1,10 +1,15 @@
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from imids_sim.config import (
+    _SECTION_TYPES,
     MODES,
     ConfigError,
+    ScenarioConfig,
     apply_overrides,
     config_to_dict,
     load_config,
@@ -101,3 +106,37 @@ def test_config_to_dict_is_json_serializable():
     assert json.loads(json.dumps(echo)) == echo
     assert echo["detection"]["window_rounds"] == 7
     assert echo["seed"] == 4
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_value(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def test_the_readme_lists_every_key_with_its_default():
+    body = README.read_text().split("\n## Scenario files\n", 1)[1].split("\n## ", 1)[0]
+    rows = dict(re.findall(r"^\| `(\w+)` \| `?([^`|]+?)`? \|", body, re.M))
+    bullets = dict(re.findall(r"^- `(\w+)`: (.*(?:\n  .*)*)", body, re.M))
+    assert set(bullets) == set(_SECTION_TYPES)
+    assert rows.keys() | bullets.keys() == {f.name for f in dataclasses.fields(ScenarioConfig)}
+    for f in dataclasses.fields(ScenarioConfig):
+        if f.name in rows:
+            expected = "required" if f.default is dataclasses.MISSING else f.default
+            assert _readme_value(rows[f.name]) == expected, f.name
+
+    for section, text in bullets.items():
+        defaults = {f.name: f.default for f in dataclasses.fields(_SECTION_TYPES[section])}
+        assert set(re.findall(r"`(\w+)`", text)) == set(defaults), section
+        stated = dict(re.findall(r"`(\w+)` (-?\d[\d.]*(?:e-?\d+)?)\b", text))
+        numeric = {
+            name for name, value in defaults.items()
+            if isinstance(value, (int, float)) and not isinstance(value, bool)
+        }
+        assert set(stated) == numeric, section
+        for name, number in stated.items():
+            assert float(number) == defaults[name], f"{section}.{name}"

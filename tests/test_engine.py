@@ -56,7 +56,6 @@ def tiny_arena(**overrides):
             "leader_fraction": 0.25,
             "leader_initial_energy": 0.01,
             "follower_initial_energy": 0.004,
-            "leader_energy_threshold": 0.005,
         },
     )
     return scenario(**overrides)

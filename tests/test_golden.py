@@ -26,29 +26,29 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 GOLDEN = {
     ("early_attack", "imids"):
-        "1048002ab2e55ce9b32b8cbcb0616027436a08a396fdaf92263463d85f18248b",
+        "d9bee8147e5d2b1e7c2f3b7c75f53af2ca5ed8c5dffa5d684f676f0150087209",
     ("early_attack", "itids"):
-        "c64bb2823d0b0744dcbe38961d04bf86f10b09c7535f570dc0d95f977808fbed",
+        "04d084211a394baa28082b5caf6a1550f65fdc842c36cd7cbe791f10044ebc0e",
     ("early_attack", "imids-no-sectors"):
-        "c8d78b2e1fcba26ba10d561dc4c716a2402a3ba12a8d9fdad99b54207ca2e472",
+        "dadfcbbf30c16c6d94cb5ea3750c6ae6c0949f26c3005f7e462b28669822afa9",
     ("false_alarm", "imids"):
-        "72ea317825b67f72be71bd13d97320b9edde122acdefce908d3fd09ab6136dc9",
+        "4b4745146a81bb2ee414be9f3eac3a1fb2b269148c1b008f68733ed71c3d496b",
     ("false_alarm", "itids"):
-        "e6bcdba2ab2ae701dd6b3c05cbf95a436c62c39b62ec48630f9116fc6b5776aa",
+        "f85f6205224194a0917750a7fda56987363518f38c82acacc69495dfc374b7b7",
     ("false_alarm", "imids-no-sectors"):
-        "55a39eb9f75d47d9eb179b54c911066a820c6bef146caf59d1e77e09863904c7",
+        "d0b4898387ba2d7f17e7bea588b0d4d061c2bc7948a5bdddc0c4b927470d2eb4",
     ("stock_comparison", "imids"):
-        "b28ec1a0db4c76424bd0ff8f6ac2df6f02c53764bd1143ba39139403a15dc50c",
+        "42606eb2d99de6cde14d6be858017d4dab48087564b7cac3cd0d747d3d0b91d2",
     ("stock_comparison", "itids"):
-        "c6455eccf21b5754a2279027f799e01b08d1ac55e6f5bbb04f8aad5113f8ba7c",
+        "ef2c786f42e8e4c919e63b6fee3186dd15f5428d31642f6980ec42c21c9993b9",
     ("stock_comparison", "imids-no-sectors"):
-        "eacd4f7cf3671ada555983e58b170d037fdd3438aa50d2da622c93fe75bdf953",
+        "2a316afa29834752bdb55078db7ffce401da01665c48c8607903f89bd8b2bb8e",
     ("sweep_base", "imids"):
-        "866d444ec7f21a8dea11329f59e9c2344db2948294577c9edc6c3d139920202f",
+        "041c24d31fea458493c5094718c3d52810b6f7f68fd66a5ce75a8ab06b1d4cd9",
     ("sweep_base", "itids"):
-        "8fb6d39227f1e3d29c24d9ab62ded03242c54057a08e5db9a986c5909284a992",
+        "b3f380ecdbdb0c9396ef572fc2f0d8e91d1ebe566bf102423518bc148873f977",
     ("sweep_base", "imids-no-sectors"):
-        "fd7df245e3f3cd0f9dbcbd528d08a8cc8047e3e9d6d5e009ba1e3791afc30376",
+        "cc036367e45823769a77b63771fa7c9689a27978e1417f8d6c31284ca9617fd5",
 }
 
 

@@ -49,7 +49,6 @@ def arena(seed, mode, false_strikes=()):
             "leader_fraction": 0.3,
             "leader_initial_energy": 0.02,
             "follower_initial_energy": 0.004,
-            "leader_energy_threshold": 0.01,
         },
         "attack": {
             "attacker_count": 2,
