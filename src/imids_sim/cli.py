@@ -144,10 +144,9 @@ def cmd_compare(args) -> int:
     traces = {mode: run_simulation(config) for mode, config in configs.items()}
 
     imids, itids = traces["imids"], traces["itids"]
-    spr = imids.config.get("seconds_per_round", 1.0)
     alive_series, accuracy_series = zip(*(
         (
-            Series(mode.upper(), tuple(r.round * spr for r in t.reports), tuple(t.alive_series)),
+            Series(mode.upper(), tuple(r.round for r in t.reports), tuple(t.alive_series)),
             Series(mode.upper(), tuple(r.round for r in t.reports), tuple(t.accuracy_series())),
         )
         for mode, t in traces.items()
@@ -179,7 +178,7 @@ def cmd_compare(args) -> int:
     _atomic_write(paths["csv"], _compare_csv(traces))
     _atomic_write(
         paths["alive"],
-        line_chart(alive_series, "Alive nodes over time", "time (s)", "alive nodes"),
+        line_chart(alive_series, "Alive nodes over time", "round", "alive nodes"),
     )
     _atomic_write(
         paths["accuracy"],

@@ -94,7 +94,6 @@ class ScenarioConfig:
     slots_per_round: int = 10
     sleep_probability: float = 0.5
     rotation_hysteresis: float = 0.9
-    seconds_per_round: float = 1.0
     deployment: DeploymentConfig = field(default_factory=DeploymentConfig)
     energy: EnergyParams = field(default_factory=EnergyParams)
     traffic: TrafficConfig = field(default_factory=TrafficConfig)
@@ -113,8 +112,6 @@ class ScenarioConfig:
             raise ConfigError("sleep_probability must lie in [0, 1]")
         if not 0 < self.rotation_hysteresis <= 1:
             raise ConfigError("rotation_hysteresis must lie in (0, 1]")
-        if self.seconds_per_round <= 0:
-            raise ConfigError("seconds_per_round must be positive")
         self.deployment.validate()
         self.traffic.validate()
         try:

@@ -71,7 +71,6 @@ class NormalProfile:
     """Pre-set allowance every screened node is held to, fixed for the run."""
 
     expected_energy_rate: float  # J per round
-    expected_packets: float = 1.0  # packets per round toward the watcher
 
 
 @dataclass(slots=True)
@@ -199,7 +198,7 @@ def evaluate_rules(
         reasons.append(Reason.SCHEDULE_VIOLATION)
     if forged:
         reasons.append(Reason.INVALID_TOKEN)
-    if observation.packets_to_watcher > config.count_threshold * profile.expected_packets:
+    if observation.packets_to_watcher > config.count_threshold:
         reasons.append(Reason.PACKET_FLOOD)
     return tuple(reasons)
 

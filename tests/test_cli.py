@@ -4,10 +4,13 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from imids_sim import cli, engine
+from imids_sim import charts, cli, engine
 from imids_sim import topology as topo
 from imids_sim.config import load_config
 from imids_sim.rng import SeededRng
+
+
+SVG_TEXT = "{http://www.w3.org/2000/svg}text"
 
 
 def write_config(tmp_path, name="scenario.json", **overrides):
@@ -115,6 +118,23 @@ def test_compare_emits_csv_charts_and_dominance(tmp_path):
     assert set(summary) == {"dominance", "imids", "itids"}
     assert isinstance(summary["dominance"]["alive_imids_ge_itids_every_round"], bool)
     assert summary["imids"]["mode"] == "imids"
+
+
+def test_compare_charts_alive_nodes_per_round(tmp_path):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "cmp"
+    assert cli.main(["compare", cfg, "--out", str(out)]) == 0
+    rows = (out / "compare.csv").read_text().splitlines()[1:]
+    rounds = [int(row.split(",")[1]) for row in rows]
+
+    texts = list(ET.fromstring((out / "alive_vs_time.svg").read_text()).iter(SVG_TEXT))
+    x_label = [t.text for t in texts if t.get("y") == str(charts.HEIGHT - 14)]
+    x_ticks = [
+        float(t.text) for t in texts
+        if t.get("font-size") == "11" and t.get("text-anchor") == "middle"
+    ]
+    assert x_label == ["round"]
+    assert (x_ticks[0], x_ticks[-1]) == (min(rounds), max(rounds)) == (0, 11)
 
 
 def test_compare_charts_a_network_that_dies_in_set_up(tmp_path):

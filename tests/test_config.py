@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from imids_sim import cli
 from imids_sim.config import (
     _SECTION_TYPES,
     MODES,
@@ -41,6 +42,17 @@ def test_unknown_keys_rejected():
         parse_config({"seed": 1, "typo_key": True})
     with pytest.raises(ConfigError):
         parse_config({"seed": 1, "deployment": {"node_countz": 10}})
+
+
+def test_seconds_per_round_is_an_unknown_key(tmp_path, capsys):
+    # rounds are the only clock; no key rescales them into seconds
+    with pytest.raises(ConfigError, match="seconds_per_round"):
+        parse_config({"seed": 1, "seconds_per_round": 1.0})
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"seed": 1, "rounds": 1, "seconds_per_round": 1.0}))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "seconds_per_round" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_mode_validated():

@@ -1,9 +1,12 @@
 """Golden artifacts: `run` output is pinned for every bundled config and mode.
 
-Each pin is sha256 over the bytes of `metrics.csv` followed by the bytes of
-`summary.json`, as written by `imids-sim run <config> --override mode=<mode>`.
-A change that alters simulated behaviour on purpose re-pins here and says
-why in CHANGES.md; every other change must leave these untouched.
+Each pin is a pair: sha256 over the bytes of `metrics.csv`, then sha256 over
+the bytes of `summary.json`, as written by `imids-sim run <config> --override
+mode=<mode>`. Two hashes are at least as strict as one over both files, fix
+where one file ends and the next begins, and say whether the rounds moved or
+only the summary did, as when a config key is added or removed. A change that
+alters simulated behaviour on purpose re-pins here and says why in CHANGES.md;
+every other change must leave these untouched.
 
 The bundled configs hold 70 nodes at most, so one more pin covers the
 set-up of a large field, where the range graph and the cluster joins do
@@ -25,43 +28,67 @@ from imids_sim.config import parse_config
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 GOLDEN = {
-    ("early_attack", "imids"):
-        "d9bee8147e5d2b1e7c2f3b7c75f53af2ca5ed8c5dffa5d684f676f0150087209",
-    ("early_attack", "itids"):
-        "04d084211a394baa28082b5caf6a1550f65fdc842c36cd7cbe791f10044ebc0e",
-    ("early_attack", "imids-no-sectors"):
-        "dadfcbbf30c16c6d94cb5ea3750c6ae6c0949f26c3005f7e462b28669822afa9",
-    ("false_alarm", "imids"):
-        "4b4745146a81bb2ee414be9f3eac3a1fb2b269148c1b008f68733ed71c3d496b",
-    ("false_alarm", "itids"):
-        "f85f6205224194a0917750a7fda56987363518f38c82acacc69495dfc374b7b7",
-    ("false_alarm", "imids-no-sectors"):
-        "d0b4898387ba2d7f17e7bea588b0d4d061c2bc7948a5bdddc0c4b927470d2eb4",
-    ("stock_comparison", "imids"):
-        "42606eb2d99de6cde14d6be858017d4dab48087564b7cac3cd0d747d3d0b91d2",
-    ("stock_comparison", "itids"):
-        "ef2c786f42e8e4c919e63b6fee3186dd15f5428d31642f6980ec42c21c9993b9",
-    ("stock_comparison", "imids-no-sectors"):
-        "2a316afa29834752bdb55078db7ffce401da01665c48c8607903f89bd8b2bb8e",
-    ("sweep_base", "imids"):
-        "041c24d31fea458493c5094718c3d52810b6f7f68fd66a5ce75a8ab06b1d4cd9",
-    ("sweep_base", "itids"):
-        "b3f380ecdbdb0c9396ef572fc2f0d8e91d1ebe566bf102423518bc148873f977",
-    ("sweep_base", "imids-no-sectors"):
-        "cc036367e45823769a77b63771fa7c9689a27978e1417f8d6c31284ca9617fd5",
+    ("early_attack", "imids"): (
+        "7285e255d7eff469eed0296254f35922f786ce3f15f6e37e2e88bb506ba891d5",
+        "307968a5699571b232c0abc976ec5f12dbf4957d566a1c9cda5c3c0c790afabd",
+    ),
+    ("early_attack", "itids"): (
+        "eba2942b34b5bc8f1dfdffe836cf4821dfc97d991435ef4b3496f3d575ff5725",
+        "7e3d70498cd40ea92a618aacaed98522eebcb35e9a197e42d532a45a39e4fa68",
+    ),
+    ("early_attack", "imids-no-sectors"): (
+        "60f76c77b01dfdd55dd835e8daf191a2772e43f7b6a472b9dc1305cfdd03315b",
+        "fdbd0f5017757efcd41ea0106a0b02822e90ef045b468a0cf49c93aa562cea5d",
+    ),
+    ("false_alarm", "imids"): (
+        "a679e13e06eb013755c4569a4ac03eda0bba241dc2c71b56be909c5bc885c682",
+        "40a729208f77f0f45bf981ff564db52afe395f0c834ee836027295930f232ab7",
+    ),
+    ("false_alarm", "itids"): (
+        "360c9da5d7a13d5ec1a899ddffe0645ff6377f1ae6cb590d84dc77856fcbd853",
+        "406451b246eeb2ae3f9754ba8993c5a9ca09caa0107a552cd2f9dd835492e6be",
+    ),
+    ("false_alarm", "imids-no-sectors"): (
+        "8ed66e77f93ea995ad434660e3dc0d9a95feb9fb674f052915b608e9351d54d3",
+        "cc7c61732c23cfedb146b9b555d1a03ed9880e960870c7c992fcc0206d561c4a",
+    ),
+    ("stock_comparison", "imids"): (
+        "2b52ae144a580ffa2cda5cc81c7c229edda26da5329715906d3b1d91c91f741f",
+        "6b51135dff0f1fb0a08cc3e99575eda0e5038ae784d0ee63da2a0cf6e0a018c7",
+    ),
+    ("stock_comparison", "itids"): (
+        "81bf90274bc49cfb039f4484c78527ca2c7a1c44ef792f88e87c624face23a2c",
+        "03b7da51023c94045fe7e5c4207d2775c16441c974054c5a88b582ffb20d4d2c",
+    ),
+    ("stock_comparison", "imids-no-sectors"): (
+        "ac49d4fae5b1f2ea6daee63b86b773575d9cde85a7039082ff8618554208a6bc",
+        "d4ff63e57c660a26205df6869fb4ef15a68c925c7cb8310ee46c487416cb6fb5",
+    ),
+    ("sweep_base", "imids"): (
+        "283c7d6815dce3bd6198addc24454e181028a4c64331f297e2b0b7dca3bc08b7",
+        "514dda07c303c2d2bb55dfdfd7e4cd835b58f2afc4d8e3c72adb232e19c60244",
+    ),
+    ("sweep_base", "itids"): (
+        "fc8cc05f325cec77bbc0f347822cbe6d60d2d630842a494222679f10d74b5877",
+        "12450ab300b30135a1db5b33f0866d5edb58355cd02d5ec0b659bc3156aa3422",
+    ),
+    ("sweep_base", "imids-no-sectors"): (
+        "7ca3397a9eccbd57b21102137d0757428752ac6d33f7bcfd3de174e5c359df4d",
+        "8eea191fe6b60cd6189a87190bd114a737aaa1bebabba2ef78b9abf8f65e724f",
+    ),
 }
 
 
-def artifact_digest(config: str, mode: str, out: Path) -> str:
+def artifact_digests(config: str, mode: str, out: Path) -> tuple:
     code = cli.main(
         ["run", str(CONFIG_DIR / f"{config}.json"), "--out", str(out),
          "--override", f"mode={mode}"]
     )
     assert code == 0
-    h = hashlib.sha256()
-    for name in ("metrics.csv", "summary.json"):
-        h.update((out / name).read_bytes())
-    return h.hexdigest()
+    return tuple(
+        hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("metrics.csv", "summary.json")
+    )
 
 
 def test_every_bundled_config_is_pinned():
@@ -70,7 +97,7 @@ def test_every_bundled_config_is_pinned():
 
 @pytest.mark.parametrize("config,mode", sorted(GOLDEN))
 def test_run_artifacts_match_golden_digest(config, mode, tmp_path, capsys):
-    found = artifact_digest(config, mode, tmp_path)
+    found = artifact_digests(config, mode, tmp_path)
     capsys.readouterr()  # `run` prints the artifact paths
     assert found == GOLDEN[(config, mode)]
 

@@ -39,7 +39,7 @@ from conftest import build_node
 
 P = EnergyParams()
 CFG = DetectionConfig()  # window 5, strikes 3, trust floor 8, 1.5x / 2.0x
-PROFILE = NormalProfile(expected_energy_rate=1e-3, expected_packets=1.0)
+PROFILE = NormalProfile(expected_energy_rate=1e-3)
 
 
 def _subject(node_id=7, slot=2):
@@ -81,7 +81,7 @@ def test_rule_invalid_token():
 
 def test_rule_packet_flood():
     subject = _subject()
-    obs = Observation(packets_to_watcher=3)  # above 2.0 * 1.0
+    obs = Observation(packets_to_watcher=3)  # above 2.0
     assert evaluate_rules(subject, obs, PROFILE, CFG) == (Reason.PACKET_FLOOD,)
     obs_ok = Observation(packets_to_watcher=2)
     assert evaluate_rules(subject, obs_ok, PROFILE, CFG) == ()
@@ -111,7 +111,7 @@ def two_pass_rules(subject, observation, profile, config):
         reasons.append(Reason.SCHEDULE_VIOLATION)
     if any(not valid for _slot, valid in observation.tx_events):
         reasons.append(Reason.INVALID_TOKEN)
-    if observation.packets_to_watcher > config.count_threshold * profile.expected_packets:
+    if observation.packets_to_watcher > config.count_threshold:
         reasons.append(Reason.PACKET_FLOOD)
     return tuple(reasons)
 
