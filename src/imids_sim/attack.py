@@ -108,10 +108,8 @@ def emit_attack_traffic(
         for slot in range(slots_per_round):
             for _ in range(config.flood_packets_per_slot):
                 packets.append(packet(attacker.id, uplink, slot, data_bits, False))
-    # by slot and destination, fake control first: an identity test, since
-    # reading an enum member's value is slow
-    fake = PacketKind.FAKE_CONTROL
-    packets.sort(key=lambda p: (p.slot, p.dst, p.kind is not fake))
+    # by slot and destination; the sort is stable, so fake control stays first
+    packets.sort(key=lambda p: (p.slot, p.dst))
     return packets
 
 

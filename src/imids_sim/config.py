@@ -65,6 +65,10 @@ class DeploymentConfig:
         for name in ("leader_initial_energy", "follower_initial_energy", "sink_initial_energy"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        if self.sink_position is not None and self.positions is not None:
+            raise ConfigError(
+                "sink_position and positions exclude each other: positions[0] is the sink"
+            )
         points = [] if self.sink_position is None else [self.sink_position]
         if self.positions is not None:
             if not isinstance(self.positions, list) or len(self.positions) != self.node_count:

@@ -2,7 +2,7 @@
 
 A round is the tuple `Simulation._phases`: methods called in turn with
 the round number, handing results on through round-scoped attributes
-(`_masks`, `_attack_packets`, `_obs`, `_cc_inbox`, ...). Every mode opens
+(`_masks`, `_attack_packets`, `_obs`, `_inbox`, ...). Every mode opens
 with sleep masks, attack packets, the `slots_per_round` TDMA slots (attack
 packets land first and can force sleeping victims awake, then every leaf
 transmits in its own slot), the slots' duty cost and injected strikes.
@@ -11,6 +11,10 @@ their leaves, forwarding heads relay aggregates, sector monitors pass
 window verdicts, coordinators and finally the sink re-validate what
 reaches them. Reconfiguration (death, quarantine, exhausted detection
 budget, or a coordinator falling behind its peers) closes the round.
+Each layer judges what reached it: every packet a node receives in the
+round (an attack delivery, a leaf's uplink, a sector's aggregate) is
+appended to that node's `_inbox`, and each stage derives its counts and
+sources from there.
 
 The baseline mode ends the round with static low-energy monitors and
 single-strike isolation instead; the no-sector mode keeps cluster
@@ -45,6 +49,7 @@ or derived again; `_route_table` keeps each route built, by its inputs.
 from __future__ import annotations
 
 from array import array
+from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
@@ -453,7 +458,6 @@ class Simulation:
         self._cluster_index = cluster_of
         self._screens = [screen for fragment in ordered for screen in fragment.screens]
         self._watchers = watchers
-        self._coordinators = {c.coordinator for c in self.clusters}
         return slot_of
 
     def _charge_formation(self, clusters):
@@ -534,9 +538,7 @@ class Simulation:
         suspects_before = set(self.ledgers.suspected)
         quarantined_before = set(self.ledgers.quarantined)
         self._obs = {}
-        self._received_at = {}   # (receiver, src) -> packets received this round
-        self._cc_inbox = {}      # coordinator id -> packets awaiting validation
-        self._sc_valid = {}      # sector coordinator id -> leaves heard this round
+        self._inbox = defaultdict(list)  # receiver id -> packets it received this round, in order
         self._reconfigurations = []
 
         for phase in self._phases:
@@ -639,9 +641,9 @@ class Simulation:
 
     def _run_slot(self, slot):
         cfg = self.config
-        coordinators = self._coordinators
         by_id = self.by_id
         has_edge = self.graph.has_edge
+        inbox = self._inbox
         quarantined = self.ledgers.quarantined
         attacking = self.round >= cfg.attack.start_round
         # attack deliveries first: they can wake victims within this slot
@@ -661,15 +663,12 @@ class Simulation:
             if result.woken:
                 self._forced[slot].add(pkt.dst)
             if result.received:
-                self._note_receipt(pkt.dst, pkt.src)
-                if pkt.dst in coordinators or pkt.dst == self.sink.id:
-                    self._cc_inbox.setdefault(pkt.dst, []).append(pkt)
+                inbox[pkt.dst].append(pkt)
 
         # regular sensing traffic in the owner's slot, along each leaf's route
         bits = cfg.traffic.data_bits
         rx = self._rx_price(bits)
-        sc_role = Role.SC  # a local: enum member lookups are slow
-        received_at, routes = self._received_at, self._routes
+        routes = self._routes
         overhear = self._overhear
         for node in self._slot_senders[slot]:
             if node.energy.residual_energy <= 0.0 or (attacking and node.malicious):
@@ -679,24 +678,20 @@ class Simulation:
                 route = routes[node.id] = self._route(node, slot, bits)
             if not route:
                 continue  # no uplink
-            parent, pkt, cost, reaches, overhearers, receipt = route
+            parent, pkt, cost, reaches, overhearers = route
             _charge(node, cost)
             overhear(overhearers, slot, True, bits)
             if parent.energy.residual_energy <= 0.0 or not reaches or node.id in quarantined:
                 continue  # the roster is known: a quarantined sender's junk is not picked up
             _charge(parent, rx)
-            received_at[receipt] = received_at.get(receipt, 0) + 1
-            if parent.role is sc_role:
-                self._sc_valid.setdefault(pkt.dst, []).append(node.id)
-            elif pkt.dst in coordinators:
-                self._cc_inbox.setdefault(pkt.dst, []).append(pkt)
+            inbox[pkt.dst].append(pkt)
 
     def _route(self, node, slot, bits) -> tuple:
         """A live leaf's uplink as the slot loop reads it, or () for none:
-        (parent, packet, link price, parent in range, `_overhearers`,
-        receipt key). Nodes only die, so a cached range test holds while
-        both ends live, and one route serves the leaf whenever it gets the
-        same parent, slot and watchers again."""
+        (parent, packet, link price, parent in range, `_overhearers`). Nodes
+        only die, so a cached range test holds while both ends live, and one
+        route serves the leaf whenever it gets the same parent, slot and
+        watchers again."""
         src = node.id
         parent_id = self.parent.get(src)
         if parent_id is None:
@@ -708,7 +703,7 @@ class Simulation:
             route = self._route_table[key] = (
                 parent, self._packet(src, parent_id, slot, bits, True),
                 self._link_price(node, parent, bits), self.graph.has_edge(src, parent_id),
-                self._overhearers(src, parent_id), (parent_id, src),
+                self._overhearers(src, parent_id),
             )
         return route
 
@@ -742,9 +737,15 @@ class Simulation:
                     rx = self._rx_price(bits)
                 _charge(watcher, rx)
 
-    def _note_receipt(self, receiver_id, src_id):
-        key = (receiver_id, src_id)
-        self._received_at[key] = self._received_at.get(key, 0) + 1
+    def _senders(self, receiver_id) -> dict:
+        """How many packets `receiver_id` received this round from each sender.
+        A plain loop: a `Counter` per call cost the field-400 benchmark
+        workload about 5% of its rounds per second."""
+        counts = {}
+        for pkt in self._inbox.get(receiver_id, ()):
+            src = pkt.src
+            counts[src] = counts.get(src, 0) + 1
+        return counts
 
     def _charge_slot_costs(self, _round):
         """Baseline duty cost by the scheduled state: a forced wake already
@@ -777,9 +778,9 @@ class Simulation:
     def _sids_stage(self, r):
         """Every watcher screens the subjects it watches. A watcher that
         received from a subject also overheard it, so each observation takes
-        its packet count from `_received_at`."""
+        its packet count from the watcher's `_inbox`."""
         cfg = self.config
-        obs, received_at = self._obs, self._received_at
+        obs = self._obs
         by_id = self.by_id
         for watcher_id, subject_ids in self._screens:
             if not self._usable_judge(watcher_id):
@@ -791,8 +792,9 @@ class Simulation:
             observations = {  # sids_check stands in an empty one for the rest
                 s: seen for s in subjects if (seen := obs.get((watcher_id, s))) is not None
             }
+            received = self._senders(watcher_id)
             for s, seen in observations.items():
-                seen.packets_to_watcher = received_at.get((watcher_id, s), 0)
+                seen.packets_to_watcher = received.get(s, 0)
             ids_mod.sids_check(
                 by_id[watcher_id], subjects, observations, self.profile,
                 cfg.detection, self.params, self.ledgers, r,
@@ -810,10 +812,11 @@ class Simulation:
                 sc = self.by_id[sector.coordinator]
                 if sc.energy.residual_energy <= 0.0:
                     continue
-                # Leaf senders only, each once a round and unquarantined when
-                # it sent, and nothing quarantines before this stage: the ids
-                # need neither a token or roster filter nor a dedup.
-                sources = sorted(self._sc_valid.get(sc.id, ()))
+                # Only attack packets carry invalid tokens; the rest are its
+                # leaves' sends, each once a round and unquarantined when it
+                # sent, and nothing quarantines before this stage: the ids
+                # need neither a roster filter nor a dedup.
+                sources = sorted([p.src for p in self._inbox.get(sc.id, ()) if p.token.valid])
                 if sc.id not in quarantined:
                     sources.append(sc.id)  # own reading rides along
                 active_attacker = sc.malicious and r >= cfg.attack.start_round
@@ -831,8 +834,7 @@ class Simulation:
                         hop, cc, bits, hop.id in quarantined
                     ):
                         continue
-                self._cc_inbox.setdefault(cluster.coordinator, []).append(agg)
-                self._note_receipt(cluster.coordinator, sc.id)
+                self._inbox[cluster.coordinator].append(agg)  # `agg.dst` is the relay
         self.ledgers.forwarding_log.extend(r, relays)
 
     def _monitor_stage(self, r):
@@ -896,11 +898,13 @@ class Simulation:
         earns. A sink whose detection budget is spent validates nothing more."""
         cfg = self.config
         sink = self.sink
-        for pkt in sorted(self._cc_inbox.pop(sink.id, ()), key=lambda p: (p.src, p.slot)):
+        inbox = self._inbox
+        received = self._senders(sink.id)
+        for pkt in sorted(inbox.get(sink.id, ()), key=lambda p: (p.src, p.slot)):
             if not sink.energy.detection_enabled:
                 break
             ids_mod.cc_validate(
-                sink, pkt, self.by_id[pkt.src].slot, self._received_at.get((sink.id, pkt.src), 0),
+                sink, pkt, self.by_id[pkt.src].slot, received[pkt.src],
                 self.ledgers, cfg.detection, self.params, r,
             )
         sink_inbox = []
@@ -911,9 +915,8 @@ class Simulation:
                 continue
             cc_active_attacker = cc.malicious and r >= cfg.attack.start_round
             accepted_sources = []
-            for pkt in sorted(
-                self._cc_inbox.get(cc.id, []), key=lambda p: (p.src, p.slot)
-            ):
+            received = self._senders(cc.id)
+            for pkt in sorted(inbox.get(cc.id, ()), key=lambda p: (p.src, p.slot)):
                 if not cc.energy.detection_enabled or cc_active_attacker:
                     # an unguarded coordinator forwards whatever it received
                     accepted_sources.extend(pkt.sources or (pkt.src,))
@@ -921,7 +924,7 @@ class Simulation:
                 subject = self.by_id[pkt.src]
                 expected_slot = AGGREGATE_SLOT if pkt.slot == AGGREGATE_SLOT else subject.slot
                 result = ids_mod.cc_validate(
-                    cc, pkt, expected_slot, self._received_at.get((cc.id, pkt.src), 0),
+                    cc, pkt, expected_slot, received[pkt.src],
                     self.ledgers, cfg.detection, self.params, r,
                 )
                 if result.accepted:
@@ -963,18 +966,13 @@ class Simulation:
         """Baseline uplink: each coordinator forwards whatever its
         non-isolated members sent it."""
         cfg = self.config
-        senders_to = {}
-        for dst, src in self._received_at:
-            senders_to.setdefault(dst, []).append(src)
         delivered = []
         for cluster in self.clusters:
             cc = self.by_id[cluster.coordinator]
             if cc.energy.residual_energy <= 0.0:
                 continue
             sources = sorted(
-                src
-                for src in senders_to.get(cc.id, ())
-                if src not in self.ledgers.quarantined
+                {p.src for p in self._inbox.get(cc.id, ())}.difference(self.ledgers.quarantined)
             )
             if not sources:
                 continue

@@ -40,13 +40,10 @@ class UnreachableNode(Exception):
 class TransmissionGraph:
     """The range graph as one neighbour set per live node. A refresh derives
     a new graph from the previous one, never changing it, and shares the
-    sets no death touched; what a graph memoises (each node's `capacity`
-    factor) dies with it."""
+    sets no death touched."""
 
     transmission_range: float
     adjacency: dict = field(default_factory=dict)  # node id -> set of neighbour ids
-    # node id -> degree / initial energy, filled by `capacity`
-    _capacity_factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def neighbors(self, node_id: int) -> set:
         return self.adjacency.get(node_id, frozenset())
@@ -184,18 +181,10 @@ def build_graph(nodes, transmission_range: float, previous=None) -> Transmission
 
 
 def capacity(node: SensorNode, graph: TransmissionGraph) -> float:
-    """Coordination capacity: connectivity weighted by remaining charge.
-    Only the residual charge moves between graph builds, so the graph keeps
-    each node's `degree / initial_energy` and the product is taken in the
-    same order as the full formula."""
+    """Coordination capacity: connectivity weighted by remaining charge."""
     if node.energy.initial_energy <= 0:
         return 0.0
-    factor = graph._capacity_factors.get(node.id)
-    if factor is None:
-        factor = graph._capacity_factors[node.id] = (
-            graph.degree(node.id) / node.energy.initial_energy
-        )
-    return factor * node.energy.residual_energy
+    return graph.degree(node.id) / node.energy.initial_energy * node.energy.residual_energy
 
 
 def cc_eligible(node, quarantined, reputation_min) -> bool:

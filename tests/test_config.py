@@ -77,6 +77,18 @@ def test_section_values_validated():
         parse_config({"seed": 1, "deployment": {"node_count": 3, "positions": [[0, 0]] * 2 + [5]}})
 
 
+def test_sink_position_and_positions_exclude_each_other(tmp_path, capsys):
+    # positions[0] is the sink, so a sink_position beside it could only be ignored
+    deployment = {"node_count": 3, "positions": [[0, 0], [5, 0], [0, 5]], "sink_position": [40, 0]}
+    with pytest.raises(ConfigError, match="sink_position.*positions"):
+        parse_config({"seed": 1, "deployment": deployment})
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"seed": 1, "rounds": 1, "deployment": deployment}))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "sink_position" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_overrides_dotted_paths():
     raw = {"seed": 1}
     out = apply_overrides(raw, ["rounds=25", "attack.start_round=3", "mode=itids"])

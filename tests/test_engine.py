@@ -380,6 +380,32 @@ def test_a_sector_whose_monitors_all_fail_elects_usable_ones(seed, replaced):
     assert any(rebuilt.monitors for rebuilt in cluster.sectors) == replaced
 
 
+def test_a_sector_coordinator_whose_detection_budget_is_spent_fails():
+    """The third way a detection role fails, besides death and quarantine:
+    a sector coordinator whose costly checks drain its reserve below the
+    floor turns its IDS off, and the sweep reports it failed."""
+    raw = json.loads(STOCK_CONFIG.with_name("false_alarm.json").read_text())
+    raw["energy"] = {"e_detect": 1e-3, "dp_min_threshold": 0.5}
+    sim = engine.initialize(parse_config(raw))
+    check_cluster = sim._check_cluster
+    spent = []
+
+    def checked(cluster):
+        event = check_cluster(cluster)
+        if event is not None and event.kind is Change.SECTOR_COORDINATOR_FAILED:
+            sc = sim.by_id[event.node]
+            if is_alive(sc) and event.node not in sim.ledgers.quarantined:
+                assert not sc.energy.detection_enabled
+                spent.append(event)
+        return event
+
+    sim._check_cluster = checked
+    reports = [sim.run_round() for _ in range(sim.config.rounds)]
+    assert spent
+    events = [e for report in reports for e in report.reconfigurations]
+    assert all(event in events for event in spent)
+
+
 @pytest.mark.parametrize("mode", ("imids", "imids-no-sectors"))
 def test_a_failed_coordinator_is_reported_then_its_successor(mode):
     sim = engine.initialize(scenario(mode=mode, rounds=1))
@@ -410,6 +436,43 @@ def test_an_orphan_in_range_of_a_coordinator_is_adopted():
     adopter = sim._cluster_index[orphan]
     assert orphan in adopter.members and not sim.orphans
     assert Event(Change.ADOPTED, adopter.id, orphan) in events
+
+
+def test_a_flooding_leaf_is_screened_by_its_sector_coordinator_but_never_aggregated():
+    """A flooding sector leaf's packets carry invalid tokens: they land in
+    its sector coordinator's inbox and count toward that watcher's
+    screening, but the sector's aggregate takes only valid tokens, so the
+    leaf is never one of its `sources` and never validated upstream."""
+    sim = engine.initialize(scenario(attack=ATTACK))
+    (attacker,) = sim.attackers
+    assert sim.by_id[attacker].role is Role.LN
+    assert sim.by_id[sim.parent[attacker]].role is Role.SC
+    screened, aggregated = [], []
+    packet = sim._packet
+
+    def recorded(src, dst, slot, bits, valid, sources=()):
+        if slot == engine.AGGREGATE_SLOT:
+            aggregated.append(sources)
+        return packet(src, dst, slot, bits, valid, sources)
+
+    def probed(phase, r):
+        phase(r)
+        sc = sim.parent.get(attacker)  # none once quarantine drops it from the roster
+        if phase.__name__ == "_sids_stage" and sc is not None and sim._usable_judge(sc):
+            flood = [p for p in sim._inbox.get(sc, ()) if p.src == attacker]
+            if flood:
+                assert not any(p.token.valid for p in flood)
+                assert sim._obs[(sc, attacker)].packets_to_watcher == len(flood)
+                screened.append(len(flood))
+
+    sim._packet = recorded
+    wrap_phases(sim, probed)
+    for _ in range(sim.config.rounds):
+        sim.run_round()
+    assert screened and max(screened) > 1  # the flood reached the watcher's count
+    assert aggregated and any(aggregated)  # sectors did aggregate their leaves
+    assert not any(attacker in sources for sources in aggregated)
+    assert attacker not in {src for _, src in sim.ledgers.valid_log}
 
 
 def test_quarantined_nodes_stop_contributing():
@@ -658,7 +721,6 @@ def _graph_private_reads(tree) -> set:
 def test_the_range_rule_stays_in_the_topology_module():
     assert _range_comparisons(ast.parse("d <= self.graph.transmission_range"))  # the scan sees one
     assert not _range_comparisons(ast.parse(inspect.getsource(engine)))
-    assert _graph_private_reads(ast.parse((PACKAGE / "topology.py").read_text()))
     assert _graph_private_reads(ast.parse("self.graph._memo"))
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name != "topology.py":

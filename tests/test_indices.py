@@ -2,7 +2,7 @@
 
 `_build_structures` derives each node's TDMA slot, the uplinks (`parent`),
 the always-on set, node->cluster, the watch relation (screening passes and
-subject->watchers), the coordinator set, and slot->senders once per
+subject->watchers), and slot->senders once per
 structure change, from one fragment per cluster, and re-derives only the
 fragments of the clusters a sweep touched. After every round all of it
 must equal a scan of `clusters`/`sectors`/`monitors`/`nodes` made pass by
@@ -12,8 +12,8 @@ role, slot, index or detection budget. Each leaf's uplink route, built on
 its first send, must equal one built from the scans, and no route may
 outlive a re-derivation of a fragment that names its leaf. The range graph,
 rebuilt only when the alive count moved, must equal a fresh build over the
-alive nodes whenever the sweep has refreshed it, and the capacity the graph
-memoises must equal the formula on it.
+alive nodes whenever the sweep has refreshed it, and `capacity` on it must
+equal the formula.
 """
 
 import functools
@@ -182,7 +182,6 @@ def check_indices(sim):
     assert sim._screens == scan_screens(sim)
     if sim.config.mode != "itids":  # one watcher per subject in the layered modes
         assert all(len(w) == 1 for w in sim._watchers.values())
-    assert sim._coordinators == {c.coordinator for c in sim.clusters}
     for slot in range(sim.config.slots_per_round):
         assert [n.id for n in sim._slot_senders[slot]] == scan_senders(sim, slot)
     check_range_tests(sim)
@@ -193,7 +192,7 @@ def check_routes(sim):
     """Every cached route of a live leaf against one built from the scans:
     its parent, a fresh packet, the transmit price bit for bit, the range
     test to a live parent, the live watchers in range in watch order (each
-    paying rx unless it is the addressee) and the receipt key. A dead leaf
+    paying rx unless it is the addressee). A dead leaf
     never sends again, and a watcher that died is skipped whatever its
     cached range test says."""
     parents = scan_parent(sim)
@@ -209,7 +208,7 @@ def check_routes(sim):
         if parent_id is None:
             assert route == ()
             continue
-        parent, pkt, cost, reaches, overhearers, receipt = route
+        parent, pkt, cost, reaches, overhearers = route
         assert parent is sim.by_id[parent_id]
         assert pkt == Packet(
             node_id, parent_id, PacketKind.SENSOR_DATA, WakeupToken(node_id, True),
@@ -225,7 +224,6 @@ def check_routes(sim):
             (w, (w, node_id), w != parent_id) for w in watchers
             if is_alive(sim.by_id[w]) and has_edge(w, node_id)
         ]
-        assert receipt == (parent_id, node_id)
 
 
 def check_no_stale_routes(sim, fragments_before, unplaced=()):
@@ -259,8 +257,8 @@ def check_range_tests(sim):
 
 def check_graph(sim):
     """The graph, which the sweeps derive from the one before, against a
-    fresh build (key order and neighbour sets), and the capacity
-    factor it memoises against the formula on this graph, bit for bit."""
+    fresh build (key order and neighbour sets), and `capacity` against the
+    formula on this graph, bit for bit."""
     fresh = topo.build_graph(sim.nodes, sim.config.deployment.transmission_range)
     assert list(sim.graph.adjacency.items()) == list(fresh.adjacency.items())
     for node in sim.nodes:
@@ -281,7 +279,6 @@ def derived_state(sim):
         dict(sim._watchers),
         [[n.id for n in senders] for senders in sim._slot_senders],
         {node_id: cluster.id for node_id, cluster in sim._cluster_index.items()},
-        set(sim._coordinators),
         {
             n.id: (n.energy.detection_budget, n.energy.detection_budget_initial,
                    n.energy.detection_enabled)
@@ -359,12 +356,13 @@ def test_indices_match_scans_through_deaths_and_quarantines(mode):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_each_receipt_is_counted_once_and_screened_as_received(mode, monkeypatch):
-    """A receipt is counted only in `_received_at`, and screening copies a
-    watcher's count from there into the observation its overhearing made.
-    That holds only if every receipt by an unquarantined watcher of the
-    sender was overheard too: after the slots each such receipt must have
-    an overhearing observation, and every count `sids_check` screens, the
-    stand-in for a silent subject included, must equal the receipts."""
+    """A receipt is recorded only in `_inbox`, and screening counts a
+    watcher's packets from each subject there into the observation its
+    overhearing made. That holds only if every receipt by an unquarantined
+    watcher of the sender was overheard too: after the slots each such
+    receipt must have an overhearing observation, and every count
+    `sids_check` screens, the stand-in for a silent subject included, must
+    equal the receipts."""
     sim = None
     screened, watched_receipts = [], []
     sids_check = ids.sids_check
@@ -373,7 +371,7 @@ def test_each_receipt_is_counted_once_and_screened_as_received(mode, monkeypatch
         for s in subjects:
             seen = observations.get(s)
             count = 0 if seen is None else seen.packets_to_watcher
-            assert count == sim._received_at.get((watcher.id, s), 0)
+            assert count == sum(1 for p in sim._inbox.get(watcher.id, ()) if p.src == s)
             screened.append(count)
         sids_check(watcher, subjects, observations, *args)
 
@@ -381,10 +379,11 @@ def test_each_receipt_is_counted_once_and_screened_as_received(mode, monkeypatch
         phase(r)
         if phase.__name__ == "_run_slots":
             quarantined = sim.ledgers.quarantined
-            for w, s in sim._received_at:
-                if w in sim._watchers.get(s, ()) and w not in quarantined:
-                    assert sim._obs[(w, s)].tx_events
-                    watched_receipts.append((w, s))
+            for w, packets in sim._inbox.items():
+                for s in {p.src for p in packets}:
+                    if w in sim._watchers.get(s, ()) and w not in quarantined:
+                        assert sim._obs[(w, s)].tx_events
+                        watched_receipts.append((w, s))
 
     monkeypatch.setattr(ids, "sids_check", recording)
     for seed in range(6):
@@ -626,14 +625,15 @@ def test_a_leaf_out_of_range_reaches_neither_its_parent_nor_its_watcher():
         phase(r)
         if phase.__name__ == "_run_slots":
             seen.update(route=sim._routes[leaf_id], obs=set(sim._obs),
-                        received=set(sim._received_at),
+                        received={(w, p.src) for w, ps in sim._inbox.items() for p in ps},
                         paid=charge - leaf.energy.residual_energy)
             check_routes(sim)
 
     sim._phases = tuple(functools.partial(probed, phase) for phase in sim._phases)
     sim.run_round()
-    _, _, cost, reaches, overhearers, receipt = seen["route"]
+    _, _, cost, reaches, overhearers = seen["route"]
     assert not reaches and overhearers == ()
+    receipt = (far.coordinator, leaf_id)
     assert receipt not in seen["obs"] and receipt not in seen["received"]
     assert seen["paid"] >= cost * (1 - 1e-12)  # the send itself was paid
 
