@@ -39,11 +39,15 @@ which also rebuilds the lookup indices the round loop relies on (who
 belongs to which cluster, who watches whom, who sends in which slot).
 Code that edits the structure must end in a call to it, naming the
 clusters it touched: each cluster's share of the indices is kept as a
-`_Fragment` and only the touched ones are derived again; the rotation
-check walks the leaders a fragment lists. The last index, each leaf's
-uplink route (`_routes`), is looked up on the leaf's first send and
-dropped, with the node's slot, whenever a fragment naming it is dropped
-or derived again; `_route_table` keeps each route built, by its inputs.
+`_Fragment` and only the touched ones are placed again; the rotation
+check walks the leaders a fragment lists. A cluster keeps the fragments
+derived under its present roster, keyed by structure (`_memo`), so a
+re-formed cluster reuses the fragment of a structure it had before, and
+one re-formed as it was changes nothing. The round's maps are patched
+for the changed fragments only (`_compose_fragments`). The last index,
+each leaf's uplink route (`_routes`), is looked up on the leaf's first
+send and dropped, with the node's slot, whenever a fragment naming it is
+dropped or replaced; `_route_table` keeps each route built, by its inputs.
 """
 
 from __future__ import annotations
@@ -95,23 +99,39 @@ def _charge(node, joules):
 
 
 class _Fragment(NamedTuple):
-    """What the round reads of one cluster, derived from that cluster alone
-    (slot numbering restarts at each cluster): TDMA slots, uplinks, the
-    always-on ids, node->cluster for the roster, the watch relation as
-    (watcher, sorted subjects) passes and keyed by subject, and the leader
-    nodes of the roster, which the rotation check walks (class is fixed)."""
+    """What the round reads of one cluster, derived from that cluster alone:
+    its nodes in slot order (the i-th sends in TDMA slot i modulo
+    `slots_per_round`) and the uplink of each, the always-on ids,
+    node->cluster for the roster, the watch relation as (watcher, sorted
+    subjects) passes and keyed by subject, and the leader nodes of the
+    roster, which the rotation check walks (class is fixed). A cluster
+    remembers many fragments, so what needs no lookup is a tuple."""
 
-    slots: dict
-    parent: dict
-    always_on: set
+    order: tuple
+    parents: tuple
+    always_on: tuple
     cluster_of: dict
-    screens: list
+    screens: tuple
     watchers: dict
     leaders: tuple
 
     def names(self) -> set:
         """Every node the fragment gives a slot or keeps awake."""
-        return self.slots.keys() | self.always_on
+        return {*self.order, *self.always_on}
+
+
+class _Known(NamedTuple):
+    """What a cluster remembers under one roster: node->cluster in id order
+    and the leaders, shared by every fragment derived under the roster, and
+    those fragments by structure (`Simulation._recall_fragment`)."""
+
+    roster: frozenset
+    cluster_of: dict
+    leaders: tuple
+    fragments: dict
+
+
+_NO_FRAGMENT = _Fragment((), (), (), {}, (), {}, ())  # a cluster before set-up or dissolved
 
 
 class _Spend(Mapping):
@@ -268,10 +288,10 @@ class Simulation:
                 )
         self._followers = [n for n in self.nodes if n.node_class is NodeClass.FOLLOWER]
         self._spend_index = {n.id: i for i, n in enumerate(self.nodes)}  # shared by every `_Spend`
-        self._fragments = {}  # cluster id -> _Fragment
         self._routes = {}  # leaf id -> its uplink route, built on its first send
         self._route_table = {}  # (leaf, parent, slot, bits, watchers) -> route
         self._quarantine_seen = 0  # roster size the rosters were last cleaned for
+        self._forget_structures()
         self._build_structures(self.clusters, unplaced=self.nodes)
         # Every role taken above came with its reserve. The sink keeps the
         # role it was deployed with, and a baseline monitor carries the
@@ -314,17 +334,26 @@ class Simulation:
         )
         self._graph_accounts = [n.energy for n in self.nodes if n.energy.residual_energy > 0.0]
 
+    def _forget_structures(self):
+        """Start over as before set-up: no fragment, none remembered, and
+        empty maps for `_compose_fragments` to patch."""
+        self._fragments = {}  # cluster id -> _Fragment
+        self._memo = {}  # cluster id -> _Known
+        self.parent, self._cluster_index, self._watchers, self._screens = {}, {}, {}, []
+        self.always_on = {self.sink.id}
+
     def _build_structures(self, rebuild, dirty=(), unplaced=()):
         """Re-form the sectors and monitors of the `rebuild` clusters, then
-        re-derive everything the round reads of each cluster named in
-        `dirty` (rebuilt, roster cleaned, adopting, or dissolved) and of
-        any cluster without a fragment yet.
+        place a fragment for each cluster named in `dirty` (rebuilt, roster
+        cleaned, adopting, or dissolved) and for any cluster without one.
 
         A dirty cluster's old fragment is dropped; a dissolved one gets no
-        new fragment. Roles and slots are re-derived, and routes dropped,
-        for every node the dropped and the new fragments name, plus
-        `unplaced` (every node at set-up), so a node that left a roster
-        falls back to its default role and to slot `id % slots`. A node whose role moved gets a
+        new fragment, and one that gets back the very fragment it held
+        (`_recall_fragment`) is left as it was. Roles and slots are
+        re-derived, and routes dropped, for every node a dropped or a newly
+        placed fragment names, plus `unplaced` (every node at set-up), so a
+        node that left a roster falls back to its default role and to slot
+        `id % slots`. A node whose role moved gets a
         fresh detection reserve; one that kept its role keeps what is left
         of its running budget. An untouched cluster keeps its fragment,
         its coordinators and their budgets.
@@ -344,18 +373,33 @@ class Simulation:
                 candidates = [
                     c for c in candidates if c.role is not Role.SM or c.energy.detection_enabled
                 ]
+                budgets = list(map(topo.prospective_detection_budget, candidates))
                 for sector in cluster.sectors:
-                    sector.monitors = topo.select_sector_monitor(sector, candidates, self.graph)
+                    sector.monitors = topo.select_sector_monitor(
+                        sector, candidates, self.graph, budgets
+                    )
                     sector.fsh = fsh
         fragments = self._fragments
+        dropped = {cluster_id: fragments.pop(cluster_id) for cluster_id in dirty}
+        derived = []  # the clusters placed with a fragment they did not hold
+        changes = []  # (dropped, placed) fragment of each of them
+        for cluster in self.clusters:
+            if cluster.id not in fragments:
+                old = dropped.pop(cluster.id, _NO_FRAGMENT)
+                fragments[cluster.id] = new = self._recall_fragment(cluster)
+                if new is not old:  # else re-formed as it was: nothing moves
+                    derived.append(cluster)
+                    changes.append((old, new))
+        for cluster_id, old in dropped.items():  # dissolved
+            del self._memo[cluster_id]
+            changes.append((old, _NO_FRAGMENT))
         named = {n.id for n in unplaced}
-        for cluster_id in dirty:
-            named |= fragments.pop(cluster_id).names()
-        derived = [c for c in self.clusters if c.id not in fragments]
-        for cluster in derived:
-            fragments[cluster.id] = fresh = self._derive_fragment(cluster)
-            named |= fresh.names()
-        slot_of = self._compose_fragments()
+        for old, new in changes:
+            named |= old.names()
+            named |= new.names()
+        if not named:
+            return
+        slot_of = self._compose_fragments(changes)
 
         nodes = list(map(self.by_id.__getitem__, named))
         roles_before = [node.role for node in nodes]
@@ -376,88 +420,122 @@ class Simulation:
                 senders[node.slot].append(node)
         self._slot_senders = senders
 
-    def _derive_fragment(self, cluster) -> _Fragment:
-        """The cluster's TDMA slots modulo `slots_per_round`: its sector
-        nodes first, sector by sector with ids ascending, then its other
-        nodes by id. The same walk fills the uplinks, the always-on ids
-        (coordinators, sector coordinators, monitors, forwarding heads and
-        every watcher), node->cluster and the roster's leaders; the mode's
-        `screens` gives the watch relation."""
-        numbers = cycle(range(self.config.slots_per_round))  # the next slot, round robin
-        by_id = self.by_id
+    def _recall_fragment(self, cluster) -> _Fragment:
+        """The cluster's fragment, keyed by all a derivation reads of it
+        besides the roster: the coordinator, the mode's screens (for
+        sectors, each one's coordinator and leaves, in order) and each
+        sector's monitors and forwarding head, and whether that head is a
+        live, linked uplink. A cluster keeps the fragments derived under its
+        present roster and forgets them when the roster changes, so a
+        structure seen again comes back as the same object."""
+        by_id, has_edge = self.by_id, self.graph.has_edge
+        screens = self._mode.screens(self, cluster)
+        heads = []
+        for sector in cluster.sectors:
+            fsh = sector.fsh
+            live = fsh is not None and by_id[fsh].energy.residual_energy > 0.0
+            heads.append((sector.monitors, fsh, live and has_edge(sector.coordinator, fsh)))
+        key = (cluster.coordinator, screens, tuple(heads))
+        roster = frozenset((cluster.coordinator, *cluster.members))
+        known = self._memo.get(cluster.id)
+        if known is None or known.roster != roster:
+            cluster_of = dict.fromkeys(sorted(roster), cluster)
+            leader = NodeClass.LEADER
+            leaders = tuple([n for n in map(by_id.__getitem__, cluster_of) if n.node_class is leader])
+            known = self._memo[cluster.id] = _Known(roster, cluster_of, leaders, {})
+        fragment = known.fragments.get(key)
+        if fragment is None:
+            fragment = known.fragments[key] = self._derive_fragment(cluster, known, screens)
+        return fragment
+
+    def _derive_fragment(self, cluster, known, screens) -> _Fragment:
+        """The cluster's slot order: its sector nodes first, sector by
+        sector with ids ascending, then its other nodes by id. The same walk
+        gives the uplinks and the always-on ids (coordinators, sector
+        coordinators, monitors, forwarding heads and every watcher)."""
         cc = cluster.coordinator
-        slot_of = {}
-        parent = {cc: self.sink.id}
+        order, parents = [], []
         always_on = {cc}
         for sector in cluster.sectors:
             sc = sector.coordinator
-            # a coordinator is never its own leaf; zip stops before taking a number more
-            slot_of.update(zip(sorted((sc, *sector.leaves)), numbers))
             always_on.add(sc)
             always_on.update(sector.monitors)
             uplink = cc  # aggregates ride through the forwarding head when it is reachable
             if sector.fsh is not None:
-                fsh = by_id[sector.fsh]
+                fsh = self.by_id[sector.fsh]
                 always_on.add(fsh.id)
                 if fsh.energy.residual_energy > 0.0 and self.graph.has_edge(sc, fsh.id):
                     uplink = fsh.id
-            parent[sc] = uplink
-            parent.update(dict.fromkeys(sector.leaves, sc))
-        # node->cluster follows the roster: a quarantined sector
-        # coordinator may still sit in its sector after leaving it
-        roster = sorted({cc, *cluster.members})
-        for node_id in roster:
-            if node_id not in slot_of:  # a sector node has its uplink already
-                parent.setdefault(node_id, cc)
-                slot_of[node_id] = next(numbers)
-        screens = self._mode.screens(self, cluster)
+            members = sorted((sc, *sector.leaves))  # a coordinator is never its own leaf
+            order += members
+            parents += [uplink if node_id == sc else sc for node_id in members]
+        # node->cluster follows the roster (ids ascending): a quarantined
+        # sector coordinator may still sit in its sector after leaving it
+        placed = set(order)
+        for node_id in known.cluster_of:
+            if node_id not in placed:  # a sector node has its uplink already
+                order.append(node_id)
+                parents.append(self.sink.id if node_id == cc else cc)
         watchers = {}
         for watcher_id, subject_ids in screens:
             always_on.add(watcher_id)
+            alone = (watcher_id,)  # one tuple for every subject it watches alone
             for subject_id in subject_ids:
-                watchers[subject_id] = (*watchers.get(subject_id, ()), watcher_id)
-        leader = NodeClass.LEADER
-        leaders = tuple([n for n in map(by_id.__getitem__, roster) if n.node_class is leader])
+                held = watchers.get(subject_id)
+                watchers[subject_id] = alone if held is None else (*held, watcher_id)
         return _Fragment(
-            slot_of, parent, always_on, dict.fromkeys(roster, cluster), screens, watchers, leaders
+            tuple(order), tuple(parents), tuple(always_on), known.cluster_of, screens, watchers,
+            known.leaders,
         )
 
-    def _sector_screens(self, cluster) -> list:
+    def _sector_screens(self, cluster) -> tuple:
         """imids: each sector coordinator screens its leaves."""
-        return [(s.coordinator, sorted(s.leaves)) for s in cluster.sectors]
+        return tuple([(s.coordinator, tuple(sorted(s.leaves))) for s in cluster.sectors])
 
-    def _member_screens(self, cluster) -> list:
+    def _member_screens(self, cluster) -> tuple:
         """No sectors: the coordinator screens its members."""
-        return [(cluster.coordinator, sorted(cluster.members))]
+        return ((cluster.coordinator, tuple(sorted(cluster.members))),)
 
-    def _monitor_screens(self, cluster) -> list:
+    def _monitor_screens(self, cluster) -> tuple:
         """Baseline: every monitor screens the cluster nodes it can hear
         (its graph is never refreshed)."""
         roster = cluster.node_ids()
-        return [
-            (m, sorted(n for n in roster - {m} if self.graph.has_edge(m, n)))
+        return tuple([
+            (m, tuple(sorted(n for n in roster - {m} if self.graph.has_edge(m, n))))
             for m in self.monitors.get(cluster.id, ())
-        ]
+        ])
 
-    def _compose_fragments(self) -> dict:
-        """Lay the fragments over each other in cluster-id order into the
-        maps the round reads, and return the node->slot map. Rosters are
-        disjoint; where two fragments name one node anyway, the earlier
-        cluster wins, as one walk with `setdefault` would have it."""
-        ordered = [self._fragments[c.id] for c in self.clusters]
-        slot_of, parent, cluster_of, watchers = {}, {}, {}, {}
-        always_on = {self.sink.id}
-        for fragment in reversed(ordered):
-            slot_of.update(fragment.slots)
-            parent.update(fragment.parent)
-            cluster_of.update(fragment.cluster_of)
-            watchers.update(fragment.watchers)
-            always_on |= fragment.always_on
-        self.parent = parent
-        self.always_on = always_on
-        self._cluster_index = cluster_of
-        self._screens = [screen for fragment in ordered for screen in fragment.screens]
-        self._watchers = watchers
+    def _compose_fragments(self, changes) -> dict:
+        """Patch the maps the round reads for each (dropped, placed) pair of
+        one cluster's fragments: take out every entry the dropped fragment
+        holds and the placed one does not, then put in the placed ones'
+        entries, and list the screening passes in cluster-id order again.
+        Return the node->slot map of the placed fragments. Rosters are
+        disjoint, so no two fragments name one node and no kept fragment's
+        entry is touched; a node that moved between two clusters is taken
+        out before it is put in."""
+        parent, cluster_of, watchers = self.parent, self._cluster_index, self._watchers
+        always_on = self.always_on
+        for old, new in changes:
+            for node_id in set(old.order).difference(new.order):
+                del parent[node_id]
+            if old.cluster_of is not new.cluster_of:  # the roster changed
+                for node_id in old.cluster_of.keys() - new.cluster_of.keys():
+                    del cluster_of[node_id]
+            for node_id in old.watchers.keys() - new.watchers.keys():
+                del watchers[node_id]
+            always_on.difference_update(old.always_on)
+        slot_of = {}
+        numbers = range(self.config.slots_per_round)
+        for old, new in changes:
+            slot_of.update(zip(new.order, cycle(numbers)))
+            parent.update(zip(new.order, new.parents))
+            if old.cluster_of is not new.cluster_of:
+                cluster_of.update(new.cluster_of)
+            watchers.update(new.watchers)
+            always_on.update(new.always_on)
+        fragments = self._fragments
+        self._screens = [screen for c in self.clusters for screen in fragments[c.id].screens]
         return slot_of
 
     def _charge_formation(self, clusters):

@@ -327,22 +327,26 @@ def prospective_detection_budget(node: SensorNode) -> float:
     return min(cap, node.energy.residual_energy)
 
 
-def select_sector_monitor(sector, candidates, graph) -> tuple:
+def select_sector_monitor(sector, candidates, graph, budgets=None) -> tuple:
     """Pick the sector's monitors among the cluster's `monitor_candidates`:
     the spare leaders with maximal detection budget; `()` for none.
 
     Leaders adjacent to the sector are preferred; if none touch it, any
     candidate may monitor (scarce-leader fallback). All leaders tied at the
-    maximum are selected.
+    maximum are selected. `budgets` lists each candidate's
+    `prospective_detection_budget`, for a caller that prices a cluster's
+    candidates once for all its sectors; it is priced here when omitted.
     """
     if len(candidates) < 2:  # a lone candidate monitors whether it touches the sector or not
         return (candidates[0].id,) if candidates else ()
+    if budgets is None:
+        budgets = map(prospective_detection_budget, candidates)
     sector_ids = (sector.coordinator, *sector.leaves)
-    pool = [c for c in candidates if not graph.neighbors(c.id).isdisjoint(sector_ids)]
-    pool = pool or candidates
-    budgets = list(map(prospective_detection_budget, pool))
-    best = max(budgets)
-    return tuple(sorted(c.id for c, budget in zip(pool, budgets) if budget == best))
+    neighbors = graph.neighbors
+    priced = [(budget, c.id) for c, budget in zip(candidates, budgets)]
+    pool = [pair for pair in priced if not neighbors(pair[1]).isdisjoint(sector_ids)] or priced
+    best = max(pool)[0]
+    return tuple(sorted([node_id for budget, node_id in pool if budget == best]))
 
 
 def hop_distances(graph: TransmissionGraph, source: int, stop_at=None) -> dict:

@@ -3,17 +3,19 @@
 `_build_structures` derives each node's TDMA slot, the uplinks (`parent`),
 the always-on set, node->cluster, the watch relation (screening passes and
 subject->watchers), and slot->senders once per
-structure change, from one fragment per cluster, and re-derives only the
-fragments of the clusters a sweep touched. After every round all of it
-must equal a scan of `clusters`/`sectors`/`monitors`/`nodes` made pass by
-pass, the watch relation the way each mode defines who watches whom, and a
-derivation from scratch, every fragment dropped, must change nothing: no
-role, slot, index or detection budget. Each leaf's uplink route, built on
-its first send, must equal one built from the scans, and no route may
-outlive a re-derivation of a fragment that names its leaf. The range graph,
-rebuilt only when the alive count moved, must equal a fresh build over the
-alive nodes whenever the sweep has refreshed it, and `capacity` on it must
-equal the formula.
+structure change, from one fragment per cluster, re-derives only the
+fragments of the clusters a sweep touched (or takes back one it derived
+before for the same structure) and patches the maps for those alone.
+After every round all of it must equal a scan of
+`clusters`/`sectors`/`monitors`/`nodes` made pass by pass, the watch
+relation the way each mode defines who watches whom, and a derivation
+from scratch, every fragment and every remembered one dropped, must
+change nothing: no role, slot, index or detection budget. Each leaf's
+uplink route, built on its first send, must equal one built from the
+scans, and no route may outlive a re-derivation of a fragment that names
+its leaf. The range graph, rebuilt only when the alive count moved, must
+equal a fresh build over the alive nodes whenever the sweep has refreshed
+it, and `capacity` on it must equal the formula.
 """
 
 import functools
@@ -98,7 +100,7 @@ def scan_screens(sim):
         else:
             watchers += sim.monitors.get(cluster.id, ())
     watched_by = {n.id: scan_watchers(sim, n.id) for n in sim.nodes}
-    return [(w, [n.id for n in sim.nodes if w in watched_by[n.id]]) for w in watchers]
+    return [(w, tuple(n.id for n in sim.nodes if w in watched_by[n.id])) for w in watchers]
 
 
 def scan_slots(sim):
@@ -171,6 +173,15 @@ def check_indices(sim):
     assert ids == sorted(set(ids))  # strictly increasing: walks trust the order
     rosters = [m for c in sim.clusters for m in c.node_ids()]
     assert len(rosters) == len(set(rosters))  # no node in two clusters
+    # the composed maps are patched fragment by fragment: no two may name a node
+    named = [m for c in sim.clusters for m in sim._fragments[c.id].names()]
+    assert len(named) == len(set(named))
+    # each cluster remembers fragments under its present roster only, its own among them
+    assert sim._memo.keys() == sim._fragments.keys() == set(ids)
+    for cluster in sim.clusters:
+        known = sim._memo[cluster.id]
+        assert known.roster == cluster.node_ids()
+        assert any(f is sim._fragments[cluster.id] for f in known.fragments.values())
     slots = scan_slots(sim)
     for node in sim.nodes:
         assert node.slot == slots.get(node.id)
@@ -288,12 +299,14 @@ def derived_state(sim):
 
 
 def check_rederivation_is_a_fixed_point(sim):
-    """Drop every fragment and derive again from scratch, every node
-    unplaced as at set-up: what the sweeps derived incrementally must come
-    out unchanged, budgets included (a role that moved would refill one)."""
+    """Drop every fragment, every remembered one and the maps composed from
+    them, and derive again from scratch, every node unplaced as at set-up:
+    what the sweeps derived and patched incrementally must come out
+    unchanged, budgets included (a role that moved would refill one)."""
     before = derived_state(sim)
     routes = dict(sim._routes)
-    sim._fragments.clear()
+    sim._forget_structures()
+    assert not sim._memo and not sim.parent
     sim._build_structures([], unplaced=sim.nodes)
     assert derived_state(sim) == before
     # nothing moved, so the routes still hold: keep them, so that later
@@ -594,6 +607,66 @@ def test_many_clusters_reuse_untouched_fragments():
     assert len(sim.clusters) > 10
     assert sim.ledgers.quarantined  # roster cleanup ran too
     assert partial > 0
+
+
+def test_a_cluster_re_formed_as_it_was_keeps_its_fragment_but_pays_and_reports():
+    """Stock seed 45, rounds 386-392: in every round clusters 3 and 4
+    rotate a sector to coordinators 10 and 40 and re-form the structure
+    they already had. Each keeps its fragment object, and with it every
+    route, role, slot and budget of the nodes it names, yet still pays its
+    formation traffic and reports the rotation. When cluster 3's roster
+    changes in round 419, the fragments it remembered are forgotten."""
+    raw = json.loads(STOCK_CONFIG.read_text())
+    raw.update(seed=45, mode="imids")
+    sim = engine.initialize(parse_config(raw))
+    for _ in range(386):
+        sim.run_round()
+    charge_formation = sim._charge_formation
+    charged = []
+
+    def recorded(clusters):
+        charged.extend(c.id for c in clusters)
+        charge_formation(clusters)
+
+    def held(fragment):
+        nodes = [sim.by_id[m] for m in sorted(fragment.names())]
+        return (
+            [(n.role, n.slot, n.energy.detection_budget_initial) for n in nodes],
+            [sim._routes.get(n.id) for n in nodes],
+        )
+
+    sim._charge_formation = recorded
+    kept_routes = 0
+    for r in range(386, 393):
+        kept = {cid: sim._fragments[cid] for cid in (3, 4)}
+        before = {cid: held(fragment) for cid, fragment in kept.items()}
+        charged.clear()
+        report, calls = run_instrumented_round(sim)
+        assert calls, r
+        for cid, sc in ((3, 10), (4, 40)):
+            assert engine.Event(engine.Change.SECTOR_ROTATED, cid, sc) in report.reconfigurations
+            assert cid in charged
+            assert sim._fragments[cid] is kept[cid]
+            roles, routes = held(kept[cid])
+            assert roles == before[cid][0]
+            # a route built before the round is still the one cached
+            kept_routes += sum(1 for old in before[cid][1] if old)
+            assert all(old is None or new is old for new, old in zip(routes, before[cid][1]))
+        check_indices(sim)
+    assert kept_routes
+    del sim._charge_formation
+    for _ in range(393, 419):
+        sim.run_round()
+    cluster = next(c for c in sim.clusters if c.id == 3)
+    before = sim._memo[3].roster
+    remembered = list(sim._memo[3].fragments.values())
+    assert before == cluster.node_ids() and len(remembered) > 1
+    sim.run_round()
+    known = sim._memo[3]
+    assert known.roster == cluster.node_ids() != before
+    assert list(known.fragments.values()) == [sim._fragments[3]]
+    assert all(f is not sim._fragments[3] for f in remembered)
+    check_indices(sim)
 
 
 def test_a_leaf_out_of_range_reaches_neither_its_parent_nor_its_watcher():

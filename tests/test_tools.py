@@ -54,10 +54,15 @@ def test_the_round_profiler_writes_one_json_object(tmp_path):
         assert case["phase_share_spread"] == dict.fromkeys(case["phase_share"], 0.0)  # one run
         assert set(case["sweep_share"]) == {
             "_check_cluster", "_build_structures", "_charge_formation",
+            "_derive_fragment", "_compose_fragments",
         }
         assert all(share >= 0 for share in case["sweep_share"].values())
     imids = cases["false_alarm/imids"]
-    assert 0 < sum(imids["sweep_share"].values()) <= imids["phase_share"]["_reconfiguration_sweep"]
+    sweep = imids["sweep_share"]
+    outer = sweep["_check_cluster"] + sweep["_build_structures"] + sweep["_charge_formation"]
+    assert 0 < outer <= imids["phase_share"]["_reconfiguration_sweep"]
+    # the re-derivation's own steps are inside its share
+    assert sweep["_derive_fragment"] + sweep["_compose_fragments"] <= sweep["_build_structures"]
     assert not any(cases["false_alarm/itids"]["sweep_share"].values())  # the baseline never sweeps
     assert "_sink_stage" in cases["false_alarm/imids"]["phase_share"]
     assert "_forward_received" in cases["false_alarm/itids"]["phase_share"]

@@ -13,7 +13,10 @@ entries of `Simulation._phases` are wrapped from outside the package, so
 the run's time splits by phase (what is left is the round's bookkeeping
 outside them). The reconfiguration sweep splits further: its rotation
 checks, re-derivations and formation charges are wrapped on the instance
-the same way (`sweep_share`; 0 in a mode that never sweeps). Each phase's
+the same way (`sweep_share`; 0 in a mode that never sweeps), and so are
+the two steps of a re-derivation that the reuse of fragments cuts:
+deriving a fragment and patching the composed maps. Their shares are
+part of the re-derivations' share, not added to it. Each phase's
 share also gets its spread, the max - min over the `--repeat` runs, which
 says whether the shares can be read to a few points on this host. Peak
 RSS is read after the timed runs. One more run under
@@ -48,7 +51,10 @@ ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
 STOCK = "stock_comparison"
 RUNGS = (100, 200, 400, 800)
-SWEEP_PARTS = ("_check_cluster", "_build_structures", "_charge_formation")
+SWEEP_PARTS = (  # the last two run inside `_build_structures` and count in its share too
+    "_check_cluster", "_build_structures", "_charge_formation",
+    "_derive_fragment", "_compose_fragments",
+)
 SEED_TRIES = 50  # seeds a rung may try before it gives up
 
 
