@@ -236,13 +236,17 @@ class Simulation:
         self.round = 0
         # Positions never move: each cost is computed on first use, then reused.
         self._link_cost = {}     # (sender id, receiver id, bits) -> tx joules
-        self._rx_cost = {}       # bits -> rx joules
         self._slot_cost = {}     # wake mask as a tuple -> duty joules
         self._packets = {}       # (src, dst, slot, bits, valid, sources) -> Packet
         self._tokens = {}        # (owner, valid) -> WakeupToken
         self._broadcast_cost = tx_cost(  # a control packet at full range
             self.params, config.traffic.control_bits, config.deployment.transmission_range
         )
+        sizes = (  # the config fixes every packet size, so reception is priced here
+            config.traffic.data_bits, config.traffic.aggregate_bits,
+            config.traffic.control_bits, config.attack.fake_msg_bits,
+        )
+        self._rx_table = {bits: rx_cost(self.params, bits) for bits in sizes}  # bits -> rx joules
         self._mode = _MODES[config.mode]
         self._initialize()
         self._confusion_size = None  # quarantine size the cached counts are for
@@ -414,9 +418,9 @@ class Simulation:
                 assign_detection_budget(node, node.role)
         # id order: it decides which packet is lost when a parent dies mid-slot
         senders = [[] for _ in range(slots)]
-        leaf = Role.LN  # a local: enum member lookups are slow
-        for node in self._followers:
-            if node.role is leaf:  # leaves send; liveness is checked per packet
+        leaf, parent = Role.LN, self.parent  # a local: enum member lookups are slow
+        for node in self._followers:  # leaves with an uplink send; liveness is checked per packet
+            if node.role is leaf and node.id in parent:
                 senders[node.slot].append(node)
         self._slot_senders = senders
 
@@ -553,7 +557,7 @@ class Simulation:
         if head.energy.residual_energy <= 0.0:
             return
         bits = self.config.traffic.control_bits
-        rx = self._rx_price(bits)
+        rx = self._rx_table[bits]
         _charge(head, self._broadcast_cost)
         for member in map(self.by_id.__getitem__, sorted(member_ids)):
             if member.energy.residual_energy > 0.0:
@@ -575,7 +579,7 @@ class Simulation:
             _charge(src, link or self._link_price(src, dst, bits))
         if filtered or dst.energy.residual_energy <= 0.0:
             return False
-        _charge(dst, self._rx_cost.get(bits) or self._rx_price(bits))
+        _charge(dst, self._rx_table[bits])
         return True
 
     def _link_price(self, node, dst, bits):
@@ -584,13 +588,6 @@ class Simulation:
         cost = self._link_cost.get(key)
         if cost is None:
             cost = self._link_cost[key] = tx_cost(self.params, bits, node.distance_to(dst))
-        return cost
-
-    def _rx_price(self, bits):
-        """The joules to receive `bits`, priced once per size."""
-        cost = self._rx_cost.get(bits)
-        if cost is None:
-            cost = self._rx_cost[bits] = rx_cost(self.params, bits)
         return cost
 
     def _packet(self, src, dst, slot, bits, valid, sources=()) -> Packet:
@@ -654,10 +651,12 @@ class Simulation:
         return report
 
     def _draw_masks(self, r: int):
-        """Per-node wake masks for the round; the own TDMA slot is always
-        awake. Keyed by (round, node) so every mode sees the same draw.
-        Each mask is priced here, once per wake pattern through the
-        `_slot_cost` memo, for `_charge_slot_costs` to charge.
+        """Per-node wake masks for the round, one list of per-slot bits each;
+        the own TDMA slot is always awake. Keyed by (round, node) so every
+        mode sees the same draw. Each mask is priced here as drawn, once per
+        wake pattern through the `_slot_cost` memo, for `_charge_slot_costs`
+        to charge; a forced wake sets a bit later (`_run_slots`) and pays
+        its own way at delivery.
 
         Always-on nodes, the sink among them, get no mask: every reader
         checks `always_on` first, and skipping a keyed stream moves no
@@ -678,12 +677,12 @@ class Simulation:
         self._duty = duty = []  # (node, its mask's duty joules)
         for node, wake in zip(sleepers, rows):
             wake[node.slot] = True
-            masks[node.id] = mask = tuple(wake)
+            masks[node.id] = wake
+            mask = tuple(wake)
             cost = prices.get(mask)
             if cost is None:
                 cost = prices[mask] = _add_up(p_listen if awake else p_sleep for awake in mask)
             duty.append((node, cost))
-        self._forced = [set() for _ in range(cfg.slots_per_round)]  # woken by attack
 
     def _emit_attacks(self, r: int):
         """Each live attacker's packets for the round, by slot."""
@@ -707,73 +706,65 @@ class Simulation:
             for pkt in packets:
                 by_slot.setdefault(pkt.slot, []).append(pkt)
 
-    def _is_awake(self, node_id, slot) -> bool:
-        if node_id in self.always_on:
-            return True
-        mask = self._masks.get(node_id)
-        return mask is not None and (mask[slot] or node_id in self._forced[slot])
-
-    def _run_slots(self, _round):
-        for slot in range(self.config.slots_per_round):
-            self._run_slot(slot)
-
-    def _run_slot(self, slot):
+    def _run_slots(self, r):
+        """The round's TDMA slots in order. In each, attack deliveries land
+        first: one that finds its victim asleep sets the victim's mask bit,
+        so it listens for the rest of the slot. Then every leaf with an
+        uplink sends along its route, built on its first send."""
         cfg = self.config
         by_id = self.by_id
         has_edge = self.graph.has_edge
         inbox = self._inbox
         quarantined = self.ledgers.quarantined
-        attacking = self.round >= cfg.attack.start_round
-        # attack deliveries first: they can wake victims within this slot
-        for pkt in self._attack_packets.get(slot, ()):
-            src = by_id[pkt.src]
-            if src.energy.residual_energy <= 0.0:
-                continue
-            dst, size = by_id[pkt.dst], pkt.payload_size
-            _charge(src, self._link_price(src, dst, size))
-            self._overhear(self._overhearers(pkt.src, pkt.dst), slot, pkt.token.valid, size)
-            # both ends were alive at the last graph build: nodes only die
-            if dst.energy.residual_energy <= 0.0 or not has_edge(pkt.src, pkt.dst):
-                continue
-            filtered = pkt.src in quarantined
-            awake = self._is_awake(pkt.dst, slot)
-            result = attack_mod.apply_deprivation(dst, pkt, awake, self.params, filtered)
-            if result.woken:
-                self._forced[slot].add(pkt.dst)
-            if result.received:
-                inbox[pkt.dst].append(pkt)
-
-        # regular sensing traffic in the owner's slot, along each leaf's route
+        always_on, masks = self.always_on, self._masks
+        attack_packets, rx_table = self._attack_packets, self._rx_table
+        attacking = r >= cfg.attack.start_round
         bits = cfg.traffic.data_bits
-        rx = self._rx_price(bits)
+        rx = rx_table[bits]
         routes = self._routes
         overhear = self._overhear
-        for node in self._slot_senders[slot]:
-            if node.energy.residual_energy <= 0.0 or (attacking and node.malicious):
-                continue  # active attackers replace sensing with their flood
-            route = routes.get(node.id)
-            if route is None:
-                route = routes[node.id] = self._route(node, slot, bits)
-            if not route:
-                continue  # no uplink
-            parent, pkt, cost, reaches, overhearers = route
-            _charge(node, cost)
-            overhear(overhearers, slot, True, bits)
-            if parent.energy.residual_energy <= 0.0 or not reaches or node.id in quarantined:
-                continue  # the roster is known: a quarantined sender's junk is not picked up
-            _charge(parent, rx)
-            inbox[pkt.dst].append(pkt)
+        for slot, senders in enumerate(self._slot_senders):
+            for pkt in attack_packets.get(slot, ()):
+                src = by_id[pkt.src]
+                if src.energy.residual_energy <= 0.0:
+                    continue
+                dst, size = by_id[pkt.dst], pkt.payload_size
+                _charge(src, self._link_price(src, dst, size))
+                overhear(self._overhearers(pkt.src, pkt.dst), slot, pkt.token.valid, rx_table[size])
+                # both ends were alive at the last graph build: nodes only die
+                if dst.energy.residual_energy <= 0.0 or not has_edge(pkt.src, pkt.dst):
+                    continue
+                # alive now, so alive at the draw: a victim not always on has a mask
+                wake = None if pkt.dst in always_on else masks[pkt.dst]
+                result = attack_mod.apply_deprivation(
+                    dst, pkt, wake is None or wake[slot], self.params, pkt.src in quarantined
+                )
+                if result.woken:
+                    wake[slot] = True
+                if result.received:
+                    inbox[pkt.dst].append(pkt)
+            # regular sensing traffic in the owner's slot, along each leaf's route
+            for node in senders:
+                if node.energy.residual_energy <= 0.0 or (attacking and node.malicious):
+                    continue  # active attackers replace sensing with their flood
+                route = routes.get(node.id)
+                if route is None:
+                    route = routes[node.id] = self._route(node, slot, bits)
+                parent, pkt, cost, reaches, overhearers = route
+                _charge(node, cost)
+                overhear(overhearers, slot, True, rx)
+                if parent.energy.residual_energy <= 0.0 or not reaches or node.id in quarantined:
+                    continue  # the roster is known: a quarantined sender's junk is not picked up
+                _charge(parent, rx)
+                inbox[pkt.dst].append(pkt)
 
     def _route(self, node, slot, bits) -> tuple:
-        """A live leaf's uplink as the slot loop reads it, or () for none:
-        (parent, packet, link price, parent in range, `_overhearers`). Nodes
-        only die, so a cached range test holds while both ends live, and one
-        route serves the leaf whenever it gets the same parent, slot and
-        watchers again."""
+        """A live leaf's uplink as the slot loop reads it: (parent, packet,
+        link price, parent in range, `_overhearers`). Nodes only die, so a
+        cached range test holds while both ends live, and one route serves
+        the leaf whenever it gets the same parent, slot and watchers again."""
         src = node.id
-        parent_id = self.parent.get(src)
-        if parent_id is None:
-            return ()
+        parent_id = self.parent[src]
         key = (src, parent_id, slot, bits, self._watchers.get(src, ()))
         route = self._route_table.get(key)
         if route is None:
@@ -794,16 +785,15 @@ class Simulation:
             for w in self._watchers.get(src, ()) if has_edge(w, src)
         )
 
-    def _overhear(self, overhearers, slot, valid, bits):
-        """Record a transmission of `bits` in `slot` with every live,
-        unquarantined overhearer. Overhearing is not free: a watcher that
-        is not the addressee keeps its radio receiving for the whole packet
-        and pays the receive price, looked up once someone pays. This is
-        what makes an always-on promiscuous monitor expensive to run, while
-        a coordinator watching traffic addressed to itself pays nothing."""
+    def _overhear(self, overhearers, slot, valid, rx):
+        """Record a transmission in `slot` with every live, unquarantined
+        overhearer. Overhearing is not free: a watcher that is not the
+        addressee keeps its radio receiving for the whole packet and pays
+        `rx`, the packet's receive price. This is what makes an always-on
+        promiscuous monitor expensive to run, while a coordinator watching
+        traffic addressed to itself pays nothing."""
         obs = self._obs
         quarantined = self.ledgers.quarantined
-        rx = None
         for watcher, key, pays in overhearers:
             if watcher.energy.residual_energy <= 0.0 or key[0] in quarantined:
                 continue
@@ -811,8 +801,6 @@ class Simulation:
                 seen = obs[key] = Observation()
             seen.tx_events.append((slot, valid))
             if pays:
-                if rx is None:
-                    rx = self._rx_price(bits)
                 _charge(watcher, rx)
 
     def _senders(self, receiver_id) -> dict:
@@ -1070,7 +1058,7 @@ class Simulation:
         if cc.energy.residual_energy <= 0.0:
             return
         _charge(cc, self._broadcast_cost)
-        rx = self._rx_price(bits)
+        rx = self._rx_table[bits]
         for member_id in sorted(cluster.members):
             _charge(self.by_id[member_id], rx)  # a dead member pays nothing
 

@@ -175,9 +175,7 @@ def test_cost_memos_equal_the_formulas_bit_for_bit(mode):
     assert len({bits for _, _, bits in sim._link_cost}) > 1  # control and data at least
     for (src, dst, bits), cost in sim._link_cost.items():
         assert cost == tx_cost(params, bits, sim.by_id[src].distance_to(sim.by_id[dst]))
-    assert len(sim._rx_cost) > 1
-    for bits, cost in sim._rx_cost.items():
-        assert cost == rx_cost(params, bits)
+    check_rx_table(sim)
     assert sim._slot_cost
     for pattern, cost in sim._slot_cost.items():
         folded = 0
@@ -194,6 +192,29 @@ def test_cost_memos_equal_the_formulas_bit_for_bit(mode):
             src, dst, PacketKind.SENSOR_DATA, WakeupToken(src, valid), slot, bits, sources
         )
         assert tokens.setdefault((src, valid), pkt.token) is pkt.token
+
+
+def check_rx_table(sim):
+    """The receive prices, fixed at set-up: one per packet size the config
+    fixes, each the formula bit for bit."""
+    traffic = sim.config.traffic
+    sizes = {
+        traffic.data_bits, traffic.aggregate_bits, traffic.control_bits,
+        sim.config.attack.fake_msg_bits,
+    }
+    assert sim._rx_table.keys() == sizes
+    for bits, cost in sim._rx_table.items():
+        assert cost == rx_cost(sim.params, bits)
+    return sizes
+
+
+def test_sizes_that_coincide_share_one_receive_price():
+    attack = dict(ATTACK, fake_msg_bits=scenario().traffic.data_bits)
+    sim = engine.initialize(scenario(rounds=5, attack=attack))
+    assert len(check_rx_table(sim)) == 3
+    for _ in range(5):
+        sim.run_round()
+    check_rx_table(sim)  # the run adds no size
 
 
 def test_always_on_watchers_pay_to_overhear():
@@ -546,6 +567,10 @@ MODE_READERS = {"__init__"}
 # of the nearest coordinator measure a distance.
 GEOMETRY_READERS = {"_link_price", "_try_adopt"}
 
+# Packet sizes are fixed by the config: set-up prices reception once per
+# size, and the round only looks prices up.
+RX_PRICERS = {"__init__"}
+
 
 # One charging call: every energy write of the round goes through
 # `_charge`, and the engine neither calls the validating `energy.consume`
@@ -555,11 +580,12 @@ NOT_IN_ENGINE = {"consume", "is_alive"}
 
 
 def _readers(attr, node, scope="<module>", ctx=ast.expr_context):
-    """Names of the functions in which `node` reads attribute `attr` (with
-    `ctx=ast.Store`, the ones that assign it)."""
+    """Names of the functions in which `node` reads `attr`, as an attribute
+    or a bare name (with `ctx=ast.Store`, the ones that assign it)."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         scope = node.name
-    if isinstance(node, ast.Attribute) and node.attr == attr and isinstance(node.ctx, ctx):
+    named = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    if named == attr and isinstance(getattr(node, "ctx", None), ctx):
         yield scope
     for child in ast.iter_child_nodes(node):
         yield from _readers(attr, child, scope, ctx)
@@ -620,10 +646,16 @@ def test_only_the_link_memo_and_structure_code_measure_distance():
     assert readers <= GEOMETRY_READERS
 
 
+def test_only_set_up_prices_reception():
+    readers = set(_readers("rx_cost", ast.parse(inspect.getsource(engine))))
+    assert "__init__" in readers  # the scan does see the pricing call
+    assert readers <= RX_PRICERS
+
+
 def test_only_the_charging_primitive_writes_residual_energy():
     tree = ast.parse(inspect.getsource(engine))
     assert set(_readers("residual_energy", tree, ctx=ast.Store)) == ENERGY_WRITERS
-    assert "_run_slot" in set(_readers("residual_energy", tree))  # reads are inline
+    assert "_run_slots" in set(_readers("residual_energy", tree))  # reads are inline
 
 
 def test_the_engine_names_neither_consume_nor_is_alive():

@@ -2,7 +2,7 @@
 
 `_build_structures` derives each node's TDMA slot, the uplinks (`parent`),
 the always-on set, node->cluster, the watch relation (screening passes and
-subject->watchers), and slot->senders once per
+subject->watchers), and slot->senders (leaves with an uplink) once per
 structure change, from one fragment per cluster, re-derives only the
 fragments of the clusters a sweep touched (or takes back one it derived
 before for the same structure) and patches the maps for those alone.
@@ -15,7 +15,9 @@ uplink route, built on its first send, must equal one built from the
 scans, and no route may outlive a re-derivation of a fragment that names
 its leaf. The range graph, rebuilt only when the alive count moved, must
 equal a fresh build over the alive nodes whenever the sweep has refreshed
-it, and `capacity` on it must equal the formula.
+it, and `capacity` on it must equal the formula. Each attack delivery
+must find its victim awake exactly as its drawn mask and the slot's
+earlier deliveries left it.
 """
 
 import functools
@@ -26,6 +28,7 @@ from pathlib import Path
 
 import pytest
 
+from imids_sim import attack as attack_mod
 from imids_sim import engine
 from imids_sim import ids
 from imids_sim import topology as topo
@@ -35,6 +38,7 @@ from imids_sim.energy import tx_cost
 
 MODES = ("imids", "imids-no-sectors", "itids")
 STOCK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "stock_comparison.json"
+EARLY_ATTACK = STOCK_CONFIG.with_name("early_attack.json")
 
 
 def arena(seed, mode, false_strikes=()):
@@ -159,12 +163,15 @@ def scan_always_on(sim):
 
 
 def scan_senders(sim, slot):
+    """The leaves that own the slot and have an uplink, by id."""
     slots = scan_slots(sim)
+    parents = scan_parent(sim)
     return [
         n.id for n in sim.nodes
         if n.node_class is NodeClass.FOLLOWER
         and n.role is Role.LN
         and slots.get(n.id) == slot
+        and n.id in parents
     ]
 
 
@@ -215,10 +222,7 @@ def check_routes(sim):
         if not is_alive(node):
             continue
         assert node.role is Role.LN
-        parent_id = parents.get(node_id)
-        if parent_id is None:
-            assert route == ()
-            continue
+        parent_id = parents[node_id]  # only a leaf with an uplink sends
         parent, pkt, cost, reaches, overhearers = route
         assert parent is sim.by_id[parent_id]
         assert pkt == Packet(
@@ -742,7 +746,7 @@ def test_masks_are_drawn_for_exactly_the_duty_cycled_nodes(mode):
             masks = sim._masks
             assert set(masks) == duty_cycled
             for node_id, mask in masks.items():
-                assert mask == expected_mask(sim, sim.by_id[node_id])
+                assert tuple(mask) == expected_mask(sim, sim.by_id[node_id])
             nonlocal drawn, skipped
             drawn += len(masks)
             skipped += sum(
@@ -758,3 +762,47 @@ def test_masks_are_drawn_for_exactly_the_duty_cycled_nodes(mode):
                 break
             sim.run_round()
     assert drawn > 0 and skipped > 0
+
+
+def test_a_forced_wake_keeps_its_victim_awake_for_the_rest_of_the_slot(monkeypatch):
+    """Each delivery to a victim in a slot finds the victim as the drawn
+    mask left it (always awake for an always-on node) unless an earlier
+    delivery of that slot woke it: at most one delivery wakes the victim,
+    and every later one finds it awake. Dense fake traffic over few,
+    mostly sleeping slots makes a woken victim be hit again in the slot,
+    which no bundled run does."""
+    deprive = attack_mod.apply_deprivation
+    hits = {}  # (mode, round, victim, slot) -> [drawn bit, (awake, woken) of each delivery]
+    sim = None
+
+    def recorded(victim, packet, awake, params, filtered=False):
+        result = deprive(victim, packet, awake, params, filtered)
+        key = (sim.config.mode, sim.round, victim.id, packet.slot)
+        if key not in hits:
+            drawn = victim.id in sim.always_on or expected_mask(sim, victim)[packet.slot]
+            hits[key] = [drawn]
+        hits[key].append((awake, result.woken))
+        return result
+
+    monkeypatch.setattr(attack_mod, "apply_deprivation", recorded)
+    raw = json.loads(EARLY_ATTACK.read_text())
+    raw.update(rounds=30, slots_per_round=4, sleep_probability=0.9)
+    raw["attack"]["fake_msgs_per_round"] = 40
+    for mode in MODES:
+        sim = engine.initialize(parse_config(dict(raw, mode=mode)))
+        for _ in range(sim.config.rounds):
+            if sim.alive_non_sink() == 0:
+                break
+            sim.run_round()
+    hit_after_waking = Counter()
+    for (mode, *_), (drawn, *deliveries) in hits.items():
+        assert deliveries[0][0] == drawn
+        woken = [i for i, (_, wakes) in enumerate(deliveries) if wakes]
+        assert len(woken) <= 1
+        if woken:
+            later = deliveries[woken[0] + 1:]
+            assert all(awake for awake, _ in later)
+            hit_after_waking[mode] += bool(later)
+    # 2,694 first deliveries; a woken victim is hit again in 5 slots in
+    # imids and 4 without sectors (none in itids)
+    assert hit_after_waking["imids"] and hit_after_waking["imids-no-sectors"]
