@@ -46,18 +46,15 @@ def rx_cost(params: EnergyParams, bits: int) -> float:
     return params.e_elec * bits
 
 
-def consume(node: SensorNode, joules: float) -> float:
-    """Drain `joules` from the node, clamping at zero. Returns actual drain."""
+def consume(node: SensorNode, joules: float) -> None:
+    """Drain `joules` from a live node, clamping at zero; a dead node pays
+    nothing. The package's only write of residual energy."""
     if joules < 0:
         raise ValueError("cannot consume negative energy")
-    if joules == 0.0:
-        return 0.0
     account = node.energy
     residual = account.residual_energy
-    spent = residual if residual < joules else joules
-    residual -= spent
-    account.residual_energy = 0.0 if residual <= 0.0 else residual
-    return spent
+    if residual > 0.0:
+        account.residual_energy = residual - joules if joules < residual else 0.0
 
 
 def assign_detection_budget(node: SensorNode, role: Role) -> None:

@@ -26,7 +26,7 @@ up once: nothing else asks which mode it runs.
 Every hop is one first-order radio transmission through `_hop`. Overhearing
 is not free: a watcher that is not the addressee pays the receive price too
 (`_overhear`), which is what makes an always-on promiscuous monitor
-expensive to run.
+expensive to run. Every joule is charged through `energy.consume`.
 
 Everything random is drawn from substreams derived from the scenario
 seed and keyed by concern, round, and node id (a round's sleep masks come
@@ -73,7 +73,7 @@ from .core import (
     WakeupToken,
     trust_penalize,
 )
-from .energy import assign_detection_budget, rx_cost, tx_cost
+from .energy import assign_detection_budget, consume, rx_cost, tx_cost
 from .ids import Decision, Ledgers, NormalProfile, Observation
 from .rng import SeededRng
 
@@ -87,15 +87,6 @@ def _add_up(values):
     for value in values:
         total += value
     return total
-
-
-def _charge(node, joules):
-    """Drain `joules` (never negative) from a live node, clamping at zero, as
-    `energy.consume` does; a dead node pays nothing. The engine's only energy write."""
-    account = node.energy
-    residual = account.residual_energy
-    if residual > 0.0:
-        account.residual_energy = residual - joules if joules < residual else 0.0
 
 
 class _Fragment(NamedTuple):
@@ -234,6 +225,7 @@ class Simulation:
         self.rng = SeededRng(config.seed)
         self.ledgers = Ledgers()
         self.round = 0
+        self._attacking = frozenset()  # ids that attack this round, fixed by `_emit_attacks`
         # Positions never move: each cost is computed on first use, then reused.
         self._link_cost = {}     # (sender id, receiver id, bits) -> tx joules
         self._slot_cost = {}     # wake mask as a tuple -> duty joules
@@ -551,18 +543,27 @@ class Simulation:
                 for sector in cluster.sectors:
                     self._handshake(self.by_id[sector.coordinator], sector.leaves)
 
-    def _handshake(self, head, member_ids):
-        """Control exchange: a live head transmits at full range, then each
-        live member in id order receives, replies, and the head receives."""
+    def _broadcast(self, head, member_ids) -> list:
+        """A live head's control packet at full range: the head pays
+        `_broadcast_cost`, then each live member in id order pays the
+        control receive price. Returns the members it reached."""
         if head.energy.residual_energy <= 0.0:
-            return
+            return []
+        consume(head, self._broadcast_cost)
+        members = map(self.by_id.__getitem__, sorted(member_ids))
+        reached = [member for member in members if member.energy.residual_energy > 0.0]
+        rx = self._rx_table[self.config.traffic.control_bits]
+        for member in reached:
+            consume(member, rx)
+        return reached
+
+    def _handshake(self, head, member_ids):
+        """Control exchange: each member the head's broadcast reached replies,
+        in id order. A charge reads only its own node's residual, so the
+        replies may follow the whole broadcast."""
         bits = self.config.traffic.control_bits
-        rx = self._rx_table[bits]
-        _charge(head, self._broadcast_cost)
-        for member in map(self.by_id.__getitem__, sorted(member_ids)):
-            if member.energy.residual_energy > 0.0:
-                _charge(member, rx)
-                self._hop(member, head, bits)
+        for member in self._broadcast(head, member_ids):
+            self._hop(member, head, bits)
 
     # ------------------------------------------------------------------
     # low-level charging
@@ -576,10 +577,10 @@ class Simulation:
         own receive charge just before still bills its receiver."""
         if src.energy.residual_energy > 0.0:  # a memo hit skips the pricing method
             link = self._link_cost.get((src.id, dst.id, bits))
-            _charge(src, link or self._link_price(src, dst, bits))
+            consume(src, link or self._link_price(src, dst, bits))
         if filtered or dst.energy.residual_energy <= 0.0:
             return False
-        _charge(dst, self._rx_table[bits])
+        consume(dst, self._rx_table[bits])
         return True
 
     def _link_price(self, node, dst, bits):
@@ -685,12 +686,11 @@ class Simulation:
             duty.append((node, cost))
 
     def _emit_attacks(self, r: int):
-        """Each live attacker's packets for the round, by slot."""
+        """Fix who attacks this round (`_attacking`), then each live one's packets by slot."""
         cfg = self.config
         self._attack_packets = by_slot = {}
-        if r < cfg.attack.start_round:
-            return
-        for attacker_id in sorted(self.attackers):
+        self._attacking = self.attackers if r >= cfg.attack.start_round else frozenset()
+        for attacker_id in sorted(self._attacking):
             attacker = self.by_id[attacker_id]
             if attacker.energy.residual_energy <= 0.0:
                 continue
@@ -718,7 +718,7 @@ class Simulation:
         quarantined = self.ledgers.quarantined
         always_on, masks = self.always_on, self._masks
         attack_packets, rx_table = self._attack_packets, self._rx_table
-        attacking = r >= cfg.attack.start_round
+        attacking = self._attacking
         bits = cfg.traffic.data_bits
         rx = rx_table[bits]
         routes = self._routes
@@ -729,7 +729,7 @@ class Simulation:
                 if src.energy.residual_energy <= 0.0:
                     continue
                 dst, size = by_id[pkt.dst], pkt.payload_size
-                _charge(src, self._link_price(src, dst, size))
+                consume(src, self._link_price(src, dst, size))
                 overhear(self._overhearers(pkt.src, pkt.dst), slot, pkt.token.valid, rx_table[size])
                 # both ends were alive at the last graph build: nodes only die
                 if dst.energy.residual_energy <= 0.0 or not has_edge(pkt.src, pkt.dst):
@@ -745,17 +745,17 @@ class Simulation:
                     inbox[pkt.dst].append(pkt)
             # regular sensing traffic in the owner's slot, along each leaf's route
             for node in senders:
-                if node.energy.residual_energy <= 0.0 or (attacking and node.malicious):
+                if node.energy.residual_energy <= 0.0 or node.id in attacking:
                     continue  # active attackers replace sensing with their flood
                 route = routes.get(node.id)
                 if route is None:
                     route = routes[node.id] = self._route(node, slot, bits)
                 parent, pkt, cost, reaches, overhearers = route
-                _charge(node, cost)
+                consume(node, cost)
                 overhear(overhearers, slot, True, rx)
                 if parent.energy.residual_energy <= 0.0 or not reaches or node.id in quarantined:
                     continue  # the roster is known: a quarantined sender's junk is not picked up
-                _charge(parent, rx)
+                consume(parent, rx)
                 inbox[pkt.dst].append(pkt)
 
     def _route(self, node, slot, bits) -> tuple:
@@ -801,7 +801,7 @@ class Simulation:
                 seen = obs[key] = Observation()
             seen.tx_events.append((slot, valid))
             if pays:
-                _charge(watcher, rx)
+                consume(watcher, rx)
 
     def _senders(self, receiver_id) -> dict:
         """How many packets `receiver_id` received this round from each sender.
@@ -820,9 +820,9 @@ class Simulation:
         by_id = self.by_id
         always_on_cost = self.params.p_listen * self.config.slots_per_round
         for node_id in self.always_on:
-            _charge(by_id[node_id], always_on_cost)
+            consume(by_id[node_id], always_on_cost)
         for node, cost in self._duty:
-            _charge(node, cost)
+            consume(node, cost)
 
     def _inject_false_strikes(self, r: int):
         """Scenario hook: a spurious strike charged against a benign node,
@@ -842,28 +842,24 @@ class Simulation:
     # detection ladder
 
     def _sids_stage(self, r):
-        """Every watcher screens the subjects it watches. A watcher that
-        received from a subject also overheard it, so each observation takes
-        its packet count from the watcher's `_inbox`."""
-        cfg = self.config
+        """Every watcher screens its live subjects, ids ascending, each with
+        its observation or None. A watcher that received from a subject also
+        overheard it, so each observation counts its packets from `_inbox`."""
         obs = self._obs
         by_id = self.by_id
         for watcher_id, subject_ids in self._screens:
             if not self._usable_judge(watcher_id):
                 continue  # a compromised screen simply stops screening
-            subjects = {
-                s: node for s in subject_ids
-                if (node := by_id[s]).energy.residual_energy > 0.0
-            }
-            observations = {  # sids_check stands in an empty one for the rest
-                s: seen for s in subjects if (seen := obs.get((watcher_id, s))) is not None
-            }
             received = self._senders(watcher_id)
-            for s, seen in observations.items():
-                seen.packets_to_watcher = received.get(s, 0)
+            screen = []
+            for s in subject_ids:
+                if (node := by_id[s]).energy.residual_energy > 0.0:
+                    if (seen := obs.get((watcher_id, s))) is not None:
+                        seen.packets_to_watcher = received.get(s, 0)
+                    screen.append((node, seen))
             ids_mod.sids_check(
-                by_id[watcher_id], subjects, observations, self.profile,
-                cfg.detection, self.params, self.ledgers, r,
+                by_id[watcher_id], screen, self.profile, self.config.detection, self.params,
+                self.ledgers, r,
             )
 
     def _forwarding_stage(self, r):
@@ -885,10 +881,9 @@ class Simulation:
                 sources = sorted([p.src for p in self._inbox.get(sc.id, ()) if p.token.valid])
                 if sc.id not in quarantined:
                     sources.append(sc.id)  # own reading rides along
-                active_attacker = sc.malicious and r >= cfg.attack.start_round
                 agg = self._packet(
                     sc.id, self.parent.get(sc.id, cluster.coordinator),
-                    AGGREGATE_SLOT, bits, not active_attacker, tuple(sources),
+                    AGGREGATE_SLOT, bits, sc.id not in self._attacking, tuple(sources),
                 )
                 hop = self.by_id[agg.dst]
                 if not self._hop(sc, hop, bits, sc.id in quarantined):
@@ -927,9 +922,7 @@ class Simulation:
 
     def _usable_judge(self, node_id) -> bool:
         """A detection role holder that has not failed and is not an active attacker."""
-        return not self._role_failed(node_id) and not (
-            self.by_id[node_id].malicious and self.round >= self.config.attack.start_round
-        )
+        return not self._role_failed(node_id) and node_id not in self._attacking
 
     def _judges_for(self, suspect_id):
         """Monitors of the suspect's own sector judge it; lacking those, any
@@ -979,7 +972,7 @@ class Simulation:
             cc = self.by_id[cluster.coordinator]
             if cc.energy.residual_energy <= 0.0:
                 continue
-            cc_active_attacker = cc.malicious and r >= cfg.attack.start_round
+            cc_active_attacker = cc.id in self._attacking
             accepted_sources = []
             received = self._senders(cc.id)
             for pkt in sorted(inbox.get(cc.id, ()), key=lambda p: (p.src, p.slot)):
@@ -1050,17 +1043,9 @@ class Simulation:
     def _broadcast_roster_update(self, node_id):
         """Cluster-wide notice that a node was isolated; receivers filter
         its traffic from now on."""
-        bits = self.config.traffic.control_bits
         cluster = self._cluster_index.get(node_id)
-        if cluster is None:
-            return
-        cc = self.by_id[cluster.coordinator]
-        if cc.energy.residual_energy <= 0.0:
-            return
-        _charge(cc, self._broadcast_cost)
-        rx = self._rx_table[bits]
-        for member_id in sorted(cluster.members):
-            _charge(self.by_id[member_id], rx)  # a dead member pays nothing
+        if cluster is not None:
+            self._broadcast(self.by_id[cluster.coordinator], cluster.members)
 
     # ------------------------------------------------------------------
     # reconfiguration

@@ -205,15 +205,15 @@ def evaluate_rules(
 
 def sids_check(
     watcher: SensorNode,
-    subjects: dict,
-    observations: dict,
+    screen: list,
     profile: NormalProfile,
     config: DetectionConfig,
     params: EnergyParams,
     ledgers: Ledgers,
     current_round: int,
 ) -> None:
-    """Screen every watched subject; record strikes and adjust trust.
+    """Screen each unquarantined (subject, observation or None if it was
+    silent) pair of `screen`, in order; record strikes and adjust trust.
 
     Charges one detection unit per subject. If the watcher's budget runs
     out mid-pass the remaining subjects go unchecked this round and the
@@ -222,16 +222,14 @@ def sids_check(
     if not watcher.energy.detection_enabled:
         raise DisabledIds(f"node {watcher.id} cannot run checks")
     quarantined = ledgers.quarantined
-    for node_id in sorted(subjects):
-        if node_id in quarantined:
+    for subject, observation in screen:
+        if subject.id in quarantined:
             continue
-        subject = subjects[node_id]
         disabled = charge_detection(watcher, params)
-        observation = observations.get(node_id, _NOTHING_SEEN)
-        reasons = evaluate_rules(subject, observation, profile, config)
+        reasons = evaluate_rules(subject, observation or _NOTHING_SEEN, profile, config)
         if reasons:
             subject.trust = trust_penalize(subject.trust)
-            add_strikes(ledgers, node_id, reasons, current_round)
+            add_strikes(ledgers, subject.id, reasons, current_round)
         elif subject.trust.nibble < TRUST_MAX:  # full trust has nothing to gain
             subject.trust = trust_reward(subject.trust)
         if disabled:

@@ -61,8 +61,7 @@ def test_params_validation():
 
 def test_consume_clamps_and_kills():
     node = build_node(1, energy=1e-4)
-    spent = consume(node, 2e-4)
-    assert spent == 1e-4
+    assert consume(node, 2e-4) is None
     assert node.energy.residual_energy == 0.0
     assert not is_alive(node)
 

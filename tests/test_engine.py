@@ -572,17 +572,17 @@ GEOMETRY_READERS = {"_link_price", "_try_adopt"}
 RX_PRICERS = {"__init__"}
 
 
-# One charging call: every energy write of the round goes through
-# `_charge`, and the engine neither calls the validating `energy.consume`
-# nor the `core.is_alive` wrapper (liveness is tested inline).
-ENERGY_WRITERS = {"_charge"}
-NOT_IN_ENGINE = {"consume", "is_alive"}
+# One clamp: `energy.consume` is the package's only write of residual
+# energy. `core.EnergyAccount` declares the field and writes nothing.
+ENERGY_WRITERS = {("energy.py", "consume")}
+FIELD_DECLARATION = ("core.py", "EnergyAccount")
 
 
 def _readers(attr, node, scope="<module>", ctx=ast.expr_context):
-    """Names of the functions in which `node` reads `attr`, as an attribute
-    or a bare name (with `ctx=ast.Store`, the ones that assign it)."""
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+    """Names of the functions (or, outside one, the class) in which `node`
+    reads `attr`, as an attribute or a bare name (with `ctx=ast.Store`, the
+    ones that assign it)."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         scope = node.name
     named = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
     if named == attr and isinstance(getattr(node, "ctx", None), ctx):
@@ -653,12 +653,19 @@ def test_only_set_up_prices_reception():
 
 
 def test_only_the_charging_primitive_writes_residual_energy():
-    tree = ast.parse(inspect.getsource(engine))
-    assert set(_readers("residual_energy", tree, ctx=ast.Store)) == ENERGY_WRITERS
-    assert "_run_slots" in set(_readers("residual_energy", tree))  # reads are inline
+    writers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        writers.update((path.name, f) for f in _readers("residual_energy", tree, ctx=ast.Store))
+    assert ("energy.py", "consume") in writers  # the scan does see the clamp's write
+    augmented = ast.parse("def f(n):\n    n.energy.residual_energy -= 1")
+    assert set(_readers("residual_energy", augmented, ctx=ast.Store)) == {"f"}  # and this one
+    assert writers - {FIELD_DECLARATION} == ENERGY_WRITERS
+    engine_reads = set(_readers("residual_energy", ast.parse(inspect.getsource(engine))))
+    assert "_run_slots" in engine_reads  # liveness is read inline
 
 
-def test_the_engine_names_neither_consume_nor_is_alive():
+def test_the_engine_never_names_is_alive():
     tree = ast.parse(inspect.getsource(engine))
     names = set()
     for node in ast.walk(tree):
@@ -669,8 +676,8 @@ def test_the_engine_names_neither_consume_nor_is_alive():
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 names.update((alias.name, alias.asname))
-    assert {"_charge", "tx_cost", "rx_cost"} <= names  # the scan does see calls and imports
-    assert not names & NOT_IN_ENGINE
+    assert {"consume", "tx_cost", "rx_cost"} <= names  # the scan does see calls and imports
+    assert "is_alive" not in names  # liveness is tested inline
 
 
 # Every draw is keyed by the scenario seed: only `rng.py` builds or reseeds
@@ -770,5 +777,5 @@ def test_every_private_engine_function_is_referenced():
     }
     referenced = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     referenced |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    assert {"_charge", "_hop", "_overhear"} <= defined  # the scan does see functions and methods
+    assert {"_add_up", "_hop", "_overhear"} <= defined  # the scan does see functions and methods
     assert defined - referenced == set()

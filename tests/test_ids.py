@@ -141,8 +141,8 @@ def test_sids_strikes_and_trust_penalty():
     watcher = _watcher()
     subject = _subject()
     ledgers = Ledgers()
-    obs = {7: Observation(packets_to_watcher=5)}
-    sids_check(watcher, {7: subject}, obs, PROFILE, CFG, P, ledgers, current_round=4)
+    screen = [(subject, Observation(packets_to_watcher=5))]
+    sids_check(watcher, screen, PROFILE, CFG, P, ledgers, current_round=4)
     assert 7 in ledgers.suspected
     assert subject.trust.nibble == 14
     entry = ledgers.suspected[7]
@@ -154,7 +154,7 @@ def test_sids_rewards_clean_subject():
     subject = _subject()
     subject.trust = TrustState(nibble=10)
     ledgers = Ledgers()
-    sids_check(watcher, {7: subject}, {}, PROFILE, CFG, P, ledgers, 0)
+    sids_check(watcher, [(subject, None)], PROFILE, CFG, P, ledgers, 0)
     assert subject.trust.nibble == 11
     assert 7 not in ledgers.suspected
 
@@ -165,8 +165,8 @@ def test_sids_skips_quarantined_and_charges_watcher():
     ledgers = Ledgers()
     quarantine(ledgers, 7, 0)
     before = watcher.energy.residual_energy
-    flood = {7: Observation(packets_to_watcher=5)}  # would strike if checked
-    sids_check(watcher, {7: subject}, flood, PROFILE, CFG, P, ledgers, 1)
+    flood = [(subject, Observation(packets_to_watcher=5))]  # would strike if checked
+    sids_check(watcher, flood, PROFILE, CFG, P, ledgers, 1)
     assert 7 not in ledgers.suspected
     assert watcher.energy.residual_energy == before  # nothing checked
 
@@ -175,7 +175,7 @@ def test_sids_raises_for_disabled_watcher():
     watcher = _watcher()
     watcher.energy.detection_enabled = False
     with pytest.raises(DisabledIds):
-        sids_check(watcher, {}, {}, PROFILE, CFG, P, Ledgers(), 0)
+        sids_check(watcher, [], PROFILE, CFG, P, Ledgers(), 0)
 
 
 # --- window decisions ------------------------------------------------------

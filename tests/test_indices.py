@@ -384,13 +384,12 @@ def test_each_receipt_is_counted_once_and_screened_as_received(mode, monkeypatch
     screened, watched_receipts = [], []
     sids_check = ids.sids_check
 
-    def recording(watcher, subjects, observations, *args):
-        for s in subjects:
-            seen = observations.get(s)
+    def recording(watcher, screen, *args):
+        for subject, seen in screen:
             count = 0 if seen is None else seen.packets_to_watcher
-            assert count == sum(1 for p in sim._inbox.get(watcher.id, ()) if p.src == s)
+            assert count == sum(1 for p in sim._inbox.get(watcher.id, ()) if p.src == subject.id)
             screened.append(count)
-        sids_check(watcher, subjects, observations, *args)
+        sids_check(watcher, screen, *args)
 
     def probed(phase, r):
         phase(r)
