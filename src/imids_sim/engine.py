@@ -44,10 +44,9 @@ check walks the leaders a fragment lists. A cluster keeps the fragments
 derived under its present roster, keyed by structure (`_memo`), so a
 re-formed cluster reuses the fragment of a structure it had before, and
 one re-formed as it was changes nothing. The round's maps are patched
-for the changed fragments only (`_compose_fragments`). The last index,
-each leaf's uplink route (`_routes`), is looked up on the leaf's first
-send and dropped, with the node's slot, whenever a fragment naming it is
-dropped or replaced; `_route_table` keeps each route built, by its inputs.
+for the changed fragments only (`_compose_fragments`). A fragment also
+holds its leaves' uplink routes, each built on the leaf's first send while
+the fragment is placed, so a structure seen again brings its routes back.
 """
 
 from __future__ import annotations
@@ -94,9 +93,10 @@ class _Fragment(NamedTuple):
     its nodes in slot order (the i-th sends in TDMA slot i modulo
     `slots_per_round`) and the uplink of each, the always-on ids,
     node->cluster for the roster, the watch relation as (watcher, sorted
-    subjects) passes and keyed by subject, and the leader nodes of the
-    roster, which the rotation check walks (class is fixed). A cluster
-    remembers many fragments, so what needs no lookup is a tuple."""
+    subjects) passes and keyed by subject, the leader nodes of the roster,
+    which the rotation check walks (class is fixed), and each leaf's route
+    (`Simulation._route`), built on its first send under the fragment. A
+    cluster remembers many fragments, so what needs no lookup is a tuple."""
 
     order: tuple
     parents: tuple
@@ -105,6 +105,7 @@ class _Fragment(NamedTuple):
     screens: tuple
     watchers: dict
     leaders: tuple
+    routes: dict
 
     def names(self) -> set:
         """Every node the fragment gives a slot or keeps awake."""
@@ -122,7 +123,7 @@ class _Known(NamedTuple):
     fragments: dict
 
 
-_NO_FRAGMENT = _Fragment((), (), (), {}, (), {}, ())  # a cluster before set-up or dissolved
+_NO_FRAGMENT = _Fragment((), (), (), {}, (), {}, (), {})  # a cluster before set-up or dissolved
 
 
 class _Spend(Mapping):
@@ -284,8 +285,6 @@ class Simulation:
                 )
         self._followers = [n for n in self.nodes if n.node_class is NodeClass.FOLLOWER]
         self._spend_index = {n.id: i for i, n in enumerate(self.nodes)}  # shared by every `_Spend`
-        self._routes = {}  # leaf id -> its uplink route, built on its first send
-        self._route_table = {}  # (leaf, parent, slot, bits, watchers) -> route
         self._quarantine_seen = 0  # roster size the rosters were last cleaned for
         self._forget_structures()
         self._build_structures(self.clusters, unplaced=self.nodes)
@@ -299,8 +298,8 @@ class Simulation:
         self._charge_formation(self.clusters)
 
         # One shared allowance, fixed for the run: a transmit at full range
-        # plus a fully awake round. Honest duty can never exceed it, while a
-        # flooding (or deprived-awake) energy profile clears it comfortably.
+        # plus a fully awake round. A watcher counts what it hears, so an
+        # honest leaf's one send a round never exceeds it, while a flood does.
         allowance = tx_cost(
             self.params, cfg.traffic.data_bits, cfg.deployment.transmission_range
         ) + cfg.slots_per_round * self.params.p_listen
@@ -335,7 +334,7 @@ class Simulation:
         empty maps for `_compose_fragments` to patch."""
         self._fragments = {}  # cluster id -> _Fragment
         self._memo = {}  # cluster id -> _Known
-        self.parent, self._cluster_index, self._watchers, self._screens = {}, {}, {}, []
+        self.parent, self._cluster_index, self._watchers = {}, {}, {}
         self.always_on = {self.sink.id}
 
     def _build_structures(self, rebuild, dirty=(), unplaced=()):
@@ -346,13 +345,13 @@ class Simulation:
         A dirty cluster's old fragment is dropped; a dissolved one gets no
         new fragment, and one that gets back the very fragment it held
         (`_recall_fragment`) is left as it was. Roles and slots are
-        re-derived, and routes dropped, for every node a dropped or a newly
-        placed fragment names, plus `unplaced` (every node at set-up), so a
-        node that left a roster falls back to its default role and to slot
-        `id % slots`. A node whose role moved gets a
-        fresh detection reserve; one that kept its role keeps what is left
-        of its running budget. An untouched cluster keeps its fragment,
-        its coordinators and their budgets.
+        re-derived for every node a dropped or a newly placed fragment
+        names, plus `unplaced` (every node at set-up), so a node that left a
+        roster falls back to its default role and to slot `id % slots`. A
+        node whose role moved gets a fresh detection reserve; one that kept
+        its role keeps what is left of its running budget. An untouched
+        cluster keeps its fragment, its coordinators and their budgets.
+        Each sender is listed with the routes of its cluster's fragment.
         """
         cfg = self.config
         if self._mode.sectors:
@@ -401,9 +400,8 @@ class Simulation:
         roles_before = [node.role for node in nodes]
         topo.assign_roles(nodes, derived)
         slots = cfg.slots_per_round
-        routes, sink_id = self._routes, self.sink.id
+        sink_id = self.sink.id
         for node, role in zip(nodes, roles_before):
-            routes.pop(node.id, None)
             if node.id != sink_id:
                 node.slot = slot_of.get(node.id, node.id % slots)
             if node.role is not role and node.energy.residual_energy > 0.0:
@@ -412,8 +410,8 @@ class Simulation:
         senders = [[] for _ in range(slots)]
         leaf, parent = Role.LN, self.parent  # a local: enum member lookups are slow
         for node in self._followers:  # leaves with an uplink send; liveness is checked per packet
-            if node.role is leaf and node.id in parent:
-                senders[node.slot].append(node)
+            if node.role is leaf and node.id in parent:  # so it sits in its roster
+                senders[node.slot].append((node, fragments[self._cluster_index[node.id].id].routes))
         self._slot_senders = senders
 
     def _recall_fragment(self, cluster) -> _Fragment:
@@ -481,7 +479,7 @@ class Simulation:
                 watchers[subject_id] = alone if held is None else (*held, watcher_id)
         return _Fragment(
             tuple(order), tuple(parents), tuple(always_on), known.cluster_of, screens, watchers,
-            known.leaders,
+            known.leaders, {},
         )
 
     def _sector_screens(self, cluster) -> tuple:
@@ -505,11 +503,10 @@ class Simulation:
         """Patch the maps the round reads for each (dropped, placed) pair of
         one cluster's fragments: take out every entry the dropped fragment
         holds and the placed one does not, then put in the placed ones'
-        entries, and list the screening passes in cluster-id order again.
-        Return the node->slot map of the placed fragments. Rosters are
-        disjoint, so no two fragments name one node and no kept fragment's
-        entry is touched; a node that moved between two clusters is taken
-        out before it is put in."""
+        entries. Return the node->slot map of the placed fragments; each
+        keeps its routes and screens. Rosters are disjoint, so no two
+        fragments name one node and no kept fragment's entry is touched; a
+        node that moved between two clusters is taken out before it is put in."""
         parent, cluster_of, watchers = self.parent, self._cluster_index, self._watchers
         always_on = self.always_on
         for old, new in changes:
@@ -530,8 +527,6 @@ class Simulation:
                 cluster_of.update(new.cluster_of)
             watchers.update(new.watchers)
             always_on.update(new.always_on)
-        fragments = self._fragments
-        self._screens = [screen for c in self.clusters for screen in fragments[c.id].screens]
         return slot_of
 
     def _charge_formation(self, clusters):
@@ -710,7 +705,7 @@ class Simulation:
         """The round's TDMA slots in order. In each, attack deliveries land
         first: one that finds its victim asleep sets the victim's mask bit,
         so it listens for the rest of the slot. Then every leaf with an
-        uplink sends along its route, built on its first send."""
+        uplink sends along the route its fragment keeps for it."""
         cfg = self.config
         by_id = self.by_id
         has_edge = self.graph.has_edge
@@ -721,7 +716,6 @@ class Simulation:
         attacking = self._attacking
         bits = cfg.traffic.data_bits
         rx = rx_table[bits]
-        routes = self._routes
         overhear = self._overhear
         for slot, senders in enumerate(self._slot_senders):
             for pkt in attack_packets.get(slot, ()):
@@ -729,8 +723,10 @@ class Simulation:
                 if src.energy.residual_energy <= 0.0:
                     continue
                 dst, size = by_id[pkt.dst], pkt.payload_size
-                consume(src, self._link_price(src, dst, size))
-                overhear(self._overhearers(pkt.src, pkt.dst), slot, pkt.token.valid, rx_table[size])
+                price = self._link_price(src, dst, size)
+                consume(src, price)
+                overhearers = self._overhearers(pkt.src, pkt.dst)
+                overhear(overhearers, slot, pkt.token.valid, rx_table[size], price)
                 # both ends were alive at the last graph build: nodes only die
                 if dst.energy.residual_energy <= 0.0 or not has_edge(pkt.src, pkt.dst):
                     continue
@@ -744,7 +740,7 @@ class Simulation:
                 if result.received:
                     inbox[pkt.dst].append(pkt)
             # regular sensing traffic in the owner's slot, along each leaf's route
-            for node in senders:
+            for node, routes in senders:
                 if node.energy.residual_energy <= 0.0 or node.id in attacking:
                     continue  # active attackers replace sensing with their flood
                 route = routes.get(node.id)
@@ -752,7 +748,7 @@ class Simulation:
                     route = routes[node.id] = self._route(node, slot, bits)
                 parent, pkt, cost, reaches, overhearers = route
                 consume(node, cost)
-                overhear(overhearers, slot, True, rx)
+                overhear(overhearers, slot, True, rx, cost)
                 if parent.energy.residual_energy <= 0.0 or not reaches or node.id in quarantined:
                     continue  # the roster is known: a quarantined sender's junk is not picked up
                 consume(parent, rx)
@@ -760,21 +756,17 @@ class Simulation:
 
     def _route(self, node, slot, bits) -> tuple:
         """A live leaf's uplink as the slot loop reads it: (parent, packet,
-        link price, parent in range, `_overhearers`). Nodes only die, so a
-        cached range test holds while both ends live, and one route serves
-        the leaf whenever it gets the same parent, slot and watchers again."""
+        link price, parent in range, `_overhearers`). The leaf's fragment
+        fixes its parent, slot and watchers and keeps the route; nodes only
+        die, so a kept range test holds while both ends live."""
         src = node.id
         parent_id = self.parent[src]
-        key = (src, parent_id, slot, bits, self._watchers.get(src, ()))
-        route = self._route_table.get(key)
-        if route is None:
-            parent = self.by_id[parent_id]
-            route = self._route_table[key] = (
-                parent, self._packet(src, parent_id, slot, bits, True),
-                self._link_price(node, parent, bits), self.graph.has_edge(src, parent_id),
-                self._overhearers(src, parent_id),
-            )
-        return route
+        parent = self.by_id[parent_id]
+        return (
+            parent, self._packet(src, parent_id, slot, bits, True),
+            self._link_price(node, parent, bits), self.graph.has_edge(src, parent_id),
+            self._overhearers(src, parent_id),
+        )
 
     def _overhearers(self, src, dst) -> tuple:
         """The watchers of `src` in range of it, as (node, observation key,
@@ -785,9 +777,10 @@ class Simulation:
             for w in self._watchers.get(src, ()) if has_edge(w, src)
         )
 
-    def _overhear(self, overhearers, slot, valid, rx):
+    def _overhear(self, overhearers, slot, valid, rx, price):
         """Record a transmission in `slot` with every live, unquarantined
-        overhearer. Overhearing is not free: a watcher that is not the
+        overhearer, which adds the sender's link `price` to what it saw the
+        sender spend. Overhearing is not free: a watcher that is not the
         addressee keeps its radio receiving for the whole packet and pays
         `rx`, the packet's receive price. This is what makes an always-on
         promiscuous monitor expensive to run, while a coordinator watching
@@ -800,6 +793,7 @@ class Simulation:
             if (seen := obs.get(key)) is None:
                 seen = obs[key] = Observation()
             seen.tx_events.append((slot, valid))
+            seen.energy_spent += price
             if pays:
                 consume(watcher, rx)
 
@@ -842,12 +836,14 @@ class Simulation:
     # detection ladder
 
     def _sids_stage(self, r):
-        """Every watcher screens its live subjects, ids ascending, each with
-        its observation or None. A watcher that received from a subject also
-        overheard it, so each observation counts its packets from `_inbox`."""
+        """Every watcher, cluster by cluster as each fragment lists them,
+        screens its live subjects, ids ascending, each with its observation
+        or None. A watcher that received from a subject also overheard it,
+        so each observation counts its packets from `_inbox`."""
         obs = self._obs
         by_id = self.by_id
-        for watcher_id, subject_ids in self._screens:
+        screens = [screen for c in self.clusters for screen in self._fragments[c.id].screens]
+        for watcher_id, subject_ids in screens:
             if not self._usable_judge(watcher_id):
                 continue  # a compromised screen simply stops screening
             received = self._senders(watcher_id)

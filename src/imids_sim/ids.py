@@ -3,11 +3,14 @@
 Stage one (run by sector coordinators) screens each watched node against
 four rules: energy draw above the allowed rate, transmission outside the
 node's own slot, an invalid wake-up token, and packet counts above the
-flood threshold. Every firing rule is one strike. Stage two (run by sector
-monitors) watches strikes over a sliding window and either condemns,
-rehabilitates, or keeps waiting. Cluster coordinators and the sink
-re-validate forwarded packets so a compromised lower layer cannot launder
-traffic; a drop there feeds a strike back to the origin's suspect entry.
+flood threshold. Every firing rule is one strike. A watcher estimates the
+draw from what it hears, the link price of each transmission of the node
+(`Observation.energy_spent`), so listening and forced wakes do not count.
+Stage two (run by sector monitors) watches strikes over a sliding window
+and either condemns, rehabilitates, or keeps waiting. Cluster coordinators
+and the sink re-validate forwarded packets so a compromised lower layer
+cannot launder traffic; a drop there feeds a strike back to the origin's
+suspect entry.
 """
 
 from __future__ import annotations

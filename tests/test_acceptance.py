@@ -14,7 +14,9 @@ import pytest
 from imids_sim import cli, engine
 from imids_sim import topology as topo
 from imids_sim.config import parse_config
+from imids_sim.ids import Reason
 
+from test_golden import run_recording_strikes
 from test_properties import EXAMPLES
 from test_topology import _oracle_election, _random_instance
 
@@ -225,6 +227,22 @@ def test_criterion_9_energy_audit_balances(stock_pairs):
         worst <= 1e-9,
         f"per-node spend ledger matches the battery delta, worst error {worst:.2e} J",
     )
+
+
+def test_every_screening_rule_catches_an_attacker_and_strikes_no_honest_node():
+    """Over the stock seeds in imids, each of the four rules strikes some
+    attacker, and no rule ever strikes an honest node."""
+    caught, wrong = set(), []
+    for seed in STOCK_SEEDS:
+        trace, strikes = run_recording_strikes(dict(load_raw("stock_comparison.json"), seed=seed))
+        attackers = set(trace.attacker_ids)
+        for node_id, reason in strikes:
+            if node_id in attackers:
+                caught.add(reason)
+            else:
+                wrong.append((seed, node_id, reason.name))
+    assert caught == set(Reason)
+    assert not wrong, wrong
 
 
 def test_criterion_10_randomized_instance_volume():

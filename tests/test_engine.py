@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from imids_sim import engine
+from imids_sim import engine, ids
 from imids_sim.cli import _metrics_row
 from imids_sim.config import MODES, parse_config
 from imids_sim.core import NodeClass, Packet, PacketKind, Role, WakeupToken, is_alive
@@ -494,6 +494,43 @@ def test_a_flooding_leaf_is_screened_by_its_sector_coordinator_but_never_aggrega
     assert aggregated and any(aggregated)  # sectors did aggregate their leaves
     assert not any(attacker in sources for sources in aggregated)
     assert attacker not in {src for _, src in sim.ledgers.valid_log}
+
+
+def test_a_flooding_attacker_trips_the_energy_rate_rule(monkeypatch):
+    """A watcher estimates a subject's spend from what it overhears: the
+    link price of each transmission. An honest leaf sends once a round to
+    its parent, so it shows exactly that one price, under the allowance;
+    the flooder's fake packets add up past `rate_threshold` times the
+    allowance, and it is struck for `ENERGY_RATE`."""
+    sim = engine.initialize(scenario(attack=ATTACK))
+    (attacker,) = sim.attackers
+    bits = sim.config.traffic.data_bits
+    limit = sim.config.detection.rate_threshold * sim.profile.expected_energy_rate
+    flooded, honest = [], 0
+    sids_check = ids.sids_check
+
+    def recording(watcher, screen, *args):
+        nonlocal honest
+        for subject, seen in screen:
+            if seen is None or subject.id in sim.ledgers.quarantined:
+                continue
+            if subject.id == attacker:
+                flooded.append(seen.energy_spent)
+            elif seen.tx_events:
+                parent = sim.by_id[sim.parent[subject.id]]
+                assert seen.energy_spent == sim._link_price(subject, parent, bits)
+                assert seen.energy_spent < limit
+                honest += 1
+        sids_check(watcher, screen, *args)
+
+    monkeypatch.setattr(ids, "sids_check", recording)
+    for _ in range(sim.config.rounds):
+        sim.run_round()
+    assert honest and flooded and max(flooded) > limit
+    assert ids.Reason.ENERGY_RATE in sim.ledgers.suspected[attacker].reasons
+    assert attacker in sim.ledgers.quarantined
+    assert all(ids.Reason.ENERGY_RATE not in entry.reasons
+               for node, entry in sim.ledgers.suspected.items() if node != attacker)
 
 
 def test_quarantined_nodes_stop_contributing():

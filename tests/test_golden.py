@@ -10,19 +10,20 @@ every other change must leave these untouched.
 
 The bundled configs hold 70 nodes at most, so one more pin covers the
 set-up of a large field, where the range graph and the cluster joins do
-most of their work. Two more families pin what a trace keeps beyond the
-artifacts: the per-node spends with the ledgers, and the reconfiguration
-events.
+most of their work. Three more families pin what a run keeps beyond the
+artifacts: the per-node spends with the ledgers, the reconfiguration
+events, and the strikes by screening rule.
 """
 
 import hashlib
 import json
+from collections import Counter
 import math
 from pathlib import Path
 
 import pytest
 
-from imids_sim import cli, engine
+from imids_sim import cli, engine, ids
 from imids_sim.config import parse_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -208,3 +209,37 @@ def test_reconfiguration_events_match_their_pin(config, mode):
 @pytest.mark.parametrize("config", sorted({c for c, _ in EVENTS}))
 def test_the_baseline_never_reconfigures(config):
     assert not any(report.reconfigurations for report in run_bundled(config, "itids").reports)
+
+
+# Strikes by rule on `configs/stock_comparison.json` (seed 42) in each mode,
+# counted over every strike, also those of a suspect later rehabilitated.
+# No artifact reads a strike's reason, so these pin what the rules decide.
+STRIKES = {
+    "imids": {"ENERGY_RATE": 2, "INVALID_TOKEN": 9, "PACKET_FLOOD": 2, "SCHEDULE_VIOLATION": 3},
+    "imids-no-sectors": {
+        "ENERGY_RATE": 3, "INVALID_TOKEN": 3, "PACKET_FLOOD": 3, "SCHEDULE_VIOLATION": 3,
+    },
+    "itids": {},
+}
+
+
+def run_recording_strikes(raw: dict):
+    """The run of `raw` and (subject id, Reason) of each strike, in order."""
+    strikes = []
+    add_strikes = ids.add_strikes
+
+    def recorded(ledgers, node_id, reasons, current_round):
+        strikes.extend((node_id, reason) for reason in reasons)
+        return add_strikes(ledgers, node_id, reasons, current_round)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ids, "add_strikes", recorded)
+        trace = engine.run_simulation(parse_config(raw))
+    return trace, strikes
+
+
+@pytest.mark.parametrize("mode", sorted(STRIKES))
+def test_strikes_by_rule_match_their_pin(mode):
+    raw = json.loads((CONFIG_DIR / "stock_comparison.json").read_text())
+    _, strikes = run_recording_strikes(dict(raw, mode=mode))
+    assert Counter(reason.name for _, reason in strikes) == STRIKES[mode]

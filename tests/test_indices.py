@@ -11,13 +11,14 @@ After every round all of it must equal a scan of
 relation the way each mode defines who watches whom, and a derivation
 from scratch, every fragment and every remembered one dropped, must
 change nothing: no role, slot, index or detection budget. Each leaf's
-uplink route, built on its first send, must equal one built from the
-scans, and no route may outlive a re-derivation of a fragment that names
-its leaf. The range graph, rebuilt only when the alive count moved, must
-equal a fresh build over the alive nodes whenever the sweep has refreshed
-it, and `capacity` on it must equal the formula. Each attack delivery
-must find its victim awake exactly as its drawn mask and the slot's
-earlier deliveries left it.
+uplink route, built on its first send and kept by the fragment that placed
+the leaf, must equal one built from the scans, every sender must read the
+routes of its own cluster's placed fragment and never those of a dropped
+one, and a fragment taken back brings its routes with it. The range
+graph, rebuilt only when the alive count moved, must equal a fresh build
+over the alive nodes whenever the sweep has refreshed it, and `capacity`
+on it must equal the formula. Each attack delivery must find its victim
+awake exactly as its drawn mask and the slot's earlier deliveries left it.
 """
 
 import functools
@@ -197,28 +198,52 @@ def check_indices(sim):
     for node in sim.nodes:
         assert sim._cluster_index.get(node.id) is scan_cluster_of(sim, node.id)
         assert sim._watchers.get(node.id, ()) == scan_watchers(sim, node.id)
-    assert sim._screens == scan_screens(sim)
+    assert composed_screens(sim) == scan_screens(sim)
     if sim.config.mode != "itids":  # one watcher per subject in the layered modes
         assert all(len(w) == 1 for w in sim._watchers.values())
     for slot in range(sim.config.slots_per_round):
-        assert [n.id for n in sim._slot_senders[slot]] == scan_senders(sim, slot)
+        assert [n.id for n, _ in sim._slot_senders[slot]] == scan_senders(sim, slot)
+    check_senders_read_placed_routes(sim)
     check_range_tests(sim)
     check_routes(sim)
 
 
+def composed_screens(sim):
+    """The screening passes `_sids_stage` walks: each cluster's, in order."""
+    return [screen for c in sim.clusters for screen in sim._fragments[c.id].screens]
+
+
+def placed_routes(sim):
+    """(leaf id, route, fragment) for every route a placed fragment keeps."""
+    return [
+        (node_id, route, fragment)
+        for fragment in map(sim._fragments.__getitem__, (c.id for c in sim.clusters))
+        for node_id, route in fragment.routes.items()
+    ]
+
+
+def check_senders_read_placed_routes(sim):
+    """Each sender reads the routes of the fragment its cluster has placed,
+    the very dict, so a route built on its send stays with that fragment."""
+    for senders in sim._slot_senders:
+        for node, routes in senders:
+            assert routes is sim._fragments[scan_cluster_of(sim, node.id).id].routes
+
+
 def check_routes(sim):
-    """Every cached route of a live leaf against one built from the scans:
-    its parent, a fresh packet, the transmit price bit for bit, the range
-    test to a live parent, the live watchers in range in watch order (each
-    paying rx unless it is the addressee). A dead leaf
-    never sends again, and a watcher that died is skipped whatever its
-    cached range test says."""
+    """Every route a placed fragment keeps for a live leaf against one
+    built from the scans: its parent, a fresh packet, the transmit price
+    bit for bit, the range test to a live parent, the live watchers in
+    range in watch order (each paying rx unless it is the addressee). A
+    dead leaf never sends again, and a watcher that died is skipped
+    whatever its kept range test says."""
     parents = scan_parent(sim)
     slots = scan_slots(sim)
     bits = sim.config.traffic.data_bits
     has_edge = sim.graph.has_edge
-    for node_id, route in sim._routes.items():
+    for node_id, route, fragment in placed_routes(sim):
         node = sim.by_id[node_id]
+        assert node_id in fragment.order  # a fragment keeps routes of its own leaves
         if not is_alive(node):
             continue
         assert node.role is Role.LN
@@ -241,19 +266,11 @@ def check_routes(sim):
         ]
 
 
-def check_no_stale_routes(sim, fragments_before, unplaced=()):
-    """Right after a re-derivation, which builds no route, no node named by
-    a fragment it dropped or derived, or left unplaced, keeps a route: every
-    route in the cache was built before the re-derivation."""
-    touched = {n.id for n in unplaced}
-    for cluster_id in fragments_before.keys() | sim._fragments.keys():
-        before = fragments_before.get(cluster_id)
-        after = sim._fragments.get(cluster_id)
-        if before is not after:
-            for fragment in (before, after):
-                if fragment is not None:
-                    touched |= fragment.names()
-    assert not touched & sim._routes.keys()
+def check_no_stale_routes(sim):
+    """Right after a re-derivation no sender reads a dropped fragment's
+    routes: every routes dict a sender holds is a placed fragment's."""
+    placed = {id(f.routes) for f in sim._fragments.values()}
+    assert all(id(routes) in placed for senders in sim._slot_senders for _, routes in senders)
 
 
 def check_range_tests(sim):
@@ -290,9 +307,9 @@ def derived_state(sim):
         {n.id: n.slot for n in sim.nodes},
         dict(sim.parent),
         set(sim.always_on),
-        list(sim._screens),
+        composed_screens(sim),
         dict(sim._watchers),
-        [[n.id for n in senders] for senders in sim._slot_senders],
+        [[n.id for n, _ in senders] for senders in sim._slot_senders],
         {node_id: cluster.id for node_id, cluster in sim._cluster_index.items()},
         {
             n.id: (n.energy.detection_budget, n.energy.detection_budget_initial,
@@ -308,19 +325,21 @@ def check_rederivation_is_a_fixed_point(sim):
     what the sweeps derived and patched incrementally must come out
     unchanged, budgets included (a role that moved would refill one)."""
     before = derived_state(sim)
-    routes = dict(sim._routes)
+    routes = {cluster_id: dict(f.routes) for cluster_id, f in sim._fragments.items()}
     sim._forget_structures()
     assert not sim._memo and not sim.parent
     sim._build_structures([], unplaced=sim.nodes)
     assert derived_state(sim) == before
-    # nothing moved, so the routes still hold: keep them, so that later
-    # rounds check routes that outlive many sweeps
-    sim._routes.update(routes)
+    # nothing moved, so the routes still hold: hand them to the new
+    # fragments, so that later rounds check routes that outlive many sweeps
+    for cluster_id, fragment in sim._fragments.items():
+        assert not fragment.routes
+        fragment.routes.update(routes[cluster_id])
 
 
 def run_instrumented_round(sim):
     """One round with two engine steps shadowed on this instance: count
-    the re-derivations and check that each drops the routes it stales, and
+    the re-derivations and check that no sender reads routes one dropped, and
     check the graph each time the sweep refreshes it. Returns the report
     and the re-derivation calls."""
     calls = []
@@ -329,9 +348,8 @@ def run_instrumented_round(sim):
 
     def counted(*args, **kwargs):
         calls.append(kwargs)
-        fragments_before = dict(sim._fragments)
         build_structures(*args, **kwargs)
-        check_no_stale_routes(sim, fragments_before, kwargs.get("unplaced", ()))
+        check_no_stale_routes(sim)
 
     def checked():
         refresh_graph()
@@ -633,9 +651,10 @@ def test_a_cluster_re_formed_as_it_was_keeps_its_fragment_but_pays_and_reports()
 
     def held(fragment):
         nodes = [sim.by_id[m] for m in sorted(fragment.names())]
+        read = {n.id: routes for senders in sim._slot_senders for n, routes in senders}
         return (
             [(n.role, n.slot, n.energy.detection_budget_initial) for n in nodes],
-            [sim._routes.get(n.id) for n in nodes],
+            [read[n.id].get(n.id) if n.id in read else None for n in nodes],
         )
 
     sim._charge_formation = recorded
@@ -652,7 +671,7 @@ def test_a_cluster_re_formed_as_it_was_keeps_its_fragment_but_pays_and_reports()
             assert sim._fragments[cid] is kept[cid]
             roles, routes = held(kept[cid])
             assert roles == before[cid][0]
-            # a route built before the round is still the one cached
+            # a route built before the round is still the one its sender reads
             kept_routes += sum(1 for old in before[cid][1] if old)
             assert all(old is None or new is old for new, old in zip(routes, before[cid][1]))
         check_indices(sim)
@@ -669,6 +688,50 @@ def test_a_cluster_re_formed_as_it_was_keeps_its_fragment_but_pays_and_reports()
     assert known.roster == cluster.node_ids() != before
     assert list(known.fragments.values()) == [sim._fragments[3]]
     assert all(f is not sim._fragments[3] for f in remembered)
+    check_indices(sim)
+
+
+def test_a_recalled_fragment_brings_back_its_routes():
+    """Stock seed 42 in imids: from round 213 on, sector rotations re-form
+    structures that a cluster had placed before, and `_recall_fragment`
+    hands those fragments back. In the round after such a recall, no live
+    leaf that sent under the fragment before has its route built again:
+    `_route` is called only for a leaf's first send under a fragment."""
+    raw = json.loads(STOCK_CONFIG.read_text())
+    raw.update(seed=42, mode="imids")
+    sim = engine.initialize(parse_config(raw))
+    built = []
+    route = sim._route
+    recall = sim._recall_fragment
+    recalled = {}  # cluster id -> the leaves a recalled fragment already routes
+    held = {}
+
+    def counted(node, slot, bits):
+        built.append(node.id)
+        return route(node, slot, bits)
+
+    def watched(cluster):
+        fragment = recall(cluster)
+        if fragment.routes and fragment is not held.get(cluster.id):
+            recalled[cluster.id] = (fragment, set(fragment.routes))
+        return fragment
+
+    sim._route, sim._recall_fragment = counted, watched
+    rounds_after_recalls = reread = 0
+    for _ in range(300):
+        pending = dict(recalled)
+        recalled.clear()
+        held = dict(sim._fragments)
+        built.clear()
+        reading = [(n.id, routes) for senders in sim._slot_senders for n, routes in senders
+                   if is_alive(n)]
+        sim.run_round()
+        for cluster_id, (fragment, leaves) in pending.items():
+            assert held[cluster_id] is fragment
+            assert not leaves.intersection(built), sim.round
+            reread += sum(1 for n, routes in reading if routes is fragment.routes and n in leaves)
+        rounds_after_recalls += bool(pending)
+    assert rounds_after_recalls > 50 and reread > 500, (rounds_after_recalls, reread)
     check_indices(sim)
 
 
@@ -700,7 +763,7 @@ def test_a_leaf_out_of_range_reaches_neither_its_parent_nor_its_watcher():
         charge = leaf.energy.residual_energy
         phase(r)
         if phase.__name__ == "_run_slots":
-            seen.update(route=sim._routes[leaf_id], obs=set(sim._obs),
+            seen.update(route=sim._fragments[far.id].routes[leaf_id], obs=set(sim._obs),
                         received={(w, p.src) for w, ps in sim._inbox.items() for p in ps},
                         paid=charge - leaf.energy.residual_energy)
             check_routes(sim)

@@ -6,12 +6,8 @@ decide something there, and one value. Setting that value on top of the
 companions must change `metrics.csv` against the same run with the
 companions alone.
 
-`EXEMPT` names each key that no scenario can move yet, why, and the ROADMAP
-item that will settle it. An exempt key must still change nothing, so an
-exemption that starts to bite fails here and moves to `LIVE`.
-
-Every key sits in exactly one of the two tables, so a new key lands here
-with its scenario, and a deleted one leaves.
+Every key sits in the table exactly once, so a new key lands here with its
+scenario, and a deleted one leaves.
 """
 
 import dataclasses
@@ -33,12 +29,6 @@ class Knob(NamedTuple):
     mode: str
     companions: dict   # dotted key -> value, set on both sides
     value: object      # the key's value on the side that must move
-
-
-class Exemption(NamedTuple):
-    knob: Knob
-    reason: str
-    item: str          # the ROADMAP item that settles it
 
 
 # A 40-node lattice, 5 columns by 8 rows, 15 m by 12 m apart; the sink is
@@ -99,21 +89,19 @@ LIVE = {
     "detection.trust_floor": Knob(
         "early_attack", "imids", {"detection.strike_limit": 10}, 15
     ),
-    "detection.count_threshold": Knob("early_attack", "imids", {}, 50.0),
+    # The flood-count and energy-rate rules each catch a flooder: each
+    # decides when the other is switched off.
+    "detection.count_threshold": Knob(
+        "early_attack", "imids", {"detection.rate_threshold": 1000.0}, 50.0
+    ),
+    "detection.rate_threshold": Knob(
+        "early_attack", "imids", {"detection.count_threshold": 50.0}, 1000.0
+    ),
     "detection.reputation_min": Knob(
         "sweep_base", "imids-no-sectors", DISTRUSTED_COORDINATORS, 0
     ),
     "detection.injected_false_strikes": Knob("early_attack", "imids", {}, [[17, 10]]),
     "itids.monitor_fraction": Knob("early_attack", "itids", {}, 0.2),
-}
-
-EXEMPT = {
-    "detection.rate_threshold": Exemption(
-        Knob("early_attack", "imids", {}, 1.0001),
-        "the engine never sets `Observation.energy_spent`, so the energy-rate "
-        "rule fires only through injected strikes, which skip the threshold",
-        "item 2",
-    ),
 }
 
 
@@ -149,13 +137,5 @@ def test_a_live_key_changes_the_rounds(key):
     assert metrics_csv(knob, {key: knob.value}) != metrics_csv(knob, {})
 
 
-@pytest.mark.parametrize("key", sorted(EXEMPT))
-def test_an_exempt_key_still_changes_nothing(key):
-    knob = EXEMPT[key].knob
-    assert metrics_csv(knob, {key: knob.value}) == metrics_csv(knob, {})
-
-
 def test_the_tables_hold_every_key_once():
-    assert not LIVE.keys() & EXEMPT.keys()
-    assert LIVE.keys() | EXEMPT.keys() == settable_keys()
-    assert all(exemption.reason and exemption.item for exemption in EXEMPT.values())
+    assert LIVE.keys() == settable_keys()

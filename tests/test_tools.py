@@ -44,11 +44,14 @@ def test_the_round_profiler_writes_one_json_object(tmp_path):
         assert set(case) == {
             "nodes", "seed", "rounds", "node_rounds", "setup_s", "wall_s",
             "us_per_node_round", "phase_share", "phase_share_spread", "sweep_share",
-            "peak_rss_mb", "retained_mb",
+            "mask_rows", "us_per_mask_row", "peak_rss_mb", "retained_mb",
         }
         assert (case["nodes"], case["seed"], case["rounds"]) == (40, 13, 40)
         assert case["setup_s"] > 0 and case["wall_s"] > 0 and case["us_per_node_round"] > 0
         assert case["peak_rss_mb"] > 0 and case["retained_mb"] > 0
+        # at most one row per non-sink node and round, and each one costs time
+        assert 0 < case["mask_rows"] <= case["rounds"] * (case["nodes"] - 1)
+        assert case["us_per_mask_row"] > 0
         shares = case["phase_share"].values()
         assert all(share >= 0 for share in shares) and 0 < sum(shares) <= 1
         assert case["phase_share_spread"] == dict.fromkeys(case["phase_share"], 0.0)  # one run

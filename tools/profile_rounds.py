@@ -16,11 +16,13 @@ checks, re-derivations and formation charges are wrapped on the instance
 the same way (`sweep_share`; 0 in a mode that never sweeps), and so are
 the two steps of a re-derivation that the reuse of fragments cuts:
 deriving a fragment and patching the composed maps. Their shares are
-part of the re-derivations' share, not added to it. Each phase's
-share also gets its spread, the max - min over the `--repeat` runs, which
-says whether the shares can be read to a few points on this host. Peak
-RSS is read after the timed runs. One more run under
-`tracemalloc` gives the memory the finished trace retains, after
+part of the re-derivations' share, not added to it. The mask draw also
+counts the rows it drew (one per duty-cycled node and round, the length
+of `Simulation._masks`), which gives its cost per row (`us_per_mask_row`).
+Each phase's share also gets its spread, the max - min over the
+`--repeat` runs, which says whether the shares can be read to a few
+points on this host. Peak RSS is read after the timed runs. One more
+run under `tracemalloc` gives the memory the finished trace retains, after
 `gc.collect()`. Times are raw `time.perf_counter` seconds of this host,
 not normalised.
 
@@ -113,7 +115,21 @@ def timed_run(engine, config) -> dict:
 
         return run
 
-    sim._phases = tuple(timed(phase, phase_s) for phase in sim._phases)
+    mask_rows = 0
+
+    def counted(draw_masks):
+        def run(r):
+            nonlocal mask_rows
+            draw_masks(r)
+            mask_rows += len(sim._masks)
+
+        return run
+
+    phases = []
+    for phase in sim._phases:
+        run = timed(phase, phase_s)
+        phases.append(counted(run) if phase.__name__ == "_draw_masks" else run)
+    sim._phases = tuple(phases)
     for name in SWEEP_PARTS:  # instance attributes shadow the methods the sweep calls
         setattr(sim, name, timed(getattr(sim, name), sweep_s))
     trace = sim.snapshot_trace()
@@ -135,6 +151,7 @@ def timed_run(engine, config) -> dict:
         "node_rounds": node_rounds,
         "phase_s": phase_s,
         "sweep_s": sweep_s,
+        "mask_rows": mask_rows,
     }
 
 
@@ -179,6 +196,7 @@ def profile_case(raw: dict, search_seed: bool, repeat: int) -> dict:
         runs.append(timed_run(engine, config))
     fastest = min(runs, key=lambda run: run["wall_s"])
     wall_s, node_rounds = fastest["wall_s"], fastest["node_rounds"]
+    mask_rows = fastest["mask_rows"]
     shares = [share_of(run["phase_s"], run["wall_s"]) for run in runs]
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return {
@@ -195,6 +213,10 @@ def profile_case(raw: dict, search_seed: bool, repeat: int) -> dict:
             for name in shares[0]
         },
         "sweep_share": share_of(fastest["sweep_s"], wall_s),
+        "mask_rows": mask_rows,
+        "us_per_mask_row": (
+            fastest["phase_s"]["_draw_masks"] * 1e6 / mask_rows if mask_rows else None
+        ),
         "peak_rss_mb": peak_rss_mb,
         "retained_mb": retained_mb(engine, config),
     }
@@ -216,11 +238,12 @@ def run_child(raw: dict, search_seed: bool, repeat: int) -> dict:
 def describe(name: str, result: dict) -> str:
     shares = sorted(result["phase_share"].items(), key=lambda item: -item[1])
     top = ", ".join(f"{phase.lstrip('_')} {100 * share:.1f}%" for phase, share in shares[:4])
-    us = result["us_per_node_round"]
+    us, per_row = result["us_per_node_round"], result["us_per_mask_row"]
     spread = max(result["phase_share_spread"].values())
     return (
         f"{name:<32} seed {result['seed']:>3}  set-up {result['setup_s'] * 1e3:8.2f} ms"
         f"  run {result['wall_s']:7.3f} s  {'-' if us is None else f'{us:6.2f}'} us/node-round"
+        f"  {'-' if per_row is None else f'{per_row:5.2f}'} us/mask row"
         f"  rss {result['peak_rss_mb']:6.1f} MB  retained {result['retained_mb']:6.2f} MB  [{top}]"
         f"  spread {100 * spread:.1f} pts"
     )
