@@ -20,7 +20,7 @@ import tempfile
 
 from . import topology as topo
 from .charts import Series, line_chart
-from .config import ConfigError, load_config, load_raw, parse_config
+from .config import ConfigError, apply_overrides, load_config, load_raw, parse_config
 from .engine import run_simulation
 
 EXIT_OK = 0
@@ -134,11 +134,10 @@ def _compare_csv(traces) -> str:
 
 def cmd_compare(args) -> int:
     raw = load_raw(args.config)
-    configs = {}
-    for mode in ("imids", "itids"):
-        arm_raw = copy.deepcopy(raw)
-        arm_raw["mode"] = mode
-        configs[mode] = parse_config(arm_raw)
+    configs = {
+        mode: parse_config(apply_overrides(copy.deepcopy(raw), [f"mode={mode}"]))
+        for mode in ("imids", "itids")
+    }
     if configs["imids"].rounds == 0:  # the charts need at least one point
         raise ConfigError("compare needs at least one round")
     traces = {mode: run_simulation(config) for mode, config in configs.items()}
@@ -195,41 +194,32 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-SWEEP_AXES = ("node_count", "attackers", "mode")
+SWEEP_AXES = {  # axis -> the dotted overrides that set a cell's value, as JSON
+    "node_count": ("deployment.node_count={}",),
+    "attackers": ("attack.attacker_count={}", "attack.attacker_ids=null"),
+    "mode": ("mode={}",),
+}
 
 
 def _sweep_cells(raw: dict, axis: str, values):
-    """Yield (value, mode, parsed config) for every cell of the sweep."""
-    if axis == "mode":
-        for value in values:
-            cell = copy.deepcopy(raw)
-            cell["mode"] = value
-            yield value, value, parse_config(cell)
-        return
+    """Yield (value, mode, parsed config) for every cell of the sweep: a copy
+    of `raw` under the arm's mode and the axis's overrides for the value."""
     for value in values:
-        try:
-            count = int(value)
-        except ValueError as exc:
-            raise ConfigError(f"axis '{axis}' needs integer values, got '{value}'") from exc
-        name = "deployment" if axis == "node_count" else "attack"
-        for mode in ("imids", "imids-no-sectors"):
-            cell = copy.deepcopy(raw)
-            cell["mode"] = mode
-            section = cell.setdefault(name, {})
-            if not isinstance(section, dict):
-                raise ConfigError(f"section '{name}' must be an object")
-            if axis == "node_count":
-                section["node_count"] = count
-            else:
-                section["attacker_count"] = count
-                section.pop("attacker_ids", None)
-            yield count, mode, parse_config(cell)
+        if axis != "mode":
+            try:
+                value = int(value)
+            except ValueError as exc:
+                raise ConfigError(f"axis '{axis}' needs integer values, got '{value}'") from exc
+        overrides = [template.format(json.dumps(value)) for template in SWEEP_AXES[axis]]
+        for mode in [value] if axis == "mode" else ["imids", "imids-no-sectors"]:
+            cell = apply_overrides(copy.deepcopy(raw), [f"mode={json.dumps(mode)}", *overrides])
+            yield value, mode, parse_config(cell)
 
 
 def cmd_sweep(args) -> int:
     raw = load_raw(args.config)
     if args.axis not in SWEEP_AXES:
-        raise ConfigError(f"axis must be one of {SWEEP_AXES}")
+        raise ConfigError(f"axis must be one of {tuple(SWEEP_AXES)}")
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("sweep needs at least one value")

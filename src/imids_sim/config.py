@@ -141,45 +141,32 @@ class ScenarioConfig:
                 raise ConfigError(f"injected strike on node {node_id} at negative round {at_round}")
 
 
-_SECTION_TYPES = {
-    "deployment": DeploymentConfig,
-    "energy": EnergyParams,
-    "traffic": TrafficConfig,
-    "attack": AttackConfig,
-    "detection": DetectionConfig,
-    "itids": ItidsConfig,
-}
-
-_TUPLE_KEYS = {"sink_position", "injected_false_strikes"}
-
-
-def _check_numbers(cls, values: dict, prefix: str = "") -> None:
-    """Hold the int and float fields of `cls` to their annotations: an int
-    takes an integer (not a bool, not 1.5), a float any finite number."""
+def _build(cls, raw: dict, path: str = ""):
+    """Build the config dataclass `cls` from the JSON object `raw`, each
+    field held to its annotation: a config dataclass is built the same way
+    under its dotted name, an int takes an integer (not a bool, not 1.5), a
+    float any finite number, and a tuple its JSON list as tuples. Plain
+    fields are checked before sections, so their faults are named first."""
     hints = typing.get_type_hints(cls)
-    for key, value in values.items():
-        hint = hints[key]
-        if hint is int and (isinstance(value, bool) or not isinstance(value, int)):
-            raise ConfigError(f"{prefix}{key} must be an integer, got {value!r}")
-        if hint is float and not _finite(value):
-            raise ConfigError(f"{prefix}{key} must be a finite number, got {value!r}")
-
-
-def _build_section(cls, raw: dict, path: str):
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(raw) - known
+    unknown = set(raw) - set(hints)
     if unknown:
-        raise ConfigError(f"unknown key(s) under '{path}': {sorted(unknown)}")
-    _check_numbers(cls, raw, f"{path}.")
+        where = f"key(s) under '{path}'" if path else "top-level key(s)"
+        raise ConfigError(f"unknown {where}: {sorted(unknown)}")
     values = {}
-    for key, value in raw.items():
-        if key in _TUPLE_KEYS and isinstance(value, list):
+    for key in sorted(raw, key=lambda k: dataclasses.is_dataclass(hints[k])):
+        value, hint, name = raw[key], hints[key], f"{path}.{key}" if path else key
+        if dataclasses.is_dataclass(hint):
+            if not isinstance(value, dict):
+                raise ConfigError(f"section '{name}' must be an object")
+            value = _build(hint, value, name)
+        elif hint is int and (isinstance(value, bool) or not isinstance(value, int)):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        elif hint is float and not _finite(value):
+            raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        elif tuple in (hint, *typing.get_args(hint)) and isinstance(value, list):
             value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
         values[key] = value
-    try:
-        return cls(**values)
-    except TypeError as exc:
-        raise ConfigError(f"bad value under '{path}': {exc}") from exc
+    return cls(**values)
 
 
 def parse_config(raw: dict) -> ScenarioConfig:
@@ -187,23 +174,7 @@ def parse_config(raw: dict) -> ScenarioConfig:
         raise ConfigError("scenario must be a JSON object")
     if "seed" not in raw:
         raise ConfigError("scenario must set an explicit integer seed")
-    top_fields = {f.name for f in dataclasses.fields(ScenarioConfig)}
-    unknown = set(raw) - top_fields
-    if unknown:
-        raise ConfigError(f"unknown top-level key(s): {sorted(unknown)}")
-    _check_numbers(ScenarioConfig, {k: v for k, v in raw.items() if k not in _SECTION_TYPES})
-    kwargs = {}
-    for key, value in raw.items():
-        if key in _SECTION_TYPES:
-            if not isinstance(value, dict):
-                raise ConfigError(f"section '{key}' must be an object")
-            kwargs[key] = _build_section(_SECTION_TYPES[key], value, key)
-        else:
-            kwargs[key] = value
-    try:
-        config = ScenarioConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    config = _build(ScenarioConfig, raw)
     config.validate()
     return config
 
@@ -214,8 +185,10 @@ def load_raw(path: str) -> dict:
             raw = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read scenario file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"scenario file is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError("scenario file is nested too deeply to read") from exc
     if not isinstance(raw, dict):
         raise ConfigError("scenario must be a JSON object")
     return raw
@@ -229,7 +202,8 @@ def load_config(path: str, overrides=()) -> ScenarioConfig:
 
 
 def apply_overrides(raw: dict, overrides) -> dict:
-    """Apply `section.key=value` pairs onto a raw scenario dict.
+    """Apply `section.key=value` pairs onto a raw scenario dict in place:
+    the one writer of dotted keys.
 
     Values parse as JSON when possible and fall back to bare strings, so
     `--override mode=itids` and `--override rounds=10` both work.
@@ -242,13 +216,15 @@ def apply_overrides(raw: dict, overrides) -> dict:
             value = json.loads(text)
         except json.JSONDecodeError:
             value = text
+        except RecursionError as exc:
+            raise ConfigError(f"override '{dotted}' is nested too deeply to read") from exc
         target = raw
-        parts = dotted.split(".")
-        for part in parts[:-1]:
+        *sections, key = dotted.split(".")
+        for depth, part in enumerate(sections, 1):
             target = target.setdefault(part, {})
             if not isinstance(target, dict):
-                raise ConfigError(f"override '{item}' descends into a non-object")
-        target[parts[-1]] = value
+                raise ConfigError(f"section '{'.'.join(sections[:depth])}' must be an object")
+        target[key] = value
     return raw
 
 

@@ -1,7 +1,10 @@
+import dataclasses
 import random
+import typing
 
 import pytest
 
+from imids_sim.config import ScenarioConfig
 from imids_sim.core import (
     NodeClass,
     Position,
@@ -9,6 +12,13 @@ from imids_sim.core import (
     SensorNode,
     make_energy_account,
 )
+
+# each section of a scenario by name: a field of `ScenarioConfig` whose
+# annotation is a config dataclass
+SECTION_TYPES = {
+    name: hint for name, hint in typing.get_type_hints(ScenarioConfig).items()
+    if dataclasses.is_dataclass(hint)
+}
 
 
 def build_node(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import xml.etree.ElementTree as ET
@@ -6,7 +7,7 @@ import pytest
 
 from imids_sim import charts, cli, engine
 from imids_sim import topology as topo
-from imids_sim.config import load_config
+from imids_sim.config import MODES, load_config
 from imids_sim.rng import SeededRng
 
 
@@ -220,6 +221,39 @@ def test_sweep_mode_axis_skips_the_energy_chart(tmp_path):
     assert not list(out.glob("*.svg"))
 
 
+EARLY = os.path.join(os.path.dirname(__file__), "..", "configs", "early_attack.json")
+
+# sha256 of `sweep.csv` on early_attack.json: each cell is the config under the
+# axis's dotted overrides, so these moving means a cell changed what it sets
+SWEEP_PINS = {
+    ("attackers", "0,2"): "c778012c0779d80ea713e63a883dfd31de172d32ae36e85096d4d36694543a99",
+    ("node_count", "40,50"): "7cc191fe1dc1ff6fbe9fa44f52da941a3bf7209408492c2beccbd83b2e611a20",
+    ("mode", ",".join(MODES)): "28c86b6a201f0ef52cbc11f19c612a4d779f92b3633974426d3a6b46eaf7f0ab",
+}
+
+
+@pytest.mark.parametrize("axis, values", SWEEP_PINS)
+def test_a_sweep_writes_its_pinned_csv(tmp_path, capsys, axis, values):
+    out = tmp_path / "sw"
+    assert cli.main(["sweep", EARLY, "--axis", axis, "--values", values, "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest()
+    assert digest == SWEEP_PINS[axis, values]
+
+
+def test_an_attackers_sweep_drops_the_listed_attackers(tmp_path):
+    # each cell draws `attacker_count` attackers, whatever ids the file lists
+    with open(EARLY, encoding="utf-8") as handle:
+        raw = json.load(handle)
+    raw["attack"]["attacker_ids"] = [5]
+    path = tmp_path / "listed.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "sw"
+    argv = ["sweep", str(path), "--axis", "attackers", "--values", "0,2", "--out", str(out)]
+    assert cli.main(argv) == 0
+    digest = hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest()
+    assert digest == SWEEP_PINS["attackers", "0,2"]
+
+
 # --- failure modes ---------------------------------------------------------------
 
 
@@ -232,6 +266,23 @@ def test_malformed_json_is_a_config_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert cli.main(["run", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("content", [
+    pytest.param(b"\xff\xfe{\x00}\x00", id="not-utf-8"),
+    pytest.param(b"[" * 100_000, id="nested-too-deeply"),
+])
+@pytest.mark.parametrize("command", [
+    ["run"], ["compare"], ["sweep", "--axis", "mode", "--values", "imids"],
+], ids=["run", "compare", "sweep"])
+def test_an_unreadable_scenario_file_is_a_config_error(tmp_path, capsys, content, command):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(content)
+    out = tmp_path / "o"
+    assert cli.main([command[0], str(path), "--out", str(out), *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_unknown_key_is_a_config_error(tmp_path):
@@ -268,6 +319,11 @@ STOCK = os.path.join(os.path.dirname(__file__), "..", "configs", "stock_comparis
     pytest.param("deployment.leader_energy_threshold=1.0",
                  "unknown key(s) under 'deployment': ['leader_energy_threshold']",
                  id="removed-leader-energy-threshold"),
+    pytest.param("seed.x=1", "section 'seed' must be an object", id="into-a-number"),
+    pytest.param("deployment.node_count.x=1", "section 'deployment.node_count' must be an object",
+                 id="into-a-nested-number"),
+    pytest.param("rounds=" + "[" * 100_000, "override 'rounds' is nested too deeply",
+                 id="nested-too-deeply"),
 ])
 def test_bad_override_is_a_config_error(tmp_path, capsys, override, message):
     code = cli.main(["run", STOCK, "--out", str(tmp_path / "o"), "--override", override])

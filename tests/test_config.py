@@ -1,21 +1,25 @@
 import dataclasses
 import json
 import re
+import typing
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import pytest
 
 from imids_sim import cli
 from imids_sim.config import (
-    _SECTION_TYPES,
     MODES,
     ConfigError,
     ScenarioConfig,
+    _build,
     apply_overrides,
     config_to_dict,
     load_config,
     parse_config,
 )
+
+from conftest import SECTION_TYPES
 
 
 def test_minimal_config_needs_only_seed():
@@ -42,6 +46,73 @@ def test_unknown_keys_rejected():
         parse_config({"seed": 1, "typo_key": True})
     with pytest.raises(ConfigError):
         parse_config({"seed": 1, "deployment": {"node_countz": 10}})
+
+
+@dataclass
+class Leaf:
+    count: int = 1
+    share: float = 0.5
+    pair: tuple | None = None
+
+
+@dataclass
+class Branch:
+    leaf: Leaf = field(default_factory=Leaf)
+
+
+@dataclass
+class Tree:
+    branch: Branch = field(default_factory=Branch)
+    top: int = 0
+
+
+def plain_fields(cls, path=""):
+    """(dotted name, annotation) of every field under `cls` that is not a
+    section, read from the annotations."""
+    for name, hint in typing.get_type_hints(cls).items():
+        if dataclasses.is_dataclass(hint):
+            yield from plain_fields(hint, f"{path}{name}.")
+        else:
+            yield f"{path}{name}", hint
+
+
+def test_the_builder_walks_any_tree_of_config_dataclasses():
+    # a tree that no table lists builds the same way, and names each fault by its dotted path
+    tree = _build(Tree, {"top": 2, "branch": {"leaf": {"count": 3, "pair": [1, 2]}}})
+    assert tree == Tree(Branch(Leaf(count=3, pair=(1, 2))), top=2)
+    for raw, message in [
+        ({"branch": {"leaf": 5}}, "section 'branch.leaf' must be an object"),
+        ({"branch": {"leaf": {"z": 1}}}, "unknown key(s) under 'branch.leaf': ['z']"),
+        ({"branch": {"leaf": {"count": True}}}, "branch.leaf.count must be an integer, got True"),
+        ({"branch": {"leaf": {"share": "x"}}}, "branch.leaf.share must be a finite number, got 'x'"),
+    ]:
+        with pytest.raises(ConfigError) as caught:
+            _build(Tree, raw)
+        assert str(caught.value) == message
+
+
+def test_every_section_is_built_from_the_annotations(tmp_path, capsys):
+    assert set(SECTION_TYPES) == {"deployment", "energy", "traffic", "attack", "detection", "itids"}
+    config = parse_config({"seed": 1, **dict.fromkeys(SECTION_TYPES, {})})
+    assert {name: type(getattr(config, name)) for name in SECTION_TYPES} == SECTION_TYPES
+
+    # an unknown key and a bad number at each depth are named by their dotted path
+    cases = [("nosuch", 1, "unknown top-level key(s): ['nosuch']")]
+    cases += [(f"{name}.nosuch", 1, f"unknown key(s) under '{name}': ['nosuch']")
+              for name in SECTION_TYPES]
+    for dotted, hint in plain_fields(ScenarioConfig):
+        if hint is int:
+            cases.append((dotted, 1.5, f"{dotted} must be an integer, got 1.5"))
+        elif hint is float:
+            cases.append((dotted, "x", f"{dotted} must be a finite number, got 'x'"))
+    assert {dotted.count(".") for dotted, _, _ in cases} == {0, 1}
+    path = tmp_path / "scenario.json"
+    for dotted, value, message in cases:
+        raw = apply_overrides({"seed": 1, "rounds": 1}, [f"{dotted}={json.dumps(value)}"])
+        path.write_text(json.dumps(raw))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2, dotted
+        assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_seconds_per_round_is_an_unknown_key(tmp_path, capsys):
@@ -146,7 +217,7 @@ def test_the_readme_lists_every_key_with_its_default():
     body = README.read_text().split("\n## Scenario files\n", 1)[1].split("\n## ", 1)[0]
     rows = dict(re.findall(r"^\| `(\w+)` \| `?([^`|]+?)`? \|", body, re.M))
     bullets = dict(re.findall(r"^- `(\w+)`: (.*(?:\n  .*)*)", body, re.M))
-    assert set(bullets) == set(_SECTION_TYPES)
+    assert set(bullets) == set(SECTION_TYPES)
     assert rows.keys() | bullets.keys() == {f.name for f in dataclasses.fields(ScenarioConfig)}
     for f in dataclasses.fields(ScenarioConfig):
         if f.name in rows:
@@ -154,7 +225,7 @@ def test_the_readme_lists_every_key_with_its_default():
             assert _readme_value(rows[f.name]) == expected, f.name
 
     for section, text in bullets.items():
-        defaults = {f.name: f.default for f in dataclasses.fields(_SECTION_TYPES[section])}
+        defaults = {f.name: f.default for f in dataclasses.fields(SECTION_TYPES[section])}
         assert set(re.findall(r"`(\w+)`", text)) == set(defaults), section
         stated = dict(re.findall(r"`(\w+)` (-?\d[\d.]*(?:e-?\d+)?)\b", text))
         numeric = {

@@ -18,8 +18,10 @@ from typing import NamedTuple
 import pytest
 
 from imids_sim import cli
-from imids_sim.config import _SECTION_TYPES, ScenarioConfig, parse_config
+from imids_sim.config import ScenarioConfig, parse_config
 from imids_sim.engine import run_simulation
+
+from conftest import SECTION_TYPES
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -109,7 +111,7 @@ def settable_keys() -> set:
     """Every field of `ScenarioConfig`, section fields as `section.key`."""
     keys = set()
     for f in dataclasses.fields(ScenarioConfig):
-        section = _SECTION_TYPES.get(f.name)
+        section = SECTION_TYPES.get(f.name)
         if section is None:
             keys.add(f.name)
         else:

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from imids_sim import cli, engine
 from imids_sim import topology as topo
 from imids_sim.config import (
-    _SECTION_TYPES,
     MODES,
     ConfigError,
     ScenarioConfig,
@@ -34,7 +33,7 @@ from imids_sim.core import (
 )
 from imids_sim.energy import EnergyParams, charge_detection, consume
 
-from conftest import build_node, build_sink
+from conftest import SECTION_TYPES, build_node, build_sink
 
 EXAMPLES = {
     "trust_bounds": 300,
@@ -262,7 +261,7 @@ def fields_of(cls):
 def scenario_objects():
     optional = fields_of(ScenarioConfig)
     del optional["rounds"]  # always present, or the default 500 rounds would run
-    for name, cls in _SECTION_TYPES.items():
+    for name, cls in SECTION_TYPES.items():
         optional[name] = st.fixed_dictionaries({}, optional=fields_of(cls)) | JSON_VALUES
     return st.fixed_dictionaries({"rounds": field_values(int)}, optional=optional)
 
@@ -286,7 +285,7 @@ def test_any_json_object_parses_or_is_a_config_error(raw):
 
 SCHEMA_HINTS = {  # dotted override key -> annotation; a section takes any JSON value
     **typing.get_type_hints(ScenarioConfig),
-    **{f"{name}.{key}": hint for name, cls in _SECTION_TYPES.items()
+    **{f"{name}.{key}": hint for name, cls in SECTION_TYPES.items()
        for key, hint in typing.get_type_hints(cls).items()},
 }
 BAD_KEYS = ["nosuch", "deployment.nosuch", "seed.x", "deployment.node_count.x"]

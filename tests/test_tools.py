@@ -1,12 +1,15 @@
 import importlib.util
 import json
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "profile_rounds.py"
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "profile_rounds.py"
 
 
 def load_tool():
@@ -69,3 +72,32 @@ def test_the_round_profiler_writes_one_json_object(tmp_path):
     assert not any(cases["false_alarm/itids"]["sweep_share"].values())  # the baseline never sweeps
     assert "_sink_stage" in cases["false_alarm/imids"]["phase_share"]
     assert "_forward_received" in cases["false_alarm/itids"]["phase_share"]
+
+
+def test_the_artifact_diff_locates_a_change_at_its_first_round(tmp_path):
+    # the base is this checkout's src with the injected false strikes switched off
+    base = tmp_path / "src"
+    shutil.copytree(ROOT / "src", base, ignore=shutil.ignore_patterns("__pycache__"))
+    engine = base / "imids_sim" / "engine.py"
+    hook = "    def _inject_false_strikes(self, r: int):\n"
+    assert engine.read_text().count(hook) == 1
+    engine.write_text(engine.read_text().replace(hook, hook + "        return\n"))
+
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "artifact_diff.py"), "--base", str(base)],
+        capture_output=True, text=True, cwd=tmp_path,
+    )
+    assert done.returncode == 1, done.stderr
+    header, *rows = done.stdout.splitlines()
+    assert header.split()[:2] == ["run", "metrics.csv"]
+    runs = {line.split()[0]: line for line in rows}
+    assert len(runs) == len(rows) == 12
+    differing = {name for name, line in runs.items() if line.split()[1] != "identical"}
+    assert differing == {f"false_alarm/{mode}" for mode in ("imids", "itids", "imids-no-sectors")}
+    strikes = json.loads((ROOT / "configs" / "false_alarm.json").read_text())
+    first = min(at_round for _, at_round in strikes["detection"]["injected_false_strikes"])
+    for name in differing:
+        assert re.search(rf"\bround {first}, \w+ ", runs[name]), runs[name]
+    # an identical run moves nothing: every delta is zero or both sides lack a lifetime
+    for name in runs.keys() - differing:
+        assert set(runs[name].split()[2:9]) <= {"+0", "="}, runs[name]
