@@ -20,6 +20,9 @@ from .itids import ItidsConfig
 from .topology import SINK_ID
 
 MODES = ("imids", "itids", "imids-no-sectors")
+# The deepest valid scenario nests 4 containers (deployment.positions); a
+# deeper tree is refused so that no copy of it recurses near the limit.
+MAX_DEPTH = 8
 
 
 class ConfigError(Exception):
@@ -144,9 +147,10 @@ class ScenarioConfig:
 def _build(cls, raw: dict, path: str = ""):
     """Build the config dataclass `cls` from the JSON object `raw`, each
     field held to its annotation: a config dataclass is built the same way
-    under its dotted name, an int takes an integer (not a bool, not 1.5), a
-    float any finite number, and a tuple its JSON list as tuples. Plain
-    fields are checked before sections, so their faults are named first."""
+    under its dotted name, an int takes an integer (not a bool, not 1.5) that
+    a float can hold, a float any finite number, and a tuple its JSON list as
+    tuples. Plain fields are checked before sections, so their faults are
+    named first."""
     hints = typing.get_type_hints(cls)
     unknown = set(raw) - set(hints)
     if unknown:
@@ -161,6 +165,8 @@ def _build(cls, raw: dict, path: str = ""):
             value = _build(hint, value, name)
         elif hint is int and (isinstance(value, bool) or not isinstance(value, int)):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
+        elif hint is int and not _finite(value):
+            raise ConfigError(f"{name} must fit a float, got an integer of {value.bit_length()} bits")
         elif hint is float and not _finite(value):
             raise ConfigError(f"{name} must be a finite number, got {value!r}")
         elif tuple in (hint, *typing.get_args(hint)) and isinstance(value, list):
@@ -180,17 +186,26 @@ def parse_config(raw: dict) -> ScenarioConfig:
 
 
 def load_raw(path: str) -> dict:
+    """The scenario file's JSON object, at most `MAX_DEPTH` containers deep."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read scenario file: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer of too many digits
         raise ConfigError(f"scenario file is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ConfigError("scenario file is nested too deeply to read") from exc
     if not isinstance(raw, dict):
         raise ConfigError("scenario must be a JSON object")
+    level = [raw]  # walked level by level, as a recursive walk could overflow
+    for _ in range(MAX_DEPTH):
+        level = [
+            v for c in level if isinstance(c, (dict, list))
+            for v in (c.values() if isinstance(c, dict) else c)
+        ]
+    if any(isinstance(c, (dict, list)) for c in level):
+        raise ConfigError(f"scenario file is nested too deeply to read: over {MAX_DEPTH} levels")
     return raw
 
 
@@ -216,6 +231,8 @@ def apply_overrides(raw: dict, overrides) -> dict:
             value = json.loads(text)
         except json.JSONDecodeError:
             value = text
+        except ValueError as exc:  # an integer of too many digits
+            raise ConfigError(f"override '{dotted}' is not valid JSON: {exc}") from exc
         except RecursionError as exc:
             raise ConfigError(f"override '{dotted}' is nested too deeply to read") from exc
         target = raw
@@ -228,14 +245,6 @@ def apply_overrides(raw: dict, overrides) -> dict:
     return raw
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def config_to_dict(config: ScenarioConfig) -> dict:
-    # tuples become lists so the echo survives a JSON round trip unchanged
-    return _jsonable(dataclasses.asdict(config))
+    # through JSON, so tuples become lists and the echo survives a round trip unchanged
+    return json.loads(json.dumps(dataclasses.asdict(config)))

@@ -726,7 +726,7 @@ class Simulation:
                 price = self._link_price(src, dst, size)
                 consume(src, price)
                 overhearers = self._overhearers(pkt.src, pkt.dst)
-                overhear(overhearers, slot, pkt.token.valid, rx_table[size], price)
+                overhear(overhearers, slot != src.slot, not pkt.token.valid, rx_table[size], price)
                 # both ends were alive at the last graph build: nodes only die
                 if dst.energy.residual_energy <= 0.0 or not has_edge(pkt.src, pkt.dst):
                     continue
@@ -748,7 +748,7 @@ class Simulation:
                     route = routes[node.id] = self._route(node, slot, bits)
                 parent, pkt, cost, reaches, overhearers = route
                 consume(node, cost)
-                overhear(overhearers, slot, True, rx, cost)
+                overhear(overhearers, False, False, rx, cost)  # its own slot, a valid token
                 if parent.energy.residual_energy <= 0.0 or not reaches or node.id in quarantined:
                     continue  # the roster is known: a quarantined sender's junk is not picked up
                 consume(parent, rx)
@@ -777,14 +777,14 @@ class Simulation:
             for w in self._watchers.get(src, ()) if has_edge(w, src)
         )
 
-    def _overhear(self, overhearers, slot, valid, rx, price):
-        """Record a transmission in `slot` with every live, unquarantined
-        overhearer, which adds the sender's link `price` to what it saw the
-        sender spend. Overhearing is not free: a watcher that is not the
-        addressee keeps its radio receiving for the whole packet and pays
-        `rx`, the packet's receive price. This is what makes an always-on
-        promiscuous monitor expensive to run, while a coordinator watching
-        traffic addressed to itself pays nothing."""
+    def _overhear(self, overhearers, off_slot, forged, rx, price):
+        """Record a transmission with every live, unquarantined overhearer,
+        which adds the sender's link `price` to what it saw the sender spend
+        and sets the flags the transmission earns (`off_slot`, `forged`).
+        Overhearing is not free: a watcher that is not the addressee keeps its
+        radio on for the whole packet and pays `rx`, the packet's receive
+        price, which makes an always-on promiscuous monitor expensive to run;
+        a coordinator watching traffic addressed to itself pays nothing."""
         obs = self._obs
         quarantined = self.ledgers.quarantined
         for watcher, key, pays in overhearers:
@@ -792,7 +792,8 @@ class Simulation:
                 continue
             if (seen := obs.get(key)) is None:
                 seen = obs[key] = Observation()
-            seen.tx_events.append((slot, valid))
+            seen.off_slot |= off_slot
+            seen.forged |= forged
             seen.energy_spent += price
             if pays:
                 consume(watcher, rx)
@@ -954,14 +955,18 @@ class Simulation:
         cfg = self.config
         sink = self.sink
         inbox = self._inbox
+
+        def validate(validator, pkt, expected_slot, packets_from_src):
+            return ids_mod.cc_validate(
+                validator, pkt, expected_slot, packets_from_src,
+                self.ledgers, self.profile, cfg.detection, self.params, r,
+            )
+
         received = self._senders(sink.id)
         for pkt in sorted(inbox.get(sink.id, ()), key=lambda p: (p.src, p.slot)):
             if not sink.energy.detection_enabled:
                 break
-            ids_mod.cc_validate(
-                sink, pkt, self.by_id[pkt.src].slot, received[pkt.src],
-                self.ledgers, cfg.detection, self.params, r,
-            )
+            validate(sink, pkt, self.by_id[pkt.src].slot, received[pkt.src])
         sink_inbox = []
         validated = []
         for cluster in self.clusters:
@@ -978,11 +983,7 @@ class Simulation:
                     continue
                 subject = self.by_id[pkt.src]
                 expected_slot = AGGREGATE_SLOT if pkt.slot == AGGREGATE_SLOT else subject.slot
-                result = ids_mod.cc_validate(
-                    cc, pkt, expected_slot, received[pkt.src],
-                    self.ledgers, cfg.detection, self.params, r,
-                )
-                if result.accepted:
+                if validate(cc, pkt, expected_slot, received[pkt.src]).accepted:
                     sources = pkt.sources or (pkt.src,)
                     validated += sources
                     accepted_sources += sources
@@ -999,10 +1000,7 @@ class Simulation:
         for pkt in sorted(sink_inbox, key=lambda p: p.src):
             if not sink.energy.detection_enabled:
                 break
-            result = ids_mod.cc_validate(
-                sink, pkt, AGGREGATE_SLOT, 1, self.ledgers, cfg.detection, self.params, r,
-            )
-            if result.accepted:
+            if validate(sink, pkt, AGGREGATE_SLOT, 1).accepted:
                 delivered.append(pkt.src)
                 delivered += pkt.sources
         self.ledgers.sn_log.extend(r, delivered)

@@ -9,8 +9,9 @@ draw from what it hears, the link price of each transmission of the node
 Stage two (run by sector monitors) watches strikes over a sliding window
 and either condemns, rehabilitates, or keeps waiting. Cluster coordinators
 and the sink re-validate forwarded packets so a compromised lower layer
-cannot launder traffic; a drop there feeds a strike back to the origin's
-suspect entry.
+cannot launder traffic: each packet becomes an observation of its own and
+goes through `evaluate_rules`, the one place the four rules are written. A
+drop there feeds a strike back to the origin's suspect entry.
 """
 
 from __future__ import annotations
@@ -80,13 +81,14 @@ class NormalProfile:
 class Observation:
     """What a watcher saw of one subject during one round."""
 
-    energy_spent: float = 0.0
-    tx_events: list = field(default_factory=list)  # (slot, token_valid)
-    packets_to_watcher: int = 0
+    energy_spent: float = 0.0  # the link price of what it overheard the subject send
+    off_slot: bool = False  # some of that went outside the subject's own slot
+    forged: bool = False  # some of that bore an invalid token
+    packets_to_watcher: int = 0  # what it received from the subject
 
 
-# What a silent subject shows; shared, so read-only (a tuple, not a list).
-_NOTHING_SEEN = Observation(tx_events=())
+# What a silent subject shows; shared, so never written.
+_NOTHING_SEEN = Observation()
 
 
 @dataclass(slots=True)
@@ -180,26 +182,14 @@ def add_strikes(ledgers: Ledgers, node_id: int, reasons, current_round: int) -> 
     return entry
 
 
-def evaluate_rules(
-    subject: SensorNode,
-    observation: Observation,
-    profile: NormalProfile,
-    config: DetectionConfig,
-) -> tuple:
-    """Apply the four anomaly rules to one round of observations."""
+def evaluate_rules(observation: Observation, profile: NormalProfile, config: DetectionConfig) -> tuple:
+    """The four anomaly rules on one observation, in `Reason` order."""
     reasons = []
     if observation.energy_spent > config.rate_threshold * profile.expected_energy_rate:
         reasons.append(Reason.ENERGY_RATE)
-    own_slot = subject.slot
-    off_slot = forged = False
-    for slot, valid in observation.tx_events:
-        if slot != own_slot:
-            off_slot = True
-        if not valid:
-            forged = True
-    if off_slot:
+    if observation.off_slot:
         reasons.append(Reason.SCHEDULE_VIOLATION)
-    if forged:
+    if observation.forged:
         reasons.append(Reason.INVALID_TOKEN)
     if observation.packets_to_watcher > config.count_threshold:
         reasons.append(Reason.PACKET_FLOOD)
@@ -229,7 +219,7 @@ def sids_check(
         if subject.id in quarantined:
             continue
         disabled = charge_detection(watcher, params)
-        reasons = evaluate_rules(subject, observation or _NOTHING_SEEN, profile, config)
+        reasons = evaluate_rules(observation or _NOTHING_SEEN, profile, config)
         if reasons:
             subject.trust = trust_penalize(subject.trust)
             add_strikes(ledgers, subject.id, reasons, current_round)
@@ -293,31 +283,33 @@ def cc_validate(
     expected_slot: int | None,
     packets_from_src: int,
     ledgers: Ledgers,
+    profile: NormalProfile,
     config: DetectionConfig,
     params: EnergyParams,
     current_round: int,
 ) -> ValidationResult:
     """Re-validate one packet at coordinator or sink scope.
 
-    Applies the token, schedule, and flood rules once more so traffic a
-    compromised lower layer waved through still gets dropped here. A drop
-    is a caught false negative: the source collects a fresh strike.
+    The packet is screened through `evaluate_rules` as all the validator
+    saw of its source (nothing overheard, so no energy rate), so traffic a
+    compromised lower layer waved through still gets dropped here. Any
+    slot passes when `expected_slot` is None. A drop is a caught false
+    negative: the source collects a fresh strike.
     """
     if not validator.energy.detection_enabled:
         raise DisabledIds(f"node {validator.id} cannot validate")
     charge_detection(validator, params)
     if packet.src in ledgers.quarantined:
         return _DROPPED_QUARANTINED
-    reasons = []
-    if not packet.token.valid:
-        reasons.append(Reason.INVALID_TOKEN)
-    if expected_slot is not None and packet.slot != expected_slot:
-        reasons.append(Reason.SCHEDULE_VIOLATION)
-    if packets_from_src > config.count_threshold:
-        reasons.append(Reason.PACKET_FLOOD)
+    seen = Observation(
+        off_slot=expected_slot is not None and packet.slot != expected_slot,
+        forged=not packet.token.valid,
+        packets_to_watcher=packets_from_src,
+    )
+    reasons = evaluate_rules(seen, profile, config)
     if reasons:
         add_strikes(ledgers, packet.src, reasons, current_round)
-        return ValidationResult(accepted=False, reasons=tuple(reasons))
+        return ValidationResult(accepted=False, reasons=reasons)
     return _ACCEPTED
 
 

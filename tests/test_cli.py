@@ -285,6 +285,38 @@ def test_an_unreadable_scenario_file_is_a_config_error(tmp_path, capsys, content
     assert not out.exists()
 
 
+OVERSIZED = "1" * 401  # an integer no float can hold
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param('{"seed": 1, "rounds": ' + "[" * 900 + "]" * 900 + "}",
+                 "scenario file is nested too deeply to read", id="nested-900-deep"),
+    pytest.param('{"seed": 1, "rounds": ' + "[" * 8 + "]" * 8 + "}",  # 9 with the object
+                 "nested too deeply to read: over 8 levels", id="nested-9-deep"),
+    pytest.param('{"seed": 1, "rounds": ' + "[" * 7 + "]" * 7 + "}",  # read, then refused
+                 "rounds must be an integer", id="nested-8-deep"),
+    pytest.param('{"seed": 1, "traffic": {"data_bits": ' + OVERSIZED + "}}",
+                 "traffic.data_bits must fit a float", id="oversized-data-bits"),
+    pytest.param('{"seed": 1, "deployment": {"node_count": ' + OVERSIZED + "}}",
+                 "deployment.node_count must fit a float", id="oversized-node-count"),
+    pytest.param('{"seed": 1, "rounds": ' + "1" * 5000 + "}",
+                 "scenario file is not valid JSON", id="integer-of-too-many-digits"),
+])
+@pytest.mark.parametrize("command", [
+    ["run"], ["compare"], ["sweep", "--axis", "mode", "--values", "imids"],
+], ids=["run", "compare", "sweep"])
+def test_a_parsed_but_unusable_tree_is_a_config_error(tmp_path, capsys, text, message, command):
+    """JSON can nest deeper than a copy of the tree may recurse, or hold an
+    integer the simulation cannot turn into a float or Python cannot read."""
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    out = tmp_path / "o"
+    assert cli.main([command[0], str(path), "--out", str(out), *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_unknown_key_is_a_config_error(tmp_path):
     cfg = write_config(tmp_path, typo_section={"x": 1})
     assert cli.main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -324,6 +356,12 @@ STOCK = os.path.join(os.path.dirname(__file__), "..", "configs", "stock_comparis
                  id="into-a-nested-number"),
     pytest.param("rounds=" + "[" * 100_000, "override 'rounds' is nested too deeply",
                  id="nested-too-deeply"),
+    pytest.param("traffic.data_bits=" + OVERSIZED, "traffic.data_bits must fit a float",
+                 id="oversized-data-bits"),
+    pytest.param("deployment.node_count=" + OVERSIZED, "deployment.node_count must fit a float",
+                 id="oversized-node-count"),
+    pytest.param("rounds=" + "1" * 5000, "override 'rounds' is not valid JSON",
+                 id="integer-of-too-many-digits"),
 ])
 def test_bad_override_is_a_config_error(tmp_path, capsys, override, message):
     code = cli.main(["run", STOCK, "--out", str(tmp_path / "o"), "--override", override])

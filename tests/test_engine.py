@@ -516,7 +516,7 @@ def test_a_flooding_attacker_trips_the_energy_rate_rule(monkeypatch):
                 continue
             if subject.id == attacker:
                 flooded.append(seen.energy_spent)
-            elif seen.tx_events:
+            else:  # overheard, so it sent
                 parent = sim.by_id[sim.parent[subject.id]]
                 assert seen.energy_spent == sim._link_price(subject, parent, bits)
                 assert seen.energy_spent < limit
@@ -531,6 +531,42 @@ def test_a_flooding_attacker_trips_the_energy_rate_rule(monkeypatch):
     assert attacker in sim.ledgers.quarantined
     assert all(ids.Reason.ENERGY_RATE not in entry.reasons
                for node, entry in sim.ledgers.suspected.items() if node != attacker)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_only_attack_packets_raise_the_observation_flags(mode):
+    """`_overhear` flags a transmission off-slot or forged as it is heard. A
+    leaf's uplink goes out in its own slot under a valid token, so a subject
+    that sent only its uplink shows neither flag; an active attacker sends
+    no uplink and every attack packet bears an invalid token, so every
+    watcher that heard one shows `forged`. Stock scenario, attack from round 0."""
+    raw = json.loads(STOCK_CONFIG.read_text())
+    raw["mode"] = mode
+    raw["attack"]["start_round"] = 0
+    sim = engine.initialize(parse_config(raw))
+    uplink_only, attacked = [], []
+
+    def probed(phase, r):
+        phase(r)
+        if phase.__name__ != "_run_slots":
+            return
+        sent = [pkt for packets in sim._attack_packets.values() for pkt in packets]
+        assert not any(pkt.token.valid for pkt in sent)
+        attack_sources = {pkt.src for pkt in sent}
+        assert attack_sources <= sim._attacking
+        for (_watcher, subject), seen in sim._obs.items():
+            if subject in attack_sources:
+                attacked.append(seen)
+            else:
+                uplink_only.append(seen)
+
+    wrap_phases(sim, probed)
+    while sim.round < sim.config.rounds and sim.alive_non_sink():
+        sim.run_round()
+    assert uplink_only and attacked
+    assert not any(seen.off_slot or seen.forged for seen in uplink_only)
+    assert all(seen.forged for seen in attacked)
+    assert any(seen.off_slot for seen in attacked)  # fake control lands in random slots
 
 
 def test_quarantined_nodes_stop_contributing():

@@ -1,7 +1,9 @@
 import copy
 import pickle
+from collections import Counter
 from itertools import groupby
 from operator import itemgetter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from imids_sim.core import (
     WakeupToken,
 )
 from imids_sim.energy import EnergyParams, assign_detection_budget
+from imids_sim.engine import Simulation
 from imids_sim.ids import (
     Decision,
     DetectionConfig,
@@ -58,43 +61,31 @@ def _watcher(node_id=3):
 
 
 def test_rule_energy_rate():
-    subject = _subject()
     obs = Observation(energy_spent=1.6e-3)  # above 1.5 * 1e-3
-    assert evaluate_rules(subject, obs, PROFILE, CFG) == (Reason.ENERGY_RATE,)
+    assert evaluate_rules(obs, PROFILE, CFG) == (Reason.ENERGY_RATE,)
     obs_ok = Observation(energy_spent=1.4e-3)
-    assert evaluate_rules(subject, obs_ok, PROFILE, CFG) == ()
+    assert evaluate_rules(obs_ok, PROFILE, CFG) == ()
 
 
 def test_rule_schedule_violation():
-    subject = _subject(slot=2)
-    obs = Observation(tx_events=[(4, True)])
-    assert evaluate_rules(subject, obs, PROFILE, CFG) == (Reason.SCHEDULE_VIOLATION,)
-    obs_ok = Observation(tx_events=[(2, True)])
-    assert evaluate_rules(subject, obs_ok, PROFILE, CFG) == ()
+    assert evaluate_rules(Observation(off_slot=True), PROFILE, CFG) == (Reason.SCHEDULE_VIOLATION,)
+    assert evaluate_rules(Observation(off_slot=False), PROFILE, CFG) == ()
 
 
 def test_rule_invalid_token():
-    subject = _subject(slot=2)
-    obs = Observation(tx_events=[(2, False)])
-    assert evaluate_rules(subject, obs, PROFILE, CFG) == (Reason.INVALID_TOKEN,)
+    assert evaluate_rules(Observation(forged=True), PROFILE, CFG) == (Reason.INVALID_TOKEN,)
 
 
 def test_rule_packet_flood():
-    subject = _subject()
     obs = Observation(packets_to_watcher=3)  # above 2.0
-    assert evaluate_rules(subject, obs, PROFILE, CFG) == (Reason.PACKET_FLOOD,)
+    assert evaluate_rules(obs, PROFILE, CFG) == (Reason.PACKET_FLOOD,)
     obs_ok = Observation(packets_to_watcher=2)
-    assert evaluate_rules(subject, obs_ok, PROFILE, CFG) == ()
+    assert evaluate_rules(obs_ok, PROFILE, CFG) == ()
 
 
 def test_all_rules_fire_together():
-    subject = _subject(slot=2)
-    obs = Observation(
-        energy_spent=5e-3,
-        tx_events=[(1, False), (3, False)],
-        packets_to_watcher=9,
-    )
-    assert set(evaluate_rules(subject, obs, PROFILE, CFG)) == {
+    obs = Observation(energy_spent=5e-3, off_slot=True, forged=True, packets_to_watcher=9)
+    assert set(evaluate_rules(obs, PROFILE, CFG)) == {
         Reason.ENERGY_RATE,
         Reason.SCHEDULE_VIOLATION,
         Reason.INVALID_TOKEN,
@@ -102,16 +93,17 @@ def test_all_rules_fire_together():
     }
 
 
-def two_pass_rules(subject, observation, profile, config):
-    """`evaluate_rules` as it was with one `any()` pass per token rule."""
+def two_pass_rules(own_slot, tx_events, energy_spent, packets, profile, config):
+    """The four rules read straight off a subject's transmissions, as
+    (slot, token valid) pairs, with one `any()` pass per token rule."""
     reasons = []
-    if observation.energy_spent > config.rate_threshold * profile.expected_energy_rate:
+    if energy_spent > config.rate_threshold * profile.expected_energy_rate:
         reasons.append(Reason.ENERGY_RATE)
-    if any(slot != subject.slot for slot, _valid in observation.tx_events):
+    if any(slot != own_slot for slot, _valid in tx_events):
         reasons.append(Reason.SCHEDULE_VIOLATION)
-    if any(not valid for _slot, valid in observation.tx_events):
+    if any(not valid for _slot, valid in tx_events):
         reasons.append(Reason.INVALID_TOKEN)
-    if observation.packets_to_watcher > config.count_threshold:
+    if packets > config.count_threshold:
         reasons.append(Reason.PACKET_FLOOD)
     return tuple(reasons)
 
@@ -126,12 +118,19 @@ def two_pass_rules(subject, observation, profile, config):
 def test_rules_in_one_pass_equal_the_two_pass_reference(
     own_slot, tx_events, energy_spent, packets
 ):
-    subject = _subject(slot=own_slot)
-    for events in (tx_events, tuple(tx_events)):
-        obs = Observation(energy_spent=energy_spent, tx_events=events, packets_to_watcher=packets)
-        assert evaluate_rules(subject, obs, PROFILE, CFG) == two_pass_rules(
-            subject, obs, PROFILE, CFG
-        )
+    """The engine folds each overheard transmission into the observation's
+    two flags as it happens (`Simulation._overhear`); the rules on the folded
+    observation must equal the two-pass reading of the transmissions."""
+    watcher, key = _watcher(), (3, 7)
+    sim = SimpleNamespace(_obs={}, ledgers=Ledgers())
+    for slot, valid in tx_events:
+        Simulation._overhear(sim, ((watcher, key, False),), slot != own_slot, not valid, 0.0, 0.0)
+    assert (key in sim._obs) == bool(tx_events)  # a silent subject leaves no observation
+    obs = sim._obs.get(key, Observation())
+    obs.energy_spent, obs.packets_to_watcher = energy_spent, packets
+    assert evaluate_rules(obs, PROFILE, CFG) == two_pass_rules(
+        own_slot, tx_events, energy_spent, packets, PROFILE, CFG
+    )
 
 
 # --- screening pass --------------------------------------------------------
@@ -245,7 +244,7 @@ def _validator():
 def test_cc_validate_accepts_clean_packet():
     ledgers = Ledgers()
     result = cc_validate(
-        _validator(), _data_packet(7, 2), 2, 1, ledgers, CFG, P, 0
+        _validator(), _data_packet(7, 2), 2, 1, ledgers, PROFILE, CFG, P, 0
     )
     assert result.accepted
     assert 7 not in ledgers.suspected
@@ -254,7 +253,7 @@ def test_cc_validate_accepts_clean_packet():
 def test_cc_validate_strikes_invalid_token():
     ledgers = Ledgers()
     result = cc_validate(
-        _validator(), _data_packet(7, 2, valid=False), 2, 1, ledgers, CFG, P, 0
+        _validator(), _data_packet(7, 2, valid=False), 2, 1, ledgers, PROFILE, CFG, P, 0
     )
     assert not result.accepted
     assert Reason.INVALID_TOKEN in ledgers.suspected[7].reasons
@@ -263,7 +262,7 @@ def test_cc_validate_strikes_invalid_token():
 def test_cc_validate_strikes_wrong_slot():
     ledgers = Ledgers()
     result = cc_validate(
-        _validator(), _data_packet(7, 5), 2, 1, ledgers, CFG, P, 0
+        _validator(), _data_packet(7, 5), 2, 1, ledgers, PROFILE, CFG, P, 0
     )
     assert not result.accepted
     assert Reason.SCHEDULE_VIOLATION in ledgers.suspected[7].reasons
@@ -272,7 +271,7 @@ def test_cc_validate_strikes_wrong_slot():
 def test_cc_validate_strikes_flood():
     ledgers = Ledgers()
     result = cc_validate(
-        _validator(), _data_packet(7, 2), 2, 5, ledgers, CFG, P, 0
+        _validator(), _data_packet(7, 2), 2, 5, ledgers, PROFILE, CFG, P, 0
     )
     assert not result.accepted
     assert Reason.PACKET_FLOOD in ledgers.suspected[7].reasons
@@ -282,10 +281,41 @@ def test_cc_validate_drops_quarantined_silently():
     ledgers = Ledgers()
     quarantine(ledgers, 7, 0)
     result = cc_validate(
-        _validator(), _data_packet(7, 2), 2, 1, ledgers, CFG, P, 1
+        _validator(), _data_packet(7, 2), 2, 1, ledgers, PROFILE, CFG, P, 1
     )
     assert not result.accepted
     assert 7 not in ledgers.suspected  # no new strikes, just dropped
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    valid=st.booleans(),
+    slot=st.integers(-1, 2),  # -1 is the aggregate slot
+    expected_slot=st.none() | st.integers(-1, 2),
+    count=st.integers(0, 5),  # straddles the 2-packet flood limit
+)
+def test_cc_validate_strikes_as_the_three_rule_reference(valid, slot, expected_slot, count):
+    """Re-validation goes through `evaluate_rules`; its strikes must be the
+    token, schedule and flood rules written out on the packet itself."""
+    ledgers = Ledgers()
+    result = cc_validate(
+        _validator(), _data_packet(7, slot, valid), expected_slot, count,
+        ledgers, PROFILE, CFG, P, 0,
+    )
+    expected = set()
+    if not valid:
+        expected.add(Reason.INVALID_TOKEN)
+    if expected_slot is not None and slot != expected_slot:
+        expected.add(Reason.SCHEDULE_VIOLATION)
+    if count > CFG.count_threshold:
+        expected.add(Reason.PACKET_FLOOD)
+    assert result.accepted == (not expected)
+    assert Counter(result.reasons) == Counter(expected)
+    if expected:
+        assert Counter(ledgers.suspected[7].reasons) == Counter(expected)
+        assert ledgers.suspected[7].strike_count == len(expected)
+    else:
+        assert 7 not in ledgers.suspected
 
 
 # --- confusion bookkeeping --------------------------------------------------

@@ -395,9 +395,10 @@ def test_each_receipt_is_counted_once_and_screened_as_received(mode, monkeypatch
     watcher's packets from each subject there into the observation its
     overhearing made. That holds only if every receipt by an unquarantined
     watcher of the sender was overheard too: after the slots each such
-    receipt must have an overhearing observation, and every count
-    `sids_check` screens, the stand-in for a silent subject included, must
-    equal the receipts."""
+    receipt must have an overhearing observation, flagged off-slot or
+    forged when a received packet was, and every count `sids_check`
+    screens, the stand-in for a silent subject included, must equal the
+    receipts."""
     sim = None
     screened, watched_receipts = [], []
     sids_check = ids.sids_check
@@ -416,7 +417,12 @@ def test_each_receipt_is_counted_once_and_screened_as_received(mode, monkeypatch
             for w, packets in sim._inbox.items():
                 for s in {p.src for p in packets}:
                     if w in sim._watchers.get(s, ()) and w not in quarantined:
-                        assert sim._obs[(w, s)].tx_events
+                        assert (w, s) in sim._obs
+                        seen = sim._obs[(w, s)]
+                        own_slot = sim.by_id[s].slot
+                        from_s = [p for p in packets if p.src == s]
+                        assert seen.off_slot or all(p.slot == own_slot for p in from_s)
+                        assert seen.forged or all(p.token.valid for p in from_s)
                         watched_receipts.append((w, s))
 
     monkeypatch.setattr(ids, "sids_check", recording)
