@@ -16,6 +16,11 @@ from dataclasses import dataclass
 from .core import Packet, PacketKind, SensorNode, WakeupToken, is_alive
 from .energy import EnergyParams, consume, rx_cost
 
+# Each attacker builds `fake_msgs_per_round` plus `flood_packets_per_slot`
+# per slot packets a round; at this bound and the longest frame that is
+# about a million, which a run can still hold.
+MAX_ATTACK_RATE = 1_000
+
 
 @dataclass
 class AttackConfig:
@@ -29,8 +34,9 @@ class AttackConfig:
     def validate(self) -> None:
         if self.attacker_count < 0:
             raise ValueError("attacker_count must be non-negative")
-        if self.fake_msgs_per_round < 0 or self.flood_packets_per_slot < 0:
-            raise ValueError("attack rates must be non-negative")
+        for name in ("fake_msgs_per_round", "flood_packets_per_slot"):
+            if not 0 <= getattr(self, name) <= MAX_ATTACK_RATE:
+                raise ValueError(f"{name} must lie in [0, {MAX_ATTACK_RATE}]")
         if self.fake_msg_bits <= 0:
             raise ValueError("fake_msg_bits must be positive")
         if self.start_round < 0:

@@ -23,6 +23,14 @@ MODES = ("imids", "itids", "imids-no-sectors")
 # The deepest valid scenario nests 4 containers (deployment.positions); a
 # deeper tree is refused so that no copy of it recurses near the limit.
 MAX_DEPTH = 8
+# Counts that size what the engine builds, bounded so that a count which
+# fits a float but not memory is refused before anything is allocated.
+# 100,000 nodes is 62 times the largest profiled field (1,600 nodes); set-up
+# at stock density already peaks near 300 MB there.
+MAX_NODE_COUNT = 100_000
+# Every live node draws one mask bit per slot each round: 100 times the
+# stock frame of 10 slots.
+MAX_SLOTS_PER_ROUND = 1_000
 
 
 class ConfigError(Exception):
@@ -59,6 +67,8 @@ class DeploymentConfig:
     def validate(self) -> None:
         if self.node_count < 3:
             raise ConfigError("node_count must be at least 3")
+        if self.node_count > MAX_NODE_COUNT:
+            raise ConfigError(f"node_count must be at most {MAX_NODE_COUNT}")
         if self.area_width <= 0 or self.area_height <= 0:
             raise ConfigError("area dimensions must be positive")
         if self.transmission_range <= 0:
@@ -113,8 +123,8 @@ class ScenarioConfig:
             raise ConfigError(f"mode must be one of {MODES}")
         if self.rounds < 0:
             raise ConfigError("rounds must be non-negative")
-        if self.slots_per_round < 1:
-            raise ConfigError("slots_per_round must be at least 1")
+        if not 1 <= self.slots_per_round <= MAX_SLOTS_PER_ROUND:
+            raise ConfigError(f"slots_per_round must lie in [1, {MAX_SLOTS_PER_ROUND}]")
         if not 0 <= self.sleep_probability <= 1:
             raise ConfigError("sleep_probability must lie in [0, 1]")
         if not 0 < self.rotation_hysteresis <= 1:

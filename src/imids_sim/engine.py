@@ -112,17 +112,6 @@ class _Fragment(NamedTuple):
         return {*self.order, *self.always_on}
 
 
-class _Known(NamedTuple):
-    """What a cluster remembers under one roster: node->cluster in id order
-    and the leaders, shared by every fragment derived under the roster, and
-    those fragments by structure (`Simulation._recall_fragment`)."""
-
-    roster: frozenset
-    cluster_of: dict
-    leaders: tuple
-    fragments: dict
-
-
 _NO_FRAGMENT = _Fragment((), (), (), {}, (), {}, (), {})  # a cluster before set-up or dissolved
 
 
@@ -333,7 +322,7 @@ class Simulation:
         """Start over as before set-up: no fragment, none remembered, and
         empty maps for `_compose_fragments` to patch."""
         self._fragments = {}  # cluster id -> _Fragment
-        self._memo = {}  # cluster id -> _Known
+        self._memo = {}  # cluster id -> {structure key: _Fragment} under the present roster
         self.parent, self._cluster_index, self._watchers = {}, {}, {}
         self.always_on = {self.sink.id}
 
@@ -381,7 +370,7 @@ class Simulation:
         for cluster in self.clusters:
             if cluster.id not in fragments:
                 old = dropped.pop(cluster.id, _NO_FRAGMENT)
-                fragments[cluster.id] = new = self._recall_fragment(cluster)
+                fragments[cluster.id] = new = self._recall_fragment(cluster, old)
                 if new is not old:  # else re-formed as it was: nothing moves
                     derived.append(cluster)
                     changes.append((old, new))
@@ -414,14 +403,16 @@ class Simulation:
                 senders[node.slot].append((node, fragments[self._cluster_index[node.id].id].routes))
         self._slot_senders = senders
 
-    def _recall_fragment(self, cluster) -> _Fragment:
+    def _recall_fragment(self, cluster, held) -> _Fragment:
         """The cluster's fragment, keyed by all a derivation reads of it
         besides the roster: the coordinator, the mode's screens (for
         sectors, each one's coordinator and leaves, in order) and each
         sector's monitors and forwarding head, and whether that head is a
         live, linked uplink. A cluster keeps the fragments derived under its
         present roster and forgets them when the roster changes, so a
-        structure seen again comes back as the same object."""
+        structure seen again comes back as the same object. Every fragment
+        of one roster shares `held`'s node->cluster and leaders, the
+        fragment the cluster gives up (`_NO_FRAGMENT` when it holds none)."""
         by_id, has_edge = self.by_id, self.graph.has_edge
         screens = self._mode.screens(self, cluster)
         heads = []
@@ -430,19 +421,19 @@ class Simulation:
             live = fsh is not None and by_id[fsh].energy.residual_energy > 0.0
             heads.append((sector.monitors, fsh, live and has_edge(sector.coordinator, fsh)))
         key = (cluster.coordinator, screens, tuple(heads))
-        roster = frozenset((cluster.coordinator, *cluster.members))
-        known = self._memo.get(cluster.id)
-        if known is None or known.roster != roster:
+        roster, cluster_of, leaders = cluster.node_ids(), held.cluster_of, held.leaders
+        fragments = self._memo.get(cluster.id)
+        if fragments is None or cluster_of.keys() != roster:
             cluster_of = dict.fromkeys(sorted(roster), cluster)
             leader = NodeClass.LEADER
             leaders = tuple([n for n in map(by_id.__getitem__, cluster_of) if n.node_class is leader])
-            known = self._memo[cluster.id] = _Known(roster, cluster_of, leaders, {})
-        fragment = known.fragments.get(key)
+            fragments = self._memo[cluster.id] = {}
+        fragment = fragments.get(key)
         if fragment is None:
-            fragment = known.fragments[key] = self._derive_fragment(cluster, known, screens)
+            fragment = fragments[key] = self._derive_fragment(cluster, cluster_of, leaders, screens)
         return fragment
 
-    def _derive_fragment(self, cluster, known, screens) -> _Fragment:
+    def _derive_fragment(self, cluster, cluster_of, leaders, screens) -> _Fragment:
         """The cluster's slot order: its sector nodes first, sector by
         sector with ids ascending, then its other nodes by id. The same walk
         gives the uplinks and the always-on ids (coordinators, sector
@@ -466,7 +457,7 @@ class Simulation:
         # node->cluster follows the roster (ids ascending): a quarantined
         # sector coordinator may still sit in its sector after leaving it
         placed = set(order)
-        for node_id in known.cluster_of:
+        for node_id in cluster_of:
             if node_id not in placed:  # a sector node has its uplink already
                 order.append(node_id)
                 parents.append(self.sink.id if node_id == cc else cc)
@@ -478,8 +469,8 @@ class Simulation:
                 held = watchers.get(subject_id)
                 watchers[subject_id] = alone if held is None else (*held, watcher_id)
         return _Fragment(
-            tuple(order), tuple(parents), tuple(always_on), known.cluster_of, screens, watchers,
-            known.leaders, {},
+            tuple(order), tuple(parents), tuple(always_on), cluster_of, screens, watchers,
+            leaders, {},
         )
 
     def _sector_screens(self, cluster) -> tuple:
@@ -823,12 +814,11 @@ class Simulation:
         """Scenario hook: a spurious strike charged against a benign node,
         standing in for a misjudgment at the screening layer."""
         quarantined = self.ledgers.quarantined
-        for item in self.config.detection.injected_false_strikes:
-            node_id, at_round = int(item[0]), int(item[1])
+        for node_id, at_round in self.config.detection.injected_false_strikes:
             if at_round != r:
                 continue
-            node = self.by_id.get(node_id)
-            if node is None or node.energy.residual_energy <= 0.0 or node_id in quarantined:
+            node = self.by_id[node_id]  # validated: a deployed node other than the sink
+            if node.energy.residual_energy <= 0.0 or node_id in quarantined:
                 continue
             node.trust = trust_penalize(node.trust)
             ids_mod.add_strikes(self.ledgers, node_id, (ids_mod.Reason.ENERGY_RATE,), r)
@@ -879,7 +869,7 @@ class Simulation:
                 if sc.id not in quarantined:
                     sources.append(sc.id)  # own reading rides along
                 agg = self._packet(
-                    sc.id, self.parent.get(sc.id, cluster.coordinator),
+                    sc.id, self.parent[sc.id],
                     AGGREGATE_SLOT, bits, sc.id not in self._attacking, tuple(sources),
                 )
                 hop = self.by_id[agg.dst]

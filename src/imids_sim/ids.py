@@ -280,7 +280,7 @@ _DROPPED_QUARANTINED = ValidationResult(accepted=False)
 def cc_validate(
     validator: SensorNode,
     packet,
-    expected_slot: int | None,
+    expected_slot: int,
     packets_from_src: int,
     ledgers: Ledgers,
     profile: NormalProfile,
@@ -292,9 +292,8 @@ def cc_validate(
 
     The packet is screened through `evaluate_rules` as all the validator
     saw of its source (nothing overheard, so no energy rate), so traffic a
-    compromised lower layer waved through still gets dropped here. Any
-    slot passes when `expected_slot` is None. A drop is a caught false
-    negative: the source collects a fresh strike.
+    compromised lower layer waved through still gets dropped here. A drop
+    is a caught false negative: the source collects a fresh strike.
     """
     if not validator.energy.detection_enabled:
         raise DisabledIds(f"node {validator.id} cannot validate")
@@ -302,7 +301,7 @@ def cc_validate(
     if packet.src in ledgers.quarantined:
         return _DROPPED_QUARANTINED
     seen = Observation(
-        off_slot=expected_slot is not None and packet.slot != expected_slot,
+        off_slot=packet.slot != expected_slot,
         forged=not packet.token.valid,
         packets_to_watcher=packets_from_src,
     )

@@ -286,6 +286,7 @@ def test_an_unreadable_scenario_file_is_a_config_error(tmp_path, capsys, content
 
 
 OVERSIZED = "1" * 401  # an integer no float can hold
+HUGE = str(10**15)  # a count that fits a float but not memory
 
 
 @pytest.mark.parametrize("text, message", [
@@ -301,13 +302,22 @@ OVERSIZED = "1" * 401  # an integer no float can hold
                  "deployment.node_count must fit a float", id="oversized-node-count"),
     pytest.param('{"seed": 1, "rounds": ' + "1" * 5000 + "}",
                  "scenario file is not valid JSON", id="integer-of-too-many-digits"),
+    pytest.param('{"seed": 1, "deployment": {"node_count": ' + HUGE + "}}",
+                 "node_count must be at most", id="node-count-beyond-memory"),
+    pytest.param('{"seed": 1, "slots_per_round": ' + HUGE + "}",
+                 "slots_per_round must lie in", id="slots-beyond-memory"),
+    pytest.param('{"seed": 1, "attack": {"fake_msgs_per_round": ' + HUGE + "}}",
+                 "fake_msgs_per_round must lie in", id="fake-messages-beyond-memory"),
+    pytest.param('{"seed": 1, "attack": {"flood_packets_per_slot": ' + HUGE + "}}",
+                 "flood_packets_per_slot must lie in", id="flood-beyond-memory"),
 ])
 @pytest.mark.parametrize("command", [
     ["run"], ["compare"], ["sweep", "--axis", "mode", "--values", "imids"],
 ], ids=["run", "compare", "sweep"])
 def test_a_parsed_but_unusable_tree_is_a_config_error(tmp_path, capsys, text, message, command):
     """JSON can nest deeper than a copy of the tree may recurse, or hold an
-    integer the simulation cannot turn into a float or Python cannot read."""
+    integer the simulation cannot turn into a float or Python cannot read,
+    or a count the simulation could not hold, refused before it is built."""
     path = tmp_path / "scenario.json"
     path.write_text(text)
     out = tmp_path / "o"
@@ -362,6 +372,8 @@ STOCK = os.path.join(os.path.dirname(__file__), "..", "configs", "stock_comparis
                  id="oversized-node-count"),
     pytest.param("rounds=" + "1" * 5000, "override 'rounds' is not valid JSON",
                  id="integer-of-too-many-digits"),
+    pytest.param("deployment.node_count=" + HUGE, "node_count must be at most",
+                 id="node-count-beyond-memory"),
 ])
 def test_bad_override_is_a_config_error(tmp_path, capsys, override, message):
     code = cli.main(["run", STOCK, "--out", str(tmp_path / "o"), "--override", override])

@@ -8,7 +8,10 @@ from pathlib import Path
 import pytest
 
 from imids_sim import cli
+from imids_sim.attack import MAX_ATTACK_RATE
 from imids_sim.config import (
+    MAX_NODE_COUNT,
+    MAX_SLOTS_PER_ROUND,
     MODES,
     ConfigError,
     ScenarioConfig,
@@ -146,6 +149,28 @@ def test_section_values_validated():
         parse_config({"seed": 1, "deployment": {"sink_position": [1, "a"]}})
     with pytest.raises(ConfigError):
         parse_config({"seed": 1, "deployment": {"node_count": 3, "positions": [[0, 0]] * 2 + [5]}})
+
+
+COUNT_BOUNDS = [  # (section, key, its bound): each sizes what the engine builds
+    ("deployment", "node_count", MAX_NODE_COUNT),
+    (None, "slots_per_round", MAX_SLOTS_PER_ROUND),
+    ("attack", "fake_msgs_per_round", MAX_ATTACK_RATE),
+    ("attack", "flood_packets_per_slot", MAX_ATTACK_RATE),
+]
+
+
+def with_count(section, key, value) -> dict:
+    raw = {"seed": 1}
+    (raw.setdefault(section, {}) if section else raw)[key] = value
+    return raw
+
+
+@pytest.mark.parametrize("section, key, bound", COUNT_BOUNDS)
+def test_a_count_is_bounded_by_its_constant(section, key, bound):
+    config = parse_config(with_count(section, key, bound))
+    assert getattr(getattr(config, section) if section else config, key) == bound
+    with pytest.raises(ConfigError, match=rf"{key} must .*{bound}"):
+        parse_config(with_count(section, key, bound + 1))
 
 
 def test_sink_position_and_positions_exclude_each_other(tmp_path, capsys):

@@ -291,7 +291,7 @@ def test_cc_validate_drops_quarantined_silently():
 @given(
     valid=st.booleans(),
     slot=st.integers(-1, 2),  # -1 is the aggregate slot
-    expected_slot=st.none() | st.integers(-1, 2),
+    expected_slot=st.integers(-1, 2),
     count=st.integers(0, 5),  # straddles the 2-packet flood limit
 )
 def test_cc_validate_strikes_as_the_three_rule_reference(valid, slot, expected_slot, count):
@@ -305,7 +305,7 @@ def test_cc_validate_strikes_as_the_three_rule_reference(valid, slot, expected_s
     expected = set()
     if not valid:
         expected.add(Reason.INVALID_TOKEN)
-    if expected_slot is not None and slot != expected_slot:
+    if slot != expected_slot:
         expected.add(Reason.SCHEDULE_VIOLATION)
     if count > CFG.count_threshold:
         expected.add(Reason.PACKET_FLOOD)
