@@ -40,8 +40,9 @@ belongs to which cluster, who watches whom, who sends in which slot).
 Code that edits the structure must end in a call to it, naming the
 clusters it touched: each cluster's share of the indices is kept as a
 `_Fragment` and only the touched ones are placed again; the rotation
-check walks the leaders a fragment lists. A cluster keeps the fragments
-derived under its present roster, keyed by structure (`_memo`), so a
+check walks the leaders a fragment lists. A fragment is derived from its
+structure key alone, with its roster's node->cluster and leaders. A cluster
+keeps the fragments derived under its present roster by key (`_memo`), so a
 re-formed cluster reuses the fragment of a structure it had before, and
 one re-formed as it was changes nothing. The round's maps are patched
 for the changed fragments only (`_compose_fragments`). A fragment also
@@ -77,6 +78,9 @@ from .ids import Decision, Ledgers, NormalProfile, Observation
 from .rng import SeededRng
 
 AGGREGATE_SLOT = -1  # sentinel: aggregates move in the post-data phase
+# Wake patterns `_slot_cost` keeps before it starts over: a 10-slot frame has
+# 1,024, but from about 12 slots almost every mask drawn is a new pattern.
+DUTY_PRICES_KEPT = 4096
 
 
 def _add_up(values):
@@ -89,8 +93,8 @@ def _add_up(values):
 
 
 class _Fragment(NamedTuple):
-    """What the round reads of one cluster, derived from that cluster alone:
-    its nodes in slot order (the i-th sends in TDMA slot i modulo
+    """What the round reads of one cluster, derived from its structure key
+    alone: its nodes in slot order (the i-th sends in TDMA slot i modulo
     `slots_per_round`) and the uplink of each, the always-on ids,
     node->cluster for the roster, the watch relation as (watcher, sorted
     subjects) passes and keyed by subject, the leader nodes of the roster,
@@ -404,54 +408,49 @@ class Simulation:
         self._slot_senders = senders
 
     def _recall_fragment(self, cluster, held) -> _Fragment:
-        """The cluster's fragment, keyed by all a derivation reads of it
-        besides the roster: the coordinator, the mode's screens (for
-        sectors, each one's coordinator and leaves, in order) and each
-        sector's monitors and forwarding head, and whether that head is a
-        live, linked uplink. A cluster keeps the fragments derived under its
-        present roster and forgets them when the roster changes, so a
-        structure seen again comes back as the same object. Every fragment
-        of one roster shares `held`'s node->cluster and leaders, the
-        fragment the cluster gives up (`_NO_FRAGMENT` when it holds none)."""
-        by_id, has_edge = self.by_id, self.graph.has_edge
-        screens = self._mode.screens(self, cluster)
-        heads = []
-        for sector in cluster.sectors:
-            fsh = sector.fsh
-            live = fsh is not None and by_id[fsh].energy.residual_energy > 0.0
-            heads.append((sector.monitors, fsh, live and has_edge(sector.coordinator, fsh)))
-        key = (cluster.coordinator, screens, tuple(heads))
+        """The cluster's fragment, keyed by all its derivation reads besides
+        the roster: the coordinator, the mode's screens (in a sector mode the
+        sectors in order, each coordinator with its sorted leaves) and one
+        head per sector: its monitors, its forwarding head and whether that
+        head is linked to the sector's coordinator. A cluster keeps the
+        fragments derived under its present roster and forgets them when the
+        roster changes, so a structure seen again comes back as the same
+        object. Every fragment of one roster shares the node->cluster and
+        leaders of `held`, the fragment it gives up (or `_NO_FRAGMENT`)."""
+        has_edge = self.graph.has_edge
+        heads = tuple([
+            (s.monitors, s.fsh, s.fsh is not None and has_edge(s.coordinator, s.fsh))
+            for s in cluster.sectors
+        ])
+        key = (cluster.coordinator, self._mode.screens(self, cluster), heads)
         roster, cluster_of, leaders = cluster.node_ids(), held.cluster_of, held.leaders
         fragments = self._memo.get(cluster.id)
         if fragments is None or cluster_of.keys() != roster:
             cluster_of = dict.fromkeys(sorted(roster), cluster)
-            leader = NodeClass.LEADER
+            leader, by_id = NodeClass.LEADER, self.by_id
             leaders = tuple([n for n in map(by_id.__getitem__, cluster_of) if n.node_class is leader])
             fragments = self._memo[cluster.id] = {}
         fragment = fragments.get(key)
         if fragment is None:
-            fragment = fragments[key] = self._derive_fragment(cluster, cluster_of, leaders, screens)
+            fragment = fragments[key] = self._derive_fragment(key, cluster_of, leaders)
         return fragment
 
-    def _derive_fragment(self, cluster, cluster_of, leaders, screens) -> _Fragment:
-        """The cluster's slot order: its sector nodes first, sector by
-        sector with ids ascending, then its other nodes by id. The same walk
-        gives the uplinks and the always-on ids (coordinators, sector
+    def _derive_fragment(self, key, cluster_of, leaders) -> _Fragment:
+        """A fragment from its memo key alone, given the roster's
+        node->cluster and leaders; of the simulation it reads only the
+        sink's id. The slot order: the sector nodes first, sector by sector
+        with ids ascending, then the roster's other nodes by id. The same
+        walk gives the uplinks and the always-on ids (coordinators, sector
         coordinators, monitors, forwarding heads and every watcher)."""
-        cc = cluster.coordinator
+        cc, screens, heads = key
         order, parents = [], []
         always_on = {cc}
-        for sector in cluster.sectors:
-            sc = sector.coordinator
-            always_on.add(sc)
-            always_on.update(sector.monitors)
-            uplink = cc  # aggregates ride through the forwarding head when it is reachable
-            if sector.fsh is not None:
-                fsh = self.by_id[sector.fsh]
-                always_on.add(fsh.id)
-                if fsh.energy.residual_energy > 0.0 and self.graph.has_edge(sc, fsh.id):
-                    uplink = fsh.id
-            members = sorted((sc, *sector.leaves))  # a coordinator is never its own leaf
+        for (sc, leaves), (monitors, fsh, linked) in zip(screens, heads):  # a sector mode
+            always_on.update(monitors)
+            if fsh is not None:
+                always_on.add(fsh)
+            uplink = fsh if linked else cc  # aggregates ride through a linked forwarding head
+            members = sorted((sc, *leaves))  # a coordinator is never its own leaf
             order += members
             parents += [uplink if node_id == sc else sc for node_id in members]
         # node->cluster follows the roster (ids ascending): a quarantined
@@ -668,6 +667,8 @@ class Simulation:
             mask = tuple(wake)
             cost = prices.get(mask)
             if cost is None:
+                if len(prices) >= DUTY_PRICES_KEPT:
+                    prices.clear()  # a cleared price is recomputed bit for bit
                 cost = prices[mask] = _add_up(p_listen if awake else p_sleep for awake in mask)
             duty.append((node, cost))
 

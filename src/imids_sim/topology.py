@@ -327,20 +327,18 @@ def prospective_detection_budget(node: SensorNode) -> float:
     return min(cap, node.energy.residual_energy)
 
 
-def select_sector_monitor(sector, candidates, graph, budgets=None) -> tuple:
+def select_sector_monitor(sector, candidates, graph, budgets) -> tuple:
     """Pick the sector's monitors among the cluster's `monitor_candidates`:
     the spare leaders with maximal detection budget; `()` for none.
 
     Leaders adjacent to the sector are preferred; if none touch it, any
     candidate may monitor (scarce-leader fallback). All leaders tied at the
     maximum are selected. `budgets` lists each candidate's
-    `prospective_detection_budget`, for a caller that prices a cluster's
-    candidates once for all its sectors; it is priced here when omitted.
+    `prospective_detection_budget`, priced once by the caller for all the
+    cluster's sectors.
     """
     if len(candidates) < 2:  # a lone candidate monitors whether it touches the sector or not
         return (candidates[0].id,) if candidates else ()
-    if budgets is None:
-        budgets = map(prospective_detection_budget, candidates)
     sector_ids = (sector.coordinator, *sector.leaves)
     neighbors = graph.neighbors
     priced = [(budget, c.id) for c, budget in zip(candidates, budgets)]

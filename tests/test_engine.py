@@ -194,6 +194,32 @@ def test_cost_memos_equal_the_formulas_bit_for_bit(mode):
         assert tokens.setdefault((src, valid), pkt.token) is pkt.token
 
 
+def test_the_duty_price_memo_is_bounded_and_prices_every_mask_bit_for_bit():
+    """At 40 slots almost every mask is a new wake pattern, so over 200
+    stock rounds the memo reaches its cap and starts over; right after
+    each draw it holds no more than the cap, and every priced mask is the
+    fold of its own pattern, whether its price was kept or recomputed."""
+    raw = json.loads(STOCK_CONFIG.read_text())
+    raw.update(mode="itids", rounds=200, slots_per_round=40)
+    sim = engine.initialize(parse_config(raw))
+    draw, params = sim._draw_masks, sim.params
+    sizes = []
+
+    def checked(r):
+        draw(r)
+        sizes.append(len(sim._slot_cost))
+        assert sizes[-1] <= engine.DUTY_PRICES_KEPT
+        for node, cost in sim._duty:
+            pattern = sim._masks[node.id]
+            assert cost == engine._add_up(params.p_listen if a else params.p_sleep for a in pattern)
+
+    sim._phases = (checked, *sim._phases[1:])  # the draw opens every round
+    for _ in range(200):
+        sim.run_round()
+    # the memo shrinks only when a draw finds it full, so it was cleared
+    assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
+
+
 def check_rx_table(sim):
     """The receive prices, fixed at set-up: one per packet size the config
     fixes, each the formula bit for bit."""

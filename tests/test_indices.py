@@ -24,6 +24,7 @@ awake exactly as its drawn mask and the slot's earlier deliveries left it.
 import functools
 import json
 import math
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -745,6 +746,83 @@ def test_a_recalled_fragment_brings_back_its_routes():
     check_indices(sim)
 
 
+def stock_and_arenas(mode):
+    """Stock seed 42 in a mode that sweeps, then the six arena seeds."""
+    raw = json.loads(STOCK_CONFIG.read_text())
+    raw.update(seed=42, mode=mode)
+    return [parse_config(raw)] * (mode != "itids") + [arena(seed, mode) for seed in range(6)]
+
+
+def run_checked(config, check):
+    """Run the config to its end or to extinction, checking the simulation
+    after set-up and after every round."""
+    sim = engine.initialize(config)
+    check(sim)
+    for _ in range(config.rounds):
+        if sim.alive_non_sink() == 0:
+            break
+        sim.run_round()
+        check(sim)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_every_remembered_fragment_is_derived_from_its_key_alone(mode):
+    """Each fragment a cluster remembers equals `_derive_fragment` called
+    with its memo key, its roster's node->cluster and its leaders on a
+    stand-in that holds only the sink, routes aside. The held fragment is
+    remembered under the key of the cluster's present structure: its
+    coordinator, its screens, and per sector the monitors, the forwarding
+    head and whether that head is linked to the sector's coordinator."""
+    derived = 0
+
+    def check(sim):
+        nonlocal derived
+        stand_in = types.SimpleNamespace(sink=sim.sink)
+        has_edge = sim.graph.has_edge
+        for cluster in sim.clusters:
+            held = sim._fragments[cluster.id]
+            heads = tuple(
+                (s.monitors, s.fsh, s.fsh is not None and has_edge(s.coordinator, s.fsh))
+                for s in cluster.sectors
+            )
+            memo = sim._memo[cluster.id]
+            assert memo[(cluster.coordinator, held.screens, heads)] is held
+            for key, fragment in memo.items():
+                again = engine.Simulation._derive_fragment(
+                    stand_in, key, fragment.cluster_of, fragment.leaders
+                )
+                assert again._replace(routes=None) == fragment._replace(routes=None)
+                derived += 1
+
+    for config in stock_and_arenas(mode):
+        run_checked(config, check)
+    # 26,169, 3,862 and 287 fragments checked
+    assert derived > {"imids": 20_000, "imids-no-sectors": 3_000, "itids": 250}[mode], derived
+
+
+def test_every_forwarding_head_a_derivation_names_is_alive_and_unquarantined(monkeypatch):
+    """The sweep re-forms a cluster whose forwarding head died or was
+    quarantined before anything derives it, so a fragment's key need not
+    ask whether its head is alive, only whether it is linked. Over stock
+    seed 42, the six arena seeds and field-400 seed 42 in imids, the one
+    mode with forwarding heads; some heads are not linked."""
+    derive = engine.Simulation._derive_fragment
+    linked = Counter()
+
+    def checked(sim, key, cluster_of, leaders):
+        for _, fsh, is_linked in key[2]:
+            if fsh is not None:
+                assert is_alive(sim.by_id[fsh]), sim.round
+                assert fsh not in sim.ledgers.quarantined, sim.round
+                linked[is_linked] += 1
+        return derive(sim, key, cluster_of, leaders)
+
+    monkeypatch.setattr(engine.Simulation, "_derive_fragment", checked)
+    for config in [*stock_and_arenas("imids"), field_recipe(400, seed=42, rounds=150)]:
+        run_checked(config, lambda sim: None)
+    assert linked[True] > 900 and linked[False] > 50, linked  # 945 and 53 heads
+
+
 @pytest.mark.parametrize("mode", ("imids", "imids-no-sectors"))
 def test_every_live_member_sits_one_hop_from_its_coordinator(monkeypatch, mode):
     """Set-up joins a node only to a coordinator in range, a new coordinator
@@ -778,13 +856,7 @@ def test_every_live_member_sits_one_hop_from_its_coordinator(monkeypatch, mode):
     raw.update(seed=42, mode=mode, rounds=300)
     members = 0
     for config in [parse_config(raw), *(arena(seed, mode) for seed in range(6))]:
-        sim = engine.initialize(config)
-        check(sim)
-        for _ in range(config.rounds):
-            if sim.alive_non_sink() == 0:
-                break
-            sim.run_round()
-            check(sim)
+        run_checked(config, check)
     # about 21,000 live members checked in each mode; in imids 269 of 519
     # calls had candidates
     assert members > 20_000

@@ -21,6 +21,11 @@ def _by_id(nodes):
     return {n.id: n for n in nodes}
 
 
+def _budgets(candidates):
+    """Each candidate's budget, priced as the engine prices a cluster's."""
+    return list(map(topo.prospective_detection_budget, candidates))
+
+
 # --- deployment -------------------------------------------------------------
 
 
@@ -362,7 +367,7 @@ def _leader_cluster():
 def test_monitor_excludes_coordinator_and_needs_leaders():
     nodes, cluster, g, sectors = _leader_cluster()
     candidates = topo.monitor_candidates(cluster, _by_id(nodes))
-    monitors = topo.select_sector_monitor(sectors[0], candidates, g)
+    monitors = topo.select_sector_monitor(sectors[0], candidates, g, _budgets(candidates))
     assert monitors
     assert cluster.coordinator not in monitors
     assert all(
@@ -382,7 +387,7 @@ def test_monitor_unavailable_without_spare_leaders():
     sectors = topo.form_sectors(cluster, _by_id(nodes), g)
     candidates = topo.monitor_candidates(cluster, _by_id(nodes))
     assert candidates == []
-    assert topo.select_sector_monitor(sectors[0], candidates, g) == ()
+    assert topo.select_sector_monitor(sectors[0], candidates, g, _budgets(candidates)) == ()
     assert topo.select_fsh(cluster, candidates, _by_id(nodes), g) is None
 
 
@@ -727,7 +732,7 @@ def test_builders_match_the_reranking_reference_bodies():
             candidates = topo.monitor_candidates(cluster, by_id, quarantined)
             for sector in sectors:
                 assert topo.select_sector_monitor(
-                    sector, candidates, graph
+                    sector, candidates, graph, _budgets(candidates)
                 ) == _reference_select_sector_monitor(sector, candidates, graph)
                 compared["monitors"] += bool(candidates)
         compared["structures"] += 1
@@ -831,7 +836,9 @@ def test_candidates_and_roles_match_their_reference_bodies():
             cluster.sectors = topo.form_sectors(cluster, by_id, graph, quarantined)
             fsh = topo.select_fsh(cluster, candidates, by_id, graph)
             for sector in cluster.sectors:
-                sector.monitors = topo.select_sector_monitor(sector, candidates, graph)
+                sector.monitors = topo.select_sector_monitor(
+                    sector, candidates, graph, _budgets(candidates)
+                )
                 sector.fsh = fsh
                 cases["monitor forwards"] += fsh is not None and fsh in sector.monitors
         got, expected = _roles_both_ways(nodes, clusters)
@@ -977,7 +984,8 @@ def test_assign_roles_precedence():
     nodes, cluster, g, sectors = _leader_cluster()
     by_id = _by_id(nodes)
     candidates = topo.monitor_candidates(cluster, by_id)
-    sectors[0].monitors = topo.select_sector_monitor(sectors[0], candidates, g)
+    budgets = _budgets(candidates)
+    sectors[0].monitors = topo.select_sector_monitor(sectors[0], candidates, g, budgets)
     sectors[0].fsh = topo.select_fsh(cluster, candidates, by_id, g)
     roles = topo.assign_roles(nodes, [cluster])
     assert by_id[0].role is Role.SN
