@@ -13,41 +13,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from .config import MAX_ATTACK_RATE, AttackConfig  # noqa: F401 (declared with every section)
 from .core import Packet, PacketKind, SensorNode, WakeupToken, is_alive
 from .energy import EnergyParams, consume, rx_cost
-
-# Each attacker builds `fake_msgs_per_round` plus `flood_packets_per_slot`
-# per slot packets a round; at this bound and the longest frame that is
-# about a million, which a run can still hold.
-MAX_ATTACK_RATE = 1_000
-
-
-@dataclass
-class AttackConfig:
-    attacker_ids: list | None = None
-    attacker_count: int = 0
-    fake_msgs_per_round: int = 0
-    fake_msg_bits: int = 1000
-    flood_packets_per_slot: int = 0
-    start_round: int = 0
-
-    def validate(self) -> None:
-        if self.attacker_count < 0:
-            raise ValueError("attacker_count must be non-negative")
-        for name in ("fake_msgs_per_round", "flood_packets_per_slot"):
-            if not 0 <= getattr(self, name) <= MAX_ATTACK_RATE:
-                raise ValueError(f"{name} must lie in [0, {MAX_ATTACK_RATE}]")
-        if self.fake_msg_bits <= 0:
-            raise ValueError("fake_msg_bits must be positive")
-        if self.start_round < 0:
-            raise ValueError("start_round must be non-negative")
-        ids = self.attacker_ids
-        if ids is not None and (
-            not isinstance(ids, (list, tuple))
-            or not all(isinstance(i, int) and not isinstance(i, bool) for i in ids)
-        ):
-            raise ValueError("attacker_ids must be a list of integer node ids")
-
 
 def choose_attackers(config: AttackConfig, node_ids, sink_id: int, rng: random.Random) -> set:
     """Resolve the malicious set: explicit ids win, otherwise a random draw.

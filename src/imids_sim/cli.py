@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep_p = sub.add_parser("sweep", help="cross one axis against sectored/unsectored modes")
     sweep_p.add_argument("config", help="scenario JSON file")
-    sweep_p.add_argument("--axis", required=True, help="node_count, attackers, or mode")
+    sweep_p.add_argument("--axis", required=True, help=f"one of {', '.join(SWEEP_AXES)}")
     sweep_p.add_argument("--values", required=True, help="comma-separated cell values")
     sweep_p.add_argument("--out", default="out", help="output directory (default: out)")
     sweep_p.set_defaults(handler=cmd_sweep)

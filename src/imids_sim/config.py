@@ -2,7 +2,8 @@
 
 A scenario file is a JSON object; every key is optional except `seed`.
 Unknown keys anywhere in the tree are hard errors so typos cannot silently
-fall back to defaults.
+fall back to defaults. Every section is declared here, each numeric key
+with the range it accepts, so this module alone knows which values are valid.
 """
 
 from __future__ import annotations
@@ -12,11 +13,9 @@ import json
 import math
 import typing
 from dataclasses import dataclass, field
+from operator import attrgetter
 
-from .attack import AttackConfig
-from .energy import EnergyParams
-from .ids import DetectionConfig
-from .itids import ItidsConfig
+from .core import TRUST_MAX
 from .topology import SINK_ID
 
 MODES = ("imids", "itids", "imids-no-sectors")
@@ -31,6 +30,10 @@ MAX_NODE_COUNT = 100_000
 # Every live node draws one mask bit per slot each round: 100 times the
 # stock frame of 10 slots.
 MAX_SLOTS_PER_ROUND = 1_000
+# Each attacker builds `fake_msgs_per_round` plus `flood_packets_per_slot`
+# per slot packets a round; at this bound and the longest frame that is
+# about a million, which a run can still hold.
+MAX_ATTACK_RATE = 1_000
 
 
 class ConfigError(Exception):
@@ -51,66 +54,102 @@ def _is_point(value) -> bool:
     return isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_finite, value))
 
 
+@dataclass(frozen=True, slots=True)
+class Span:
+    """The values a numeric key accepts: `low` to `high`, each end closed
+    unless marked open. NaN lies in no span."""
+
+    low: float
+    high: float
+    low_open: bool
+    high_open: bool
+
+    def __contains__(self, value) -> bool:
+        low, high = self.low, self.high
+        return (low < value if self.low_open else low <= value) and (
+            value < high if self.high_open else value <= high
+        )
+
+    def __str__(self) -> str:
+        if self.high == math.inf:
+            return f"must be {'>' if self.low_open else '>='} {self.low}"
+        opening = "(" if self.low_open else "["
+        closing = ")" if self.high_open else "]"
+        return f"must lie in {opening}{self.low}, {self.high}{closing}"
+
+
+def _key(default=dataclasses.MISSING, *, ge=-math.inf, gt=None, le=math.inf, lt=None):
+    """A numeric field with its accepted range: `ge` or `gt` closes or opens
+    the lower end, `le` or `lt` the upper one."""
+    span = Span(ge if gt is None else gt, le if lt is None else lt, gt is not None, lt is not None)
+    return field(default=default, metadata={"span": span})
+
+
 @dataclass
 class DeploymentConfig:
-    node_count: int = 70
-    area_width: float = 80.0
-    area_height: float = 100.0
-    transmission_range: float = 40.0
+    node_count: int = _key(70, ge=3, le=MAX_NODE_COUNT)
+    area_width: float = _key(80.0, gt=0)
+    area_height: float = _key(100.0, gt=0)
+    transmission_range: float = _key(40.0, gt=0)
     sink_position: tuple | None = None
     positions: list | None = None
-    leader_fraction: float = 0.15
-    leader_initial_energy: float = 2.0
-    follower_initial_energy: float = 0.2
-    sink_initial_energy: float = 500.0
-
-    def validate(self) -> None:
-        if self.node_count < 3:
-            raise ConfigError("node_count must be at least 3")
-        if self.node_count > MAX_NODE_COUNT:
-            raise ConfigError(f"node_count must be at most {MAX_NODE_COUNT}")
-        if self.area_width <= 0 or self.area_height <= 0:
-            raise ConfigError("area dimensions must be positive")
-        if self.transmission_range <= 0:
-            raise ConfigError("transmission_range must be positive")
-        if not 0 < self.leader_fraction < 1:
-            raise ConfigError("leader_fraction must lie in (0, 1)")
-        for name in ("leader_initial_energy", "follower_initial_energy", "sink_initial_energy"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        if self.sink_position is not None and self.positions is not None:
-            raise ConfigError(
-                "sink_position and positions exclude each other: positions[0] is the sink"
-            )
-        points = [] if self.sink_position is None else [self.sink_position]
-        if self.positions is not None:
-            if not isinstance(self.positions, list) or len(self.positions) != self.node_count:
-                raise ConfigError("positions list must have node_count entries")
-            points += self.positions
-        if not all(map(_is_point, points)):
-            raise ConfigError("sink_position and positions take [x, y] pairs of finite numbers")
+    leader_fraction: float = _key(0.15, gt=0, lt=1)
+    leader_initial_energy: float = _key(2.0, gt=0)
+    follower_initial_energy: float = _key(0.2, gt=0)
+    sink_initial_energy: float = _key(500.0, gt=0)
 
 
 @dataclass
 class TrafficConfig:
-    data_bits: int = 3000
-    aggregate_bits: int = 800
-    control_bits: int = 200
+    data_bits: int = _key(3000, gt=0)
+    aggregate_bits: int = _key(800, gt=0)
+    control_bits: int = _key(200, gt=0)
 
-    def validate(self) -> None:
-        for name in ("data_bits", "aggregate_bits", "control_bits"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+
+@dataclass(frozen=True)
+class EnergyParams:
+    e_elec: float = _key(50e-9, ge=0)        # J per bit, TX/RX electronics
+    e_amp: float = _key(100e-12, ge=0)       # J per bit per m^2, TX amplifier
+    p_listen: float = _key(10e-6, ge=0)      # J per slot spent listening
+    p_sleep: float = _key(0.1e-6, ge=0)      # J per slot spent sleeping
+    e_detect: float = _key(1e-6, ge=0)       # J per detection check
+    dp_min_threshold: float = _key(0.05, ge=0, lt=1)  # fraction of initial detection budget
+
+
+@dataclass
+class AttackConfig:
+    attacker_ids: list | None = None
+    attacker_count: int = _key(0, ge=0)
+    fake_msgs_per_round: int = _key(0, ge=0, le=MAX_ATTACK_RATE)
+    fake_msg_bits: int = _key(1000, gt=0)
+    flood_packets_per_slot: int = _key(0, ge=0, le=MAX_ATTACK_RATE)
+    start_round: int = _key(0, ge=0)
+
+
+@dataclass(frozen=True)
+class DetectionConfig:
+    window_rounds: int = _key(5, ge=1)
+    strike_limit: int = _key(3, ge=1)
+    trust_floor: int = _key(8, ge=0, le=TRUST_MAX)
+    rate_threshold: float = _key(1.5, gt=1)
+    count_threshold: float = _key(2.0, gt=0)
+    reputation_min: int = _key(8, ge=0, le=TRUST_MAX)
+    injected_false_strikes: tuple = ()
+
+
+@dataclass(frozen=True)
+class ItidsConfig:
+    monitor_fraction: float = _key(0.5, ge=0, le=1)
 
 
 @dataclass
 class ScenarioConfig:
-    seed: int
+    seed: int = _key()  # required; any integer
     mode: str = "imids"
-    rounds: int = 500
-    slots_per_round: int = 10
-    sleep_probability: float = 0.5
-    rotation_hysteresis: float = 0.9
+    rounds: int = _key(500, ge=0)
+    slots_per_round: int = _key(10, ge=1, le=MAX_SLOTS_PER_ROUND)
+    sleep_probability: float = _key(0.5, ge=0, le=1)
+    rotation_hysteresis: float = _key(0.9, gt=0, le=1)
     deployment: DeploymentConfig = field(default_factory=DeploymentConfig)
     energy: EnergyParams = field(default_factory=EnergyParams)
     traffic: TrafficConfig = field(default_factory=TrafficConfig)
@@ -119,39 +158,60 @@ class ScenarioConfig:
     itids: ItidsConfig = field(default_factory=ItidsConfig)
 
     def validate(self) -> None:
+        """Refuse a scenario the engine cannot run, naming the key at fault:
+        each numeric key against the span declared on its field, then the
+        rules that tie keys to each other."""
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}")
-        if self.rounds < 0:
-            raise ConfigError("rounds must be non-negative")
-        if not 1 <= self.slots_per_round <= MAX_SLOTS_PER_ROUND:
-            raise ConfigError(f"slots_per_round must lie in [1, {MAX_SLOTS_PER_ROUND}]")
-        if not 0 <= self.sleep_probability <= 1:
-            raise ConfigError("sleep_probability must lie in [0, 1]")
-        if not 0 < self.rotation_hysteresis <= 1:
-            raise ConfigError("rotation_hysteresis must lie in (0, 1]")
-        self.deployment.validate()
-        self.traffic.validate()
-        try:
-            self.energy.validate()
-            self.attack.validate()
-            self.detection.validate()
-            self.itids.validate()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        if self.attack.attacker_ids is not None:
-            chosen = set(self.attack.attacker_ids)
-            unknown = chosen - set(range(self.deployment.node_count))
-            if unknown:
-                raise ConfigError(f"unknown attacker ids: {sorted(unknown)}")
-            if SINK_ID in chosen:
-                raise ConfigError("the sink cannot be an attacker")
-        for node_id, at_round in self.detection.injected_false_strikes:
-            if not 0 <= node_id < self.deployment.node_count:
-                raise ConfigError(f"injected strike names unknown node {node_id}")
-            if node_id == SINK_ID:
-                raise ConfigError("an injected strike cannot name the sink")
-            if at_round < 0:
-                raise ConfigError(f"injected strike on node {node_id} at negative round {at_round}")
+        for dotted, get, span in _SPANS:
+            value = get(self)
+            if value not in span:
+                raise ConfigError(f"{dotted} {span}, got {value!r}")
+        if not self.energy.p_sleep < self.energy.p_listen:
+            raise ConfigError("energy.p_sleep must be below energy.p_listen")
+        count, sink, positions = (
+            self.deployment.node_count, self.deployment.sink_position, self.deployment.positions
+        )
+        if sink is not None and positions is not None:
+            raise ConfigError("deployment.sink_position and deployment.positions exclude "
+                              "each other: positions[0] is the sink")
+        placed = positions is None or (
+            isinstance(positions, list) and len(positions) == count
+            and all(map(_is_point, positions))
+        )
+        if not placed or not (sink is None or _is_point(sink)):
+            raise ConfigError("deployment.sink_position takes an [x, y] pair of finite numbers, "
+                              f"and deployment.positions node_count ({count}) of them")
+
+        def names_node(i) -> bool:  # a deployed node other than the sink
+            return type(i) is int and 0 <= i < count and i != SINK_ID
+
+        ids = self.attack.attacker_ids
+        if ids is not None and not (isinstance(ids, (list, tuple)) and all(map(names_node, ids))):
+            raise ConfigError(f"attack.attacker_ids must be node ids 1 to {count - 1}, got {ids!r}")
+        strikes = self.detection.injected_false_strikes
+        if not isinstance(strikes, (list, tuple)) or not all(
+            isinstance(s, (list, tuple)) and len(s) == 2 and names_node(s[0])
+            and type(s[1]) is int and s[1] >= 0
+            for s in strikes
+        ):
+            raise ConfigError("detection.injected_false_strikes must be [node, round] pairs, "
+                              f"node 1 to {count - 1} and round >= 0, got {strikes!r}")
+
+
+def _spans(cls, path=""):
+    """(dotted key, its getter, its span) for every field under `cls` that
+    declares a span, sections walked in field order."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        dotted = path + f.name
+        if dataclasses.is_dataclass(hints[f.name]):
+            yield from _spans(hints[f.name], dotted + ".")
+        elif "span" in f.metadata:
+            yield dotted, attrgetter(dotted), f.metadata["span"]
+
+
+_SPANS = tuple(_spans(ScenarioConfig))
 
 
 def _build(cls, raw: dict, path: str = ""):

@@ -8,28 +8,8 @@ exploits: every slot a victim is kept awake leaks p_listen - p_sleep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .config import EnergyParams  # declared with every section
 from .core import DETECTION_FRACTION, Role, SensorNode
-
-
-@dataclass(frozen=True)
-class EnergyParams:
-    e_elec: float = 50e-9        # J per bit, TX/RX electronics
-    e_amp: float = 100e-12       # J per bit per m^2, TX amplifier
-    p_listen: float = 10e-6      # J per slot spent listening
-    p_sleep: float = 0.1e-6      # J per slot spent sleeping
-    e_detect: float = 1e-6       # J per detection check
-    dp_min_threshold: float = 0.05  # fraction of initial detection budget
-
-    def validate(self) -> None:
-        for name in ("e_elec", "e_amp", "p_listen", "p_sleep", "e_detect"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if not self.p_sleep < self.p_listen:
-            raise ValueError("p_sleep must be strictly below p_listen")
-        if not 0 <= self.dp_min_threshold < 1:
-            raise ValueError("dp_min_threshold must be in [0, 1)")
 
 
 def tx_cost(params: EnergyParams, bits: int, distance: float) -> float:

@@ -57,7 +57,7 @@ from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import cycle
+from itertools import cycle, islice
 from typing import NamedTuple
 
 from . import attack as attack_mod
@@ -235,7 +235,8 @@ class Simulation:
         self._rx_table = {bits: rx_cost(self.params, bits) for bits in sizes}  # bits -> rx joules
         self._mode = _MODES[config.mode]
         self._initialize()
-        self._confusion_size = None  # quarantine size the cached counts are for
+        self._quarantine_mark = 0  # the quarantine's size before this round's phases
+        self._confusion = ids_mod.compute_confusion(self.nodes, (), self.sink.id)  # none yet
         self._phases = (
             self._draw_masks,
             self._emit_attacks,
@@ -278,7 +279,6 @@ class Simulation:
                 )
         self._followers = [n for n in self.nodes if n.node_class is NodeClass.FOLLOWER]
         self._spend_index = {n.id: i for i, n in enumerate(self.nodes)}  # shared by every `_Spend`
-        self._quarantine_seen = 0  # roster size the rosters were last cleaned for
         self._forget_structures()
         self._build_structures(self.clusters, unplaced=self.nodes)
         # Every role taken above came with its reserve. The sink keeps the
@@ -597,7 +597,9 @@ class Simulation:
         nodes = self.nodes
         residual_before = [n.energy.residual_energy for n in nodes]
         suspects_before = set(self.ledgers.suspected)
-        quarantined_before = set(self.ledgers.quarantined)
+        # Quarantine only grows, in insertion order, and only in a round's
+        # phases: what it held before them marks what the round added.
+        self._quarantine_mark = mark = len(self.ledgers.quarantined)
         self._obs = {}
         self._inbox = defaultdict(list)  # receiver id -> packets it received this round, in order
         self._reconfigurations = []
@@ -613,12 +615,11 @@ class Simulation:
             spent.append(before - residual)
             if residual > 0.0 and node.node_class is not sink:
                 alive_count += 1
-        # Quarantine only grows and `malicious` is fixed after set-up, so
-        # the confusion counts move only when the roster does.
+        # `malicious` is fixed after set-up, so the confusion counts move
+        # only when the quarantine does.
         quarantined = self.ledgers.quarantined
-        if len(quarantined) != self._confusion_size:
+        if len(quarantined) != mark:
             self._confusion = ids_mod.compute_confusion(nodes, quarantined, self.sink.id)
-            self._confusion_size = len(quarantined)
         confusion = self._confusion
         report = RoundReport(
             round=r,
@@ -626,7 +627,7 @@ class Simulation:
             energy_spent_total=_add_up(spent),
             energy_spent=_Spend(self._spend_index, array("d", spent)),
             suspects_new=sorted(set(self.ledgers.suspected) - suspects_before),
-            quarantines_new=sorted(set(self.ledgers.quarantined) - quarantined_before),
+            quarantines_new=sorted(islice(quarantined, mark, None)),
             reconfigurations=self._reconfigurations,
             tp=confusion.tp,
             fp=confusion.fp,
@@ -1096,11 +1097,9 @@ class Simulation:
         self._refresh_graph()
         quarantined = self.ledgers.quarantined
         cleaned = set()  # ids of the clusters whose rosters lost a quarantined node
-        if len(quarantined) != self._quarantine_seen:
-            # Isolated nodes leave the roster. Quarantine only grows and no
-            # roster takes a quarantined node back, so only a sweep after a
-            # new quarantine can find one.
-            self._quarantine_seen = len(quarantined)
+        if len(quarantined) != self._quarantine_mark:
+            # Isolated nodes leave the roster. No roster takes a quarantined
+            # node back, so only a round that quarantined someone can find one.
             for cluster in self.clusters:
                 for roster in (cluster.members, *(s.leaves for s in cluster.sectors)):
                     if not roster.isdisjoint(quarantined):

@@ -22,6 +22,7 @@ from enum import Enum
 from functools import partial
 from itertools import repeat
 
+from .config import DetectionConfig  # declared with every section
 from .core import TRUST_MAX, SensorNode, trust_penalize, trust_reward
 from .energy import EnergyParams, charge_detection
 
@@ -41,33 +42,6 @@ class Decision(Enum):
     MALICIOUS = "malicious"
     REHABILITATED = "rehabilitated"
     PENDING = "pending"
-
-
-@dataclass(frozen=True)
-class DetectionConfig:
-    window_rounds: int = 5
-    strike_limit: int = 3
-    trust_floor: int = 8
-    rate_threshold: float = 1.5
-    count_threshold: float = 2.0
-    reputation_min: int = 8
-    injected_false_strikes: tuple = ()
-
-    def validate(self) -> None:
-        if self.window_rounds < 1 or self.strike_limit < 1:
-            raise ValueError("window_rounds and strike_limit must be >= 1")
-        if not 0 <= self.trust_floor <= 15 or not 0 <= self.reputation_min <= 15:
-            raise ValueError("trust thresholds live on the 4-bit scale 0..15")
-        if self.rate_threshold <= 1.0 or self.count_threshold <= 0:
-            raise ValueError("rate_threshold must exceed 1.0, count_threshold 0")
-        strikes = self.injected_false_strikes
-        if not isinstance(strikes, (list, tuple)) or not all(
-            isinstance(item, (list, tuple))
-            and len(item) == 2
-            and all(isinstance(v, int) and not isinstance(v, bool) for v in item)
-            for item in strikes
-        ):
-            raise ValueError("injected_false_strikes must be [node_id, round] integer pairs")
 
 
 @dataclass(frozen=True)
@@ -93,11 +67,9 @@ _NOTHING_SEEN = Observation()
 
 @dataclass(slots=True)
 class SuspectedEntry:
-    node: int
     first_round: int
     last_strike_round: int
-    strike_count: int = 0
-    reasons: list = field(default_factory=list)
+    reasons: list = field(default_factory=list)  # one per strike
 
 
 class _RoundLog:
@@ -172,11 +144,7 @@ class Ledgers:
 def add_strikes(ledgers: Ledgers, node_id: int, reasons, current_round: int) -> SuspectedEntry:
     entry = ledgers.suspected.get(node_id)
     if entry is None:
-        entry = SuspectedEntry(
-            node=node_id, first_round=current_round, last_strike_round=current_round
-        )
-        ledgers.suspected[node_id] = entry
-    entry.strike_count += len(reasons)
+        entry = ledgers.suspected[node_id] = SuspectedEntry(current_round, current_round)
     entry.last_strike_round = current_round
     entry.reasons.extend(reasons)
     return entry
@@ -245,7 +213,7 @@ def exids_decide(
     if not monitor.energy.detection_enabled:
         raise DisabledIds(f"node {monitor.id} cannot run checks")
     charge_detection(monitor, params)
-    if entry.strike_count >= config.strike_limit or suspect.trust.nibble < config.trust_floor:
+    if len(entry.reasons) >= config.strike_limit or suspect.trust.nibble < config.trust_floor:
         return Decision.MALICIOUS
     if current_round - entry.last_strike_round >= config.window_rounds:
         return Decision.REHABILITATED

@@ -9,18 +9,8 @@ rehabilitation, and no re-election when a role holder dies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .config import ItidsConfig  # declared with every section
 from .core import is_alive
-
-
-@dataclass(frozen=True)
-class ItidsConfig:
-    monitor_fraction: float = 0.5
-
-    def validate(self) -> None:
-        if not 0 <= self.monitor_fraction <= 1:
-            raise ValueError("monitor_fraction must lie in [0, 1]")
 
 
 def select_monitors(cluster, by_id, fraction: float) -> tuple:

@@ -78,7 +78,7 @@ class Cluster:
 
 
 def deploy(deployment, rng) -> list:
-    """Place `node_count` nodes and hand out per-class initial energies.
+    """Place a validated deployment's nodes and hand out per-class initial energies.
 
     Node ids run 0..n-1 with the sink at id 0. Explicit coordinates are
     echoed back verbatim when provided; otherwise non-sink nodes land
@@ -89,15 +89,8 @@ def deploy(deployment, rng) -> list:
     battery each class starts with.
     """
     n = deployment.node_count
-    if n < 3:
-        raise ValueError("need at least three nodes (sink, leader, follower)")
-    if deployment.area_width <= 0 or deployment.area_height <= 0:
-        raise ValueError("deployment area must be positive")
-
     place_rng = rng.derive("deploy", "positions")
     if deployment.positions is not None:
-        if len(deployment.positions) != n:
-            raise ValueError("explicit position list must match node_count")
         positions = [Position(float(x), float(y)) for x, y in deployment.positions]
     else:
         sink_xy = deployment.sink_position

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 import typing
 
@@ -19,6 +20,19 @@ SECTION_TYPES = {
     name: hint for name, hint in typing.get_type_hints(ScenarioConfig).items()
     if dataclasses.is_dataclass(hint)
 }
+
+
+def just_outside(span, hint):
+    """The refused value nearest the span's lower end, or its upper end if
+    it has no lower one: an open end itself, else one step beyond it (1 for
+    an integer key, one float for a real one)."""
+    if math.isfinite(span.low):
+        end, outward, is_open = span.low, -math.inf, span.low_open
+    else:
+        end, outward, is_open = span.high, math.inf, span.high_open
+    if is_open:
+        return hint(end)
+    return end + (1 if outward > 0 else -1) if hint is int else math.nextafter(end, outward)
 
 
 def build_node(

@@ -303,7 +303,7 @@ HUGE = str(10**15)  # a count that fits a float but not memory
     pytest.param('{"seed": 1, "rounds": ' + "1" * 5000 + "}",
                  "scenario file is not valid JSON", id="integer-of-too-many-digits"),
     pytest.param('{"seed": 1, "deployment": {"node_count": ' + HUGE + "}}",
-                 "node_count must be at most", id="node-count-beyond-memory"),
+                 "deployment.node_count must lie in [3, 100000]", id="node-count-beyond-memory"),
     pytest.param('{"seed": 1, "slots_per_round": ' + HUGE + "}",
                  "slots_per_round must lie in", id="slots-beyond-memory"),
     pytest.param('{"seed": 1, "attack": {"fake_msgs_per_round": ' + HUGE + "}}",
@@ -338,19 +338,22 @@ def test_override_without_equals_is_a_config_error(tmp_path):
 
 
 STOCK = os.path.join(os.path.dirname(__file__), "..", "configs", "stock_comparison.json")
+STRIKES_RANGE = ("detection.injected_false_strikes must be [node, round] pairs, "
+                 "node 1 to 69 and round >= 0, got ")
 
 
 @pytest.mark.parametrize("override, message", [
-    pytest.param("attack.attacker_ids=[999]", "unknown attacker ids: [999]",
+    pytest.param("attack.attacker_ids=[999]",
+                 "attack.attacker_ids must be node ids 1 to 69, got [999]",
                  id="unknown-attacker-id"),
     pytest.param("detection.injected_false_strikes=[[1]]", "injected_false_strikes",
                  id="malformed-injected-strike"),
     pytest.param("detection.injected_false_strikes=[[5000,1]]",
-                 "injected strike names unknown node 5000", id="unknown-injected-strike"),
+                 f"{STRIKES_RANGE}((5000, 1),)", id="unknown-injected-strike"),
     pytest.param("detection.injected_false_strikes=[[0,1]]",
-                 "injected strike cannot name the sink", id="injected-strike-on-sink"),
+                 f"{STRIKES_RANGE}((0, 1),)", id="injected-strike-on-sink"),
     pytest.param("detection.injected_false_strikes=[[5,-1]]",
-                 "at negative round -1", id="injected-strike-negative-round"),
+                 f"{STRIKES_RANGE}((5, -1),)", id="injected-strike-negative-round"),
     pytest.param("rounds=1.5", "rounds must be an integer", id="fractional-int"),
     pytest.param('traffic.data_bits="10"', "traffic.data_bits must be an integer",
                  id="string-int"),
@@ -372,7 +375,8 @@ STOCK = os.path.join(os.path.dirname(__file__), "..", "configs", "stock_comparis
                  id="oversized-node-count"),
     pytest.param("rounds=" + "1" * 5000, "override 'rounds' is not valid JSON",
                  id="integer-of-too-many-digits"),
-    pytest.param("deployment.node_count=" + HUGE, "node_count must be at most",
+    pytest.param("deployment.node_count=" + HUGE,
+                 "deployment.node_count must lie in [3, 100000], got 1000000000000000",
                  id="node-count-beyond-memory"),
 ])
 def test_bad_override_is_a_config_error(tmp_path, capsys, override, message):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 import typing
 from dataclasses import dataclass, field
@@ -10,6 +11,7 @@ import pytest
 from imids_sim import cli
 from imids_sim.attack import MAX_ATTACK_RATE
 from imids_sim.config import (
+    _SPANS,
     MAX_NODE_COUNT,
     MAX_SLOTS_PER_ROUND,
     MODES,
@@ -22,7 +24,7 @@ from imids_sim.config import (
     parse_config,
 )
 
-from conftest import SECTION_TYPES
+from conftest import SECTION_TYPES, just_outside
 
 
 def test_minimal_config_needs_only_seed():
@@ -99,15 +101,21 @@ def test_every_section_is_built_from_the_annotations(tmp_path, capsys):
     config = parse_config({"seed": 1, **dict.fromkeys(SECTION_TYPES, {})})
     assert {name: type(getattr(config, name)) for name in SECTION_TYPES} == SECTION_TYPES
 
-    # an unknown key and a bad number at each depth are named by their dotted path
+    # an unknown key, a bad number and a number just outside its key's range
+    # at each depth are named by their dotted path
     cases = [("nosuch", 1, "unknown top-level key(s): ['nosuch']")]
     cases += [(f"{name}.nosuch", 1, f"unknown key(s) under '{name}': ['nosuch']")
               for name in SECTION_TYPES]
+    spans = {dotted: span for dotted, _, span in _SPANS}
     for dotted, hint in plain_fields(ScenarioConfig):
         if hint is int:
             cases.append((dotted, 1.5, f"{dotted} must be an integer, got 1.5"))
         elif hint is float:
             cases.append((dotted, "x", f"{dotted} must be a finite number, got 'x'"))
+        span = spans.get(dotted)
+        if span is not None and (math.isfinite(span.low) or math.isfinite(span.high)):
+            value = just_outside(span, hint)
+            cases.append((dotted, value, f"{dotted} {span}, got {value!r}"))
     assert {dotted.count(".") for dotted, _, _ in cases} == {0, 1}
     path = tmp_path / "scenario.json"
     for dotted, value, message in cases:
@@ -149,6 +157,31 @@ def test_section_values_validated():
         parse_config({"seed": 1, "deployment": {"sink_position": [1, "a"]}})
     with pytest.raises(ConfigError):
         parse_config({"seed": 1, "deployment": {"node_count": 3, "positions": [[0, 0]] * 2 + [5]}})
+
+
+def test_every_numeric_key_declares_its_range():
+    # so a new key cannot skip validation: a range is declared or the key is refused here
+    spans = {dotted for dotted, _, _ in _SPANS}
+    numeric = {dotted for dotted, hint in plain_fields(ScenarioConfig) if hint in (int, float)}
+    assert numeric == spans
+    assert len(numeric) == 34  # the seed takes any integer; the other 33 are bounded
+
+
+@pytest.mark.parametrize("override, message", [
+    ("energy.dp_min_threshold=1", "energy.dp_min_threshold must lie in [0, 1), got 1"),
+    ("traffic.data_bits=0", "traffic.data_bits must be > 0, got 0"),
+    ("attack.fake_msg_bits=0", "attack.fake_msg_bits must be > 0, got 0"),
+    ("detection.rate_threshold=1.0", "detection.rate_threshold must be > 1, got 1.0"),
+    ("detection.trust_floor=16", "detection.trust_floor must lie in [0, 15], got 16"),
+    ("itids.monitor_fraction=2", "itids.monitor_fraction must lie in [0, 1], got 2"),
+    ("rotation_hysteresis=0", "rotation_hysteresis must lie in (0, 1], got 0"),
+    ("rounds=-1", "rounds must be >= 0, got -1"),
+    ("energy.e_elec=-1e-9", "energy.e_elec must be >= 0, got -1e-09"),
+])
+def test_a_refusal_names_the_key_and_its_range(override, message):
+    with pytest.raises(ConfigError) as caught:
+        parse_config(apply_overrides({"seed": 1}, [override]))
+    assert str(caught.value) == message
 
 
 COUNT_BOUNDS = [  # (section, key, its bound): each sizes what the engine builds

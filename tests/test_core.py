@@ -17,7 +17,7 @@ from imids_sim.core import (
     trust_reward,
 )
 from imids_sim.engine import Change, Event, _Spend
-from imids_sim.ids import Observation, SuspectedEntry, ValidationResult
+from imids_sim.ids import Observation, Reason, SuspectedEntry, ValidationResult
 from imids_sim.topology import Cluster, Sector
 
 from conftest import build_node
@@ -77,7 +77,7 @@ def test_node_distance():
         make_energy_account(1.0),
         build_node(1),
         Observation(),
-        SuspectedEntry(1, 0, 0),
+        SuspectedEntry(0, 0, [Reason.PACKET_FLOOD]),
         ValidationResult(True),
         DeprivationResult(),
         Sector(1),

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from imids_sim.config import ConfigError, ScenarioConfig
 from imids_sim.core import Role, is_alive
 from imids_sim.energy import (
     EnergyParams,
@@ -52,11 +53,16 @@ def test_cost_input_validation():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        EnergyParams(p_listen=1e-7, p_sleep=1e-6).validate()
-    with pytest.raises(ValueError):
-        EnergyParams(e_elec=-1.0).validate()
-    EnergyParams().validate()
+    def validate(**params):  # a section is checked as part of its scenario
+        ScenarioConfig(seed=1, energy=EnergyParams(**params)).validate()
+
+    with pytest.raises(ConfigError, match=r"^energy\.p_sleep must be below energy\.p_listen$"):
+        validate(p_listen=1e-7, p_sleep=1e-6)
+    with pytest.raises(ConfigError, match=r"^energy\.e_elec must be >= 0, got -1\.0$"):
+        validate(e_elec=-1.0)
+    with pytest.raises(ConfigError, match=r"^energy\.e_elec must be >= 0, got nan$"):
+        validate(e_elec=math.nan)  # NaN lies in no range
+    validate()
 
 
 def test_consume_clamps_and_kills():

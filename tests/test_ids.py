@@ -145,7 +145,7 @@ def test_sids_strikes_and_trust_penalty():
     assert 7 in ledgers.suspected
     assert subject.trust.nibble == 14
     entry = ledgers.suspected[7]
-    assert entry.strike_count == 1 and entry.last_strike_round == 4
+    assert entry.reasons == [Reason.PACKET_FLOOD] and entry.last_strike_round == 4
 
 
 def test_sids_rewards_clean_subject():
@@ -181,7 +181,7 @@ def test_sids_raises_for_disabled_watcher():
 
 
 def test_exids_condemns_on_strike_limit():
-    entry = SuspectedEntry(node=7, first_round=0, last_strike_round=2, strike_count=3)
+    entry = SuspectedEntry(first_round=0, last_strike_round=2, reasons=[Reason.PACKET_FLOOD] * 3)
     decision = exids_decide(_watcher(), _subject(), entry, 3, CFG, P)
     assert decision is Decision.MALICIOUS
 
@@ -189,18 +189,18 @@ def test_exids_condemns_on_strike_limit():
 def test_exids_condemns_on_trust_floor():
     subject = _subject()
     subject.trust = TrustState(nibble=7)
-    entry = SuspectedEntry(node=7, first_round=0, last_strike_round=2, strike_count=1)
+    entry = SuspectedEntry(first_round=0, last_strike_round=2, reasons=[Reason.PACKET_FLOOD])
     assert exids_decide(_watcher(), subject, entry, 3, CFG, P) is Decision.MALICIOUS
 
 
 def test_exids_rehabilitates_after_quiet_window():
-    entry = SuspectedEntry(node=7, first_round=0, last_strike_round=2, strike_count=1)
+    entry = SuspectedEntry(first_round=0, last_strike_round=2, reasons=[Reason.PACKET_FLOOD])
     assert exids_decide(_watcher(), _subject(), entry, 7, CFG, P) is Decision.REHABILITATED
     assert exids_decide(_watcher(), _subject(), entry, 6, CFG, P) is Decision.PENDING
 
 
 def test_exids_malice_beats_rehabilitation():
-    entry = SuspectedEntry(node=7, first_round=0, last_strike_round=0, strike_count=3)
+    entry = SuspectedEntry(first_round=0, last_strike_round=0, reasons=[Reason.PACKET_FLOOD] * 3)
     assert exids_decide(_watcher(), _subject(), entry, 99, CFG, P) is Decision.MALICIOUS
 
 
@@ -313,7 +313,7 @@ def test_cc_validate_strikes_as_the_three_rule_reference(valid, slot, expected_s
     assert Counter(result.reasons) == Counter(expected)
     if expected:
         assert Counter(ledgers.suspected[7].reasons) == Counter(expected)
-        assert ledgers.suspected[7].strike_count == len(expected)
+        assert len(ledgers.suspected[7].reasons) == len(expected)
     else:
         assert 7 not in ledgers.suspected
 
