@@ -31,11 +31,9 @@ from .core import (
     TRUST_MAX,
     NodeClass,
     Packet,
-    PacketKind,
     Position,
     Role,
     SensorNode,
-    TrustState,
     is_alive,
 )
 from .energy import EnergyParams, rx_cost, tx_cost
@@ -81,7 +79,6 @@ __all__ = [
     "NodeClass",
     "NormalProfile",
     "Packet",
-    "PacketKind",
     "Position",
     "Reason",
     "Role",
@@ -95,7 +92,6 @@ __all__ = [
     "SimulationTrace",
     "SINK_ID",
     "SuspectedEntry",
-    "TrustState",
     "TRUST_MAX",
     "UnreachableNode",
     "apply_deprivation",

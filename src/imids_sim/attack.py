@@ -14,27 +14,21 @@ import random
 from dataclasses import dataclass
 
 from .config import MAX_ATTACK_RATE, AttackConfig  # noqa: F401 (declared with every section)
-from .core import Packet, PacketKind, SensorNode, WakeupToken, is_alive
+from .core import Packet, SensorNode, WakeupToken, is_alive
 from .energy import EnergyParams, consume, rx_cost
 
 def choose_attackers(config: AttackConfig, node_ids, sink_id: int, rng: random.Random) -> set:
     """Resolve the malicious set: explicit ids win, otherwise a random draw.
     The sink is never an attacker."""
     if config.attacker_ids is not None:
-        chosen = set(int(i) for i in config.attacker_ids)
-        if sink_id in chosen:
-            raise ValueError("the sink cannot be an attacker")
-        unknown = chosen - set(node_ids)
-        if unknown:
-            raise ValueError(f"unknown attacker ids: {sorted(unknown)}")
-        return chosen
+        return set(config.attacker_ids)  # validated: deployed ids other than the sink
     candidates = sorted(i for i in node_ids if i != sink_id)
     count = min(config.attacker_count, len(candidates))
     return set(rng.sample(candidates, count))
 
 
 def _fresh_packet(src, dst, slot, bits, valid) -> Packet:
-    return Packet(src, dst, PacketKind.SENSOR_DATA, WakeupToken(src, valid), slot, bits)
+    return Packet(src, dst, WakeupToken(src, valid), slot, bits)
 
 
 def emit_attack_traffic(
@@ -72,7 +66,6 @@ def emit_attack_traffic(
             Packet(
                 src=attacker.id,
                 dst=victim,
-                kind=PacketKind.FAKE_CONTROL,
                 token=bad_token,
                 slot=slot,
                 payload_size=config.fake_msg_bits,

@@ -9,10 +9,10 @@ a reputation fits in half a byte on the wire.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
-TRUST_MAX = 15
+TRUST_MAX = 15  # a node's trust is an int in [0, TRUST_MAX]; it starts full
 
 # Share of a node's initial energy reserved for detection work, by role.
 # Leaf nodes and forwarding sector heads do no detection at all; sector
@@ -42,11 +42,6 @@ class Role(Enum):
     SN = "SN"    # sink
 
 
-class PacketKind(Enum):
-    SENSOR_DATA = "sensor_data"
-    FAKE_CONTROL = "fake_control"
-
-
 @dataclass(frozen=True, slots=True)
 class Position:
     x: float
@@ -56,25 +51,12 @@ class Position:
         return math.hypot(self.x - other.x, self.y - other.y)
 
 
-@dataclass(frozen=True, slots=True)
-class TrustState:
-    """Saturating 4-bit reputation counter. Full trust is 15, none is 0."""
-
-    nibble: int = TRUST_MAX
-
-    def __post_init__(self):
-        if not 0 <= self.nibble <= TRUST_MAX:
-            raise ValueError(f"trust nibble out of range: {self.nibble}")
+def trust_penalize(trust: int) -> int:
+    return max(0, trust - 1)
 
 
-def trust_penalize(trust: TrustState) -> TrustState:
-    value = max(0, trust.nibble - 1)
-    return trust if value == trust.nibble else TrustState(value)
-
-
-def trust_reward(trust: TrustState) -> TrustState:
-    value = min(TRUST_MAX, trust.nibble + 1)
-    return trust if value == trust.nibble else TrustState(value)
+def trust_reward(trust: int) -> int:
+    return min(TRUST_MAX, trust + 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,7 +69,6 @@ class WakeupToken:
 class Packet:
     src: int
     dst: int
-    kind: PacketKind
     token: WakeupToken
     slot: int
     payload_size: int
@@ -111,7 +92,7 @@ class SensorNode:
     node_class: NodeClass
     role: Role
     energy: EnergyAccount
-    trust: TrustState = field(default_factory=TrustState)
+    trust: int = TRUST_MAX
     slot: int | None = None  # owned TDMA transmit slot, handed out by the engine
     malicious: bool = False
 

@@ -23,7 +23,10 @@ coordinators as the only detection layer. Each mode is one row of
 forms sectors, whether it fixes static monitors), which `__init__` looks
 up once: nothing else asks which mode it runs.
 
-Every hop is one first-order radio transmission through `_hop`. Overhearing
+Every hop is one first-order radio transmission. Control replies,
+aggregates and adoption go through `_hop`, a control broadcast through
+`_broadcast`; the slot loop (`_run_slots`) charges attack deliveries, and
+each leaf's send along the route its fragment keeps, inline. Overhearing
 is not free: a watcher that is not the addressee pays the receive price too
 (`_overhear`), which is what makes an always-on promiscuous monitor
 expensive to run. Every joule is charged through `energy.consume`.
@@ -68,7 +71,6 @@ from .config import ScenarioConfig, config_to_dict
 from .core import (
     NodeClass,
     Packet,
-    PacketKind,
     Role,
     WakeupToken,
     trust_penalize,
@@ -584,9 +586,7 @@ class Simulation:
         pkt = self._packets.get(key)
         if pkt is None:
             token = self._tokens.setdefault((src, valid), WakeupToken(src, valid))
-            pkt = self._packets[key] = Packet(
-                src, dst, PacketKind.SENSOR_DATA, token, slot, bits, sources
-            )
+            pkt = self._packets[key] = Packet(src, dst, token, slot, bits, sources)
         return pkt
 
     # ------------------------------------------------------------------

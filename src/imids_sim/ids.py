@@ -191,7 +191,7 @@ def sids_check(
         if reasons:
             subject.trust = trust_penalize(subject.trust)
             add_strikes(ledgers, subject.id, reasons, current_round)
-        elif subject.trust.nibble < TRUST_MAX:  # full trust has nothing to gain
+        elif subject.trust < TRUST_MAX:  # full trust has nothing to gain
             subject.trust = trust_reward(subject.trust)
         if disabled:
             break
@@ -213,7 +213,7 @@ def exids_decide(
     if not monitor.energy.detection_enabled:
         raise DisabledIds(f"node {monitor.id} cannot run checks")
     charge_detection(monitor, params)
-    if len(entry.reasons) >= config.strike_limit or suspect.trust.nibble < config.trust_floor:
+    if len(entry.reasons) >= config.strike_limit or suspect.trust < config.trust_floor:
         return Decision.MALICIOUS
     if current_round - entry.last_strike_round >= config.window_rounds:
         return Decision.REHABILITATED

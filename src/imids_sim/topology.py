@@ -62,9 +62,6 @@ class Sector:
     monitors: tuple = ()
     fsh: int | None = None
 
-    def node_ids(self) -> set:
-        return {self.coordinator} | set(self.leaves)
-
 
 @dataclass(slots=True)
 class Cluster:
@@ -186,7 +183,7 @@ def cc_eligible(node, quarantined, reputation_min) -> bool:
         node.node_class is NodeClass.LEADER
         and node.energy.residual_energy > 0.0
         and node.id not in quarantined
-        and node.trust.nibble >= reputation_min
+        and node.trust >= reputation_min
     )
 
 

@@ -10,19 +10,25 @@ from imids_sim.attack import (
     emit_attack_traffic,
 )
 from imids_sim.config import parse_config
-from imids_sim.core import Packet, PacketKind, WakeupToken
+from imids_sim.core import Packet, WakeupToken
 from imids_sim.energy import EnergyParams, rx_cost
 
 from conftest import build_node
 
 P = EnergyParams()
+UPLINK, DATA_BITS = 9, 3000
+
+
+def _is_flood(packet):
+    # the flood pattern: the uplink, every slot, `data_bits`; each test's
+    # fake control messages go to a neighbour with `fake_msg_bits` (1000)
+    return packet.dst == UPLINK and packet.payload_size == DATA_BITS
 
 
 def _packet(src=5, dst=1, bits=1000, valid=False):
     return Packet(
         src=src,
         dst=dst,
-        kind=PacketKind.FAKE_CONTROL,
         token=WakeupToken(owner=src, valid=valid),
         slot=2,
         payload_size=bits,
@@ -35,18 +41,12 @@ def test_choose_attackers_explicit_ids_win():
 
 
 def test_choose_attackers_never_the_sink():
-    cfg = AttackConfig(attacker_ids=[0])
-    with pytest.raises(ValueError):
-        choose_attackers(cfg, range(10), 0, random.Random(1))
+    # explicit ids naming the sink are refused by `ScenarioConfig.validate`
+    # (tests/test_config_reference.py, "attacker ids"); the draw skips it
     drawn = choose_attackers(
         AttackConfig(attacker_count=9), range(10), 0, random.Random(1)
     )
     assert 0 not in drawn and len(drawn) == 9
-
-
-def test_choose_attackers_rejects_unknown_ids():
-    with pytest.raises(ValueError):
-        choose_attackers(AttackConfig(attacker_ids=[99]), range(10), 0, random.Random(1))
 
 
 def test_choose_attackers_draw_is_seed_deterministic():
@@ -60,58 +60,62 @@ def test_emission_all_tokens_invalid_and_sorted():
     attacker = build_node(5, energy=1.0, malicious=True)
     cfg = AttackConfig(fake_msgs_per_round=3, flood_packets_per_slot=2)
     packets = emit_attack_traffic(
-        attacker, [1, 2, 3], 9, 4, cfg, data_bits=3000, rng=random.Random(0)
+        attacker, [1, 2, 3], UPLINK, 4, cfg, data_bits=DATA_BITS, rng=random.Random(0)
     )
     assert packets
     assert all(not p.token.valid for p in packets)
-    keys = [(p.slot, p.dst, p.kind.value) for p in packets]
+    keys = [(p.slot, p.dst, _is_flood(p)) for p in packets]
     assert keys == sorted(keys)
-    floods = [p for p in packets if p.kind is PacketKind.SENSOR_DATA]
-    assert len(floods) == 2 * 4 and all(p.dst == 9 for p in floods)
+    floods = [p for p in packets if _is_flood(p)]
+    assert [p.slot for p in floods] == [0, 0, 1, 1, 2, 2, 3, 3]
+    fakes = [p for p in packets if not _is_flood(p)]
+    assert len(fakes) == 3
+    assert all(p.dst in (1, 2, 3) and p.payload_size == cfg.fake_msg_bits for p in fakes)
 
 
 def test_flood_packets_from_the_engine_table_equal_fresh_ones():
     sim = engine.initialize(parse_config({"seed": 7, "deployment": {"node_count": 40}}))
     attacker = build_node(5, energy=1.0, malicious=True)
     cfg = AttackConfig(fake_msgs_per_round=3, flood_packets_per_slot=2)
-    args = (attacker, [1, 2, 3], 9, 4, cfg, 3000)
+    args = (attacker, [1, 2, 3], UPLINK, 4, cfg, DATA_BITS)
     fresh = emit_attack_traffic(*args, random.Random(0))
     interned = emit_attack_traffic(*args, random.Random(0), packet=sim._packet)
     again = emit_attack_traffic(*args, random.Random(1), packet=sim._packet)
     assert interned == fresh
-    floods = [p for p in interned if p.kind is PacketKind.SENSOR_DATA]
+    floods = [p for p in interned if _is_flood(p)]
     assert floods[0].slot == floods[1].slot and floods[0] is floods[1]
     # a later round with other fake draws reuses the same flood instances
-    floods_again = [p for p in again if p.kind is PacketKind.SENSOR_DATA]
+    floods_again = [p for p in again if _is_flood(p)]
     assert {id(p) for p in floods_again} == {id(p) for p in floods}
 
 
 def test_emission_order_equals_the_order_by_kind_value():
     # the only neighbour is the uplink, so fake and flood packets share
-    # slots and destination and only the kind part of the key orders them
+    # slots and destination and only the kind, fake control before flood,
+    # orders them
     attacker = build_node(5, energy=1.0, malicious=True)
     cfg = AttackConfig(fake_msgs_per_round=12, flood_packets_per_slot=2)
     packets = emit_attack_traffic(
-        attacker, [9], 9, 4, cfg, data_bits=3000, rng=random.Random(3)
+        attacker, [UPLINK], UPLINK, 4, cfg, data_bits=DATA_BITS, rng=random.Random(3)
     )
     kinds_by_slot = {}
     for p in packets:
-        kinds_by_slot.setdefault((p.slot, p.dst), set()).add(p.kind)
+        kinds_by_slot.setdefault((p.slot, p.dst), set()).add(_is_flood(p))
     assert any(len(kinds) == 2 for kinds in kinds_by_slot.values())
     # both sorts are stable, so a re-sort by the old key moves nothing
     # unless the two keys order some pair differently
-    by_value = sorted(packets, key=lambda p: (p.slot, p.dst, p.kind.value))
-    assert [id(p) for p in packets] == [id(p) for p in by_value]
+    by_kind = sorted(packets, key=lambda p: (p.slot, p.dst, _is_flood(p)))
+    assert [id(p) for p in packets] == [id(p) for p in by_kind]
 
 
 def test_emission_without_uplink_still_fakes():
     attacker = build_node(5, energy=1.0, malicious=True)
     cfg = AttackConfig(fake_msgs_per_round=2, flood_packets_per_slot=2)
     packets = emit_attack_traffic(
-        attacker, [1, 2], None, 4, cfg, data_bits=3000, rng=random.Random(0)
+        attacker, [1, 2], None, 4, cfg, data_bits=DATA_BITS, rng=random.Random(0)
     )
     assert len(packets) == 2
-    assert all(p.kind is PacketKind.FAKE_CONTROL for p in packets)
+    assert all(p.dst in (1, 2) and p.payload_size == cfg.fake_msg_bits for p in packets)
 
 
 def test_dead_attacker_emits_nothing():

@@ -8,9 +8,7 @@ from imids_sim.core import (
     DETECTION_FRACTION,
     TRUST_MAX,
     Packet,
-    PacketKind,
     Position,
-    TrustState,
     WakeupToken,
     make_energy_account,
     trust_penalize,
@@ -24,28 +22,21 @@ from conftest import build_node
 
 
 def test_trust_starts_full():
-    assert TrustState().nibble == TRUST_MAX == 15
+    trust = build_node(1).trust
+    assert type(trust) is int and trust == TRUST_MAX == 15
 
 
 def test_trust_penalty_and_reward_step_by_one():
-    t = TrustState()
+    t = TRUST_MAX
     t = trust_penalize(t)
-    assert t.nibble == 14
+    assert t == 14
     t = trust_reward(t)
-    assert t.nibble == 15
+    assert t == 15
 
 
 def test_trust_saturates_at_both_ends():
-    t = TrustState(nibble=0)
-    assert trust_penalize(t).nibble == 0
-    assert trust_reward(TrustState(nibble=15)).nibble == 15
-
-
-def test_trust_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        TrustState(nibble=16)
-    with pytest.raises(ValueError):
-        TrustState(nibble=-1)
+    assert trust_penalize(0) == 0
+    assert trust_reward(15) == 15
 
 
 def test_position_distance():
@@ -71,9 +62,8 @@ def test_node_distance():
     "record",
     [
         Position(0.0, 0.0),
-        TrustState(),
         WakeupToken(1, True),
-        Packet(1, 2, PacketKind.SENSOR_DATA, WakeupToken(1, True), 0, 8),
+        Packet(1, 2, WakeupToken(1, True), 0, 8),
         make_energy_account(1.0),
         build_node(1),
         Observation(),

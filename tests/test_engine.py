@@ -14,7 +14,7 @@ import pytest
 from imids_sim import engine, ids
 from imids_sim.cli import _metrics_row
 from imids_sim.config import MODES, parse_config
-from imids_sim.core import NodeClass, Packet, PacketKind, Role, WakeupToken, is_alive
+from imids_sim.core import NodeClass, Packet, Role, WakeupToken, is_alive
 from imids_sim.energy import rx_cost, tx_cost
 from imids_sim.engine import Change, Event
 
@@ -188,9 +188,7 @@ def test_cost_memos_equal_the_formulas_bit_for_bit(mode):
     assert sim._packets
     tokens = {}
     for (src, dst, slot, bits, valid, sources), pkt in sim._packets.items():
-        assert pkt == Packet(
-            src, dst, PacketKind.SENSOR_DATA, WakeupToken(src, valid), slot, bits, sources
-        )
+        assert pkt == Packet(src, dst, WakeupToken(src, valid), slot, bits, sources)
         assert tokens.setdefault((src, valid), pkt.token) is pkt.token
 
 

@@ -11,9 +11,7 @@ from hypothesis import strategies as st
 
 from imids_sim.core import (
     Packet,
-    PacketKind,
     Role,
-    TrustState,
     WakeupToken,
 )
 from imids_sim.energy import EnergyParams, assign_detection_budget
@@ -143,7 +141,7 @@ def test_sids_strikes_and_trust_penalty():
     screen = [(subject, Observation(packets_to_watcher=5))]
     sids_check(watcher, screen, PROFILE, CFG, P, ledgers, current_round=4)
     assert 7 in ledgers.suspected
-    assert subject.trust.nibble == 14
+    assert subject.trust == 14
     entry = ledgers.suspected[7]
     assert entry.reasons == [Reason.PACKET_FLOOD] and entry.last_strike_round == 4
 
@@ -151,10 +149,10 @@ def test_sids_strikes_and_trust_penalty():
 def test_sids_rewards_clean_subject():
     watcher = _watcher()
     subject = _subject()
-    subject.trust = TrustState(nibble=10)
+    subject.trust = 10
     ledgers = Ledgers()
     sids_check(watcher, [(subject, None)], PROFILE, CFG, P, ledgers, 0)
-    assert subject.trust.nibble == 11
+    assert subject.trust == 11
     assert 7 not in ledgers.suspected
 
 
@@ -188,7 +186,7 @@ def test_exids_condemns_on_strike_limit():
 
 def test_exids_condemns_on_trust_floor():
     subject = _subject()
-    subject.trust = TrustState(nibble=7)
+    subject.trust = 7
     entry = SuspectedEntry(first_round=0, last_strike_round=2, reasons=[Reason.PACKET_FLOOD])
     assert exids_decide(_watcher(), subject, entry, 3, CFG, P) is Decision.MALICIOUS
 
@@ -214,11 +212,11 @@ def test_quarantine_records_round_once():
 def test_rehabilitate_clears_entry_and_rewards():
     ledgers = Ledgers()
     subject = _subject()
-    subject.trust = TrustState(nibble=9)
+    subject.trust = 9
     add_strikes(ledgers, 7, (Reason.ENERGY_RATE,), 0)
     rehabilitate(ledgers, subject)
     assert 7 not in ledgers.suspected
-    assert subject.trust.nibble == 10
+    assert subject.trust == 10
 
 
 # --- coordinator validation ------------------------------------------------
@@ -228,7 +226,6 @@ def _data_packet(src, slot, valid=True):
     return Packet(
         src=src,
         dst=1,
-        kind=PacketKind.SENSOR_DATA,
         token=WakeupToken(owner=src, valid=valid),
         slot=slot,
         payload_size=3000,

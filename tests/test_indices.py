@@ -35,7 +35,7 @@ from imids_sim import engine
 from imids_sim import ids
 from imids_sim import topology as topo
 from imids_sim.config import parse_config
-from imids_sim.core import NodeClass, Packet, PacketKind, Role, WakeupToken, is_alive
+from imids_sim.core import NodeClass, Packet, Role, WakeupToken, is_alive
 from imids_sim.energy import tx_cost
 
 MODES = ("imids", "imids-no-sectors", "itids")
@@ -116,7 +116,7 @@ def scan_slots(sim):
     slots = sim.config.slots_per_round
     found = {}
     for cluster in sorted(sim.clusters, key=lambda c: c.id):
-        order = [m for s in cluster.sectors for m in sorted(s.node_ids())]
+        order = [m for s in cluster.sectors for m in sorted({s.coordinator, *s.leaves})]
         order += [m for m in sorted(cluster.node_ids()) if m not in order and m not in found]
         for index, node_id in enumerate(order):
             found[node_id] = index % slots
@@ -257,8 +257,7 @@ def check_routes(sim):
         parent, pkt, cost, reaches, overhearers = route
         assert parent is sim.by_id[parent_id]
         assert pkt == Packet(
-            node_id, parent_id, PacketKind.SENSOR_DATA, WakeupToken(node_id, True),
-            slots[node_id], bits,
+            node_id, parent_id, WakeupToken(node_id, True), slots[node_id], bits
         )
         assert cost == tx_cost(sim.params, bits, node.distance_to(parent))
         if is_alive(parent):

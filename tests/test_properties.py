@@ -26,7 +26,6 @@ from imids_sim.config import (
 from imids_sim.core import (
     NodeClass,
     Role,
-    TrustState,
     is_alive,
     trust_penalize,
     trust_reward,
@@ -61,10 +60,10 @@ RELAXED = settings(
     steps=st.lists(st.booleans(), max_size=60),
 )
 def test_trust_stays_a_nibble(start, steps):
-    trust = TrustState(nibble=start)
+    trust = start
     for reward in steps:
         trust = trust_reward(trust) if reward else trust_penalize(trust)
-        assert 0 <= trust.nibble <= 15
+        assert type(trust) is int and 0 <= trust <= 15
 
 
 # --- sector formation --------------------------------------------------------------
@@ -102,7 +101,7 @@ def test_sectors_are_a_partition_with_clean_coordinators(instance):
     alive_followers = {n.id for n in nodes[2:] if is_alive(n)}
     seen = set()
     for sector in sectors:
-        ids = sector.node_ids()
+        ids = {sector.coordinator, *sector.leaves}
         assert sector.coordinator not in sector.leaves
         assert sector.coordinator not in quarantined
         assert not ids & seen

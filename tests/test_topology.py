@@ -7,7 +7,7 @@ import pytest
 
 from imids_sim import topology as topo
 from imids_sim.config import DeploymentConfig
-from imids_sim.core import NodeClass, Role, TrustState, is_alive
+from imids_sim.core import NodeClass, Role, is_alive
 from imids_sim.rng import SeededRng
 
 from conftest import build_node, build_sink
@@ -153,7 +153,7 @@ def _oracle_election(nodes, graph, reputation_min=8):
         for n in nodes:
             if n.node_class is not NodeClass.LEADER or not is_alive(n):
                 continue
-            if n.trust.nibble < reputation_min or n.id in chosen:
+            if n.trust < reputation_min or n.id in chosen:
                 continue
             disk = {n.id} | set(graph.neighbors(n.id))
             if not disk & uncovered:
@@ -231,7 +231,7 @@ def test_election_skips_distrusted_leaders():
         build_node(2, 0, 12, energy=2.0, node_class=NodeClass.LEADER, role=Role.SM),
         build_node(3, 0, 15, energy=0.2),
     ]
-    nodes[1].trust = TrustState(nibble=5)
+    nodes[1].trust = 5
     g = _graph(nodes)
     assert 1 not in topo.select_cluster_coordinators(nodes, g)
 
@@ -305,7 +305,7 @@ def test_sectors_partition_alive_followers():
     sectors = topo.form_sectors(cluster, _by_id(nodes), g)
     seen = set()
     for sector in sectors:
-        ids = sector.node_ids()
+        ids = {sector.coordinator, *sector.leaves}
         assert not ids & seen  # disjoint
         seen |= ids
     assert seen == {2, 3, 4, 5, 6}
@@ -607,7 +607,7 @@ def _reference_form_sectors(cluster, by_id, graph, quarantined=frozenset()):
 def _reference_select_sector_monitor(sector, candidates, graph):
     if not candidates:
         return ()
-    sector_ids = sector.node_ids()
+    sector_ids = {sector.coordinator, *sector.leaves}
     adjacent = [
         c for c in candidates
         if any(graph.has_edge(c.id, s) for s in sector_ids)
