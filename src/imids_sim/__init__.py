@@ -45,7 +45,6 @@ from .ids import (
     Decision,
     DetectionConfig,
     Ledgers,
-    NormalProfile,
     Reason,
     SuspectedEntry,
     compute_confusion,
@@ -77,7 +76,6 @@ __all__ = [
     "Ledgers",
     "MODES",
     "NodeClass",
-    "NormalProfile",
     "Packet",
     "Position",
     "Reason",

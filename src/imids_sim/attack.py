@@ -45,8 +45,9 @@ def emit_attack_traffic(
 
     Fake control messages pick a random live neighbor and a random slot
     each; flood packets target the attacker's uplink coordinator in every
-    slot. A dead attacker, or one whose round predates start_round, emits
-    nothing. All emitted tokens are invalid.
+    slot. A dead attacker emits nothing. The caller decides who attacks in
+    a round (the engine's `_emit_attacks`, from `start_round` on). All
+    emitted tokens are invalid.
 
     `packet(src, dst, slot, bits, valid)` gives each flood packet, a
     sensing-data packet; by default each is built fresh. Fake control

@@ -76,7 +76,7 @@ from .core import (
     trust_penalize,
 )
 from .energy import assign_detection_budget, consume, rx_cost, tx_cost
-from .ids import Decision, Ledgers, NormalProfile, Observation
+from .ids import Decision, Ledgers, Observation
 from .rng import SeededRng
 
 AGGREGATE_SLOT = -1  # sentinel: aggregates move in the post-data phase
@@ -226,7 +226,6 @@ class Simulation:
         self._link_cost = {}     # (sender id, receiver id, bits) -> tx joules
         self._slot_cost = {}     # wake mask as a tuple -> duty joules
         self._packets = {}       # (src, dst, slot, bits, valid, sources) -> Packet
-        self._tokens = {}        # (owner, valid) -> WakeupToken
         self._broadcast_cost = tx_cost(  # a control packet at full range
             self.params, config.traffic.control_bits, config.deployment.transmission_range
         )
@@ -295,10 +294,9 @@ class Simulation:
         # One shared allowance, fixed for the run: a transmit at full range
         # plus a fully awake round. A watcher counts what it hears, so an
         # honest leaf's one send a round never exceeds it, while a flood does.
-        allowance = tx_cost(
+        self.allowance = tx_cost(  # J per round
             self.params, cfg.traffic.data_bits, cfg.deployment.transmission_range
         ) + cfg.slots_per_round * self.params.p_listen
-        self.profile = NormalProfile(expected_energy_rate=allowance)
 
         self.init_energy_spent = {
             n.id: n.energy.initial_energy - n.energy.residual_energy for n in self.nodes
@@ -580,13 +578,11 @@ class Simulation:
 
     def _packet(self, src, dst, slot, bits, valid, sources=()) -> Packet:
         """The sensing-data packet with these fields, built on first use:
-        it is frozen, so one instance serves every round that repeats it,
-        and one token serves each (owner, valid)."""
+        it is frozen, so one instance serves every round that repeats it."""
         key = (src, dst, slot, bits, valid, sources)
         pkt = self._packets.get(key)
         if pkt is None:
-            token = self._tokens.setdefault((src, valid), WakeupToken(src, valid))
-            pkt = self._packets[key] = Packet(src, dst, token, slot, bits, sources)
+            pkt = self._packets[key] = Packet(src, dst, WakeupToken(src, valid), slot, bits, sources)
         return pkt
 
     # ------------------------------------------------------------------
@@ -847,7 +843,7 @@ class Simulation:
                         seen.packets_to_watcher = received.get(s, 0)
                     screen.append((node, seen))
             ids_mod.sids_check(
-                by_id[watcher_id], screen, self.profile, self.config.detection, self.params,
+                by_id[watcher_id], screen, self.allowance, self.config.detection, self.params,
                 self.ledgers, r,
             )
 
@@ -904,8 +900,8 @@ class Simulation:
                 )
             self.ledgers.decision_log.append((r, judges[-1], suspect_id, decision))
             if decision is Decision.MALICIOUS:
-                if ids_mod.quarantine(self.ledgers, suspect_id, r):
-                    self._broadcast_roster_update(suspect_id)
+                ids_mod.quarantine(self.ledgers, suspect_id, r)
+                self._broadcast_roster_update(suspect_id)
             elif decision is Decision.REHABILITATED:
                 ids_mod.rehabilitate(self.ledgers, suspect)
 
@@ -951,7 +947,7 @@ class Simulation:
         def validate(validator, pkt, expected_slot, packets_from_src):
             return ids_mod.cc_validate(
                 validator, pkt, expected_slot, packets_from_src,
-                self.ledgers, self.profile, cfg.detection, self.params, r,
+                self.ledgers, self.allowance, cfg.detection, self.params, r,
             )
 
         received = self._senders(sink.id)
@@ -1003,9 +999,9 @@ class Simulation:
         for suspect_id in sorted(self.ledgers.suspected):
             if suspect_id in self.ledgers.quarantined:
                 continue
-            if ids_mod.quarantine(self.ledgers, suspect_id, r):
-                self.ledgers.decision_log.append((r, None, suspect_id, Decision.MALICIOUS))
-                self._broadcast_roster_update(suspect_id)
+            ids_mod.quarantine(self.ledgers, suspect_id, r)
+            self.ledgers.decision_log.append((r, None, suspect_id, Decision.MALICIOUS))
+            self._broadcast_roster_update(suspect_id)
 
     def _forward_received(self, r):
         """Baseline uplink: each coordinator forwards whatever its
@@ -1238,8 +1234,6 @@ def run_simulation(config: ScenarioConfig) -> SimulationTrace:
         trace.reports.append(report)
         alive = report.alive_count
     trace.final_energy = {n.id: n.energy.residual_energy for n in sim.nodes}
-    trace.final_confusion = ids_mod.compute_confusion(
-        sim.nodes, set(sim.ledgers.quarantined), sim.sink.id
-    )
+    trace.final_confusion = sim._confusion
     trace.ledgers = sim.ledgers
     return trace

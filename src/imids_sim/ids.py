@@ -27,10 +27,6 @@ from .core import TRUST_MAX, SensorNode, trust_penalize, trust_reward
 from .energy import EnergyParams, charge_detection
 
 
-class DisabledIds(Exception):
-    """Raised when a node is asked to detect with an exhausted budget."""
-
-
 class Reason(Enum):
     ENERGY_RATE = "energy_rate"
     SCHEDULE_VIOLATION = "schedule_violation"
@@ -42,13 +38,6 @@ class Decision(Enum):
     MALICIOUS = "malicious"
     REHABILITATED = "rehabilitated"
     PENDING = "pending"
-
-
-@dataclass(frozen=True)
-class NormalProfile:
-    """Pre-set allowance every screened node is held to, fixed for the run."""
-
-    expected_energy_rate: float  # J per round
 
 
 @dataclass(slots=True)
@@ -75,11 +64,12 @@ class SuspectedEntry:
 class _RoundLog:
     """A delivery log of `(round, *ids)` entries, `width` fields each, kept as
     int arrays instead of one tuple per entry: every id in entry order, and a
-    round index of each run's round number and the offset where its ids end
-    (a round logged in consecutive batches is one run). Node ids and rounds are
-    4-byte ints. It reads as the list of tuples it stands for: iteration,
-    `len`, `==` (with a list or another log), `+` (a list) and `repr` all go
-    through the tuples; `list(log)` is a mutable copy."""
+    round index of each run's round number and the offset where its ids end,
+    one run per nonempty `extend` (the engine extends each log at most once a
+    round). Node ids and rounds are 4-byte ints. It reads as the list of
+    tuples it stands for: iteration, `len`, `==` (with a list or another log),
+    `+` (a list) and `repr` all go through the tuples; `list(log)` is a
+    mutable copy."""
 
     __slots__ = ("_width", "_ids", "_rounds", "_ends")
 
@@ -94,11 +84,8 @@ class _RoundLog:
         if not ids:
             return
         self._ids.extend(ids)
-        if self._rounds and self._rounds[-1] == r:
-            self._ends[-1] = len(self._ids)
-        else:
-            self._rounds.append(r)
-            self._ends.append(len(self._ids))
+        self._rounds.append(r)
+        self._ends.append(len(self._ids))
 
     def __iter__(self):
         ids = self._ids
@@ -150,10 +137,11 @@ def add_strikes(ledgers: Ledgers, node_id: int, reasons, current_round: int) -> 
     return entry
 
 
-def evaluate_rules(observation: Observation, profile: NormalProfile, config: DetectionConfig) -> tuple:
-    """The four anomaly rules on one observation, in `Reason` order."""
+def evaluate_rules(observation: Observation, allowance: float, config: DetectionConfig) -> tuple:
+    """The four anomaly rules on one observation, in `Reason` order;
+    `allowance` is the run's draw every screened node is held to, J per round."""
     reasons = []
-    if observation.energy_spent > config.rate_threshold * profile.expected_energy_rate:
+    if observation.energy_spent > config.rate_threshold * allowance:
         reasons.append(Reason.ENERGY_RATE)
     if observation.off_slot:
         reasons.append(Reason.SCHEDULE_VIOLATION)
@@ -167,7 +155,7 @@ def evaluate_rules(observation: Observation, profile: NormalProfile, config: Det
 def sids_check(
     watcher: SensorNode,
     screen: list,
-    profile: NormalProfile,
+    allowance: float,
     config: DetectionConfig,
     params: EnergyParams,
     ledgers: Ledgers,
@@ -176,18 +164,16 @@ def sids_check(
     """Screen each unquarantined (subject, observation or None if it was
     silent) pair of `screen`, in order; record strikes and adjust trust.
 
-    Charges one detection unit per subject. If the watcher's budget runs
-    out mid-pass the remaining subjects go unchecked this round and the
-    caller sees the watcher disabled afterwards.
+    Charges one detection unit per subject, which a spent budget refuses.
+    If the watcher's budget runs out mid-pass the remaining subjects go
+    unchecked this round and the caller sees the watcher disabled afterwards.
     """
-    if not watcher.energy.detection_enabled:
-        raise DisabledIds(f"node {watcher.id} cannot run checks")
     quarantined = ledgers.quarantined
     for subject, observation in screen:
         if subject.id in quarantined:
             continue
         disabled = charge_detection(watcher, params)
-        reasons = evaluate_rules(observation or _NOTHING_SEEN, profile, config)
+        reasons = evaluate_rules(observation or _NOTHING_SEEN, allowance, config)
         if reasons:
             subject.trust = trust_penalize(subject.trust)
             add_strikes(ledgers, subject.id, reasons, current_round)
@@ -205,13 +191,11 @@ def exids_decide(
     config: DetectionConfig,
     params: EnergyParams,
 ) -> Decision:
-    """Window verdict for one suspect.
+    """Window verdict for one suspect, charged as one detection check.
 
     Condemn on strike_limit strikes or trust under the floor; clear the
     suspect after a full window without a new strike; otherwise wait.
     """
-    if not monitor.energy.detection_enabled:
-        raise DisabledIds(f"node {monitor.id} cannot run checks")
     charge_detection(monitor, params)
     if len(entry.reasons) >= config.strike_limit or suspect.trust < config.trust_floor:
         return Decision.MALICIOUS
@@ -220,12 +204,9 @@ def exids_decide(
     return Decision.PENDING
 
 
-def quarantine(ledgers: Ledgers, node_id: int, current_round: int) -> bool:
-    """Add a node to the quarantine roster. Idempotent; returns True if new."""
-    if node_id in ledgers.quarantined:
-        return False
-    ledgers.quarantined[node_id] = current_round
-    return True
+def quarantine(ledgers: Ledgers, node_id: int, current_round: int) -> None:
+    """Add a node to the quarantine roster. Idempotent: the first round stays."""
+    ledgers.quarantined.setdefault(node_id, current_round)
 
 
 def rehabilitate(ledgers: Ledgers, suspect: SensorNode) -> None:
@@ -237,12 +218,11 @@ def rehabilitate(ledgers: Ledgers, suspect: SensorNode) -> None:
 @dataclass(frozen=True, slots=True)
 class ValidationResult:
     accepted: bool
-    reasons: tuple = ()
 
 
-# The verdicts that carry no reasons; frozen, so one instance serves all.
+# The two verdicts; frozen, so one instance of each serves all.
 _ACCEPTED = ValidationResult(accepted=True)
-_DROPPED_QUARANTINED = ValidationResult(accepted=False)
+_DROPPED = ValidationResult(accepted=False)
 
 
 def cc_validate(
@@ -251,7 +231,7 @@ def cc_validate(
     expected_slot: int,
     packets_from_src: int,
     ledgers: Ledgers,
-    profile: NormalProfile,
+    allowance: float,
     config: DetectionConfig,
     params: EnergyParams,
     current_round: int,
@@ -261,22 +241,22 @@ def cc_validate(
     The packet is screened through `evaluate_rules` as all the validator
     saw of its source (nothing overheard, so no energy rate), so traffic a
     compromised lower layer waved through still gets dropped here. A drop
-    is a caught false negative: the source collects a fresh strike.
+    is a caught false negative: the source collects a fresh strike, and its
+    suspect entry keeps the reasons. A quarantined source's packet is
+    dropped unscreened. Charged as one detection check.
     """
-    if not validator.energy.detection_enabled:
-        raise DisabledIds(f"node {validator.id} cannot validate")
     charge_detection(validator, params)
     if packet.src in ledgers.quarantined:
-        return _DROPPED_QUARANTINED
+        return _DROPPED
     seen = Observation(
         off_slot=packet.slot != expected_slot,
         forged=not packet.token.valid,
         packets_to_watcher=packets_from_src,
     )
-    reasons = evaluate_rules(seen, profile, config)
+    reasons = evaluate_rules(seen, allowance, config)
     if reasons:
         add_strikes(ledgers, packet.src, reasons, current_round)
-        return ValidationResult(accepted=False, reasons=reasons)
+        return _DROPPED
     return _ACCEPTED
 
 

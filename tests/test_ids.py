@@ -1,4 +1,6 @@
+import ast
 import copy
+import inspect
 import pickle
 from collections import Counter
 from itertools import groupby
@@ -14,14 +16,13 @@ from imids_sim.core import (
     Role,
     WakeupToken,
 )
+from imids_sim import ids
 from imids_sim.energy import EnergyParams, assign_detection_budget
 from imids_sim.engine import Simulation
 from imids_sim.ids import (
     Decision,
     DetectionConfig,
-    DisabledIds,
     Ledgers,
-    NormalProfile,
     Observation,
     Reason,
     SuspectedEntry,
@@ -40,7 +41,7 @@ from conftest import build_node
 
 P = EnergyParams()
 CFG = DetectionConfig()  # window 5, strikes 3, trust floor 8, 1.5x / 2.0x
-PROFILE = NormalProfile(expected_energy_rate=1e-3)
+ALLOWANCE = 1e-3  # J per round
 
 
 def _subject(node_id=7, slot=2):
@@ -60,30 +61,30 @@ def _watcher(node_id=3):
 
 def test_rule_energy_rate():
     obs = Observation(energy_spent=1.6e-3)  # above 1.5 * 1e-3
-    assert evaluate_rules(obs, PROFILE, CFG) == (Reason.ENERGY_RATE,)
+    assert evaluate_rules(obs, ALLOWANCE, CFG) == (Reason.ENERGY_RATE,)
     obs_ok = Observation(energy_spent=1.4e-3)
-    assert evaluate_rules(obs_ok, PROFILE, CFG) == ()
+    assert evaluate_rules(obs_ok, ALLOWANCE, CFG) == ()
 
 
 def test_rule_schedule_violation():
-    assert evaluate_rules(Observation(off_slot=True), PROFILE, CFG) == (Reason.SCHEDULE_VIOLATION,)
-    assert evaluate_rules(Observation(off_slot=False), PROFILE, CFG) == ()
+    assert evaluate_rules(Observation(off_slot=True), ALLOWANCE, CFG) == (Reason.SCHEDULE_VIOLATION,)
+    assert evaluate_rules(Observation(off_slot=False), ALLOWANCE, CFG) == ()
 
 
 def test_rule_invalid_token():
-    assert evaluate_rules(Observation(forged=True), PROFILE, CFG) == (Reason.INVALID_TOKEN,)
+    assert evaluate_rules(Observation(forged=True), ALLOWANCE, CFG) == (Reason.INVALID_TOKEN,)
 
 
 def test_rule_packet_flood():
     obs = Observation(packets_to_watcher=3)  # above 2.0
-    assert evaluate_rules(obs, PROFILE, CFG) == (Reason.PACKET_FLOOD,)
+    assert evaluate_rules(obs, ALLOWANCE, CFG) == (Reason.PACKET_FLOOD,)
     obs_ok = Observation(packets_to_watcher=2)
-    assert evaluate_rules(obs_ok, PROFILE, CFG) == ()
+    assert evaluate_rules(obs_ok, ALLOWANCE, CFG) == ()
 
 
 def test_all_rules_fire_together():
     obs = Observation(energy_spent=5e-3, off_slot=True, forged=True, packets_to_watcher=9)
-    assert set(evaluate_rules(obs, PROFILE, CFG)) == {
+    assert set(evaluate_rules(obs, ALLOWANCE, CFG)) == {
         Reason.ENERGY_RATE,
         Reason.SCHEDULE_VIOLATION,
         Reason.INVALID_TOKEN,
@@ -91,11 +92,11 @@ def test_all_rules_fire_together():
     }
 
 
-def two_pass_rules(own_slot, tx_events, energy_spent, packets, profile, config):
+def two_pass_rules(own_slot, tx_events, energy_spent, packets, allowance, config):
     """The four rules read straight off a subject's transmissions, as
     (slot, token valid) pairs, with one `any()` pass per token rule."""
     reasons = []
-    if energy_spent > config.rate_threshold * profile.expected_energy_rate:
+    if energy_spent > config.rate_threshold * allowance:
         reasons.append(Reason.ENERGY_RATE)
     if any(slot != own_slot for slot, _valid in tx_events):
         reasons.append(Reason.SCHEDULE_VIOLATION)
@@ -126,8 +127,8 @@ def test_rules_in_one_pass_equal_the_two_pass_reference(
     assert (key in sim._obs) == bool(tx_events)  # a silent subject leaves no observation
     obs = sim._obs.get(key, Observation())
     obs.energy_spent, obs.packets_to_watcher = energy_spent, packets
-    assert evaluate_rules(obs, PROFILE, CFG) == two_pass_rules(
-        own_slot, tx_events, energy_spent, packets, PROFILE, CFG
+    assert evaluate_rules(obs, ALLOWANCE, CFG) == two_pass_rules(
+        own_slot, tx_events, energy_spent, packets, ALLOWANCE, CFG
     )
 
 
@@ -139,7 +140,7 @@ def test_sids_strikes_and_trust_penalty():
     subject = _subject()
     ledgers = Ledgers()
     screen = [(subject, Observation(packets_to_watcher=5))]
-    sids_check(watcher, screen, PROFILE, CFG, P, ledgers, current_round=4)
+    sids_check(watcher, screen, ALLOWANCE, CFG, P, ledgers, current_round=4)
     assert 7 in ledgers.suspected
     assert subject.trust == 14
     entry = ledgers.suspected[7]
@@ -151,7 +152,7 @@ def test_sids_rewards_clean_subject():
     subject = _subject()
     subject.trust = 10
     ledgers = Ledgers()
-    sids_check(watcher, [(subject, None)], PROFILE, CFG, P, ledgers, 0)
+    sids_check(watcher, [(subject, None)], ALLOWANCE, CFG, P, ledgers, 0)
     assert subject.trust == 11
     assert 7 not in ledgers.suspected
 
@@ -163,7 +164,7 @@ def test_sids_skips_quarantined_and_charges_watcher():
     quarantine(ledgers, 7, 0)
     before = watcher.energy.residual_energy
     flood = [(subject, Observation(packets_to_watcher=5))]  # would strike if checked
-    sids_check(watcher, flood, PROFILE, CFG, P, ledgers, 1)
+    sids_check(watcher, flood, ALLOWANCE, CFG, P, ledgers, 1)
     assert 7 not in ledgers.suspected
     assert watcher.energy.residual_energy == before  # nothing checked
 
@@ -171,8 +172,23 @@ def test_sids_skips_quarantined_and_charges_watcher():
 def test_sids_raises_for_disabled_watcher():
     watcher = _watcher()
     watcher.energy.detection_enabled = False
-    with pytest.raises(DisabledIds):
-        sids_check(watcher, [], PROFILE, CFG, P, Ledgers(), 0)
+    ledgers = Ledgers()
+    flood = [(_subject(), Observation(packets_to_watcher=5))]  # would strike if checked
+    with pytest.raises(ValueError, match="no active detection capability"):
+        sids_check(watcher, flood, ALLOWANCE, CFG, P, ledgers, 0)
+    assert ledgers.suspected == {}
+
+
+def _attribute_reads(tree) -> set:
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def test_the_spent_budget_guard_is_charge_detection_alone():
+    """Every check charges through `energy.charge_detection` before it
+    judges, and that refuses a spent budget: the detection layer keeps no
+    guard of its own."""
+    assert "detection_enabled" in _attribute_reads(ast.parse("node.energy.detection_enabled"))
+    assert "detection_enabled" not in _attribute_reads(ast.parse(inspect.getsource(ids)))
 
 
 # --- window decisions ------------------------------------------------------
@@ -204,9 +220,9 @@ def test_exids_malice_beats_rehabilitation():
 
 def test_quarantine_records_round_once():
     ledgers = Ledgers()
-    assert quarantine(ledgers, 7, 4) is True
-    assert quarantine(ledgers, 7, 9) is False
-    assert ledgers.quarantined[7] == 4
+    quarantine(ledgers, 7, 4)
+    quarantine(ledgers, 7, 9)
+    assert ledgers.quarantined == {7: 4}
 
 
 def test_rehabilitate_clears_entry_and_rewards():
@@ -241,7 +257,7 @@ def _validator():
 def test_cc_validate_accepts_clean_packet():
     ledgers = Ledgers()
     result = cc_validate(
-        _validator(), _data_packet(7, 2), 2, 1, ledgers, PROFILE, CFG, P, 0
+        _validator(), _data_packet(7, 2), 2, 1, ledgers, ALLOWANCE, CFG, P, 0
     )
     assert result.accepted
     assert 7 not in ledgers.suspected
@@ -250,7 +266,7 @@ def test_cc_validate_accepts_clean_packet():
 def test_cc_validate_strikes_invalid_token():
     ledgers = Ledgers()
     result = cc_validate(
-        _validator(), _data_packet(7, 2, valid=False), 2, 1, ledgers, PROFILE, CFG, P, 0
+        _validator(), _data_packet(7, 2, valid=False), 2, 1, ledgers, ALLOWANCE, CFG, P, 0
     )
     assert not result.accepted
     assert Reason.INVALID_TOKEN in ledgers.suspected[7].reasons
@@ -259,7 +275,7 @@ def test_cc_validate_strikes_invalid_token():
 def test_cc_validate_strikes_wrong_slot():
     ledgers = Ledgers()
     result = cc_validate(
-        _validator(), _data_packet(7, 5), 2, 1, ledgers, PROFILE, CFG, P, 0
+        _validator(), _data_packet(7, 5), 2, 1, ledgers, ALLOWANCE, CFG, P, 0
     )
     assert not result.accepted
     assert Reason.SCHEDULE_VIOLATION in ledgers.suspected[7].reasons
@@ -268,7 +284,7 @@ def test_cc_validate_strikes_wrong_slot():
 def test_cc_validate_strikes_flood():
     ledgers = Ledgers()
     result = cc_validate(
-        _validator(), _data_packet(7, 2), 2, 5, ledgers, PROFILE, CFG, P, 0
+        _validator(), _data_packet(7, 2), 2, 5, ledgers, ALLOWANCE, CFG, P, 0
     )
     assert not result.accepted
     assert Reason.PACKET_FLOOD in ledgers.suspected[7].reasons
@@ -278,7 +294,7 @@ def test_cc_validate_drops_quarantined_silently():
     ledgers = Ledgers()
     quarantine(ledgers, 7, 0)
     result = cc_validate(
-        _validator(), _data_packet(7, 2), 2, 1, ledgers, PROFILE, CFG, P, 1
+        _validator(), _data_packet(7, 2), 2, 1, ledgers, ALLOWANCE, CFG, P, 1
     )
     assert not result.accepted
     assert 7 not in ledgers.suspected  # no new strikes, just dropped
@@ -297,7 +313,7 @@ def test_cc_validate_strikes_as_the_three_rule_reference(valid, slot, expected_s
     ledgers = Ledgers()
     result = cc_validate(
         _validator(), _data_packet(7, slot, valid), expected_slot, count,
-        ledgers, PROFILE, CFG, P, 0,
+        ledgers, ALLOWANCE, CFG, P, 0,
     )
     expected = set()
     if not valid:
@@ -307,7 +323,6 @@ def test_cc_validate_strikes_as_the_three_rule_reference(valid, slot, expected_s
     if count > CFG.count_threshold:
         expected.add(Reason.PACKET_FLOOD)
     assert result.accepted == (not expected)
-    assert Counter(result.reasons) == Counter(expected)
     if expected:
         assert Counter(ledgers.suspected[7].reasons) == Counter(expected)
         assert len(ledgers.suspected[7].reasons) == len(expected)
@@ -378,8 +393,8 @@ def test_a_round_log_reads_as_its_list_of_tuples(width):
     log, model = _logged(width, BATCHES[width])
     _reads_as(log, model)
     assert _one_batch_a_round(width, model) == log
-    # one run per round in the index, and none for a round that logged nothing
-    assert list(log._rounds) == [r for r, _ in groupby(model, itemgetter(0))]
+    # one run per batch in the index, and none for a batch that logged nothing
+    assert list(log._rounds) == [r for r, entries in BATCHES[width] if entries]
     shorter, _ = _logged(width, BATCHES[width][:-2])
     assert shorter != log and log != shorter
     assert log != model[:-1] and log != tuple(model)
