@@ -38,7 +38,7 @@ from .core import (
 )
 from .energy import EnergyParams, rx_cost, tx_cost
 from .engine import (
-    Change, Event, RoundReport, Simulation, SimulationTrace, initialize, run_round, run_simulation,
+    Change, Event, RoundReport, Simulation, SimulationTrace, run_round, run_simulation,
 )
 from .ids import (
     Confusion,
@@ -99,7 +99,6 @@ __all__ = [
     "config_to_dict",
     "deploy",
     "emit_attack_traffic",
-    "initialize",
     "is_alive",
     "line_chart",
     "load_config",

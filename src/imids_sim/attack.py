@@ -27,36 +27,30 @@ def choose_attackers(config: AttackConfig, node_ids, sink_id: int, rng: random.R
     return set(rng.sample(candidates, count))
 
 
-def _fresh_packet(src, dst, slot, bits, valid) -> Packet:
-    return Packet(src, dst, WakeupToken(src, valid), slot, bits)
-
-
 def emit_attack_traffic(
-    attacker: SensorNode,
+    attacker_id: int,
     neighbors: list,
     uplink: int | None,
     slots_per_round: int,
     config: AttackConfig,
     data_bits: int,
     rng: random.Random,
-    packet=_fresh_packet,
+    packet,
 ) -> list:
-    """Produce one round of attack packets for a single attacker.
+    """Produce one round of attack packets for a single live attacker.
 
     Fake control messages pick a random live neighbor and a random slot
     each; flood packets target the attacker's uplink coordinator in every
-    slot. A dead attacker emits nothing. The caller decides who attacks in
-    a round (the engine's `_emit_attacks`, from `start_round` on). All
-    emitted tokens are invalid.
+    slot. The caller decides who attacks in a round and skips the dead
+    (the engine's `_emit_attacks`, from `start_round` on). All emitted
+    tokens are invalid.
 
     `packet(src, dst, slot, bits, valid)` gives each flood packet, a
-    sensing-data packet; by default each is built fresh. Fake control
-    packets are always built fresh: their victim and slot are random.
+    sensing-data packet. Fake control packets are built fresh: their
+    victim and slot are random.
     """
-    if not is_alive(attacker):
-        return []
     packets = []
-    bad_token = WakeupToken(owner=attacker.id, valid=False)
+    bad_token = WakeupToken(owner=attacker_id, valid=False)
     live_neighbors = sorted(neighbors)
     for _ in range(config.fake_msgs_per_round):
         if not live_neighbors:
@@ -65,7 +59,7 @@ def emit_attack_traffic(
         slot = rng.randrange(slots_per_round)
         packets.append(
             Packet(
-                src=attacker.id,
+                src=attacker_id,
                 dst=victim,
                 token=bad_token,
                 slot=slot,
@@ -75,7 +69,7 @@ def emit_attack_traffic(
     if uplink is not None and config.flood_packets_per_slot > 0:
         for slot in range(slots_per_round):
             for _ in range(config.flood_packets_per_slot):
-                packets.append(packet(attacker.id, uplink, slot, data_bits, False))
+                packets.append(packet(attacker_id, uplink, slot, data_bits, False))
     # by slot and destination; the sort is stable, so fake control stays first
     packets.sort(key=lambda p: (p.slot, p.dst))
     return packets

@@ -102,7 +102,3 @@ class SensorNode:
 
 def is_alive(node: SensorNode) -> bool:
     return node.energy.residual_energy > 0.0
-
-
-def make_energy_account(initial: float) -> EnergyAccount:
-    return EnergyAccount(initial_energy=initial, residual_energy=initial)

@@ -675,8 +675,7 @@ class Simulation:
         self._attack_packets = by_slot = {}
         self._attacking = self.attackers if r >= cfg.attack.start_round else frozenset()
         for attacker_id in sorted(self._attacking):
-            attacker = self.by_id[attacker_id]
-            if attacker.energy.residual_energy <= 0.0:
+            if self.by_id[attacker_id].energy.residual_energy <= 0.0:
                 continue
             stream = self.rng.derive("attack", r, attacker_id)
             neighbors = [
@@ -684,8 +683,8 @@ class Simulation:
                 if self.by_id[v].energy.residual_energy > 0.0
             ]
             packets = attack_mod.emit_attack_traffic(
-                attacker, neighbors, self.parent.get(attacker_id), cfg.slots_per_round,
-                cfg.attack, cfg.traffic.data_bits, stream, packet=self._packet,
+                attacker_id, neighbors, self.parent.get(attacker_id), cfg.slots_per_round,
+                cfg.attack, cfg.traffic.data_bits, stream, self._packet,
             )
             for pkt in packets:
                 by_slot.setdefault(pkt.slot, []).append(pkt)
@@ -848,10 +847,11 @@ class Simulation:
             )
 
     def _forwarding_stage(self, r):
-        """Sector coordinators aggregate their valid leaf traffic upward."""
+        """Sector coordinators aggregate their valid leaf traffic upward. The
+        last sweep re-formed every cluster without its quarantined role
+        holders, so none is filtered here."""
         cfg = self.config
         bits = cfg.traffic.aggregate_bits
-        quarantined = self.ledgers.quarantined
         relays = []  # (forwarding head, sector coordinator) pairs, flattened
         for cluster in self.clusters:
             cc = self.by_id[cluster.coordinator]
@@ -864,21 +864,18 @@ class Simulation:
                 # sent, and nothing quarantines before this stage: the ids
                 # need neither a roster filter nor a dedup.
                 sources = sorted([p.src for p in self._inbox.get(sc.id, ()) if p.token.valid])
-                if sc.id not in quarantined:
-                    sources.append(sc.id)  # own reading rides along
+                sources.append(sc.id)  # own reading rides along
                 agg = self._packet(
                     sc.id, self.parent[sc.id],
                     AGGREGATE_SLOT, bits, sc.id not in self._attacking, tuple(sources),
                 )
                 hop = self.by_id[agg.dst]
-                if not self._hop(sc, hop, bits, sc.id in quarantined):
+                if not self._hop(sc, hop, bits):
                     continue
                 if hop.id != cluster.coordinator:
                     # forwarding head relays to the coordinator
                     relays += (hop.id, sc.id)
-                    if cc.energy.residual_energy <= 0.0 or not self._hop(
-                        hop, cc, bits, hop.id in quarantined
-                    ):
+                    if cc.energy.residual_energy <= 0.0 or not self._hop(hop, cc, bits):
                         continue
                 self._inbox[cluster.coordinator].append(agg)  # `agg.dst` is the relay
         self.ledgers.forwarding_log.extend(r, relays)
@@ -1210,10 +1207,6 @@ _MODES = {
     "imids-no-sectors": _Mode(Simulation._member_screens, _LAYERED, False, False),
     "itids": _Mode(Simulation._monitor_screens, _BASELINE, False, True),  # never reconfigures
 }
-
-
-def initialize(config: ScenarioConfig) -> Simulation:
-    return Simulation(config)
 
 
 def run_round(sim: Simulation) -> RoundReport:

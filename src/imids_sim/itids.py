@@ -18,14 +18,12 @@ def select_monitors(cluster, by_id, fraction: float) -> tuple:
 
     Members are ranked by residual energy ascending (ids break ties) and
     the bottom `fraction` share takes monitoring duty. At least one member
-    monitors whenever the cluster has members at all. `by_id` maps node id
-    to node.
+    monitors whenever the cluster has a live member at all. `by_id` maps
+    node id to node.
     """
     members = sorted(
         (m for m in cluster.members if is_alive(by_id[m])),
         key=lambda m: (by_id[m].energy.residual_energy, m),
     )
-    if not members:
-        return ()
     count = max(1, int(fraction * len(members)))
     return tuple(sorted(members[:count]))

@@ -17,12 +17,12 @@ from operator import itemgetter
 
 from .core import (
     DETECTION_FRACTION,
+    EnergyAccount,
     NodeClass,
     Position,
     Role,
     SensorNode,
     is_alive,
-    make_energy_account,
 )
 
 SINK_ID = 0
@@ -124,7 +124,7 @@ def deploy(deployment, rng) -> list:
                 position=positions[node_id],
                 node_class=node_class,
                 role=Role.SN if node_id == SINK_ID else Role.LN,
-                energy=make_energy_account(initial),
+                energy=EnergyAccount(initial, initial),
             )
         )
     return nodes
@@ -142,8 +142,6 @@ def build_graph(nodes, transmission_range: float, previous=None) -> Transmission
     nodes that died since drop out of it and no pair is re-tested (nodes
     never move): the result equals a full build and shares every untouched
     set. A `previous` of another range, or missing a live node, is refused."""
-    if transmission_range <= 0:
-        raise ValueError("transmission range must be positive")
     points = [(n.id, n.position.x, n.position.y) for n in nodes if is_alive(n)]
     if previous is not None:
         if previous.transmission_range != transmission_range:
@@ -171,9 +169,8 @@ def build_graph(nodes, transmission_range: float, previous=None) -> Transmission
 
 
 def capacity(node: SensorNode, graph: TransmissionGraph) -> float:
-    """Coordination capacity: connectivity weighted by remaining charge."""
-    if node.energy.initial_energy <= 0:
-        return 0.0
+    """Coordination capacity: connectivity weighted by remaining charge
+    (of the positive initial charge that `DeploymentConfig` declares)."""
     return graph.degree(node.id) / node.energy.initial_energy * node.energy.residual_energy
 
 

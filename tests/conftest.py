@@ -7,11 +7,11 @@ import pytest
 
 from imids_sim.config import ScenarioConfig
 from imids_sim.core import (
+    EnergyAccount,
     NodeClass,
     Position,
     Role,
     SensorNode,
-    make_energy_account,
 )
 
 # each section of a scenario by name: a field of `ScenarioConfig` whose
@@ -49,7 +49,7 @@ def build_node(
         position=Position(float(x), float(y)),
         node_class=node_class,
         role=role,
-        energy=make_energy_account(energy),
+        energy=EnergyAccount(energy, energy),
         malicious=malicious,
     )
 

@@ -25,6 +25,11 @@ def _is_flood(packet):
     return packet.dst == UPLINK and packet.payload_size == DATA_BITS
 
 
+def _fresh(src, dst, slot, bits, valid):
+    # a flood-packet builder that interns nothing
+    return Packet(src, dst, WakeupToken(src, valid), slot, bits)
+
+
 def _packet(src=5, dst=1, bits=1000, valid=False):
     return Packet(
         src=src,
@@ -57,10 +62,9 @@ def test_choose_attackers_draw_is_seed_deterministic():
 
 
 def test_emission_all_tokens_invalid_and_sorted():
-    attacker = build_node(5, energy=1.0, malicious=True)
     cfg = AttackConfig(fake_msgs_per_round=3, flood_packets_per_slot=2)
     packets = emit_attack_traffic(
-        attacker, [1, 2, 3], UPLINK, 4, cfg, data_bits=DATA_BITS, rng=random.Random(0)
+        5, [1, 2, 3], UPLINK, 4, cfg, data_bits=DATA_BITS, rng=random.Random(0), packet=_fresh
     )
     assert packets
     assert all(not p.token.valid for p in packets)
@@ -74,13 +78,12 @@ def test_emission_all_tokens_invalid_and_sorted():
 
 
 def test_flood_packets_from_the_engine_table_equal_fresh_ones():
-    sim = engine.initialize(parse_config({"seed": 7, "deployment": {"node_count": 40}}))
-    attacker = build_node(5, energy=1.0, malicious=True)
+    sim = engine.Simulation(parse_config({"seed": 7, "deployment": {"node_count": 40}}))
     cfg = AttackConfig(fake_msgs_per_round=3, flood_packets_per_slot=2)
-    args = (attacker, [1, 2, 3], UPLINK, 4, cfg, DATA_BITS)
-    fresh = emit_attack_traffic(*args, random.Random(0))
-    interned = emit_attack_traffic(*args, random.Random(0), packet=sim._packet)
-    again = emit_attack_traffic(*args, random.Random(1), packet=sim._packet)
+    args = (5, [1, 2, 3], UPLINK, 4, cfg, DATA_BITS)
+    fresh = emit_attack_traffic(*args, random.Random(0), _fresh)
+    interned = emit_attack_traffic(*args, random.Random(0), sim._packet)
+    again = emit_attack_traffic(*args, random.Random(1), sim._packet)
     assert interned == fresh
     floods = [p for p in interned if _is_flood(p)]
     assert floods[0].slot == floods[1].slot and floods[0] is floods[1]
@@ -93,10 +96,9 @@ def test_emission_order_equals_the_order_by_kind_value():
     # the only neighbour is the uplink, so fake and flood packets share
     # slots and destination and only the kind, fake control before flood,
     # orders them
-    attacker = build_node(5, energy=1.0, malicious=True)
     cfg = AttackConfig(fake_msgs_per_round=12, flood_packets_per_slot=2)
     packets = emit_attack_traffic(
-        attacker, [UPLINK], UPLINK, 4, cfg, data_bits=DATA_BITS, rng=random.Random(3)
+        5, [UPLINK], UPLINK, 4, cfg, data_bits=DATA_BITS, rng=random.Random(3), packet=_fresh
     )
     kinds_by_slot = {}
     for p in packets:
@@ -109,20 +111,39 @@ def test_emission_order_equals_the_order_by_kind_value():
 
 
 def test_emission_without_uplink_still_fakes():
-    attacker = build_node(5, energy=1.0, malicious=True)
     cfg = AttackConfig(fake_msgs_per_round=2, flood_packets_per_slot=2)
     packets = emit_attack_traffic(
-        attacker, [1, 2], None, 4, cfg, data_bits=DATA_BITS, rng=random.Random(0)
+        5, [1, 2], None, 4, cfg, data_bits=DATA_BITS, rng=random.Random(0), packet=_fresh
     )
     assert len(packets) == 2
     assert all(p.dst in (1, 2) and p.payload_size == cfg.fake_msg_bits for p in packets)
 
 
+def test_emission_without_live_neighbours_only_floods():
+    # no victim to fake for: the fake loop stops before its first draw
+    cfg = AttackConfig(fake_msgs_per_round=3, flood_packets_per_slot=2)
+    rng = random.Random(0)
+    state = rng.getstate()
+    packets = emit_attack_traffic(5, [], UPLINK, 4, cfg, DATA_BITS, rng, _fresh)
+    assert rng.getstate() == state
+    assert packets and all(_is_flood(p) for p in packets)
+    assert [p.slot for p in packets] == [0, 0, 1, 1, 2, 2, 3, 3]
+
+
 def test_dead_attacker_emits_nothing():
-    attacker = build_node(5, energy=0.0, malicious=True)
-    attacker.energy.residual_energy = 0.0
-    cfg = AttackConfig(fake_msgs_per_round=3, flood_packets_per_slot=1)
-    assert emit_attack_traffic(attacker, [1], 9, 4, cfg, 3000, random.Random(0)) == []
+    # the engine skips a dead attacker before deriving its stream, so it
+    # sends nothing in the round while the live ones still send
+    raw = {
+        "seed": 7,
+        "deployment": {"node_count": 40},
+        "attack": {"attacker_count": 3, "start_round": 0, "fake_msgs_per_round": 3},
+    }
+    sim = engine.Simulation(parse_config(raw))
+    dead, *live = sorted(sim.attackers)
+    sim.by_id[dead].energy.residual_energy = 0.0
+    sim._emit_attacks(0)
+    senders = {p.src for packets in sim._attack_packets.values() for p in packets}
+    assert senders == set(live)
 
 
 def test_deprivation_wakes_sleeper_and_charges_rx():

@@ -437,6 +437,18 @@ def test_a_usage_error_returns_2_instead_of_raising(tmp_path, capsys):
     assert cli.main(["--help"]) == 0
 
 
+def test_a_failed_write_leaves_no_temp_file(tmp_path, capsys):
+    # `metrics.csv` is a directory, so the rename into place fails
+    out = tmp_path / "out"
+    (out / "metrics.csv").mkdir(parents=True)
+    (out / "metrics.csv" / "kept").write_text("x")
+    assert cli.main(["run", write_config(tmp_path), "--out", str(out)]) == 3
+    assert "runtime error" in capsys.readouterr().err
+    assert no_tmp_litter(out)
+    assert os.listdir(out / "metrics.csv") == ["kept"]
+    assert (out / "metrics.csv" / "kept").read_text() == "x"
+
+
 def test_uncoverable_deployment_is_a_runtime_error(tmp_path, capsys):
     # one node is parked far outside everyone's radio range
     positions = [[0.0, 0.0], [0.0, 10.0], [10.0, 0.0], [500.0, 500.0]]

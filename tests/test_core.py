@@ -7,10 +7,10 @@ from imids_sim.attack import DeprivationResult
 from imids_sim.core import (
     DETECTION_FRACTION,
     TRUST_MAX,
+    EnergyAccount,
     Packet,
     Position,
     WakeupToken,
-    make_energy_account,
     trust_penalize,
     trust_reward,
 )
@@ -64,7 +64,7 @@ def test_node_distance():
         Position(0.0, 0.0),
         WakeupToken(1, True),
         Packet(1, 2, WakeupToken(1, True), 0, 8),
-        make_energy_account(1.0),
+        EnergyAccount(1.0, 1.0),
         build_node(1),
         Observation(),
         SuspectedEntry(0, 0, [Reason.PACKET_FLOOD]),

@@ -11,12 +11,15 @@ from pathlib import Path
 
 import pytest
 
-from imids_sim import engine, ids
+from imids_sim import engine, ids, itids
 from imids_sim.cli import _metrics_row
 from imids_sim.config import MODES, parse_config
 from imids_sim.core import NodeClass, Packet, Role, WakeupToken, is_alive
 from imids_sim.energy import rx_cost, tx_cost
 from imids_sim.engine import Change, Event
+from imids_sim.topology import Cluster
+
+from conftest import build_node
 
 STOCK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "stock_comparison.json"
 
@@ -105,7 +108,7 @@ def test_round_spends_telescope_to_energy_delta():
 
 
 def test_a_round_spend_reads_as_the_dict_of_battery_deltas():
-    sim = engine.initialize(parse_config(json.loads(STOCK_CONFIG.read_text())))
+    sim = engine.Simulation(parse_config(json.loads(STOCK_CONFIG.read_text())))
     node_ids = [n.id for n in sim.nodes]
     while sim.round < sim.config.rounds and sim.alive_non_sink():
         before = [n.energy.residual_energy for n in sim.nodes]
@@ -127,7 +130,7 @@ def test_a_round_spend_reads_as_the_dict_of_battery_deltas():
 
 def test_a_round_report_is_slotted():
     # a trace keeps one per round: no per-instance dict
-    report = engine.initialize(scenario(rounds=1)).run_round()
+    report = engine.Simulation(scenario(rounds=1)).run_round()
     assert not hasattr(report, "__dict__")
 
 
@@ -168,7 +171,7 @@ def test_census_charges_before_round_zero():
 
 @pytest.mark.parametrize("mode", ["imids", "imids-no-sectors", "itids"])
 def test_cost_memos_equal_the_formulas_bit_for_bit(mode):
-    sim = engine.initialize(scenario(mode=mode, rounds=20, attack=ATTACK))
+    sim = engine.Simulation(scenario(mode=mode, rounds=20, attack=ATTACK))
     for _ in range(20):
         sim.run_round()
     params = sim.params
@@ -197,7 +200,7 @@ def test_the_duty_price_memo_is_bounded_and_prices_every_mask_bit_for_bit():
     fold of its own pattern, whether its price was kept or recomputed."""
     raw = json.loads(STOCK_CONFIG.read_text())
     raw.update(mode="itids", rounds=200, slots_per_round=40)
-    sim = engine.initialize(parse_config(raw))
+    sim = engine.Simulation(parse_config(raw))
     draw, params = sim._draw_masks, sim.params
     sizes = []
 
@@ -232,7 +235,7 @@ def check_rx_table(sim):
 
 def test_sizes_that_coincide_share_one_receive_price():
     attack = dict(ATTACK, fake_msg_bits=scenario().traffic.data_bits)
-    sim = engine.initialize(scenario(rounds=5, attack=attack))
+    sim = engine.Simulation(scenario(rounds=5, attack=attack))
     assert len(check_rx_table(sim)) == 3
     for _ in range(5):
         sim.run_round()
@@ -248,7 +251,7 @@ def test_always_on_watchers_pay_to_overhear():
 
 
 def test_a_hop_bills_the_sender_its_link_and_a_listening_receiver_its_rx():
-    sim = engine.initialize(scenario(rounds=1))
+    sim = engine.Simulation(scenario(rounds=1))
     src, dst = [n for n in sim.nodes if n.id != sim.sink.id][:2]
     bits = sim.config.traffic.data_bits
     link = tx_cost(sim.params, bits, src.distance_to(dst))
@@ -305,7 +308,7 @@ def test_after_set_up_a_graph_is_made_only_on_a_death_and_from_the_last(monkeypa
 
 
 def test_run_round_refuses_a_dead_network():
-    sim = engine.initialize(tiny_arena(rounds=5))
+    sim = engine.Simulation(tiny_arena(rounds=5))
     for node in sim.nodes:
         if node.node_class is not NodeClass.SINK:
             node.energy.residual_energy = 0.0
@@ -341,7 +344,7 @@ def test_a_dead_sink_accepts_nothing(mode):
     raw = json.loads(STOCK_CONFIG.read_text())
     raw.update(mode=mode, rounds=12)
     raw["deployment"]["sink_initial_energy"] = 0.004
-    sim = engine.initialize(parse_config(raw))
+    sim = engine.Simulation(parse_config(raw))
     ran_dead = []
 
     def guarded(phase, r):
@@ -371,7 +374,7 @@ def test_a_sink_with_its_budget_spent_validates_nothing_more():
     raw["attack"].update(start_round=0, attacker_ids=[10, 16])
     raw["deployment"]["sink_initial_energy"] = 1.0
     raw["energy"] = {"e_detect": 0.02}
-    sim = engine.initialize(parse_config(raw))
+    sim = engine.Simulation(parse_config(raw))
     assert {10, 16} <= {c.coordinator for c in sim.clusters}
     sink, hop = sim.sink, sim._hop
     blind_deliveries = []  # rounds in which a coordinator reached a sink whose IDS is off
@@ -407,7 +410,7 @@ def sweep_events(sim):
 # another leader is left to take over
 @pytest.mark.parametrize("seed, replaced", [(7, False), (24, True)])
 def test_a_sector_whose_monitors_all_fail_elects_usable_ones(seed, replaced):
-    sim = engine.initialize(scenario(seed=seed, rounds=1))
+    sim = engine.Simulation(scenario(seed=seed, rounds=1))
     cluster = next(c for c in sim.clusters if c.sectors and c.sectors[0].monitors)
     sector = cluster.sectors[0]
     failed = set(sector.monitors)
@@ -429,7 +432,7 @@ def test_a_sector_coordinator_whose_detection_budget_is_spent_fails():
     floor turns its IDS off, and the sweep reports it failed."""
     raw = json.loads(STOCK_CONFIG.with_name("false_alarm.json").read_text())
     raw["energy"] = {"e_detect": 1e-3, "dp_min_threshold": 0.5}
-    sim = engine.initialize(parse_config(raw))
+    sim = engine.Simulation(parse_config(raw))
     check_cluster = sim._check_cluster
     spent = []
 
@@ -451,7 +454,7 @@ def test_a_sector_coordinator_whose_detection_budget_is_spent_fails():
 
 @pytest.mark.parametrize("mode", ("imids", "imids-no-sectors"))
 def test_a_failed_coordinator_is_reported_then_its_successor(mode):
-    sim = engine.initialize(scenario(mode=mode, rounds=1))
+    sim = engine.Simulation(scenario(mode=mode, rounds=1))
     cluster = next(c for c in sim.clusters if c.members)
     failed = cluster.coordinator
     sim.by_id[failed].energy.residual_energy = 0.0
@@ -468,7 +471,7 @@ def test_a_failed_coordinator_is_reported_then_its_successor(mode):
 
 
 def test_an_orphan_in_range_of_a_coordinator_is_adopted():
-    sim = engine.initialize(scenario(mode="imids-no-sectors", rounds=1))
+    sim = engine.Simulation(scenario(mode="imids-no-sectors", rounds=1))
     cluster = next(c for c in sim.clusters if c.members)
     orphan = min(cluster.members)
     cluster.members.discard(orphan)
@@ -486,7 +489,7 @@ def test_a_flooding_leaf_is_screened_by_its_sector_coordinator_but_never_aggrega
     its sector coordinator's inbox and count toward that watcher's
     screening, but the sector's aggregate takes only valid tokens, so the
     leaf is never one of its `sources` and never validated upstream."""
-    sim = engine.initialize(scenario(attack=ATTACK))
+    sim = engine.Simulation(scenario(attack=ATTACK))
     (attacker,) = sim.attackers
     assert sim.by_id[attacker].role is Role.LN
     assert sim.by_id[sim.parent[attacker]].role is Role.SC
@@ -524,7 +527,7 @@ def test_a_flooding_attacker_trips_the_energy_rate_rule(monkeypatch):
     its parent, so it shows exactly that one price, under the allowance;
     the flooder's fake packets add up past `rate_threshold` times the
     allowance, and it is struck for `ENERGY_RATE`."""
-    sim = engine.initialize(scenario(attack=ATTACK))
+    sim = engine.Simulation(scenario(attack=ATTACK))
     (attacker,) = sim.attackers
     bits = sim.config.traffic.data_bits
     limit = sim.config.detection.rate_threshold * sim.allowance
@@ -565,7 +568,7 @@ def test_only_attack_packets_raise_the_observation_flags(mode):
     raw = json.loads(STOCK_CONFIG.read_text())
     raw["mode"] = mode
     raw["attack"]["start_round"] = 0
-    sim = engine.initialize(parse_config(raw))
+    sim = engine.Simulation(parse_config(raw))
     uplink_only, attacked = [], []
 
     def probed(phase, r):
@@ -604,7 +607,7 @@ def test_quarantined_nodes_stop_contributing():
 
 
 def test_baseline_keeps_static_rosters():
-    sim = engine.initialize(scenario(mode="itids", rounds=15))
+    sim = engine.Simulation(scenario(mode="itids", rounds=15))
     rosters = {cid: tuple(ids) for cid, ids in sim.monitors.items()}
     coordinators = [c.coordinator for c in sim.clusters]
     for _ in range(15):
@@ -615,8 +618,16 @@ def test_baseline_keeps_static_rosters():
     assert all(n.role is not Role.SC for n in sim.nodes)
 
 
+def test_a_cluster_without_a_live_member_has_no_monitors():
+    by_id = {i: build_node(i) for i in (1, 2, 3)}
+    for i in (2, 3):
+        by_id[i].energy.residual_energy = 0.0
+    assert itids.select_monitors(Cluster(1, 1, {2, 3}), by_id, 0.5) == ()
+    assert itids.select_monitors(Cluster(1, 1), by_id, 0.5) == ()
+
+
 def test_sectored_mode_builds_sectors_and_monitors():
-    sim = engine.initialize(scenario(rounds=1))
+    sim = engine.Simulation(scenario(rounds=1))
     sectors = [s for c in sim.clusters for s in c.sectors]
     assert sectors
     assert any(s.monitors for s in sectors)
@@ -638,7 +649,7 @@ PHASES = {
 
 @pytest.mark.parametrize("mode", sorted(PHASES))
 def test_a_round_runs_the_mode_phase_tuple_in_order(mode):
-    sim = engine.initialize(scenario(mode=mode, rounds=2, attack=ATTACK))
+    sim = engine.Simulation(scenario(mode=mode, rounds=2, attack=ATTACK))
     assert [phase.__name__ for phase in sim._phases] == PHASES[mode]
     ran = []
 
@@ -717,7 +728,7 @@ def test_no_mode_name_is_spelled_outside_the_mode_table():
 def test_a_sectorless_mode_never_forms_a_sector(mode):
     # set-up forms every cluster; this tiny arena, attacked, makes the
     # reconfiguring modes rebuild clusters again during the run
-    sim = engine.initialize(tiny_arena(mode=mode, rounds=20, attack=ATTACK))
+    sim = engine.Simulation(tiny_arena(mode=mode, rounds=20, attack=ATTACK))
     assert all(c.sectors == [] for c in sim.clusters)
     rebuilt = []
     build = sim._build_structures

@@ -305,6 +305,23 @@ def check_graph(sim):
         )
 
 
+def role_holders(sim):
+    """Every cluster's coordinator, sector coordinators and forwarding heads."""
+    for cluster in sim.clusters:
+        yield cluster.coordinator
+        for sector in cluster.sectors:
+            yield sector.coordinator
+            if sector.fsh is not None:
+                yield sector.fsh
+
+
+def check_sweep_left_no_quarantined_role_holder(sim):
+    """After a sweep no cluster keeps a quarantined role holder: the
+    forwarding stage relies on it and filters none of them."""
+    held = [node_id for node_id in role_holders(sim) if node_id in sim.ledgers.quarantined]
+    assert held == []
+
+
 def derived_state(sim):
     return (
         sorted(sim._fragments),
@@ -373,7 +390,7 @@ def run_instrumented_round(sim):
 def test_indices_match_scans_through_deaths_and_quarantines(mode):
     deaths = quarantines = skipped = 0
     for seed in range(6):
-        sim = engine.initialize(arena(seed, mode))
+        sim = engine.Simulation(arena(seed, mode))
         check_indices(sim)
         check_graph(sim)
         alive_start = sim.alive_non_sink()
@@ -381,8 +398,9 @@ def test_indices_match_scans_through_deaths_and_quarantines(mode):
             if sim.alive_non_sink() == 0:
                 break
             _, calls = run_instrumented_round(sim)
-            if mode != "itids" and not calls:
-                skipped += 1
+            if mode != "itids":  # the baseline never sweeps
+                check_sweep_left_no_quarantined_role_holder(sim)
+                skipped += not calls
             check_indices(sim)
             check_rederivation_is_a_fixed_point(sim)
             check_indices(sim)
@@ -392,6 +410,23 @@ def test_indices_match_scans_through_deaths_and_quarantines(mode):
     if mode != "itids":  # the baseline never sweeps
         assert quarantines > 0
         assert skipped > 0  # the skip path itself was exercised
+
+
+def test_one_sweep_replaces_any_quarantined_role_holder():
+    """Quarantine each set-up role holder alone, then sweep once: the sweep
+    replaces it (or dissolves its cluster), whichever role it held."""
+    cases = Counter()
+    for seed in range(6):
+        for holder in set(role_holders(engine.Simulation(arena(seed, "imids")))):
+            sim = engine.Simulation(arena(seed, "imids"))
+            cluster = scan_cluster_of(sim, holder)
+            cases["coordinator" if holder == cluster.coordinator else "sector role"] += 1
+            # what `run_round` sets before its phases, then a quarantine
+            sim._quarantine_mark, sim._reconfigurations = 0, []
+            ids.quarantine(sim.ledgers, holder, 0)
+            sim._reconfiguration_sweep(0)
+            check_sweep_left_no_quarantined_role_holder(sim)
+    assert cases["coordinator"] and cases["sector role"]
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -432,7 +467,7 @@ def test_each_receipt_is_counted_once_and_screened_as_received(mode, monkeypatch
 
     monkeypatch.setattr(ids, "sids_check", recording)
     for seed in range(6):
-        sim = engine.initialize(arena(seed, mode))
+        sim = engine.Simulation(arena(seed, mode))
         sim._phases = tuple(functools.partial(probed, phase) for phase in sim._phases)
         for _ in range(sim.config.rounds):
             if sim.alive_non_sink() == 0:
@@ -451,7 +486,7 @@ def test_round_report_equals_fresh_counts(mode):
     this arena on its own, so injected strikes grow the roster mid-run."""
     deaths = regrown = 0
     for seed in range(6):
-        sim = engine.initialize(arena(seed, mode, ((5, 3), (9, 7), (14, 12), (20, 18))))
+        sim = engine.Simulation(arena(seed, mode, ((5, 3), (9, 7), (14, 12), (20, 18))))
         alive_start = sim.alive_non_sink()
         for _ in range(sim.config.rounds):
             if sim.alive_non_sink() == 0:
@@ -488,7 +523,7 @@ def test_dissolved_cluster_strands_a_node_nobody_adopts(mode):
         },
         "attack": {"attacker_count": 0},
     })
-    sim = engine.initialize(config)
+    sim = engine.Simulation(config)
     (far_cluster,) = [c for c in sim.clusters if c.coordinator >= len(near)]
     leaders = [
         m for m in far_cluster.node_ids()
@@ -572,7 +607,7 @@ def test_the_rotation_check_matches_a_walk_of_every_member(mode):
     whole roster returns, through deaths, quarantines and adoptions."""
     seen = Counter()
     for seed in range(6):
-        sim = engine.initialize(arena(seed, mode, ((5, 3), (9, 7), (14, 12))))
+        sim = engine.Simulation(arena(seed, mode, ((5, 3), (9, 7), (14, 12))))
         check_cluster = sim._check_cluster
 
         def checked(cluster):
@@ -625,7 +660,7 @@ def test_many_clusters_reuse_untouched_fragments():
     """Many clusters, so most sweeps re-derive a few fragments and keep the
     rest: after every round the indices match the scans and a derivation
     from scratch changes nothing."""
-    sim = engine.initialize(field_recipe(200, seed=42, rounds=30))
+    sim = engine.Simulation(field_recipe(200, seed=42, rounds=30))
     check_indices(sim)
     partial = 0
     for _ in range(sim.config.rounds):
@@ -650,7 +685,7 @@ def test_a_cluster_re_formed_as_it_was_keeps_its_fragment_but_pays_and_reports()
     changes in round 419, the fragments it remembered are forgotten."""
     raw = json.loads(STOCK_CONFIG.read_text())
     raw.update(seed=45, mode="imids")
-    sim = engine.initialize(parse_config(raw))
+    sim = engine.Simulation(parse_config(raw))
     for _ in range(386):
         sim.run_round()
     charge_formation = sim._charge_formation
@@ -709,7 +744,7 @@ def test_a_recalled_fragment_brings_back_its_routes():
     `_route` is called only for a leaf's first send under a fragment."""
     raw = json.loads(STOCK_CONFIG.read_text())
     raw.update(seed=42, mode="imids")
-    sim = engine.initialize(parse_config(raw))
+    sim = engine.Simulation(parse_config(raw))
     built = []
     route = sim._route
     recall = sim._recall_fragment
@@ -755,7 +790,7 @@ def stock_and_arenas(mode):
 def run_checked(config, check):
     """Run the config to its end or to extinction, checking the simulation
     after set-up and after every round."""
-    sim = engine.initialize(config)
+    sim = engine.Simulation(config)
     check(sim)
     for _ in range(config.rounds):
         if sim.alive_non_sink() == 0:
@@ -870,7 +905,7 @@ def test_a_leaf_out_of_range_reaches_neither_its_parent_nor_its_watcher():
     its watcher, so the cached range tests are exercised by hand: a leaf
     moved into the roster of a coordinator out of its range pays for its
     send, but the coordinator neither overhears nor receives it."""
-    sim = engine.initialize(field_recipe(200, seed=42, rounds=1, mode="imids-no-sectors"))
+    sim = engine.Simulation(field_recipe(200, seed=42, rounds=1, mode="imids-no-sectors"))
     radius = sim.config.deployment.transmission_range
     home, far, leaf_id = next(
         (home, far, m)
@@ -923,7 +958,7 @@ def test_masks_are_drawn_for_exactly_the_duty_cycled_nodes(mode):
     none; every other alive non-sink node gets its own keyed draw."""
     drawn = skipped = 0
     for seed in range(3):
-        sim = engine.initialize(arena(seed, mode))
+        sim = engine.Simulation(arena(seed, mode))
         draw_masks = sim._phases[0]
         assert draw_masks.__name__ == "_draw_masks"
 
@@ -981,7 +1016,7 @@ def test_a_forced_wake_keeps_its_victim_awake_for_the_rest_of_the_slot(monkeypat
     raw.update(rounds=30, slots_per_round=4, sleep_probability=0.9)
     raw["attack"]["fake_msgs_per_round"] = 40
     for mode in MODES:
-        sim = engine.initialize(parse_config(dict(raw, mode=mode)))
+        sim = engine.Simulation(parse_config(dict(raw, mode=mode)))
         for _ in range(sim.config.rounds):
             if sim.alive_non_sink() == 0:
                 break

@@ -206,7 +206,7 @@ def check_role_class_consistency(sim):
     mode=st.sampled_from(["imids", "itids", "imids-no-sectors"]),
 )
 def test_roles_match_classes_before_and_after_rounds(node_count, seed, mode):
-    sim = engine.initialize(arena_config(node_count, seed, mode=mode))
+    sim = engine.Simulation(arena_config(node_count, seed, mode=mode))
     check_role_class_consistency(sim)
     for _ in range(3):
         if sim.alive_non_sink() == 0:

@@ -6,6 +6,12 @@ import pytest
 from imids_sim.rng import SeededRng
 
 
+@pytest.mark.parametrize("seed", [1.0, "1", None])
+def test_a_seed_that_is_not_an_int_is_refused(seed):
+    with pytest.raises(TypeError, match="seed must be an integer"):
+        SeededRng(seed)
+
+
 def test_same_tokens_same_stream():
     a = SeededRng(42).derive("sleep", 3, 17)
     b = SeededRng(42).derive("sleep", 3, 17)

@@ -39,7 +39,7 @@ def quiet_stock(p):
     raw = json.loads(STOCK_CONFIG.read_text())
     raw.update(sleep_probability=p, rounds=ROUNDS)
     raw["attack"]["attacker_count"] = 0
-    return engine.initialize(parse_config(raw))
+    return engine.Simulation(parse_config(raw))
 
 
 def drawn_masks(sim):
